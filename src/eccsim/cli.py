@@ -38,7 +38,9 @@ from .solver import (
     BlowUp,
     SweepReport,
     Trajectory,
+    check_delay,
     convergence_time,
+    grid_steps,
     solve_fixed,
     solve_open_loop,
     solve_ssec,
@@ -99,6 +101,16 @@ def _number_list(raw, name: str) -> list[float]:
     if not isinstance(raw, list) or not raw:
         raise InvalidScenario(f"{name}: expected a non-empty list of numbers")
     return [_number(v, name) for v in raw]
+
+
+def _check_grid(scn: Scenario) -> Scenario:
+    """Apply the solvers' grid rules to the scenario's horizon, dt, delay."""
+    try:
+        grid_steps((0.0, scn.cfg.horizon), scn.dt)
+        check_delay(scn.cfg.population_delay, scn.dt, "population_delay")
+    except ValueError as exc:
+        raise InvalidScenario(str(exc)) from exc
+    return scn
 
 
 def load_scenario(path: str) -> Scenario:
@@ -191,8 +203,9 @@ def load_scenario(path: str) -> Scenario:
         values = tuple(_number_list(block["values"], "sweep"))
         sweep = (param, values)
 
-    return Scenario(cfg=cfg, x0=x0, r0=r0, dt=dt, eps_convergence=eps,
-                    scheme=scheme, sweep=sweep)
+    return _check_grid(Scenario(cfg=cfg, x0=x0, r0=r0, dt=dt,
+                                eps_convergence=eps, scheme=scheme,
+                                sweep=sweep))
 
 
 def _override(scn: Scenario, args: argparse.Namespace) -> Scenario:
@@ -218,7 +231,7 @@ def _override(scn: Scenario, args: argparse.Namespace) -> Scenario:
     if scn.cfg.population_delay > 0.0 and scn.scheme != "fixed-controls":
         raise InvalidScenario(
             "population_delay: only the fixed-controls scheme models delay")
-    return scn
+    return _check_grid(scn)
 
 
 def _run_scheme(scn: Scenario) -> tuple[Trajectory, SweepReport | None]:
@@ -409,7 +422,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cfg = dataclasses.replace(scn.cfg, **{SWEEP_PARAMS[param]: value})
         except ValueError as exc:
             raise InvalidScenario(str(exc)) from exc
-        sub = dataclasses.replace(scn, cfg=cfg)
+        sub = _check_grid(dataclasses.replace(scn, cfg=cfg))
         traj, report = _run_scheme(sub)
         i_eq = traj.index_at(SAMPLE_FRACTION * float(traj.times[-1]))
         if param == "tau_x":

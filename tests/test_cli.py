@@ -1,6 +1,10 @@
 """Tests for the command-line front end: schema checks and artifact round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ BASE = {
 }
 
 HEADER = "t,x_1,x_2,x_c,r_1,r_2,r_c,p,u_1,u_2,u_c,U_1,U_2,U_c"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_scenario(tmp_path, name="scn.json", drop=(), **overrides):
@@ -118,6 +123,16 @@ class TestLoadScenario:
     def test_bad_dt(self, tmp_path):
         path = write_scenario(tmp_path, dt=0.0)
         with pytest.raises(InvalidScenario, match="dt: must be positive"):
+            load_scenario(path)
+
+    def test_dt_must_divide_horizon(self, tmp_path):
+        path = write_scenario(tmp_path, dt=0.03)
+        with pytest.raises(InvalidScenario, match="^dt: .*integer number"):
+            load_scenario(path)
+
+    def test_delay_shorter_than_dt(self, tmp_path):
+        path = write_scenario(tmp_path, population_delay=0.005)
+        with pytest.raises(InvalidScenario, match="^population_delay: "):
             load_scenario(path)
 
     def test_bad_eps(self, tmp_path):
@@ -218,6 +233,20 @@ class TestSimulate:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "population_delay" in capsys.readouterr().err
+
+    def test_indivisible_dt_override_exit_code(self, tmp_path, capsys):
+        scenario = str(SCENARIOS / "scenario_a_fixed.json")
+        code = main(["simulate", scenario, "--dt", "0.03",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: dt:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_delay_shorter_than_dt_exit_code(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, population_delay=0.005)
+        code = main(["simulate", scenario, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: population_delay:" in capsys.readouterr().err
 
     def test_blowup_exit_code(self, tmp_path, capsys):
         # Twice the stability bound: oscillation grows until the delayed
@@ -320,6 +349,13 @@ class TestSweep:
         assert code == 2
         assert "fixed-controls" in capsys.readouterr().err
 
+    def test_tau_value_shorter_than_dt(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path)
+        code = main(["sweep", scenario, "--param", "tau_x",
+                     "--values", "0.005", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "population_delay" in capsys.readouterr().err
+
     def test_requires_some_sweep(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
         assert main(["sweep", scenario]) == 2
@@ -336,3 +372,12 @@ class TestSweep:
         code = main(["sweep", scenario, "--param", "R_c", "--values", "0"])
         assert code == 2
         assert "cloud_power" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, eccsim.cli; print('scipy' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

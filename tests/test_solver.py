@@ -21,6 +21,9 @@ from eccsim.solver import (
     solve_open_loop,
     solve_ssec,
 )
+from eccsim.solver import _adjoint_profile
+from eccsim.stackelberg import (CcpCostate, EcpCostate, optimal_price,
+                                optimal_request)
 
 E_INV = 0.36787944117144233
 
@@ -196,6 +199,24 @@ class TestCostateBackward:
         _, _, (lam, _, _) = grids
         assert not lam[:, 0, 1].any() and not lam[:, 1, 0].any()
 
+    def test_expands_scalar_profile(self):
+        # Along a moving request schedule every adjoint is a fixed multiple
+        # of the one profile g; the homogeneous components are exactly 0.
+        cfg = make_big_cloud_config(horizon=10.0)
+        traj = solve_ssec(cfg, [0.3, 0.3, 0.4], (0.0, 10.0), 0.01)
+        lam, mu, theta_mat = costate_backward_grid(cfg, traj.times,
+                                                   traj.requests)
+        g = _adjoint_profile(cfg, traj.times, traj.requests)
+        assert g[-1] == 0.0 and g[0] > 0.0
+        eta1, xi1, users = cfg.ecp_weights[0], cfg.ccp_weights[0], cfg.n_users
+        for k, p_k in enumerate(cfg.ecp_access_price):
+            np.testing.assert_array_equal(lam[:, k, k],
+                                          g * (eta1 * p_k * users))
+            np.testing.assert_array_equal(
+                mu[:, k], (xi1 * cfg.cloud_access_price * users) * g)
+        assert not lam[:, 0, 1].any() and not lam[:, 1, 0].any()
+        assert not theta_mat.any()
+
     def test_rows_scale_with_access_price(self, grids):
         # Source eta1*p_n*K makes lam22 = (p_2/p_1) * lam11 pointwise.
         _, _, (lam, _, _) = grids
@@ -206,6 +227,13 @@ class TestCostateBackward:
 @pytest.fixture(scope="module")
 def solved():
     cfg = make_config(horizon=10.0)
+    traj, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.01)
+    return cfg, traj, report
+
+
+@pytest.fixture(scope="module")
+def solved_big():
+    cfg = make_big_cloud_config(horizon=10.0)
     traj, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.01)
     return cfg, traj, report
 
@@ -238,10 +266,48 @@ class TestSweep:
 
     def test_costates_attached(self, solved):
         _, traj, _ = solved
-        assert traj.ecp_costates is not None
-        assert not traj.ecp_costates[-1].any()
+        assert traj.g is not None
+        assert traj.g.shape == traj.times.shape
+        assert traj.g[-1] == 0.0
         assert traj.utilities is not None
         assert traj.integral_utilities is not None
+
+    def test_big_cloud_duopoly_converges_fast(self):
+        # The undamped default map settles in under a dozen iterations at
+        # T=50, dt=0.01; the control-damped sweep it replaced needed 35.
+        cfg = make_big_cloud_config()
+        _, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.01)
+        assert report.converged
+        assert report.iterations <= 12
+
+    def test_undamped_default_matches_damped(self, solved_big):
+        cfg, fast, rep_fast = solved_big
+        slow, rep_slow = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.01,
+                                         relaxation=0.5)
+        assert rep_fast.converged and rep_slow.converged
+        assert rep_fast.iterations < rep_slow.iterations
+        np.testing.assert_allclose(fast.shares, slow.shares, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(fast.prices, slow.prices, rtol=0, atol=1e-8)
+
+    def test_controls_match_general_costate_formulas(self, solved_big):
+        # At the adjoints expanded from g, the sweep's stationary controls
+        # are those of eccsim.stackelberg (interior prices here; requests
+        # are clipped at 0 and never reach the sum cap).
+        cfg, traj, _ = solved_big
+        n = cfg.n_ecps
+        lam_diag = cfg.ecp_weights[0] * cfg.ecp_access_price * cfg.n_users
+        mu_scale = cfg.ccp_weights[0] * cfg.cloud_access_price * cfg.n_users
+        for i in range(0, traj.times.shape[0], 25):
+            pop = traj.state(i)
+            ecp = EcpCostate(np.diag(lam_diag * traj.g[i]))
+            ccp = CcpCostate(np.full(n, mu_scale * traj.g[i]),
+                             np.zeros((n, n)))
+            price = optimal_price(cfg, pop, ecp, ccp)
+            assert traj.prices[i] == pytest.approx(price, rel=1e-12)
+            want = [max(optimal_request(cfg, pop, price, ecp, k), 0.0)
+                    for k in range(1, n + 1)]
+            np.testing.assert_allclose(traj.requests[i], want, rtol=1e-12,
+                                       atol=1e-14)
 
     def test_rejects_bad_relaxation(self, cfg):
         for w in (0.0, 1.5):
@@ -268,7 +334,7 @@ class TestMyopicAndFixed:
         assert traj.prices[0] == pytest.approx(0.45, abs=1e-14)
         np.testing.assert_allclose(traj.requests[0], [0.035, 0.235],
                                    atol=1e-14)
-        assert traj.ecp_costates is None
+        assert traj.g is None
 
     def test_open_loop_price_departs_from_myopic(self):
         cfg = make_big_cloud_config(horizon=10.0)
