@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -94,7 +95,13 @@ class Scenario:
 def _number(raw, name: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise InvalidScenario(f"{name}: expected a number")
-    return float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidScenario(f"{name}: expected a finite number")
+    return value
 
 
 def _number_list(raw, name: str) -> list[float]:
@@ -178,8 +185,6 @@ def load_scenario(path: str) -> Scenario:
         raise InvalidScenario(f"r0: {exc}") from exc
 
     dt = _number(raw["dt"], "dt")
-    if not dt > 0.0:
-        raise InvalidScenario("dt: must be positive")
     eps = _number(raw["eps_convergence"], "eps_convergence")
     if not eps > 0.0:
         raise InvalidScenario("eps_convergence: must be positive")
@@ -213,13 +218,12 @@ def _override(scn: Scenario, args: argparse.Namespace) -> Scenario:
     cfg = scn.cfg
     changes = {}
     if getattr(args, "horizon", None) is not None:
-        if not args.horizon > 0.0:
-            raise InvalidScenario("horizon: must be positive")
-        cfg = dataclasses.replace(cfg, horizon=float(args.horizon))
+        try:
+            cfg = dataclasses.replace(cfg, horizon=float(args.horizon))
+        except ValueError as exc:
+            raise InvalidScenario(str(exc)) from exc
         changes["cfg"] = cfg
     if getattr(args, "dt", None) is not None:
-        if not args.dt > 0.0:
-            raise InvalidScenario("dt: must be positive")
         changes["dt"] = float(args.dt)
     if getattr(args, "scheme", None) is not None:
         if args.scheme not in SCHEMES:

@@ -15,6 +15,8 @@ All functions here are pure and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 __all__ = [
@@ -127,10 +129,12 @@ class SystemConfig:
         if not np.isfinite(self.population_delay) or self.population_delay < 0.0:
             raise ValueError("population_delay: must be nonnegative")
 
-    @property
+    @cached_property
     def all_access_prices(self) -> np.ndarray:
-        """Access prices [p_1..p_N, p_c] in provider order."""
-        return np.append(self.ecp_access_price, self.cloud_access_price)
+        """Access prices [p_1..p_N, p_c] in provider order (read-only)."""
+        prices = np.append(self.ecp_access_price, self.cloud_access_price)
+        prices.flags.writeable = False
+        return prices
 
 
 @dataclass(frozen=True)
@@ -222,11 +226,28 @@ def _check_sizes(cfg: SystemConfig, pop: PopulationState | None = None,
         raise ValueError("requests: length inconsistent with n_ecps")
 
 
+def _supply(cfg: SystemConfig, requests: np.ndarray) -> np.ndarray:
+    """Compute per provider [R_n + R_c r_n .., R_c r_c] along the last axis."""
+    remainder = np.maximum(1.0 - requests.sum(axis=-1, keepdims=True), 0.0)
+    return np.concatenate((cfg.ecp_power + cfg.cloud_power * requests,
+                           cfg.cloud_power * remainder), axis=-1)
+
+
+def _uptake(cfg: SystemConfig, requests: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Uptake c_s = beta*w_s/(K p_s) and Theta = delta*sum_s c_s.
+
+    Works along the last axis; c_s is the utility mass of group s.
+    """
+    c = ((cfg.mapping_factor / cfg.n_users) * _supply(cfg, requests)
+         / cfg.all_access_prices)
+    return c, cfg.learning_rate * c.sum(axis=-1)
+
+
 def provider_power(cfg: SystemConfig, alloc: AllocationState) -> np.ndarray:
     """Total compute per provider [R_1+R_c r_1, .., R_N+R_c r_N, R_c r_c]."""
     _check_sizes(cfg, alloc=alloc)
-    return np.append(cfg.ecp_power + cfg.cloud_power * alloc.requests,
-                     cfg.cloud_power * alloc.cloud_remainder)
+    return _supply(cfg, alloc.requests)
 
 
 def per_user_power(cfg: SystemConfig, snap: MarketSnapshot) -> np.ndarray:
@@ -276,45 +297,43 @@ def theta(cfg: SystemConfig, alloc: AllocationState) -> float:
     allocation because each R_n is.
     """
     _check_sizes(cfg, alloc=alloc)
-    supply = provider_power(cfg, alloc)
-    mass = float(np.sum(supply / cfg.all_access_prices))
-    return cfg.learning_rate * cfg.mapping_factor * mass / cfg.n_users
+    return float(_uptake(cfg, alloc.requests)[1])
+
+
+def _payoffs(cfg: SystemConfig, shares: np.ndarray, requests: np.ndarray,
+             price) -> np.ndarray:
+    """Instantaneous payoffs [u_1..u_N, u_c] along the leading axes.
+
+    Edge provider n: access revenue eta1*p_n*K*x_n, minus the cloud-compute
+    bill eta2*R_c*p*r_n, minus the quadratic supply/demand mismatch penalty
+    eta3*(K*phi*x_n - (R_n + R_c r_n))^2.  Cloud: access revenue
+    xi1*p_c*K*x_c, plus compute sales xi2*R_c*p*sum r_n, minus the mismatch
+    penalty xi3*(K*phi*x_c - R_c r_c)^2.
+    """
+    eta1, eta2, eta3 = cfg.ecp_weights
+    xi1, xi2, xi3 = cfg.ccp_weights
+    n = cfg.n_ecps
+    revenue_w = np.array([eta1] * n + [xi1])
+    mismatch_w = np.array([eta3] * n + [xi3])
+    sales = np.concatenate((-eta2 * requests,
+                            xi2 * requests.sum(axis=-1, keepdims=True)), axis=-1)
+    mismatch = cfg.n_users * cfg.nominal_rate * shares - _supply(cfg, requests)
+    return (revenue_w * cfg.all_access_prices * cfg.n_users * shares
+            + cfg.cloud_power * np.asarray(price)[..., None] * sales
+            - mismatch_w * mismatch ** 2)
 
 
 def ecp_instant_utility(cfg: SystemConfig, snap: MarketSnapshot, n: int) -> float:
-    """Instantaneous payoff of edge provider n (1-based).
-
-    Access revenue eta1*p_n*K*x_n, minus the cloud-compute bill
-    eta2*R_c*p*r_n, minus the quadratic supply/demand mismatch penalty
-    eta3*(K*phi*x_n - (R_n + R_c r_n))^2.
-    """
+    """Instantaneous payoff of edge provider n (1-based); see _payoffs."""
     _check_sizes(cfg, snap.population, snap.allocation)
     if not 1 <= n <= cfg.n_ecps:
         raise ValueError(f"n: must be in 1..{cfg.n_ecps}")
-    eta1, eta2, eta3 = cfg.ecp_weights
-    i = n - 1
-    x_n = float(snap.population.shares[i])
-    r_n = float(snap.allocation.requests[i])
-    p_n = float(cfg.ecp_access_price[i])
-    supply = float(cfg.ecp_power[i]) + cfg.cloud_power * r_n
-    demand = cfg.n_users * cfg.nominal_rate * x_n
-    return (eta1 * p_n * cfg.n_users * x_n
-            - eta2 * cfg.cloud_power * snap.price * r_n
-            - eta3 * (demand - supply) ** 2)
+    return float(_payoffs(cfg, snap.population.shares,
+                          snap.allocation.requests, snap.price)[n - 1])
 
 
 def ccp_instant_utility(cfg: SystemConfig, snap: MarketSnapshot) -> float:
-    """Instantaneous payoff of the cloud provider.
-
-    Access revenue xi1*p_c*K*x_c, plus compute sales xi2*R_c*p*sum r_n,
-    minus the mismatch penalty xi3*(K*phi*x_c - R_c r_c)^2.
-    """
+    """Instantaneous payoff of the cloud provider; see _payoffs."""
     _check_sizes(cfg, snap.population, snap.allocation)
-    xi1, xi2, xi3 = cfg.ccp_weights
-    x_c = snap.population.cloud
-    sold = float(snap.allocation.requests.sum())
-    supply = cfg.cloud_power * (1.0 - sold)
-    demand = cfg.n_users * cfg.nominal_rate * x_c
-    return (xi1 * cfg.cloud_access_price * cfg.n_users * x_c
-            + xi2 * cfg.cloud_power * snap.price * sold
-            - xi3 * (demand - supply) ** 2)
+    return float(_payoffs(cfg, snap.population.shares,
+                          snap.allocation.requests, snap.price)[-1])

@@ -22,6 +22,7 @@ from .model import (
     SystemConfig,
     ZeroShare,
     _check_sizes,
+    _uptake,
     provider_power,
     theta,
 )
@@ -132,16 +133,13 @@ def analytic_ess(cfg: SystemConfig, alloc: AllocationState) -> EssResult:
     """Closed-form evolutionary equilibrium for a fixed allocation.
 
     At equilibrium every group enjoys the same per-user utility, which
-    forces x*_s proportional to w_s/p_s (provider compute over access
-    price).  The common utility is then beta/K times the total mass
-    sum_s w_s/p_s, i.e. Theta/delta.
+    forces x*_s proportional to the uptake c_s = beta*w_s/(K p_s).  The
+    common utility is then the total uptake sum_s c_s, i.e. Theta/delta.
     """
     _check_sizes(cfg, alloc=alloc)
-    weights = provider_power(cfg, alloc) / cfg.all_access_prices
-    mass = float(weights.sum())
-    shares = PopulationState(weights / mass)
-    common = cfg.mapping_factor * mass / cfg.n_users
-    return EssResult(shares=shares, common_utility=common)
+    c, _ = _uptake(cfg, alloc.requests)
+    common = float(c.sum())
+    return EssResult(shares=PopulationState(c / common), common_utility=common)
 
 
 def ess_jacobian_eigen(cfg: SystemConfig, alloc: AllocationState) -> np.ndarray:

@@ -3,6 +3,8 @@
 Everything runs on a fixed uniform grid with classical fourth-order
 Runge-Kutta steps.  Fixed stepping keeps runs deterministic and lines the
 grid up with the delay buffer, which matters more here than raw speed.
+The delayed integrator reads lagged states by linear interpolation, which
+makes it second order overall despite its RK4 stages.
 
 The open-loop equilibrium is found by forward-backward sweeping.  The
 adjoints depend on the state only through Theta(r(t)) and vanish at T, so
@@ -11,9 +13,10 @@ the follower adjoints are lam_nn = eta1*p_n*K*g (off-diagonal entries 0),
 the leader's are mu_n = xi1*p_c*K*g (its theta_mat is 0).  One sweep
 integrates the population forward under the stationary controls for the
 current g, integrates g backward from zero (backward is the stable
-direction, since it grows at rate rho+Theta forward in time), and
-optionally relaxes the g update.  Undamped, the map settles in 5-9 sweeps
-on the shipped scenarios, so no damping is applied by default.
+direction, since it grows at rate rho+Theta forward in time), and takes
+the new g undamped: the map settles in 5-9 sweeps on the shipped
+scenarios.  The controls come from the one stationary-control kernel of
+`eccsim.stackelberg`, and supply, Theta and payoffs from `eccsim.model`.
 """
 
 from __future__ import annotations
@@ -28,8 +31,11 @@ from .model import (
     MarketSnapshot,
     PopulationState,
     SystemConfig,
+    _payoffs,
+    _uptake,
 )
 from .replicator import ReplicatorField
+from .stackelberg import _price_gaps, _stationary_controls
 
 __all__ = [
     "BlowUp",
@@ -57,6 +63,8 @@ SHARE_FLOOR = 1e-12
 DRIFT_TOL = 1e-12
 # Requests are kept strictly inside [0, 1) with this margin.
 CONTROL_CAP = 1.0 - 1e-6
+# Largest grid any integrator lays out; finer grids are rejected, not allocated.
+MAX_GRID_STEPS = 10**6
 
 
 class BlowUp(RuntimeError):
@@ -142,8 +150,9 @@ def grid_steps(t_span: tuple[float, float], dt: float) -> int:
     """Step count of the uniform grid every integrator lays over t_span.
 
     Raises:
-        ValueError: dt not positive, an empty span, or a span that is not an
-            integer number of steps; the message names dt or t_span.
+        ValueError: dt not positive, an empty span, a span that is not an
+            integer number of steps, or more than MAX_GRID_STEPS steps; the
+            message names dt or t_span.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not dt > 0.0:
@@ -151,6 +160,8 @@ def grid_steps(t_span: tuple[float, float], dt: float) -> int:
     if not t1 > t0:
         raise ValueError("t_span: end must exceed start")
     steps_exact = (t1 - t0) / dt
+    if not steps_exact <= MAX_GRID_STEPS:
+        raise ValueError(f"dt: grid would exceed {MAX_GRID_STEPS} steps")
     steps = int(round(steps_exact))
     if steps < 1 or abs(steps_exact - steps) > 1e-9 * max(1.0, steps_exact):
         raise ValueError("dt: span must be an integer number of steps")
@@ -171,7 +182,8 @@ def _make_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
 
 
 def _check_finite(y: np.ndarray) -> None:
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > MAGNITUDE_LIMIT:
+    # Also true for NaN and +-inf, which compare False.
+    if not np.max(np.abs(y)) <= MAGNITUDE_LIMIT:
         raise BlowUp("state magnitude left the finite range")
 
 
@@ -218,12 +230,14 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
                   x0, history: Callable[[float], np.ndarray] | None,
                   tau: float, t_span: tuple[float, float], dt: float,
                   *, simplex: bool = True) -> Trajectory:
-    """Method-of-steps RK4 for x'(t) = field(t, x(t), x(t - tau)).
+    """Method of steps for x'(t) = field(t, x(t), x(t - tau)).
 
-    The delayed state is read from the already-integrated grid by linear
-    interpolation; before the start it comes from `history` (constant x0
-    when None).  tau = 0 hands the field to integrate_ode with the current
-    state fed to both slots.
+    Each step takes RK4 stages, but the delayed state is read from the
+    already-integrated grid by linear interpolation, so the method is
+    second order: the error falls by 4 per halving of dt.  Before the start
+    the delayed state comes from `history` (constant x0 when None).  tau = 0
+    hands the field to integrate_ode with the current state fed to both
+    slots.
 
     Raises:
         ValueError: 0 < tau < dt (one step would outrun the buffer).
@@ -267,16 +281,8 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     return Trajectory(times=times, shares=out)
 
 
-def _theta_grid(cfg: SystemConfig, requests: np.ndarray) -> np.ndarray:
-    """Theta along a request schedule, vectorized over the grid."""
-    supply = cfg.ecp_power[None, :] + cfg.cloud_power * requests
-    mass = (supply / cfg.ecp_access_price[None, :]).sum(axis=1)
-    mass = mass + cfg.cloud_power * (1.0 - requests.sum(axis=1)) / cfg.cloud_access_price
-    return cfg.learning_rate * cfg.mapping_factor * mass / cfg.n_users
-
-
-def _affine_rk4_back(y: float, a: float, src: float, h: float) -> float:
-    """One backward RK4 step of y' = a*y - src with constant coefficients."""
+def _affine_rk4(y, a: float, src, h: float):
+    """One RK4 step of y' = a*y - src with constant coefficients (h < 0: back)."""
     k1 = a * y - src
     k2 = a * (y + (0.5 * h) * k1) - src
     k3 = a * (y + (0.5 * h) * k2) - src
@@ -291,12 +297,12 @@ def _adjoint_profile(cfg: SystemConfig, times: np.ndarray,
     Theta(r(t)) is held piecewise constant per interval to match the
     forward pass's piecewise-constant controls.
     """
-    rate = (cfg.discount_rate + _theta_grid(cfg, requests)).tolist()
+    rate = (cfg.discount_rate + _uptake(cfg, requests)[1]).tolist()
     m = times.shape[0]
     h = float(times[0] - times[1]) if m > 1 else 0.0
     g = [0.0] * m
     for i in range(m - 1, 0, -1):
-        g[i - 1] = _affine_rk4_back(g[i], rate[i - 1], 1.0, h)
+        g[i - 1] = _affine_rk4(g[i], rate[i - 1], 1.0, h)
     out = np.array(g)
     _check_finite(out)
     return out
@@ -328,38 +334,23 @@ def costate_backward_grid(cfg: SystemConfig, times: np.ndarray,
 
 
 def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
-                  g: np.ndarray, p_max: float
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate the population forward under stationary-point controls.
 
-    At each grid node the leader price and follower requests are computed
-    from the adjoints lam_nn = eta1*p_n*K*g and mu_n = xi1*p_c*K*g and
-    projected onto the feasible box.  The controls then stay frozen across
-    the RK4 stages of the step.  The state advance uses the algebraically
-    reduced linear field x' = delta*c - Theta*x (see ReplicatorField).
+    At each grid node the adjoints lam_nn = eta1*p_n*K*g, mu_n = xi1*p_c*K*g
+    (theta_mat = 0) give the two adjoint terms of the stationary-control
+    kernel of `eccsim.stackelberg`; its price and requests are projected
+    onto the feasible box (price cap: default_price_cap) and stay frozen
+    across the RK4 stages of the step.  The state advances by the reduced
+    linear field x' = delta*c - Theta*x (see ReplicatorField).
     """
     n = cfg.n_ecps
     m = times.shape[0]
     dt = float(times[1] - times[0]) if m > 1 else 0.0
-    eta2, eta3 = cfg.ecp_weights[1], cfg.ecp_weights[2]
-    xi2, xi3 = cfg.ccp_weights[1], cfg.ccp_weights[2]
-    power_c = cfg.cloud_power
-    inv_p = 1.0 / cfg.ecp_access_price
+    inv_p, gap, mix = _price_gaps(cfg)
     inv_p_sum = float(inv_p.sum())
-    gap = inv_p - 1.0 / cfg.cloud_access_price
-    mix = -inv_p_sum + n / cfg.cloud_access_price
-    b_slope = eta2 / (2.0 * eta3 * power_c)
-    nb = n * b_slope
-    price_den = 2.0 * nb * (xi2 + xi3 * power_c * nb)
     lam_diag, mu_scale = _adjoint_scales(cfg)
-    # lam_n . q_n(x) = lam_nn * (1/p_n - gap_n * x_n) for diagonal lam.
-    q_gain = (cfg.learning_rate * cfg.mapping_factor
-              / (2.0 * eta3 * power_c * cfg.n_users)) * lam_diag
-    mu_gain = (cfg.learning_rate * cfg.mapping_factor * b_slope
-               / cfg.n_users) * mu_scale
-    kphi = cfg.n_users * cfg.nominal_rate
-    prices_all = cfg.all_access_prices
-    beta_k = cfg.mapping_factor / cfg.n_users
+    p_max = default_price_cap(cfg)
     delta = cfg.learning_rate
 
     shares = np.empty((m, n + 1))
@@ -369,33 +360,20 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
     for i, gi in enumerate(g.tolist()):
         shares[i] = x
         xe = x[:n]
-        sum_xe = float(xe.sum())
-        a_vec = ((kphi * xe - cfg.ecp_power) / power_c
-                 + (gi * q_gain) * (inv_p - gap * xe))
-        sum_a = a_vec.sum()
-        numerator = (xi2 * sum_a
-                     + 2.0 * xi3 * nb * (kphi * (1.0 - sum_xe)
-                                         - power_c * (1.0 - sum_a))
-                     - mu_gain * gi * (inv_p_sum + sum_xe * mix))
-        p_new = min(max(numerator / price_den, 0.0), p_max)
-        r_new = np.clip(a_vec - b_slope * p_new, 0.0, CONTROL_CAP)
-        total = r_new.sum()
+        lam_dot_q = (gi * lam_diag) * (inv_p - gap * xe)
+        flow = -(mu_scale * gi) * (inv_p_sum + float(xe.sum()) * mix)
+        a_vec, b_slope, price = _stationary_controls(cfg, xe, lam_dot_q, flow)
+        price = min(max(price, 0.0), p_max)
+        r = np.minimum(np.maximum(a_vec - b_slope * price, 0.0), CONTROL_CAP)
+        total = r.sum()
         if total > CONTROL_CAP:
-            r_new *= CONTROL_CAP / total
-        requests[i] = r_new
-        prices[i] = p_new
+            r *= CONTROL_CAP / total
+        requests[i] = r
+        prices[i] = price
         if i == m - 1:
             break
-        supply = np.append(cfg.ecp_power + power_c * r_new,
-                           power_c * (1.0 - r_new.sum()))
-        c_vec = beta_k * supply / prices_all
-        th = delta * c_vec.sum()
-        dc = delta * c_vec
-        k1 = dc - th * x
-        k2 = dc - th * (x + (0.5 * dt) * k1)
-        k3 = dc - th * (x + (0.5 * dt) * k2)
-        k4 = dc - th * (x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        c, theta = _uptake(cfg, r)
+        x = _affine_rk4(x, -theta, -delta * c, dt)
         _check_finite(x)
         x = _project_simplex(x)
     return shares, requests, prices
@@ -411,23 +389,7 @@ def _running_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def _attach_utilities(cfg: SystemConfig, traj: Trajectory) -> None:
     """Fill the per-provider utility and discounted running-integral columns."""
-    n = cfg.n_ecps
-    eta1, eta2, eta3 = cfg.ecp_weights
-    xi1, xi2, xi3 = cfg.ccp_weights
-    xe = traj.shares[:, :n]
-    xc = traj.shares[:, n]
-    r = traj.requests
-    p = traj.prices
-    kphi = cfg.n_users * cfg.nominal_rate
-    supply_e = cfg.ecp_power[None, :] + cfg.cloud_power * r
-    u_e = (eta1 * cfg.ecp_access_price[None, :] * cfg.n_users * xe
-           - eta2 * cfg.cloud_power * p[:, None] * r
-           - eta3 * (kphi * xe - supply_e) ** 2)
-    sold = r.sum(axis=1)
-    u_c = (xi1 * cfg.cloud_access_price * cfg.n_users * xc
-           + xi2 * cfg.cloud_power * p * sold
-           - xi3 * (kphi * xc - cfg.cloud_power * (1.0 - sold)) ** 2)
-    utilities = np.column_stack([u_e, u_c])
+    utilities = _payoffs(cfg, traj.shares, traj.requests, traj.prices)
     weighted = np.exp(-cfg.discount_rate * traj.times)[:, None] * utilities
     traj.utilities = utilities
     traj.integral_utilities = _running_trapezoid(weighted, traj.times)
@@ -436,31 +398,26 @@ def _attach_utilities(cfg: SystemConfig, traj: Trajectory) -> None:
 def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
                     t_span: tuple[float, float] | None = None,
                     max_iter: int = 500, tol: float = 1e-8,
-                    costate_tol: float = 1e-6, relaxation: float = 1.0,
-                    p_max: float | None = None
+                    costate_tol: float = 1e-6
                     ) -> tuple[Trajectory, SweepReport]:
     """Open-loop equilibrium of the full hierarchical game.
 
     Iterates the map g -> forward pass -> backward pass -> g from g = 0,
-    so the first forward pass runs the myopic controls; relaxation < 1
-    damps each g update (the undamped map contracts fast on every tested
-    configuration).  Converged means the largest share change between
-    sweeps fell below tol and the largest adjoint change,
-    max(eta1*max p_n, xi1*p_c)*K * max|dg|, below costate_tol.  The
-    returned trajectory is a final forward pass under the last g, stored
-    with it, so replaying it reproduces it exactly.  A run that exhausts
-    max_iter returns converged=False in the report rather than raising.
+    so the first forward pass runs the myopic controls.  The map is taken
+    undamped; it contracts fast on every tested configuration.  Converged
+    means the largest share change between sweeps fell below tol and the
+    largest adjoint change, max(eta1*max p_n, xi1*p_c)*K * max|dg|, below
+    costate_tol.  The returned trajectory is a final forward pass under the
+    last g, stored with it, so replaying it reproduces it exactly.  A run
+    that exhausts max_iter returns converged=False in the report rather
+    than raising.
 
     Raises:
         BlowUp: integration left the finite range.
         ValueError: malformed grid or parameters.
     """
-    if not 0.0 < relaxation <= 1.0:
-        raise ValueError("relaxation: must lie in (0, 1]")
     if t_span is None:
         t_span = (0.0, cfg.horizon)
-    if p_max is None:
-        p_max = default_price_cap(cfg)
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0.0):
         raise ValueError("x0: initial shares must be interior")
@@ -473,12 +430,12 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        shares, requests, _ = _forward_pass(cfg, x0, times, g, p_max)
+        shares, requests, _ = _forward_pass(cfg, x0, times, g)
         if prev_shares is not None:
             state_res = float(np.max(np.abs(shares - prev_shares)))
         g_new = _adjoint_profile(cfg, times, requests)
         costate_res = adjoint_unit * float(np.max(np.abs(g_new - g)))
-        g = relaxation * g_new + (1.0 - relaxation) * g
+        g = g_new
         prev_shares = shares
         if state_res < tol and costate_res < costate_tol:
             converged = True
@@ -486,15 +443,14 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
     report = SweepReport(iterations=iterations, state_residual=state_res,
                          costate_terminal_residual=costate_res,
                          converged=converged)
-    shares, requests, prices = _forward_pass(cfg, x0, times, g, p_max)
+    shares, requests, prices = _forward_pass(cfg, x0, times, g)
     traj = Trajectory(times=times, shares=shares, requests=requests,
                       prices=prices, g=g)
     _attach_utilities(cfg, traj)
     return traj, report
 
 
-def replay_forward(cfg: SystemConfig, traj: Trajectory,
-                   p_max: float | None = None) -> Trajectory:
+def replay_forward(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
     """Re-run the forward pass under a trajectory's frozen adjoint profile g.
 
     On a converged solve the result matches the original bit for bit; used
@@ -502,10 +458,8 @@ def replay_forward(cfg: SystemConfig, traj: Trajectory,
     """
     if traj.g is None:
         raise ValueError("trajectory stores no adjoints to replay")
-    if p_max is None:
-        p_max = default_price_cap(cfg)
     shares, requests, prices = _forward_pass(
-        cfg, traj.shares[0].copy(), traj.times, traj.g, p_max)
+        cfg, traj.shares[0].copy(), traj.times, traj.g)
     out = Trajectory(times=traj.times, shares=shares, requests=requests,
                      prices=prices, g=traj.g)
     _attach_utilities(cfg, out)
@@ -513,20 +467,18 @@ def replay_forward(cfg: SystemConfig, traj: Trajectory,
 
 
 def solve_ssec(cfg: SystemConfig, x0, t_span: tuple[float, float],
-               dt: float, *, p_max: float | None = None) -> Trajectory:
+               dt: float) -> Trajectory:
     """Myopic baseline: each instant's static game, then one population step.
 
     Identical to the sweep's forward pass with g pinned to zero, i.e.
     providers optimize instantaneous payoff only.
     """
-    if p_max is None:
-        p_max = default_price_cap(cfg)
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0.0):
         raise ValueError("x0: initial shares must be interior")
     times = _make_grid(t_span, dt)
     shares, requests, prices = _forward_pass(
-        cfg, x0, times, np.zeros(times.shape[0]), p_max)
+        cfg, x0, times, np.zeros(times.shape[0]))
     traj = Trajectory(times=times, shares=shares, requests=requests,
                       prices=prices)
     _attach_utilities(cfg, traj)

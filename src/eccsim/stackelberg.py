@@ -8,6 +8,11 @@ the first-order machinery of that hierarchical game: per-player
 Hamiltonians, the closed-form stationary controls, and the adjoint
 (costate) vector fields integrated backward by the solver.
 
+The stationary controls have one implementation, `_stationary_controls`.
+It sees the adjoints only through two aggregate terms, which the public
+functions here evaluate at general costates and the solver's forward pass
+at its scalar adjoint profile.
+
 Controls returned here are unprojected stationary points; clamping to the
 feasible box is the caller's job, because feasibility is a property of the
 stored schedule, not of the optimality condition.
@@ -93,6 +98,17 @@ class CcpCostate:
         return cls(np.zeros(n_ecps), np.zeros((n_ecps, n_ecps)))
 
 
+def _price_gaps(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """(1/p_n, gap_n = 1/p_n - 1/p_c, mix = N/p_c - sum 1/p_n).
+
+    mix is the common sensitivity of the cloud-bound utility mass to the
+    price.
+    """
+    inv_p = 1.0 / cfg.ecp_access_price
+    mix = float(cfg.n_ecps / cfg.cloud_access_price - inv_p.sum())
+    return inv_p, inv_p - 1.0 / cfg.cloud_access_price, mix
+
+
 def q_vector(cfg: SystemConfig, pop: PopulationState, n: int) -> np.ndarray:
     """Sensitivity direction of provider n's own-share velocity to r_n.
 
@@ -103,27 +119,52 @@ def q_vector(cfg: SystemConfig, pop: PopulationState, n: int) -> np.ndarray:
     _check_sizes(cfg, pop)
     if not 1 <= n <= cfg.n_ecps:
         raise ValueError(f"n: must be in 1..{cfg.n_ecps}")
-    p_n = float(cfg.ecp_access_price[n - 1])
-    out = -(1.0 / p_n - 1.0 / cfg.cloud_access_price) * pop.ecp.copy()
-    out[n - 1] += 1.0 / p_n
+    inv_p, gap, _ = _price_gaps(cfg)
+    out = -gap[n - 1] * pop.ecp
+    out[n - 1] += inv_p[n - 1]
     return out
 
 
-def _request_coeffs(cfg: SystemConfig, x_ecp: np.ndarray,
-                    lam: np.ndarray) -> tuple[np.ndarray, float]:
-    """Vector of A_n terms and the shared slope B for all providers at once."""
-    eta1, eta2, eta3 = cfg.ecp_weights
+def _stationary_controls(cfg: SystemConfig, x_ecp: np.ndarray,
+                         lam_dot_q: np.ndarray, leader_flow: float
+                         ) -> tuple[np.ndarray, float, float]:
+    """Stationary controls (A, B, p): requests A_n - B*p and the leader price.
+
+    The adjoints enter only through lam_dot_q[n] = lam_n . q_n(x) and the
+    leader's flow term mu . (-1/p - x*mix) + mix * <theta_mat, lam>.  The
+    price maximizes the leader's Hamiltonian after the followers' reactions
+    are substituted, which makes it strictly concave in p.
+    """
+    eta2, eta3 = cfg.ecp_weights[1:]
+    xi2, xi3 = cfg.ccp_weights[1:]
     power_c = cfg.cloud_power
-    inv_p = 1.0 / cfg.ecp_access_price
-    gap = inv_p - 1.0 / cfg.cloud_access_price
-    # lam_n . q_n(x) = lam_nn/p_n - gap_n * (lam_n . x)
-    lam_dot_q = np.diagonal(lam) * inv_p - gap * (lam @ x_ecp)
-    demand = cfg.n_users * cfg.nominal_rate * x_ecp
-    scale = (cfg.learning_rate * cfg.mapping_factor
-             / (2.0 * eta3 * power_c * cfg.n_users))
-    a_vec = (demand - cfg.ecp_power) / power_c + scale * lam_dot_q
+    kphi = cfg.n_users * cfg.nominal_rate
+    gain = cfg.learning_rate * cfg.mapping_factor / cfg.n_users
     b_slope = eta2 / (2.0 * eta3 * power_c)
-    return a_vec, b_slope
+    a_vec = ((kphi * x_ecp - cfg.ecp_power) / power_c
+             + (gain / (2.0 * eta3 * power_c)) * lam_dot_q)
+    sum_a = float(a_vec.sum())
+    nb = cfg.n_ecps * b_slope
+    numerator = (xi2 * sum_a
+                 + 2.0 * xi3 * nb * (kphi * (1.0 - float(x_ecp.sum()))
+                                     - power_c * (1.0 - sum_a))
+                 + gain * b_slope * leader_flow)
+    price = numerator / (2.0 * nb * (xi2 + xi3 * power_c * nb))
+    return a_vec, b_slope, price
+
+
+def _general_controls(cfg: SystemConfig, pop: PopulationState,
+                      ecp_costates: EcpCostate, ccp_costate: CcpCostate
+                      ) -> tuple[np.ndarray, float, float]:
+    """_stationary_controls with both adjoint terms from general costates."""
+    _check_sizes(cfg, pop)
+    x_ecp = pop.ecp
+    lam = ecp_costates.lam
+    inv_p, gap, mix = _price_gaps(cfg)
+    lam_dot_q = np.diagonal(lam) * inv_p - gap * (lam @ x_ecp)
+    flow = (float(np.dot(ccp_costate.mu, -inv_p - x_ecp * mix))
+            + float(np.einsum("nm,nm->", ccp_costate.theta_mat, lam)) * mix)
+    return _stationary_controls(cfg, x_ecp, lam_dot_q, flow)
 
 
 def decompose_request(cfg: SystemConfig, pop: PopulationState,
@@ -136,7 +177,9 @@ def decompose_request(cfg: SystemConfig, pop: PopulationState,
     _check_sizes(cfg, pop)
     if not 1 <= n <= cfg.n_ecps:
         raise ValueError(f"n: must be in 1..{cfg.n_ecps}")
-    a_vec, b_slope = _request_coeffs(cfg, pop.ecp, costate.lam)
+    # A_n does not depend on the leader's adjoints.
+    a_vec, b_slope, _ = _general_controls(cfg, pop, costate,
+                                          CcpCostate.zero(cfg.n_ecps))
     return float(a_vec[n - 1]), b_slope
 
 
@@ -154,28 +197,7 @@ def optimal_price(cfg: SystemConfig, pop: PopulationState,
     Evaluated after substituting every follower's reaction r_n = A_n - B p,
     which makes the Hamiltonian strictly concave in p.
     """
-    _check_sizes(cfg, pop)
-    xi1, xi2, xi3 = cfg.ccp_weights
-    n_ecps = cfg.n_ecps
-    power_c = cfg.cloud_power
-    x_ecp = pop.ecp
-    a_vec, b_slope = _request_coeffs(cfg, x_ecp, ecp_costates.lam)
-    sum_a = float(a_vec.sum())
-    nb = n_ecps * b_slope
-    inv_p = 1.0 / cfg.ecp_access_price
-    # Common sensitivity of the cloud-bound utility mass to the price.
-    mix = float(-inv_p.sum() + n_ecps / cfg.cloud_access_price)
-    demand_c = cfg.n_users * cfg.nominal_rate * (1.0 - float(x_ecp.sum()))
-    flow_scale = (cfg.learning_rate * cfg.mapping_factor * b_slope
-                  / cfg.n_users)
-    mu_term = float(np.dot(ccp_costate.mu, -inv_p - x_ecp * mix))
-    theta_term = float(np.einsum("nm,nm->", ccp_costate.theta_mat,
-                                 ecp_costates.lam)) * mix
-    numerator = (xi2 * sum_a
-                 + 2.0 * xi3 * nb * (demand_c - power_c * (1.0 - sum_a))
-                 + flow_scale * (mu_term + theta_term))
-    denominator = 2.0 * nb * (xi2 + xi3 * power_c * nb)
-    return numerator / denominator
+    return float(_general_controls(cfg, pop, ecp_costates, ccp_costate)[2])
 
 
 def ecp_hamiltonian(cfg: SystemConfig, snap: MarketSnapshot,

@@ -380,7 +380,7 @@ def test_symmetry_equalization(capsys):
     # Providers with identical capacity and access price end up with the
     # same share, and every user group's utility equalizes at equilibrium.
     scn = load_scenario(str(SCENARIOS / "scenario_n6.json"))
-    traj, rep = solve_open_loop(scn.cfg, scn.x0, dt=scn.dt, relaxation=0.7)
+    traj, rep = solve_open_loop(scn.cfg, scn.x0, dt=scn.dt)
     x_end = traj.shares[-1]
     pair_gap = max(abs(x_end[0] - x_end[1]), abs(x_end[4] - x_end[5]))
     utils = user_utility(scn.cfg, traj.snapshot(len(traj.times) - 1))

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: schema checks and artifact round trips."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eccsim.cli import InvalidScenario, load_scenario, main
+from eccsim.cli import InvalidScenario, _override, load_scenario, main
 
 BASE = {
     "n_ecps": 2,
@@ -135,6 +136,31 @@ class TestLoadScenario:
         with pytest.raises(InvalidScenario, match="^population_delay: "):
             load_scenario(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_ecps", float("inf")),
+        ("n_ecps", float("nan")),
+        ("ecp_power", [2.0, float("inf")]),
+        ("ecp_power", [2.0, float("nan")]),
+        ("horizon", 10 ** 400),
+    ])
+    def test_non_finite_number(self, tmp_path, field, value):
+        # json writes Infinity/NaN literals, which json.load accepts.
+        path = write_scenario(tmp_path, **{field: value})
+        with pytest.raises(InvalidScenario, match=f"^{field}: expected a finite"):
+            load_scenario(path)
+
+    def test_grid_size_cap(self, tmp_path):
+        # 5e8 steps; rejected before anything is allocated.
+        path = write_scenario(tmp_path, dt=1e-8)
+        with pytest.raises(InvalidScenario, match="^dt: grid would exceed"):
+            load_scenario(path)
+
+    def test_grid_size_cap_on_override(self):
+        scn = load_scenario(str(SCENARIOS / "scenario_a_fixed.json"))
+        args = argparse.Namespace(dt=1e-7, horizon=None, scheme=None)
+        with pytest.raises(InvalidScenario, match="^dt: grid would exceed"):
+            _override(scn, args)
+
     def test_bad_eps(self, tmp_path):
         path = write_scenario(tmp_path, eps_convergence=-1.0)
         with pytest.raises(InvalidScenario, match="eps_convergence"):
@@ -247,6 +273,14 @@ class TestSimulate:
         code = main(["simulate", scenario, "--out", str(tmp_path / "x")])
         assert code == 2
         assert "error: population_delay:" in capsys.readouterr().err
+
+    def test_infinite_horizon_override_exit_code(self, tmp_path, capsys):
+        scenario = str(SCENARIOS / "scenario_a.json")
+        code = main(["simulate", scenario, "--horizon", "inf",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: horizon:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_blowup_exit_code(self, tmp_path, capsys):
         # Twice the stability bound: oscillation grows until the delayed
