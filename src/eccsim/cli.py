@@ -110,9 +110,22 @@ def _number_list(raw, name: str) -> list[float]:
     return [_number(v, name) for v in raw]
 
 
-def _check_grid(scn: Scenario) -> Scenario:
-    """Apply the solvers' grid rules to the scenario's horizon, dt, delay."""
+def _derive(scn: Scenario, cfg_changes: dict | None = None,
+            **changes) -> Scenario:
+    """`scn` with configuration and scenario fields replaced, re-validated.
+
+    Every scenario a command runs passes through here: the configuration
+    checks, the rule that only fixed-controls models a population delay,
+    and the solvers' grid rules (`grid_steps`, `check_delay`) for the
+    horizon, dt and delay.
+    """
     try:
+        if cfg_changes:
+            changes["cfg"] = dataclasses.replace(scn.cfg, **cfg_changes)
+        scn = dataclasses.replace(scn, **changes)
+        if scn.cfg.population_delay > 0.0 and scn.scheme != "fixed-controls":
+            raise InvalidScenario(
+                "population_delay: only the fixed-controls scheme models delay")
         grid_steps((0.0, scn.cfg.horizon), scn.dt)
         check_delay(scn.cfg.population_delay, scn.dt, "population_delay")
     except ValueError as exc:
@@ -192,9 +205,6 @@ def load_scenario(path: str) -> Scenario:
     if scheme not in SCHEMES:
         raise InvalidScenario(
             f"scheme: expected one of {', '.join(SCHEMES)}")
-    if cfg.population_delay > 0.0 and scheme != "fixed-controls":
-        raise InvalidScenario(
-            "population_delay: only the fixed-controls scheme models delay")
 
     sweep = None
     if "sweep" in raw:
@@ -208,34 +218,19 @@ def load_scenario(path: str) -> Scenario:
         values = tuple(_number_list(block["values"], "sweep"))
         sweep = (param, values)
 
-    return _check_grid(Scenario(cfg=cfg, x0=x0, r0=r0, dt=dt,
-                                eps_convergence=eps, scheme=scheme,
-                                sweep=sweep))
+    return _derive(Scenario(cfg=cfg, x0=x0, r0=r0, dt=dt,
+                            eps_convergence=eps, scheme=scheme, sweep=sweep))
 
 
 def _override(scn: Scenario, args: argparse.Namespace) -> Scenario:
-    """Apply --dt/--horizon/--scheme command-line overrides, re-validating."""
-    cfg = scn.cfg
-    changes = {}
+    """Apply the --dt/--horizon/--scheme overrides a command takes."""
+    cfg_changes, changes = {}, {}
     if getattr(args, "horizon", None) is not None:
-        try:
-            cfg = dataclasses.replace(cfg, horizon=float(args.horizon))
-        except ValueError as exc:
-            raise InvalidScenario(str(exc)) from exc
-        changes["cfg"] = cfg
-    if getattr(args, "dt", None) is not None:
-        changes["dt"] = float(args.dt)
-    if getattr(args, "scheme", None) is not None:
-        if args.scheme not in SCHEMES:
-            raise InvalidScenario(
-                f"scheme: expected one of {', '.join(SCHEMES)}")
-        changes["scheme"] = args.scheme
-    if changes:
-        scn = dataclasses.replace(scn, **changes)
-    if scn.cfg.population_delay > 0.0 and scn.scheme != "fixed-controls":
-        raise InvalidScenario(
-            "population_delay: only the fixed-controls scheme models delay")
-    return _check_grid(scn)
+        cfg_changes["horizon"] = args.horizon
+    for name in ("dt", "scheme"):
+        if getattr(args, name, None) is not None:
+            changes[name] = getattr(args, name)
+    return _derive(scn, cfg_changes, **changes)
 
 
 def _run_scheme(scn: Scenario) -> tuple[Trajectory, SweepReport | None]:
@@ -327,7 +322,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_ess(args: argparse.Namespace) -> int:
-    scn = _override(load_scenario(args.scenario), args)
+    scn = load_scenario(args.scenario)
     cfg = scn.cfg
     alloc = AllocationState(scn.r0)
     result = analytic_ess(cfg, alloc)
@@ -351,22 +346,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise InvalidScenario(f"deltas: {exc}") from exc
     if not deltas or any(not d > 0.0 for d in deltas):
         raise InvalidScenario("deltas: expected a non-empty list of positive numbers")
+    runs = [_derive(scn, {"learning_rate": delta}, scheme=scheme)
+            for delta in deltas for scheme in ("olsec", "ssec")]
     out = _ensure_out(args)
     n = scn.cfg.n_ecps
     rows = []
-    for delta in deltas:
-        cfg = dataclasses.replace(scn.cfg, learning_rate=delta)
-        for scheme in ("olsec", "ssec"):
-            sub = dataclasses.replace(scn, cfg=cfg, scheme=scheme)
-            traj, report = _run_scheme(sub)
-            summary = _summary(sub, traj, report)
-            rows.append({
-                "delta": delta,
-                "scheme": scheme,
-                "convergence_time": summary["convergence_time"],
-                "integral_utilities": summary["integral_utilities"],
-                "converged": summary["converged"],
-            })
+    for sub in runs:
+        traj, report = _run_scheme(sub)
+        summary = _summary(sub, traj, report)
+        rows.append({
+            "delta": sub.cfg.learning_rate,
+            "scheme": sub.scheme,
+            "convergence_time": summary["convergence_time"],
+            "integral_utilities": summary["integral_utilities"],
+            "converged": summary["converged"],
+        })
     header = (["delta", "scheme", "convergence_time"]
               + [f"U_{k}" for k in range(1, n + 1)] + ["U_c"])
     lines = [",".join(header)]
@@ -400,37 +394,33 @@ def _delay_verdict(cfg: SystemConfig, traj: Trajectory, r0: np.ndarray,
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     scn = _override(load_scenario(args.scenario), args)
+    if (args.param is None) != (args.values is None):
+        raise InvalidScenario("values: --param and --values go together")
     if args.param is not None:
         param = args.param
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
-        except (ValueError, AttributeError) as exc:
+        except ValueError as exc:
             raise InvalidScenario(f"values: {exc}") from exc
     elif scn.sweep is not None:
-        param, values = scn.sweep[0], list(scn.sweep[1])
+        param, values = scn.sweep
     else:
         raise InvalidScenario("sweep: no sweep block in scenario and no --param given")
-    if param not in SWEEP_PARAMS:
-        raise InvalidScenario(
-            f"sweep: param must be one of {', '.join(SWEEP_PARAMS)}")
     if not values:
         raise InvalidScenario("sweep: expected a non-empty value list")
     if param == "tau_x" and scn.scheme != "fixed-controls":
         raise InvalidScenario(
             "sweep: tau_x sweeps require the fixed-controls scheme")
+    runs = [_derive(scn, {SWEEP_PARAMS[param]: value}) for value in values]
     out = _ensure_out(args)
     n = scn.cfg.n_ecps
     rows = []
-    for value in values:
-        try:
-            cfg = dataclasses.replace(scn.cfg, **{SWEEP_PARAMS[param]: value})
-        except ValueError as exc:
-            raise InvalidScenario(str(exc)) from exc
-        sub = _check_grid(dataclasses.replace(scn, cfg=cfg))
+    for value, sub in zip(values, runs):
         traj, report = _run_scheme(sub)
         i_eq = traj.index_at(SAMPLE_FRACTION * float(traj.times[-1]))
         if param == "tau_x":
-            verdict = _delay_verdict(cfg, traj, sub.r0, sub.eps_convergence)
+            verdict = _delay_verdict(sub.cfg, traj, sub.r0,
+                                     sub.eps_convergence)
         else:
             verdict = ("converged" if report is None or report.converged
                        else "no-convergence")
@@ -457,17 +447,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "the providers' hierarchical differential game.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    overrides = {
+        "--dt": {"type": float, "help": "override the scenario step size"},
+        "--horizon": {"type": float, "help": "override the scenario horizon"},
+        "--scheme": {"choices": SCHEMES, "help": "override the scenario scheme"},
+    }
+
+    def common(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument("scenario", help="path to a scenario JSON file")
-        p.add_argument("--dt", type=float, default=None,
-                       help="override the scenario step size")
-        p.add_argument("--horizon", type=float, default=None,
-                       help="override the scenario horizon")
-        p.add_argument("--scheme", default=None, choices=SCHEMES,
-                       help="override the scenario scheme")
+        for flag in flags:
+            p.add_argument(flag, default=None, **overrides[flag])
 
     p_sim = sub.add_parser("simulate", help="run one scheme, write CSV + summary")
-    common(p_sim)
+    common(p_sim, "--dt", "--horizon", "--scheme")
     p_sim.add_argument("--out", default=None, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -476,14 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ess.set_defaults(func=cmd_ess)
 
     p_cmp = sub.add_parser("compare", help="olsec vs ssec across learning rates")
-    common(p_cmp)
+    common(p_cmp, "--dt", "--horizon")
     p_cmp.add_argument("--deltas", default="0.5,1,1.5,2",
                        help="comma-separated learning rates")
     p_cmp.add_argument("--out", default=None, help="output directory")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_swp = sub.add_parser("sweep", help="re-solve across one parameter")
-    common(p_swp)
+    common(p_swp, "--dt", "--horizon", "--scheme")
     p_swp.add_argument("--param", default=None, choices=sorted(SWEEP_PARAMS),
                        help="parameter to sweep (default: scenario sweep block)")
     p_swp.add_argument("--values", default=None,

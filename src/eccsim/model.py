@@ -250,6 +250,25 @@ def provider_power(cfg: SystemConfig, alloc: AllocationState) -> np.ndarray:
     return _supply(cfg, alloc.requests)
 
 
+def _per_user_power(cfg: SystemConfig, shares: np.ndarray,
+                    requests: np.ndarray) -> np.ndarray:
+    """Per-user compute w_s/(K x_s) from raw arrays; 0 where w_s = x_s = 0.
+
+    Raises:
+        ZeroShare: some provider holds compute but has no users.
+    """
+    supply = _supply(cfg, requests)
+    empty = shares <= 0.0
+    if np.any(empty & (supply > 0.0)):
+        idx = int(np.argmax(empty & (supply > 0.0)))
+        label = "cloud" if idx == cfg.n_ecps else f"ecp {idx + 1}"
+        raise ZeroShare(f"{label}: positive compute with zero user share")
+    out = np.zeros_like(supply)
+    busy = ~empty
+    out[busy] = supply[busy] / (cfg.n_users * shares[busy])
+    return out
+
+
 def per_user_power(cfg: SystemConfig, snap: MarketSnapshot) -> np.ndarray:
     """Compute each user receives from its chosen provider.
 
@@ -261,17 +280,8 @@ def per_user_power(cfg: SystemConfig, snap: MarketSnapshot) -> np.ndarray:
         ZeroShare: some provider holds compute but has no users.
     """
     _check_sizes(cfg, snap.population, snap.allocation)
-    supply = provider_power(cfg, snap.allocation)
-    shares = snap.population.shares
-    empty = shares <= 0.0
-    if np.any(empty & (supply > 0.0)):
-        idx = int(np.argmax(empty & (supply > 0.0)))
-        label = "cloud" if idx == cfg.n_ecps else f"ecp {idx + 1}"
-        raise ZeroShare(f"{label}: positive compute with zero user share")
-    out = np.zeros_like(supply)
-    busy = ~empty
-    out[busy] = supply[busy] / (cfg.n_users * shares[busy])
-    return out
+    return _per_user_power(cfg, snap.population.shares,
+                           snap.allocation.requests)
 
 
 def user_utility(cfg: SystemConfig, snap: MarketSnapshot) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -20,10 +19,9 @@ from .model import (
     AllocationState,
     PopulationState,
     SystemConfig,
-    ZeroShare,
     _check_sizes,
+    _per_user_power,
     _uptake,
-    provider_power,
     theta,
 )
 
@@ -37,8 +35,6 @@ __all__ = [
     "delay_stability_bound",
 ]
 
-ControlSource = Callable[[float], tuple[AllocationState, float]]
-
 
 def _rhs_arrays(cfg: SystemConfig, now: np.ndarray, delayed: np.ndarray,
                 alloc: AllocationState) -> np.ndarray:
@@ -48,16 +44,8 @@ def _rhs_arrays(cfg: SystemConfig, now: np.ndarray, delayed: np.ndarray,
     variant evaluates utilities at the old population but averages them with
     the current shares as mixing weights.
     """
-    supply = provider_power(cfg, alloc)
-    bad = (delayed <= 0.0) & (supply > 0.0)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        label = "cloud" if idx == cfg.n_ecps else f"ecp {idx + 1}"
-        raise ZeroShare(f"{label}: positive compute with zero user share")
-    utils = np.zeros_like(supply)
-    busy = delayed > 0.0
-    utils[busy] = (cfg.mapping_factor * supply[busy]
-                   / (cfg.n_users * delayed[busy] * cfg.all_access_prices[busy]))
+    omega = _per_user_power(cfg, delayed, alloc.requests)
+    utils = cfg.mapping_factor * omega / cfg.all_access_prices
     mean = float(np.dot(now, utils))
     return cfg.learning_rate * delayed * (utils - mean)
 
@@ -91,22 +79,19 @@ def delayed_replicator_rhs(cfg: SystemConfig, pop_now: PopulationState,
 
 @dataclass(frozen=True)
 class ReplicatorField:
-    """Population vector field under a time-dependent control schedule.
-
-    `controls` must map every t in [0, T] to an (AllocationState, price)
-    pair; the price does not enter the user dynamics but keeps the schedule
-    self-contained for snapshot consumers.
+    """Population vector field under one fixed allocation.
 
     For interior states the field equals delta*c_s - Theta*x_s with
     c_s = beta*w_s/(K p_s) and w the per-provider compute: multiplying the
     share into its own utility cancels the division, which is why the flow
-    is exactly linear in x for a fixed allocation.  rate() keeps the
+    is exactly linear in x for a fixed allocation.  The methods keep the
     utility-difference form so the error behavior (ZeroShare) matches the
-    public vector field.
+    public vector field.  Integrators take `rate` or `delayed_rate`; the
+    time argument is unused.
     """
 
     cfg: SystemConfig
-    controls: ControlSource
+    alloc: AllocationState
 
     def rate(self, t: float, shares: np.ndarray) -> np.ndarray:
         """Undelayed velocities at raw state `shares`."""
@@ -115,10 +100,7 @@ class ReplicatorField:
     def delayed_rate(self, t: float, shares_now: np.ndarray,
                      shares_delayed: np.ndarray) -> np.ndarray:
         """Velocities with utilities read from `shares_delayed`."""
-        alloc, _ = self.controls(t)
-        return _rhs_arrays(self.cfg, shares_now, shares_delayed, alloc)
-
-    __call__ = rate
+        return _rhs_arrays(self.cfg, shares_now, shares_delayed, self.alloc)
 
 
 @dataclass(frozen=True)

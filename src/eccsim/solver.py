@@ -227,17 +227,15 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
 
 
 def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-                  x0, history: Callable[[float], np.ndarray] | None,
-                  tau: float, t_span: tuple[float, float], dt: float,
+                  x0, tau: float, t_span: tuple[float, float], dt: float,
                   *, simplex: bool = True) -> Trajectory:
     """Method of steps for x'(t) = field(t, x(t), x(t - tau)).
 
     Each step takes RK4 stages, but the delayed state is read from the
     already-integrated grid by linear interpolation, so the method is
     second order: the error falls by 4 per halving of dt.  Before the start
-    the delayed state comes from `history` (constant x0 when None).  tau = 0
-    hands the field to integrate_ode with the current state fed to both
-    slots.
+    the delayed state is the constant x0.  tau = 0 hands the field to
+    integrate_ode with the current state fed to both slots.
 
     Raises:
         ValueError: 0 < tau < dt (one step would outrun the buffer).
@@ -252,11 +250,10 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     y = np.asarray(x0, dtype=float).copy()
     out = np.empty((times.shape[0], y.shape[0]))
     out[0] = y
-    x0_arr = y.copy()
 
     def delayed(tq: float, filled: int) -> np.ndarray:
         if tq <= t0:
-            return x0_arr if history is None else np.asarray(history(tq), float)
+            return out[0]
         pos = (tq - t0) / dt
         j = int(pos)
         if j >= filled:
@@ -489,19 +486,16 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
                 dt: float) -> Trajectory:
     """Population run under a frozen allocation and zero cloud price.
 
-    Honors cfg.population_delay: positive delay switches to the
-    method-of-steps integrator with constant prehistory.
+    Honors cfg.population_delay through integrate_dde with constant
+    prehistory x0; zero delay is the plain RK4 run of integrate_ode.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0.0):
         raise ValueError("x0: initial shares must be interior")
-    field = ReplicatorField(cfg, lambda t: (alloc, 0.0))
-    if cfg.population_delay > 0.0:
-        traj = integrate_dde(field.delayed_rate, x0, None,
-                             cfg.population_delay, t_span, dt, simplex=True)
-    else:
-        traj = integrate_ode(field.rate, x0, t_span, dt, simplex=True)
+    field = ReplicatorField(cfg, alloc)
+    traj = integrate_dde(field.delayed_rate, x0, cfg.population_delay,
+                         t_span, dt)
     m = traj.times.shape[0]
     traj.requests = np.tile(alloc.requests, (m, 1))
     traj.prices = np.zeros(m)

@@ -72,7 +72,7 @@ def test_ess_fixed_point(capsys):
     for build in (make_config, make_big_cloud_config):
         cfg = build()
         alloc = AllocationState([0.0, 0.0])
-        field = ReplicatorField(cfg, lambda t: (alloc, 0.0))
+        field = ReplicatorField(cfg, alloc)
         traj = integrate_ode(field.rate, X0, (0.0, 50.0), 0.01, simplex=True)
         ess = analytic_ess(cfg, alloc).shares
         errs.append(float(np.max(np.abs(traj.shares[-1] - ess.shares))))
@@ -95,7 +95,7 @@ def test_stability_spectrum(capsys):
         th = theta(cfg, alloc)
         eig = ess_jacobian_eigen(cfg, alloc)
         worst_gap = max(worst_gap, float(np.max(np.abs(eig + th))))
-        field = ReplicatorField(cfg, lambda t: (alloc, 0.0))
+        field = ReplicatorField(cfg, alloc)
         x_star = analytic_ess(cfg, alloc).shares.shares
         h = 1e-6
         jac = np.empty((3, 3))
@@ -400,11 +400,10 @@ def test_delay_threshold(capsys):
     alloc = AllocationState([0.0, 0.0])
     bound = delay_stability_bound(cfg, alloc)
     ess = analytic_ess(cfg, alloc).shares.shares
-    field = ReplicatorField(cfg, lambda t: (alloc, 0.0))
+    field = ReplicatorField(cfg, alloc)
 
     def run(tau):
-        return integrate_dde(field.delayed_rate, X0, None, tau,
-                             (0.0, 30.0), 0.01)
+        return integrate_dde(field.delayed_rate, X0, tau, (0.0, 30.0), 0.01)
 
     sub = run(0.1 * bound)
     sub_err = float(np.max(np.abs(sub.shares[-1] - ess)))
@@ -432,7 +431,7 @@ def test_numerical_hygiene(capsys, tmp_path):
     ratio = errs[0] / errs[1]
 
     cfg = make_config()
-    field = ReplicatorField(cfg, lambda t: (AllocationState([0.0, 0.0]), 0.0))
+    field = ReplicatorField(cfg, AllocationState([0.0, 0.0]))
     free = integrate_ode(field.rate, X0, (0.0, 50.0), 0.01)
     drift = float(np.max(np.abs(free.shares.sum(axis=1) - 1.0)))
 

@@ -320,6 +320,15 @@ class TestEss:
         np.testing.assert_allclose(payload["ess_shares"], [0.4, 0.36, 0.24],
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("flag", [["--dt", "1e-9"], ["--horizon", "2"],
+                                      ["--scheme", "olsec"]])
+    def test_rejects_run_flags(self, tmp_path, flag, capsys):
+        # ess integrates nothing, so it takes no grid or scheme override.
+        with pytest.raises(SystemExit) as exc:
+            main(["ess", write_scenario(tmp_path)] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_two_learning_rates(self, tmp_path, capsys):
@@ -342,6 +351,32 @@ class TestCompare:
         assert main(["compare", scenario, "--deltas", "nope"]) == 2
         assert main(["compare", scenario, "--deltas", "-1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("delta", ["inf", "1e400"])
+    def test_infinite_delta_exit_code(self, tmp_path, capsys, delta):
+        scenario = str(SCENARIOS / "scenario_a.json")
+        code = main(["compare", scenario, "--dt", "1.0", "--deltas", delta,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: learning_rate:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_delay_scenario_rejected(self, tmp_path, capsys):
+        # olsec and ssec cannot model the scenario's 0.7 reaction delay.
+        scenario = str(SCENARIOS / "scenario_delay.json")
+        code = main(["compare", scenario, "--dt", "0.5",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: population_delay:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_rejects_scheme_flag(self, tmp_path, capsys):
+        # compare always runs olsec and ssec.
+        scenario = write_scenario(tmp_path, scheme="olsec")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", scenario, "--scheme", "fixed-controls"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -395,6 +430,22 @@ class TestSweep:
         assert main(["sweep", scenario]) == 2
         assert "no sweep block" in capsys.readouterr().err
 
+    def test_values_without_param(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path,
+                                  sweep={"param": "R_c", "values": [2, 3]})
+        code = main(["sweep", scenario, "--values", "5,6",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: values: --param and --values" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_param_without_values(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path)
+        code = main(["sweep", scenario, "--param", "R_c",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: values: --param and --values" in capsys.readouterr().err
+
     def test_empty_values(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
         assert main(["sweep", scenario, "--param", "R_c",
@@ -415,3 +466,26 @@ def test_cli_import_leaves_scipy_out():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_bench_tracer_hooks_bind(tmp_path):
+    # The benchmark's tracer wraps cli, solver, replicator and model names
+    # by attribute from outside the package; a renamed hook crashes it.
+    root = Path(__file__).resolve().parent.parent
+    scenario = write_scenario(tmp_path, population_delay=0.5)
+    code = f"""
+import sys
+sys.path.insert(0, {str(root / "bench")!r})
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from eccsim.cli import main
+code = main(["simulate", {scenario!r}, "--out", {str(tmp_path / "run")!r}])
+metrics = tracer.metrics(1.0)
+print(code, metrics["solver.dde_steps"], metrics["replicator.field_evals"])
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    # 500 steps of dt = 0.01 over the horizon 5, four field calls per step.
+    assert out.stdout.splitlines()[-1].split() == ["0", "500", "2000"]

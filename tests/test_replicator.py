@@ -108,32 +108,14 @@ class TestLinearForm:
 class TestReplicatorField:
     def test_matches_public_rhs(self, cfg, x0):
         alloc = AllocationState([0.1, 0.3])
-        field = ReplicatorField(cfg, lambda t: (alloc, 0.0))
+        field = ReplicatorField(cfg, alloc)
         got = field.rate(0.0, np.asarray(x0))
         want = replicator_rhs(cfg, PopulationState(x0), alloc)
         np.testing.assert_array_equal(got, want)
 
-    def test_callable_alias(self, cfg, x0):
-        alloc = AllocationState([0.1, 0.3])
-        field = ReplicatorField(cfg, lambda t: (alloc, 0.0))
-        x = np.asarray(x0)
-        np.testing.assert_array_equal(field(1.0, x), field.rate(1.0, x))
-
-    def test_time_dependent_controls(self, cfg, x0):
-        early = AllocationState([0.0, 0.0])
-        late = AllocationState([0.2, 0.2])
-        field = ReplicatorField(cfg, lambda t: (late if t >= 1.0 else early, 0.0))
-        x = np.asarray(x0)
-        np.testing.assert_array_equal(
-            field.rate(0.0, x),
-            replicator_rhs(cfg, PopulationState(x0), early))
-        np.testing.assert_array_equal(
-            field.rate(2.0, x),
-            replicator_rhs(cfg, PopulationState(x0), late))
-
     def test_delayed_rate_degenerates(self, cfg, x0):
         alloc = AllocationState([0.1, 0.2])
-        field = ReplicatorField(cfg, lambda t: (alloc, 0.0))
+        field = ReplicatorField(cfg, alloc)
         x = np.asarray(x0)
         np.testing.assert_array_equal(field.delayed_rate(0.0, x, x),
                                       field.rate(0.0, x))

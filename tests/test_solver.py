@@ -99,8 +99,7 @@ class TestIntegrateOde:
         np.testing.assert_allclose(traj.shares.sum(axis=1), 1.0, atol=1e-12)
 
     def test_replicator_preserves_simplex_unprojected(self, cfg, x0):
-        field = ReplicatorField(cfg, lambda t: (AllocationState([0.0, 0.0]),
-                                                0.0))
+        field = ReplicatorField(cfg, AllocationState([0.0, 0.0]))
         traj = integrate_ode(field.rate, x0, (0.0, 10.0), 0.01)
         drift = np.max(np.abs(traj.shares.sum(axis=1) - 1.0))
         assert drift < 1e-12
@@ -108,37 +107,26 @@ class TestIntegrateOde:
 
 class TestIntegrateDde:
     def test_zero_delay_matches_ode_bitwise(self, cfg, x0):
-        field = ReplicatorField(cfg, lambda t: (AllocationState([0.1, 0.2]),
-                                                0.0))
+        field = ReplicatorField(cfg, AllocationState([0.1, 0.2]))
         ode = integrate_ode(field.rate, x0, (0.0, 5.0), 0.01, simplex=True)
-        dde = integrate_dde(field.delayed_rate, x0, None, 0.0,
-                            (0.0, 5.0), 0.01)
+        dde = integrate_dde(field.delayed_rate, x0, 0.0, (0.0, 5.0), 0.01)
         np.testing.assert_array_equal(ode.shares, dde.shares)
 
     def test_rejects_sub_step_delay(self):
         with pytest.raises(ValueError, match="tau"):
-            integrate_dde(lambda t, y, z: -z, [1.0], None, 0.005,
-                          (0.0, 1.0), 0.01)
+            integrate_dde(lambda t, y, z: -z, [1.0], 0.005, (0.0, 1.0), 0.01)
 
     def test_constant_prehistory_linear_segment(self):
         # y' = -y(t - 0.5) with y == 1 before t=0: y(t) = 1 - t on [0, 0.5].
-        traj = integrate_dde(lambda t, y, z: -z, [1.0], None, 0.5,
+        traj = integrate_dde(lambda t, y, z: -z, [1.0], 0.5,
                              (0.0, 0.5), 0.05, simplex=False)
         np.testing.assert_allclose(traj.shares[:, 0], 1.0 - traj.times,
                                    atol=1e-12)
 
-    def test_history_callable(self):
-        # Zero prehistory freezes the state across the first delay window.
-        traj = integrate_dde(lambda t, y, z: -z, [1.0],
-                             lambda t: np.array([0.0]), 0.5,
-                             (0.0, 0.5), 0.05, simplex=False)
-        np.testing.assert_allclose(traj.shares[:, 0], 1.0, atol=1e-15)
-
     def test_subcritical_delay_converges(self, cfg, x0):
         alloc = AllocationState([0.0, 0.0])
-        field = ReplicatorField(cfg, lambda t: (alloc, 0.0))
-        traj = integrate_dde(field.delayed_rate, x0, None, 0.7,
-                             (0.0, 30.0), 0.01)
+        field = ReplicatorField(cfg, alloc)
+        traj = integrate_dde(field.delayed_rate, x0, 0.7, (0.0, 30.0), 0.01)
         ess = analytic_ess(cfg, alloc).shares.shares
         assert np.max(np.abs(traj.shares[-1] - ess)) < 1e-3
         np.testing.assert_allclose(traj.shares.sum(axis=1), 1.0, atol=1e-9)
@@ -353,7 +341,7 @@ class TestMyopicAndFixed:
     def test_fixed_matches_plain_integration(self, cfg, x0):
         r0 = [0.1, 0.2]
         traj = solve_fixed(cfg, x0, r0, (0.0, 5.0), 0.01)
-        field = ReplicatorField(cfg, lambda t: (AllocationState(r0), 0.0))
+        field = ReplicatorField(cfg, AllocationState(r0))
         plain = integrate_ode(field.rate, x0, (0.0, 5.0), 0.01, simplex=True)
         np.testing.assert_array_equal(traj.shares, plain.shares)
         np.testing.assert_array_equal(traj.requests[0], r0)
@@ -362,10 +350,8 @@ class TestMyopicAndFixed:
     def test_fixed_dispatches_to_dde(self, x0):
         cfg = make_config(population_delay=0.5)
         traj = solve_fixed(cfg, x0, [0.0, 0.0], (0.0, 5.0), 0.01)
-        field = ReplicatorField(cfg, lambda t: (AllocationState([0.0, 0.0]),
-                                                0.0))
-        manual = integrate_dde(field.delayed_rate, x0, None, 0.5,
-                               (0.0, 5.0), 0.01)
+        field = ReplicatorField(cfg, AllocationState([0.0, 0.0]))
+        manual = integrate_dde(field.delayed_rate, x0, 0.5, (0.0, 5.0), 0.01)
         np.testing.assert_array_equal(traj.shares, manual.shares)
 
     def test_fixed_utility_start_oracle(self, cfg, x0):
