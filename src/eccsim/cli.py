@@ -237,8 +237,7 @@ def _run_scheme(scn: Scenario) -> tuple[Trajectory, SweepReport | None]:
     cfg = scn.cfg
     span = (0.0, cfg.horizon)
     if scn.scheme == "olsec":
-        traj, report = solve_open_loop(cfg, scn.x0, dt=scn.dt, t_span=span)
-        return traj, report
+        return solve_open_loop(cfg, scn.x0, dt=scn.dt, t_span=span)
     if scn.scheme == "ssec":
         return solve_ssec(cfg, scn.x0, span, scn.dt), None
     return solve_fixed(cfg, scn.x0, scn.r0, span, scn.dt), None
@@ -387,7 +386,8 @@ def _delay_verdict(cfg: SystemConfig, traj: Trajectory, r0: np.ndarray,
         return "converged"
     tail = traj.shares[traj.index_at(0.8 * float(traj.times[-1])):]
     amplitude = 0.5 * (tail.max(axis=0) - tail.min(axis=0))
-    if float(np.max(amplitude / target)) > 0.1:
+    live = target > 0.0
+    if float(np.max(amplitude[live] / target[live])) > 0.1:
         return "oscillating"
     return "indeterminate"
 

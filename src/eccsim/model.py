@@ -108,25 +108,26 @@ class SystemConfig:
         if np.any(price <= 0.0):
             raise ValueError("ecp_access_price: every entry must be positive")
         object.__setattr__(self, "ecp_access_price", price)
-        if not np.isfinite(self.cloud_power) or self.cloud_power <= 0.0:
-            raise ValueError("cloud_power: must be positive")
+        positive = ("cloud_power", "cloud_access_price", "learning_rate",
+                    "mapping_factor", "discount_rate", "nominal_rate", "horizon")
+        for name in positive + ("population_delay", "ecp_weights", "ccp_weights"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name}: must be finite")
+        for name in positive:
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name}: must be positive")
         # The model assumes the cloud dwarfs each edge provider; unit test
         # scenarios legitimately use equality, so only R_c < R_n is rejected.
         if self.cloud_power < float(np.max(power)):
             raise ValueError("cloud_power: must be at least max(ecp_power)")
-        for name in ("cloud_access_price", "learning_rate", "mapping_factor",
-                     "discount_rate", "nominal_rate", "horizon"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val <= 0.0:
-                raise ValueError(f"{name}: must be positive")
         for name in ("ecp_weights", "ccp_weights"):
             w = tuple(float(v) for v in getattr(self, name))
             if len(w) != 3:
                 raise ValueError(f"{name}: expected exactly 3 weights")
-            if any((not np.isfinite(v)) or v <= 0.0 for v in w):
+            if any(v <= 0.0 for v in w):
                 raise ValueError(f"{name}: weights must be positive")
             object.__setattr__(self, name, w)
-        if not np.isfinite(self.population_delay) or self.population_delay < 0.0:
+        if self.population_delay < 0.0:
             raise ValueError("population_delay: must be nonnegative")
 
     @cached_property
@@ -251,22 +252,22 @@ def provider_power(cfg: SystemConfig, alloc: AllocationState) -> np.ndarray:
 
 
 def _per_user_power(cfg: SystemConfig, shares: np.ndarray,
-                    requests: np.ndarray) -> np.ndarray:
-    """Per-user compute w_s/(K x_s) from raw arrays; 0 where w_s = x_s = 0.
+                    supply: np.ndarray) -> np.ndarray:
+    """Per-user compute w_s/(K x_s) from shares and supply; 0 if w_s = x_s = 0.
 
     Raises:
         ZeroShare: some provider holds compute but has no users.
     """
-    supply = _supply(cfg, requests)
+    if shares.min() > 0.0:
+        return supply / (cfg.n_users * shares)
     empty = shares <= 0.0
-    if np.any(empty & (supply > 0.0)):
-        idx = int(np.argmax(empty & (supply > 0.0)))
+    stuck = empty & (supply > 0.0)
+    if stuck.any():
+        idx = int(np.argmax(stuck))
         label = "cloud" if idx == cfg.n_ecps else f"ecp {idx + 1}"
         raise ZeroShare(f"{label}: positive compute with zero user share")
-    out = np.zeros_like(supply)
-    busy = ~empty
-    out[busy] = supply[busy] / (cfg.n_users * shares[busy])
-    return out
+    return np.divide(supply, cfg.n_users * shares, out=np.zeros_like(supply),
+                     where=~empty)
 
 
 def per_user_power(cfg: SystemConfig, snap: MarketSnapshot) -> np.ndarray:
@@ -281,7 +282,7 @@ def per_user_power(cfg: SystemConfig, snap: MarketSnapshot) -> np.ndarray:
     """
     _check_sizes(cfg, snap.population, snap.allocation)
     return _per_user_power(cfg, snap.population.shares,
-                           snap.allocation.requests)
+                           _supply(cfg, snap.allocation.requests))
 
 
 def user_utility(cfg: SystemConfig, snap: MarketSnapshot) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .model import (
     SystemConfig,
     _check_sizes,
     _per_user_power,
+    _supply,
     _uptake,
     theta,
 )
@@ -37,14 +39,14 @@ __all__ = [
 
 
 def _rhs_arrays(cfg: SystemConfig, now: np.ndarray, delayed: np.ndarray,
-                alloc: AllocationState) -> np.ndarray:
+                supply: np.ndarray) -> np.ndarray:
     """Share velocities from raw arrays; `delayed` feeds the utilities.
 
     With now == delayed this is the plain replicator field.  The delayed
     variant evaluates utilities at the old population but averages them with
     the current shares as mixing weights.
     """
-    omega = _per_user_power(cfg, delayed, alloc.requests)
+    omega = _per_user_power(cfg, delayed, supply)
     utils = cfg.mapping_factor * omega / cfg.all_access_prices
     mean = float(np.dot(now, utils))
     return cfg.learning_rate * delayed * (utils - mean)
@@ -59,8 +61,7 @@ def replicator_rhs(cfg: SystemConfig, pop: PopulationState,
     Raises:
         ZeroShare: a provider with compute on offer has an empty group.
     """
-    _check_sizes(cfg, pop, alloc)
-    return _rhs_arrays(cfg, pop.shares, pop.shares, alloc)
+    return delayed_replicator_rhs(cfg, pop, pop, alloc)
 
 
 def delayed_replicator_rhs(cfg: SystemConfig, pop_now: PopulationState,
@@ -69,12 +70,13 @@ def delayed_replicator_rhs(cfg: SystemConfig, pop_now: PopulationState,
     """Share velocities when users react to stale observations.
 
     x_dot_s = delta * x_s(t-tau) * (pi_s(t-tau) - mean), where the mean
-    mixes the delayed utilities with the current shares.  Reduces exactly
-    (bit for bit) to replicator_rhs when both populations coincide.
+    mixes the delayed utilities with the current shares.  With both
+    populations equal this is replicator_rhs, which calls it.
     """
     _check_sizes(cfg, pop_now, alloc)
     _check_sizes(cfg, pop_delayed)
-    return _rhs_arrays(cfg, pop_now.shares, pop_delayed.shares, alloc)
+    return _rhs_arrays(cfg, pop_now.shares, pop_delayed.shares,
+                       _supply(cfg, alloc.requests))
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,20 @@ class ReplicatorField:
     share into its own utility cancels the division, which is why the flow
     is exactly linear in x for a fixed allocation.  The methods keep the
     utility-difference form so the error behavior (ZeroShare) matches the
-    public vector field.  Integrators take `rate` or `delayed_rate`; the
-    time argument is unused.
+    public vector field.  The supply w is fixed per field and computed
+    once (`supply`).  Integrators take `rate` or `delayed_rate`; the time
+    argument is unused.
     """
 
     cfg: SystemConfig
     alloc: AllocationState
+
+    @cached_property
+    def supply(self) -> np.ndarray:
+        """Compute per provider w of `alloc` (read-only)."""
+        supply = _supply(self.cfg, self.alloc.requests)
+        supply.flags.writeable = False
+        return supply
 
     def rate(self, t: float, shares: np.ndarray) -> np.ndarray:
         """Undelayed velocities at raw state `shares`."""
@@ -100,7 +110,7 @@ class ReplicatorField:
     def delayed_rate(self, t: float, shares_now: np.ndarray,
                      shares_delayed: np.ndarray) -> np.ndarray:
         """Velocities with utilities read from `shares_delayed`."""
-        return _rhs_arrays(self.cfg, shares_now, shares_delayed, self.alloc)
+        return _rhs_arrays(self.cfg, shares_now, shares_delayed, self.supply)
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,7 @@ def _make_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
 
 def _check_finite(y: np.ndarray) -> None:
     # Also true for NaN and +-inf, which compare False.
-    if not np.max(np.abs(y)) <= MAGNITUDE_LIMIT:
+    if not np.abs(y).max() <= MAGNITUDE_LIMIT:
         raise BlowUp("state magnitude left the finite range")
 
 
@@ -212,8 +212,7 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
     y = np.asarray(x0, dtype=float).copy()
     out = np.empty((times.shape[0], y.shape[0]))
     out[0] = y
-    for i in range(times.shape[0] - 1):
-        t = times[i]
+    for i, t in enumerate(times[:-1]):
         k1 = field(t, y)
         k2 = field(t + 0.5 * dt, y + (0.5 * dt) * k1)
         k3 = field(t + 0.5 * dt, y + (0.5 * dt) * k2)
@@ -263,14 +262,14 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
             return out[j]
         return out[j] + frac * (out[j + 1] - out[j])
 
-    for i in range(times.shape[0] - 1):
-        t = times[i]
+    half, sixth = 0.5 * dt, dt / 6.0
+    for i, t in enumerate(times[:-1]):
         k1 = field(t, y, delayed(t - tau, i))
-        lag_mid = delayed(t + 0.5 * dt - tau, i)
-        k2 = field(t + 0.5 * dt, y + (0.5 * dt) * k1, lag_mid)
-        k3 = field(t + 0.5 * dt, y + (0.5 * dt) * k2, lag_mid)
+        lag_mid = delayed(t + half - tau, i)
+        k2 = field(t + half, y + half * k1, lag_mid)
+        k3 = field(t + half, y + half * k2, lag_mid)
         k4 = field(t + dt, y + dt * k3, delayed(t + dt - tau, i))
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _check_finite(y)
         if simplex:
             y = _project_simplex(y)

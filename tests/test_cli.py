@@ -358,7 +358,7 @@ class TestCompare:
         code = main(["compare", scenario, "--dt", "1.0", "--deltas", delta,
                      "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "error: learning_rate:" in capsys.readouterr().err
+        assert "error: learning_rate: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_delay_scenario_rejected(self, tmp_path, capsys):
@@ -411,6 +411,19 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[1].endswith("converged")
 
+    @pytest.mark.filterwarnings("error")
+    def test_delay_verdict_skips_zero_target(self, tmp_path):
+        # r0 hands all cloud compute to the ECPs, so the cloud's target share
+        # is 0; its decaying share must not read as an infinite oscillation.
+        scenario = write_scenario(tmp_path, population_delay=0.7,
+                                  horizon=3.0, r0=[0.5, 0.5])
+        out = tmp_path / "swp"
+        assert main(["sweep", scenario, "--param", "tau_x",
+                     "--values", "0.7,1.7", "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[-1] for line in lines[1:]] == [
+            "indeterminate", "indeterminate"]
+
     def test_tau_requires_fixed_controls(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, scheme="ssec")
         code = main(["sweep", scenario, "--param", "tau_x",
@@ -457,6 +470,14 @@ class TestSweep:
         code = main(["sweep", scenario, "--param", "R_c", "--values", "0"])
         assert code == 2
         assert "cloud_power" in capsys.readouterr().err
+
+    def test_infinite_value_exit_code(self, tmp_path, capsys):
+        scenario = str(SCENARIOS / "scenario_a.json")
+        code = main(["sweep", scenario, "--param", "R_c", "--values", "inf",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: cloud_power: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 def test_cli_import_leaves_scipy_out():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import make_config
 
+import eccsim.model
+import eccsim.replicator
 from eccsim.model import (
     AllocationState,
     PopulationState,
@@ -24,6 +26,7 @@ from eccsim.replicator import (
     ess_jacobian_eigen,
     replicator_rhs,
 )
+from eccsim.solver import solve_fixed
 
 
 class TestRhs:
@@ -119,6 +122,63 @@ class TestReplicatorField:
         x = np.asarray(x0)
         np.testing.assert_array_equal(field.delayed_rate(0.0, x, x),
                                       field.rate(0.0, x))
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_public_rhs_bitwise(self, seed):
+        # The field reads its supply once; the public functions rebuild it
+        # from the requests on every call.  Both must agree to the bit.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        power = rng.uniform(0.5, 3.0, size=n)
+        cfg = make_config(n_ecps=n, ecp_power=power,
+                          ecp_access_price=rng.uniform(0.1, 1.0, size=n),
+                          cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
+                          learning_rate=float(rng.uniform(0.2, 3.0)))
+        alloc = AllocationState(rng.dirichlet(np.ones(n + 1))[:n])
+        now = PopulationState(rng.dirichlet(np.ones(n + 1)))
+        delayed = PopulationState(rng.dirichlet(np.ones(n + 1)))
+        field = ReplicatorField(cfg, alloc)
+        np.testing.assert_array_equal(
+            field.delayed_rate(0.0, now.shares, delayed.shares),
+            delayed_replicator_rhs(cfg, now, delayed, alloc))
+        np.testing.assert_array_equal(field.rate(0.0, now.shares),
+                                      replicator_rhs(cfg, now, alloc))
+        np.testing.assert_array_equal(field.supply, provider_power(cfg, alloc))
+        assert not field.supply.flags.writeable
+
+    def test_zero_share_raises_through_field(self, cfg):
+        field = ReplicatorField(cfg, AllocationState([0.0, 0.0]))
+        now = np.array([0.3, 0.3, 0.4])
+        with pytest.raises(ZeroShare, match="cloud"):
+            field.delayed_rate(0.0, now, np.array([0.5, 0.5, 0.0]))
+
+    def test_empty_group_without_supply_through_field(self, cfg):
+        # All compute moved to the ECPs: the empty cloud group is inert.
+        field = ReplicatorField(cfg, AllocationState([0.55, 0.45]))
+        rate = field.delayed_rate(0.0, np.array([0.5, 0.4, 0.1]),
+                                  np.array([0.6, 0.4, 0.0]))
+        assert rate[2] == 0.0
+
+    def test_solve_fixed_computes_supply_once(self, x0, monkeypatch):
+        # The allocation is frozen for the whole run, so the supply count
+        # must not grow with the number of steps (4 field calls per step):
+        # once for the field, once for the payoffs along the trajectory.
+        counts = []
+        for horizon in (1.0, 2.0):
+            calls = [0]
+
+            def counted(*args, _orig=eccsim.model._supply):
+                calls[0] += 1
+                return _orig(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(eccsim.model, "_supply", counted)
+                patch.setattr(eccsim.replicator, "_supply", counted)
+                solve_fixed(make_config(population_delay=0.3), x0,
+                            [0.1, 0.2], (0.0, horizon), 0.01)
+            counts.append(calls[0])
+        assert counts == [2, 2]
 
 
 class TestDelayedRhs:
