@@ -137,6 +137,14 @@ class SystemConfig:
         prices.flags.writeable = False
         return prices
 
+    @cached_property
+    def float_vectors(self) -> tuple[list[float], list[float]]:
+        """(ecp_power, all_access_prices) as lists of Python floats.
+
+        Read by the per-node float kernels, which must not call numpy.
+        """
+        return self.ecp_power.tolist(), self.all_access_prices.tolist()
+
 
 @dataclass(frozen=True)
 class PopulationState:
@@ -243,6 +251,40 @@ def _uptake(cfg: SystemConfig, requests: np.ndarray
     c = ((cfg.mapping_factor / cfg.n_users) * _supply(cfg, requests)
          / cfg.all_access_prices)
     return c, cfg.learning_rate * c.sum(axis=-1)
+
+
+def _left_sum(values) -> float:
+    """Sum of Python floats added left to right from 0.0.
+
+    This is numpy's order for fewer than 8 entries, so results match the
+    array formulas bit for bit there.  numpy sums 8 or more entries
+    pairwise, so from N = 7 on (N+1 shares) the two may round differently.
+    Builtin sum() is not used: from Python 3.12 it compensates rounding.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _uptake_row(cfg: SystemConfig, requests: list[float]
+                ) -> tuple[list[float], float]:
+    """_uptake for one node over Python floats: (c as a list, Theta).
+
+    Same operations in the same order as _supply/_uptake, so the results
+    are bit-identical for N <= 6.  Beyond that numpy reorders the two sums
+    (see _left_sum): the cloud's c moves by at most N ulps of its
+    full-supply value beta*R_c/(K p_c), and Theta by delta times that plus
+    at most N+1 ulps.
+    """
+    power, prices = cfg.float_vectors
+    r_c = cfg.cloud_power
+    remainder = max(1.0 - _left_sum(requests), 0.0)
+    supply = [w + r_c * r for w, r in zip(power, requests)]
+    supply.append(r_c * remainder)
+    scale = cfg.mapping_factor / cfg.n_users
+    c = [scale * w / p for w, p in zip(supply, prices)]
+    return c, cfg.learning_rate * _left_sum(c)
 
 
 def provider_power(cfg: SystemConfig, alloc: AllocationState) -> np.ndarray:

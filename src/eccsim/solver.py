@@ -17,10 +17,17 @@ direction, since it grows at rate rho+Theta forward in time), and takes
 the new g undamped: the map settles in 5-9 sweeps on the shipped
 scenarios.  The controls come from the one stationary-control kernel of
 `eccsim.stackelberg`, and supply, Theta and payoffs from `eccsim.model`.
+
+Both halves of the sweep loop over Python floats, not numpy arrays: at a
+handful of shares per node the interpreter's cost per numpy call, not the
+arithmetic, sets the speed.  The forward pass repeats the array formulas'
+operations in their order, so for N <= 6 its results are bit-identical to
+them; the generic integrators keep the array form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,8 +38,10 @@ from .model import (
     MarketSnapshot,
     PopulationState,
     SystemConfig,
+    _left_sum,
     _payoffs,
     _uptake,
+    _uptake_row,
 )
 from .replicator import ReplicatorField
 from .stackelberg import _price_gaps, _stationary_controls
@@ -150,11 +159,13 @@ def grid_steps(t_span: tuple[float, float], dt: float) -> int:
     """Step count of the uniform grid every integrator lays over t_span.
 
     Raises:
-        ValueError: dt not positive, an empty span, a span that is not an
-            integer number of steps, or more than MAX_GRID_STEPS steps; the
-            message names dt or t_span.
+        ValueError: dt not finite or not positive, an empty span, a span
+            that is not an integer number of steps, or more than
+            MAX_GRID_STEPS steps; the message names dt or t_span.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not math.isfinite(dt):
+        raise ValueError("dt: must be finite")
     if not dt > 0.0:
         raise ValueError("dt: must be positive")
     if not t1 > t0:
@@ -192,6 +203,23 @@ def _project_simplex(y: np.ndarray) -> np.ndarray:
     s = y.sum()
     if abs(s - 1.0) > DRIFT_TOL:
         y = y / s
+    return y
+
+
+def _check_finite_floats(y: list[float]) -> None:
+    """_check_finite for a list of Python floats."""
+    for v in y:
+        # Tested per component: max() would skip a NaN after the first entry.
+        if not abs(v) <= MAGNITUDE_LIMIT:
+            raise BlowUp("state magnitude left the finite range")
+
+
+def _project_simplex_floats(y: list[float]) -> list[float]:
+    """_project_simplex for a list of Python floats, same order of operations."""
+    y = [max(v, SHARE_FLOOR) for v in y]
+    s = _left_sum(y)
+    if abs(s - 1.0) > DRIFT_TOL:
+        y = [v / s for v in y]
     return y
 
 
@@ -338,7 +366,13 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
     kernel of `eccsim.stackelberg`; its price and requests are projected
     onto the feasible box (price cap: default_price_cap) and stay frozen
     across the RK4 stages of the step.  The state advances by the reduced
-    linear field x' = delta*c - Theta*x (see ReplicatorField).
+    linear field x' = delta*c - Theta*x (see ReplicatorField), one scalar
+    _affine_rk4 step per share.
+
+    The node loop runs on Python floats and lists and calls no numpy: the
+    per-run constants are converted once, and the rows become arrays after
+    the loop.  It repeats the array formulas' operations in their order, so
+    for N <= 6 the result is bit-identical to them (see model._left_sum).
     """
     n = cfg.n_ecps
     m = times.shape[0]
@@ -346,33 +380,34 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
     inv_p, gap, mix = _price_gaps(cfg)
     inv_p_sum = float(inv_p.sum())
     lam_diag, mu_scale = _adjoint_scales(cfg)
+    q_terms = list(zip(lam_diag.tolist(), inv_p.tolist(), gap.tolist()))
     p_max = default_price_cap(cfg)
     delta = cfg.learning_rate
 
-    shares = np.empty((m, n + 1))
-    requests = np.empty((m, n))
-    prices = np.empty(m)
-    x = np.asarray(x0, dtype=float).copy()
+    shares, requests, prices = [], [], []
+    x = np.asarray(x0, dtype=float).tolist()
     for i, gi in enumerate(g.tolist()):
-        shares[i] = x
+        shares.append(x)
         xe = x[:n]
-        lam_dot_q = (gi * lam_diag) * (inv_p - gap * xe)
-        flow = -(mu_scale * gi) * (inv_p_sum + float(xe.sum()) * mix)
+        lam_dot_q = [(gi * lam) * (ip - gp * xk)
+                     for (lam, ip, gp), xk in zip(q_terms, xe)]
+        flow = -(mu_scale * gi) * (inv_p_sum + _left_sum(xe) * mix)
         a_vec, b_slope, price = _stationary_controls(cfg, xe, lam_dot_q, flow)
         price = min(max(price, 0.0), p_max)
-        r = np.minimum(np.maximum(a_vec - b_slope * price, 0.0), CONTROL_CAP)
-        total = r.sum()
+        r = [min(max(a - b_slope * price, 0.0), CONTROL_CAP) for a in a_vec]
+        total = _left_sum(r)
         if total > CONTROL_CAP:
-            r *= CONTROL_CAP / total
-        requests[i] = r
-        prices[i] = price
+            scale = CONTROL_CAP / total
+            r = [v * scale for v in r]
+        requests.append(r)
+        prices.append(price)
         if i == m - 1:
             break
-        c, theta = _uptake(cfg, r)
-        x = _affine_rk4(x, -theta, -delta * c, dt)
-        _check_finite(x)
-        x = _project_simplex(x)
-    return shares, requests, prices
+        c, theta = _uptake_row(cfg, r)
+        x = [_affine_rk4(y, -theta, -delta * cs, dt) for y, cs in zip(x, c)]
+        _check_finite_floats(x)
+        x = _project_simplex_floats(x)
+    return np.array(shares), np.array(requests), np.array(prices)
 
 
 def _running_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -8,10 +8,10 @@ the first-order machinery of that hierarchical game: per-player
 Hamiltonians, the closed-form stationary controls, and the adjoint
 (costate) vector fields integrated backward by the solver.
 
-The stationary controls have one implementation, `_stationary_controls`.
-It sees the adjoints only through two aggregate terms, which the public
-functions here evaluate at general costates and the solver's forward pass
-at its scalar adjoint profile.
+The stationary controls have one implementation, `_stationary_controls`,
+a kernel over Python floats.  It sees the adjoints only through two
+aggregate terms, which the public functions here evaluate at general
+costates and the solver's forward pass at its scalar adjoint profile.
 
 Controls returned here are unprojected stationary points; clamping to the
 feasible box is the caller's job, because feasibility is a property of the
@@ -30,6 +30,7 @@ from .model import (
     PopulationState,
     SystemConfig,
     _check_sizes,
+    _left_sum,
     ccp_instant_utility,
     ecp_instant_utility,
     theta,
@@ -125,15 +126,21 @@ def q_vector(cfg: SystemConfig, pop: PopulationState, n: int) -> np.ndarray:
     return out
 
 
-def _stationary_controls(cfg: SystemConfig, x_ecp: np.ndarray,
-                         lam_dot_q: np.ndarray, leader_flow: float
-                         ) -> tuple[np.ndarray, float, float]:
+def _stationary_controls(cfg: SystemConfig, x_ecp: list[float],
+                         lam_dot_q: list[float], leader_flow: float
+                         ) -> tuple[list[float], float, float]:
     """Stationary controls (A, B, p): requests A_n - B*p and the leader price.
 
     The adjoints enter only through lam_dot_q[n] = lam_n . q_n(x) and the
     leader's flow term mu . (-1/p - x*mix) + mix * <theta_mat, lam>.  The
     price maximizes the leader's Hamiltonian after the followers' reactions
     are substituted, which makes it strictly concave in p.
+
+    A float kernel: it takes and returns lists of Python floats and calls
+    no numpy, because the sweep's forward pass calls it at every grid node.
+    Its sums of N entries run left to right (model._left_sum), numpy's
+    order below 8 entries, so from N = 8 on the price may differ from an
+    array spelling by the rounding of those sums.
     """
     eta2, eta3 = cfg.ecp_weights[1:]
     xi2, xi3 = cfg.ccp_weights[1:]
@@ -141,12 +148,13 @@ def _stationary_controls(cfg: SystemConfig, x_ecp: np.ndarray,
     kphi = cfg.n_users * cfg.nominal_rate
     gain = cfg.learning_rate * cfg.mapping_factor / cfg.n_users
     b_slope = eta2 / (2.0 * eta3 * power_c)
-    a_vec = ((kphi * x_ecp - cfg.ecp_power) / power_c
-             + (gain / (2.0 * eta3 * power_c)) * lam_dot_q)
-    sum_a = float(a_vec.sum())
+    adjoint_gain = gain / (2.0 * eta3 * power_c)
+    a_vec = [(kphi * x - power) / power_c + adjoint_gain * q
+             for x, power, q in zip(x_ecp, cfg.float_vectors[0], lam_dot_q)]
+    sum_a = _left_sum(a_vec)
     nb = cfg.n_ecps * b_slope
     numerator = (xi2 * sum_a
-                 + 2.0 * xi3 * nb * (kphi * (1.0 - float(x_ecp.sum()))
+                 + 2.0 * xi3 * nb * (kphi * (1.0 - _left_sum(x_ecp))
                                      - power_c * (1.0 - sum_a))
                  + gain * b_slope * leader_flow)
     price = numerator / (2.0 * nb * (xi2 + xi3 * power_c * nb))
@@ -155,7 +163,7 @@ def _stationary_controls(cfg: SystemConfig, x_ecp: np.ndarray,
 
 def _general_controls(cfg: SystemConfig, pop: PopulationState,
                       ecp_costates: EcpCostate, ccp_costate: CcpCostate
-                      ) -> tuple[np.ndarray, float, float]:
+                      ) -> tuple[list[float], float, float]:
     """_stationary_controls with both adjoint terms from general costates."""
     _check_sizes(cfg, pop)
     x_ecp = pop.ecp
@@ -164,7 +172,7 @@ def _general_controls(cfg: SystemConfig, pop: PopulationState,
     lam_dot_q = np.diagonal(lam) * inv_p - gap * (lam @ x_ecp)
     flow = (float(np.dot(ccp_costate.mu, -inv_p - x_ecp * mix))
             + float(np.einsum("nm,nm->", ccp_costate.theta_mat, lam)) * mix)
-    return _stationary_controls(cfg, x_ecp, lam_dot_q, flow)
+    return _stationary_controls(cfg, x_ecp.tolist(), lam_dot_q.tolist(), flow)
 
 
 def decompose_request(cfg: SystemConfig, pop: PopulationState,

@@ -268,6 +268,15 @@ class TestSimulate:
         assert "error: dt:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_non_finite_dt_override_exit_code(self, tmp_path, capsys, dt):
+        scenario = str(SCENARIOS / "scenario_a_fixed.json")
+        code = main(["simulate", scenario, "--dt", dt,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: dt: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_delay_shorter_than_dt_exit_code(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, population_delay=0.005)
         code = main(["simulate", scenario, "--out", str(tmp_path / "x")])

@@ -19,6 +19,7 @@ from eccsim import (
     theta,
     user_utility,
 )
+from eccsim.model import ALLOC_TOL, _uptake, _uptake_row
 
 from conftest import make_config
 
@@ -234,3 +235,42 @@ def test_theta_positive_and_price_scaling(data):
         cloud_access_price=2.0 * cfg.cloud_access_price,
     )
     assert theta(doubled, alloc) == pytest.approx(th / 2.0, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+def test_uptake_row_matches_uptake(n, seed):
+    # The sweep's per-node uptake over Python floats is the array _uptake
+    # spelled for one node: bit for bit while numpy sums left to right
+    # (fewer than 8 entries, N <= 6).  From N = 7 numpy sums the N+1
+    # uptakes, and from N = 8 the N requests, pairwise.  Reordering the
+    # request sum moves the cloud remainder 1 - sum r by at most N ulps of
+    # 1, which can be thousands of ulps of a small remainder, so the cloud
+    # entry is bounded on the scale of its full-supply value; reordering
+    # the uptake sum moves Theta by at most N+1 ulps on top of that.
+    rng = np.random.default_rng(seed)
+    power = rng.uniform(0.5, 3.0, size=n)
+    cfg = make_config(n_ecps=n, ecp_power=power,
+                      ecp_access_price=rng.uniform(0.1, 1.0, size=n),
+                      cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
+                      cloud_access_price=float(rng.uniform(0.1, 1.0)),
+                      learning_rate=float(rng.uniform(0.2, 3.0)),
+                      mapping_factor=float(rng.uniform(0.5, 2.0)))
+    requests = rng.dirichlet(np.ones(n + 1))[:n]
+    requests[rng.random(n) < 0.2] = 0.0
+    if rng.random() < 0.25:
+        # At the feasibility slack, where the remainder is clamped to 0.
+        requests = rng.dirichlet(np.ones(n)) * (1.0 + ALLOC_TOL)
+    c_row, theta_row = _uptake_row(cfg, requests.tolist())
+    c, theta_arr = _uptake(cfg, requests)
+    if n <= 6:
+        assert c_row == c.tolist()
+        assert theta_row == float(theta_arr)
+        return
+    eps = np.finfo(float).eps
+    cloud_tol = n * eps * (cfg.mapping_factor / cfg.n_users
+                           * cfg.cloud_power / cfg.cloud_access_price)
+    assert c_row[:n] == c[:n].tolist()
+    assert abs(c_row[n] - c[n]) <= cloud_tol
+    assert abs(theta_row - theta_arr) <= ((n + 1) * eps * theta_arr
+                                          + cfg.learning_rate * cloud_tol)

@@ -9,6 +9,7 @@ from eccsim.model import (AllocationState, PopulationState,
                           ccp_instant_utility, ecp_instant_utility)
 from eccsim.replicator import ReplicatorField, analytic_ess
 from eccsim.solver import (
+    MAGNITUDE_LIMIT,
     MAX_GRID_STEPS,
     BlowUp,
     Trajectory,
@@ -24,7 +25,8 @@ from eccsim.solver import (
     solve_open_loop,
     solve_ssec,
 )
-from eccsim.solver import _adjoint_profile
+from eccsim.solver import (_adjoint_profile, _check_finite_floats,
+                           _forward_pass)
 from eccsim.stackelberg import (CcpCostate, EcpCostate, optimal_price,
                                 optimal_request)
 
@@ -39,6 +41,13 @@ class TestGrid:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError, match="dt"):
             integrate_ode(decay, [1.0], (0.0, 1.0), 0.0)
+
+    def test_rejects_non_finite_dt(self):
+        # Checked first: nan fails every comparison and inf divides the
+        # span into zero steps, which would give the wrong reason.
+        for dt in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^dt: must be finite$"):
+                grid_steps((0.0, 1.0), dt)
 
     def test_rejects_reversed_span(self):
         with pytest.raises(ValueError, match="t_span"):
@@ -309,6 +318,56 @@ class TestSweep:
                     for k in range(1, n + 1)]
             np.testing.assert_allclose(traj.requests[i], want, rtol=1e-12,
                                        atol=1e-14)
+
+    def test_n7_controls_match_general_costate_formulas(self):
+        # At N = 7 the uptake sums N+1 = 8 entries, which numpy would sum
+        # pairwise and the float loop sums left to right.  The sweep must
+        # still agree with the general-costate formulas to 1e-12 and
+        # replay bit for bit.  Prices stay interior here and the requests
+        # stay below the sum cap.
+        n = 7
+        cfg = make_big_cloud_config(
+            n_ecps=n, ecp_power=np.linspace(0.5, 1.5, n),
+            ecp_access_price=np.linspace(0.2, 0.4, n), cloud_power=8.0,
+            nominal_rate=0.15, horizon=5.0)
+        traj, report = solve_open_loop(cfg, np.full(n + 1, 1.0 / (n + 1)),
+                                       dt=0.05)
+        assert report.converged
+        lam_diag = cfg.ecp_weights[0] * cfg.ecp_access_price * cfg.n_users
+        mu_scale = cfg.ccp_weights[0] * cfg.cloud_access_price * cfg.n_users
+        interior = 0
+        for i in range(traj.times.shape[0]):
+            pop = traj.state(i)
+            ecp = EcpCostate(np.diag(lam_diag * traj.g[i]))
+            ccp = CcpCostate(np.full(n, mu_scale * traj.g[i]),
+                             np.zeros((n, n)))
+            price = optimal_price(cfg, pop, ecp, ccp)
+            assert traj.prices[i] == pytest.approx(price, rel=1e-12)
+            want = [max(optimal_request(cfg, pop, price, ecp, k), 0.0)
+                    for k in range(1, n + 1)]
+            np.testing.assert_allclose(traj.requests[i], want, rtol=1e-12,
+                                       atol=1e-14)
+            interior += int(np.count_nonzero(traj.requests[i]))
+        assert interior > 0
+        again = replay_forward(cfg, traj)
+        np.testing.assert_array_equal(traj.shares, again.shares)
+        np.testing.assert_array_equal(traj.requests, again.requests)
+        np.testing.assert_array_equal(traj.prices, again.prices)
+
+    def test_non_finite_adjoint_raises(self, solved):
+        # One NaN node in g turns that node's controls into NaN, and the
+        # state step after it must stop the pass.
+        cfg, traj, _ = solved
+        g = traj.g.copy()
+        g[traj.times.shape[0] // 2] = np.nan
+        with pytest.raises(BlowUp):
+            _forward_pass(cfg, traj.shares[0], traj.times, g)
+
+    def test_float_finite_check_reads_every_component(self):
+        _check_finite_floats([0.5, -0.25, MAGNITUDE_LIMIT])
+        for bad in (np.nan, np.inf, -np.inf, 2.0 * MAGNITUDE_LIMIT):
+            with pytest.raises(BlowUp):
+                _check_finite_floats([0.5, 0.25, bad])
 
     def test_rejects_boundary_start(self, cfg):
         with pytest.raises(ValueError, match="x0"):

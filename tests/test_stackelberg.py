@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_config
 
@@ -25,6 +27,7 @@ from eccsim.stackelberg import (
     optimal_request,
     q_vector,
 )
+from eccsim.stackelberg import _stationary_controls
 
 
 def snapshot(x, r, price=0.0, time=0.0):
@@ -249,3 +252,42 @@ class TestCostateFields:
         snap = snapshot(x0, [0.0, 0.0])
         with pytest.raises(ValueError, match="n: must be in 1..2"):
             ecp_costate_rhs(cfg, snap, EcpCostate.zero(2), 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_stationary_controls_match_array_spelling(n, seed):
+    # The float kernel is this array formula evaluated in the same order.
+    # numpy sums fewer than 8 entries left to right, so up to N = 6 the two
+    # agree to the bit.
+    rng = np.random.default_rng(seed)
+    power = rng.uniform(0.5, 3.0, size=n)
+    cfg = make_config(n_ecps=n, ecp_power=power,
+                      ecp_access_price=rng.uniform(0.1, 1.0, size=n),
+                      cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
+                      learning_rate=float(rng.uniform(0.2, 3.0)),
+                      ecp_weights=tuple(rng.uniform(0.5, 2.0, size=3)),
+                      ccp_weights=tuple(rng.uniform(0.5, 2.0, size=3)))
+    x = rng.dirichlet(np.ones(n + 1))[:n]
+    lam_dot_q = 10.0 * rng.normal(size=n)
+    flow = 10.0 * float(rng.normal())
+    a_list, b_slope, price = _stationary_controls(
+        cfg, x.tolist(), lam_dot_q.tolist(), flow)
+
+    eta2, eta3 = cfg.ecp_weights[1:]
+    xi2, xi3 = cfg.ccp_weights[1:]
+    power_c = cfg.cloud_power
+    kphi = cfg.n_users * cfg.nominal_rate
+    gain = cfg.learning_rate * cfg.mapping_factor / cfg.n_users
+    b_want = eta2 / (2.0 * eta3 * power_c)
+    a_want = ((kphi * x - cfg.ecp_power) / power_c
+              + (gain / (2.0 * eta3 * power_c)) * lam_dot_q)
+    sum_a = float(a_want.sum())
+    nb = n * b_want
+    numerator = (xi2 * sum_a
+                 + 2.0 * xi3 * nb * (kphi * (1.0 - float(x.sum()))
+                                     - power_c * (1.0 - sum_a))
+                 + gain * b_want * flow)
+    assert a_list == a_want.tolist()
+    assert b_slope == b_want
+    assert price == numerator / (2.0 * nb * (xi2 + xi3 * power_c * nb))
