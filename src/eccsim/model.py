@@ -334,11 +334,14 @@ def user_utility(cfg: SystemConfig, snap: MarketSnapshot) -> np.ndarray:
 
 
 def mean_utility(pop: PopulationState, utils: np.ndarray) -> float:
-    """Population-average utility sum_s x_s * pi_s."""
+    """Population-average utility sum_s x_s * pi_s, summed in provider order.
+
+    Not np.dot: its rounding depends on which BLAS kernel the machine runs.
+    """
     utils = np.asarray(utils, dtype=float)
     if utils.shape != pop.shares.shape:
         raise ValueError("utils: length inconsistent with population")
-    return float(np.dot(pop.shares, utils))
+    return float((pop.shares * utils).sum())
 
 
 def theta(cfg: SystemConfig, alloc: AllocationState) -> float:

@@ -21,6 +21,7 @@ from .model import (
     PopulationState,
     SystemConfig,
     _check_sizes,
+    _left_sum,
     _per_user_power,
     _supply,
     _uptake,
@@ -44,12 +45,31 @@ def _rhs_arrays(cfg: SystemConfig, now: np.ndarray, delayed: np.ndarray,
 
     With now == delayed this is the plain replicator field.  The delayed
     variant evaluates utilities at the old population but averages them with
-    the current shares as mixing weights.
+    the current shares as mixing weights.  The mean is summed in provider
+    order, not by np.dot, whose rounding depends on the BLAS kernel.
     """
     omega = _per_user_power(cfg, delayed, supply)
     utils = cfg.mapping_factor * omega / cfg.all_access_prices
-    mean = float(np.dot(now, utils))
+    mean = float((now * utils).sum())
     return cfg.learning_rate * delayed * (utils - mean)
+
+
+def _rhs_floats(cfg: SystemConfig, now: list[float], delayed: list[float],
+                supply: list[float]) -> list[float]:
+    """_rhs_arrays over Python floats, for the per-step loop of the solver.
+
+    Same operations in the same order, so the result is bit-identical to
+    _rhs_arrays for N <= 6 (see model._left_sum).  A delayed share <= 0
+    hands over to _rhs_arrays, which owns the ZeroShare check.
+    """
+    if not min(delayed) > 0.0:
+        return _rhs_arrays(cfg, np.array(now), np.array(delayed),
+                           np.array(supply)).tolist()
+    users, beta, delta = cfg.n_users, cfg.mapping_factor, cfg.learning_rate
+    utils = [beta * (w / (users * y)) / p
+             for w, y, p in zip(supply, delayed, cfg.float_vectors[1])]
+    mean = _left_sum([x * u for x, u in zip(now, utils)])
+    return [(delta * y) * (u - mean) for y, u in zip(delayed, utils)]
 
 
 def replicator_rhs(cfg: SystemConfig, pop: PopulationState,
@@ -90,7 +110,9 @@ class ReplicatorField:
     utility-difference form so the error behavior (ZeroShare) matches the
     public vector field.  The supply w is fixed per field and computed
     once (`supply`).  Integrators take `rate` or `delayed_rate`; the time
-    argument is unused.
+    argument is unused.  The CLI's delayed runs do not call `delayed_rate`:
+    `solver.solve_fixed` steps them with the float kernel _rhs_floats,
+    which gives the same values bit for bit for N <= 6.
     """
 
     cfg: SystemConfig

@@ -20,9 +20,12 @@ scenarios.  The controls come from the one stationary-control kernel of
 
 Both halves of the sweep loop over Python floats, not numpy arrays: at a
 handful of shares per node the interpreter's cost per numpy call, not the
-arithmetic, sets the speed.  The forward pass repeats the array formulas'
-operations in their order, so for N <= 6 its results are bit-identical to
-them; the generic integrators keep the array form.
+arithmetic, sets the speed.  So does the delayed population run that
+solve_fixed (and so the CLI) takes for tau > 0, _delayed_pass.  Both float
+loops repeat the array formulas' operations in their order, so for N <= 6
+their results are bit-identical to them.  The generic integrators
+integrate_ode and integrate_dde keep the array form; solve_fixed uses them
+only for tau = 0.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .model import (
     _uptake,
     _uptake_row,
 )
-from .replicator import ReplicatorField
+from .replicator import ReplicatorField, _rhs_floats
 from .stackelberg import _price_gaps, _stationary_controls
 
 __all__ = [
@@ -253,6 +256,22 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
     return Trajectory(times=times, shares=out)
 
 
+def _lag(tq: float, t0: float, dt: float, filled: int) -> tuple[int, float]:
+    """Row j and weight frac of the lagged state at time tq on the grid.
+
+    The state is row j + frac*(row j+1 - row j), or row j alone when frac
+    is 0, read from rows 0..filled integrated so far: row 0 (the constant
+    prehistory) before t0 and the newest row past it.
+    """
+    if tq <= t0:
+        return 0, 0.0
+    pos = (tq - t0) / dt
+    j = int(pos)
+    if j >= filled:
+        return filled, 0.0
+    return j, pos - j
+
+
 def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
                   x0, tau: float, t_span: tuple[float, float], dt: float,
                   *, simplex: bool = True) -> Trajectory:
@@ -262,7 +281,9 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     already-integrated grid by linear interpolation, so the method is
     second order: the error falls by 4 per halving of dt.  Before the start
     the delayed state is the constant x0.  tau = 0 hands the field to
-    integrate_ode with the current state fed to both slots.
+    integrate_ode with the current state fed to both slots.  This is the
+    generic path; solve_fixed (and so the CLI) steps a delayed population
+    with _delayed_pass, which repeats it over Python floats.
 
     Raises:
         ValueError: 0 < tau < dt (one step would outrun the buffer).
@@ -279,13 +300,7 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     out[0] = y
 
     def delayed(tq: float, filled: int) -> np.ndarray:
-        if tq <= t0:
-            return out[0]
-        pos = (tq - t0) / dt
-        j = int(pos)
-        if j >= filled:
-            return out[filled]
-        frac = pos - j
+        j, frac = _lag(tq, t0, dt, filled)
         if frac <= 0.0:
             return out[j]
         return out[j] + frac * (out[j + 1] - out[j])
@@ -305,6 +320,57 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     return Trajectory(times=times, shares=out)
 
 
+def _delayed_pass(field: ReplicatorField, x0: np.ndarray, tau: float,
+                  t_span: tuple[float, float], dt: float) -> Trajectory:
+    """Float form of integrate_dde(field.delayed_rate, x0, tau, t_span, dt).
+
+    Same RK4 stages, constant prehistory x0, lag rule (_lag), finite check
+    and simplex projection, in the same order, with the field's float
+    kernel _rhs_floats; so for N <= 6 the shares are bit-identical to the
+    array integrator (see model._left_sum).  The step loop calls no numpy:
+    it writes and reads the preallocated rows through a flat memoryview.
+
+    Raises:
+        ValueError: 0 < tau < dt, or a malformed grid.
+        BlowUp: as for integrate_dde.
+    """
+    check_delay(tau, dt)
+    times = _make_grid(t_span, dt)
+    cfg, supply = field.cfg, field.supply.tolist()
+    t0, width = float(times[0]), len(supply)
+    y = x0.tolist()
+    out = np.empty((times.shape[0], width))
+    out[0] = y
+    hist = memoryview(out).cast("B").cast("d")
+
+    def delayed(tq: float, filled: int):
+        j, frac = _lag(tq, t0, dt, filled)
+        row = hist[j * width:(j + 1) * width]
+        if frac <= 0.0:
+            return row
+        return [a + frac * (b - a)
+                for a, b in zip(row, hist[(j + 1) * width:(j + 2) * width])]
+
+    half, sixth = 0.5 * dt, dt / 6.0
+    for i, t in enumerate(map(float, times[:-1])):
+        k1 = _rhs_floats(cfg, y, delayed(t - tau, i), supply)
+        lag_mid = delayed(t + half - tau, i)
+        k2 = _rhs_floats(cfg, [v + half * k for v, k in zip(y, k1)],
+                         lag_mid, supply)
+        k3 = _rhs_floats(cfg, [v + half * k for v, k in zip(y, k2)],
+                         lag_mid, supply)
+        k4 = _rhs_floats(cfg, [v + dt * k for v, k in zip(y, k3)],
+                         delayed(t + dt - tau, i), supply)
+        y = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
+             for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        _check_finite_floats(y)
+        y = _project_simplex_floats(y)
+        base = (i + 1) * width
+        for s, v in enumerate(y):
+            hist[base + s] = v
+    return Trajectory(times=times, shares=out)
+
+
 def _affine_rk4(y, a: float, src, h: float):
     """One RK4 step of y' = a*y - src with constant coefficients (h < 0: back)."""
     k1 = a * y - src
@@ -315,13 +381,14 @@ def _affine_rk4(y, a: float, src, h: float):
 
 
 def _adjoint_profile(cfg: SystemConfig, times: np.ndarray,
-                     requests: np.ndarray) -> np.ndarray:
+                     thetas: list[float]) -> np.ndarray:
     """Backward RK4 for g' = (rho+Theta) g - 1 from g(T) = 0, shape (M,).
 
     Theta(r(t)) is held piecewise constant per interval to match the
-    forward pass's piecewise-constant controls.
+    forward pass's piecewise-constant controls: `thetas` holds the M-1
+    per-interval values, as _forward_pass returns them.
     """
-    rate = (cfg.discount_rate + _uptake(cfg, requests)[1]).tolist()
+    rate = [cfg.discount_rate + th for th in thetas]
     m = times.shape[0]
     h = float(times[0] - times[1]) if m > 1 else 0.0
     g = [0.0] * m
@@ -348,7 +415,7 @@ def costate_backward_grid(cfg: SystemConfig, times: np.ndarray,
     off-diagonal entries, mu (M, N) = xi1*p_c*K*g, theta_mat (M, N, N) = 0.
     The sweep itself carries only g.
     """
-    g = _adjoint_profile(cfg, times, requests)
+    g = _adjoint_profile(cfg, times, _uptake(cfg, requests)[1][:-1].tolist())
     lam_diag, mu_scale = _adjoint_scales(cfg)
     n = cfg.n_ecps
     lam = np.zeros((g.shape[0], n, n))
@@ -358,7 +425,8 @@ def costate_backward_grid(cfg: SystemConfig, times: np.ndarray,
 
 
 def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
-                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  g: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """Integrate the population forward under stationary-point controls.
 
     At each grid node the adjoints lam_nn = eta1*p_n*K*g, mu_n = xi1*p_c*K*g
@@ -368,6 +436,10 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
     across the RK4 stages of the step.  The state advances by the reduced
     linear field x' = delta*c - Theta*x (see ReplicatorField), one scalar
     _affine_rk4 step per share.
+
+    Returns shares, requests and prices per node, plus the M-1
+    per-interval Theta values for the backward pass (_adjoint_profile), so
+    both halves of the sweep read the same Theta.
 
     The node loop runs on Python floats and lists and calls no numpy: the
     per-run constants are converted once, and the rows become arrays after
@@ -384,7 +456,7 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
     p_max = default_price_cap(cfg)
     delta = cfg.learning_rate
 
-    shares, requests, prices = [], [], []
+    shares, requests, prices, thetas = [], [], [], []
     x = np.asarray(x0, dtype=float).tolist()
     for i, gi in enumerate(g.tolist()):
         shares.append(x)
@@ -404,10 +476,11 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
         if i == m - 1:
             break
         c, theta = _uptake_row(cfg, r)
+        thetas.append(theta)
         x = [_affine_rk4(y, -theta, -delta * cs, dt) for y, cs in zip(x, c)]
         _check_finite_floats(x)
         x = _project_simplex_floats(x)
-    return np.array(shares), np.array(requests), np.array(prices)
+    return np.array(shares), np.array(requests), np.array(prices), thetas
 
 
 def _running_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -461,10 +534,10 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        shares, requests, _ = _forward_pass(cfg, x0, times, g)
+        shares, _, _, thetas = _forward_pass(cfg, x0, times, g)
         if prev_shares is not None:
             state_res = float(np.max(np.abs(shares - prev_shares)))
-        g_new = _adjoint_profile(cfg, times, requests)
+        g_new = _adjoint_profile(cfg, times, thetas)
         costate_res = adjoint_unit * float(np.max(np.abs(g_new - g)))
         g = g_new
         prev_shares = shares
@@ -474,7 +547,7 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
     report = SweepReport(iterations=iterations, state_residual=state_res,
                          costate_terminal_residual=costate_res,
                          converged=converged)
-    shares, requests, prices = _forward_pass(cfg, x0, times, g)
+    shares, requests, prices, _ = _forward_pass(cfg, x0, times, g)
     traj = Trajectory(times=times, shares=shares, requests=requests,
                       prices=prices, g=g)
     _attach_utilities(cfg, traj)
@@ -489,7 +562,7 @@ def replay_forward(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
     """
     if traj.g is None:
         raise ValueError("trajectory stores no adjoints to replay")
-    shares, requests, prices = _forward_pass(
+    shares, requests, prices, _ = _forward_pass(
         cfg, traj.shares[0].copy(), traj.times, traj.g)
     out = Trajectory(times=traj.times, shares=shares, requests=requests,
                      prices=prices, g=traj.g)
@@ -508,7 +581,7 @@ def solve_ssec(cfg: SystemConfig, x0, t_span: tuple[float, float],
     if np.any(x0 <= 0.0):
         raise ValueError("x0: initial shares must be interior")
     times = _make_grid(t_span, dt)
-    shares, requests, prices = _forward_pass(
+    shares, requests, prices, _ = _forward_pass(
         cfg, x0, times, np.zeros(times.shape[0]))
     traj = Trajectory(times=times, shares=shares, requests=requests,
                       prices=prices)
@@ -520,16 +593,22 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
                 dt: float) -> Trajectory:
     """Population run under a frozen allocation and zero cloud price.
 
-    Honors cfg.population_delay through integrate_dde with constant
-    prehistory x0; zero delay is the plain RK4 run of integrate_ode.
+    Honors cfg.population_delay with constant prehistory x0 through
+    _delayed_pass, the float form of integrate_dde(field.delayed_rate, ..);
+    zero delay is the plain RK4 run of integrate_ode, via integrate_dde.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (cfg.n_ecps + 1,):
+        raise ValueError("x0: length inconsistent with n_ecps")
     if np.any(x0 <= 0.0):
         raise ValueError("x0: initial shares must be interior")
     field = ReplicatorField(cfg, alloc)
-    traj = integrate_dde(field.delayed_rate, x0, cfg.population_delay,
-                         t_span, dt)
+    tau = cfg.population_delay
+    if tau > 0.0:
+        traj = _delayed_pass(field, x0, tau, t_span, dt)
+    else:
+        traj = integrate_dde(field.delayed_rate, x0, tau, t_span, dt)
     m = traj.times.shape[0]
     traj.requests = np.tile(alloc.requests, (m, 1))
     traj.prices = np.zeros(m)

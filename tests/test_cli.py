@@ -501,8 +501,10 @@ def test_cli_import_leaves_scipy_out():
 def test_bench_tracer_hooks_bind(tmp_path):
     # The benchmark's tracer wraps cli, solver, replicator and model names
     # by attribute from outside the package; a renamed hook crashes it.
+    # An undelayed fixed-controls run goes through integrate_dde and
+    # ReplicatorField.delayed_rate; a delayed one steps solver._delayed_pass
+    # instead, so the tracer sees neither but must still run it.
     root = Path(__file__).resolve().parent.parent
-    scenario = write_scenario(tmp_path, population_delay=0.5)
     code = f"""
 import sys
 sys.path.insert(0, {str(root / "bench")!r})
@@ -510,12 +512,19 @@ from tracer import Tracer
 tracer = Tracer()
 tracer.install()
 from eccsim.cli import main
-code = main(["simulate", {scenario!r}, "--out", {str(tmp_path / "run")!r}])
+code = main(["simulate", sys.argv[1], "--out", sys.argv[2]])
 metrics = tracer.metrics(1.0)
 print(code, metrics["solver.dde_steps"], metrics["replicator.field_evals"])
 """
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+
+    def traced(scenario):
+        out = subprocess.run(
+            [sys.executable, "-c", code, scenario, str(tmp_path / "run")],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")})
+        return out.stdout.splitlines()[-1].split()
+
     # 500 steps of dt = 0.01 over the horizon 5, four field calls per step.
-    assert out.stdout.splitlines()[-1].split() == ["0", "500", "2000"]
+    assert traced(write_scenario(tmp_path)) == ["0", "500", "2000"]
+    delayed = write_scenario(tmp_path, "delayed.json", population_delay=0.5)
+    assert traced(delayed)[0] == "0"

@@ -20,6 +20,8 @@ from eccsim.model import (
 )
 from eccsim.replicator import (
     ReplicatorField,
+    _rhs_arrays,
+    _rhs_floats,
     analytic_ess,
     delay_stability_bound,
     delayed_replicator_rhs,
@@ -152,6 +154,53 @@ class TestReplicatorField:
         now = np.array([0.3, 0.3, 0.4])
         with pytest.raises(ZeroShare, match="cloud"):
             field.delayed_rate(0.0, now, np.array([0.5, 0.5, 0.0]))
+
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_float_kernel_matches_arrays_bitwise(self, n, seed):
+        # The float kernel repeats _rhs_arrays in its order of operations;
+        # numpy sums fewer than 8 entries left to right, so up to N = 6 both
+        # agree to the bit, and delayed_rate matches a plain Python
+        # reference that sums the population mean left to right.
+        rng = np.random.default_rng(seed)
+        power = rng.uniform(0.5, 3.0, size=n)
+        cfg = make_config(n_ecps=n, n_users=int(rng.integers(1, 500)),
+                          ecp_power=power,
+                          ecp_access_price=rng.uniform(0.1, 1.0, size=n),
+                          cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
+                          learning_rate=float(rng.uniform(0.2, 3.0)),
+                          mapping_factor=float(rng.uniform(0.5, 2.0)))
+        field = ReplicatorField(cfg, AllocationState(
+            rng.dirichlet(np.ones(n + 1))[:n]))
+        now = rng.dirichlet(np.ones(n + 1))
+        delayed = rng.dirichlet(np.ones(n + 1))
+        supply = field.supply.tolist()
+        got = _rhs_floats(cfg, now.tolist(), delayed.tolist(), supply)
+        assert got == _rhs_arrays(cfg, now, delayed, field.supply).tolist()
+
+        utils = [cfg.mapping_factor * (w / (cfg.n_users * y)) / p
+                 for w, y, p in zip(supply, delayed.tolist(),
+                                    cfg.all_access_prices.tolist())]
+        mean = 0.0
+        for x, u in zip(now.tolist(), utils):
+            mean += x * u
+        want = [(cfg.learning_rate * y) * (u - mean)
+                for y, u in zip(delayed.tolist(), utils)]
+        assert field.delayed_rate(0.0, now, delayed).tolist() == want
+
+    def test_zero_share_raises_through_float_kernel(self, cfg):
+        supply = ReplicatorField(cfg, AllocationState([0.0, 0.0])).supply
+        with pytest.raises(ZeroShare, match="cloud"):
+            _rhs_floats(cfg, [0.3, 0.3, 0.4], [0.5, 0.5, 0.0],
+                        supply.tolist())
+
+    def test_float_kernel_empty_group_without_supply(self, cfg):
+        field = ReplicatorField(cfg, AllocationState([0.55, 0.45]))
+        now, delayed = [0.5, 0.4, 0.1], [0.6, 0.4, 0.0]
+        got = _rhs_floats(cfg, now, delayed, field.supply.tolist())
+        assert got == field.delayed_rate(0.0, np.array(now),
+                                         np.array(delayed)).tolist()
+        assert got[2] == 0.0
 
     def test_empty_group_without_supply_through_field(self, cfg):
         # All compute moved to the ECPs: the empty cloud group is inert.

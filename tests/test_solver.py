@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_big_cloud_config, make_config
 
-from eccsim.model import (AllocationState, PopulationState,
+import eccsim.solver
+from eccsim.model import (AllocationState, PopulationState, _uptake,
                           ccp_instant_utility, ecp_instant_utility)
 from eccsim.replicator import ReplicatorField, analytic_ess
 from eccsim.solver import (
@@ -214,7 +217,8 @@ class TestCostateBackward:
         traj = solve_ssec(cfg, [0.3, 0.3, 0.4], (0.0, 10.0), 0.01)
         lam, mu, theta_mat = costate_backward_grid(cfg, traj.times,
                                                    traj.requests)
-        g = _adjoint_profile(cfg, traj.times, traj.requests)
+        g = _adjoint_profile(cfg, traj.times,
+                             _uptake(cfg, traj.requests)[1][:-1].tolist())
         assert g[-1] == 0.0 and g[0] > 0.0
         eta1, xi1, users = cfg.ecp_weights[0], cfg.ccp_weights[0], cfg.n_users
         for k, p_k in enumerate(cfg.ecp_access_price):
@@ -354,6 +358,40 @@ class TestSweep:
         np.testing.assert_array_equal(traj.requests, again.requests)
         np.testing.assert_array_equal(traj.prices, again.prices)
 
+    def test_n8_backward_pass_reads_forward_theta(self, monkeypatch):
+        # From N = 7 the float uptake of the forward pass may round Theta
+        # differently from the array _uptake.  Each backward pass must see
+        # exactly the per-interval Theta of the forward pass before it.
+        n = 8
+        cfg = make_big_cloud_config(
+            n_ecps=n, ecp_power=np.linspace(0.5, 1.5, n),
+            ecp_access_price=np.linspace(0.2, 0.4, n), cloud_power=8.0,
+            nominal_rate=0.15, horizon=5.0)
+        forward, backward = [], []
+
+        def uptake_row(cfg, requests, _orig=eccsim.solver._uptake_row):
+            c, theta = _orig(cfg, requests)
+            forward.append(theta)
+            return c, theta
+
+        def adjoint_profile(cfg, times, thetas,
+                            _orig=eccsim.solver._adjoint_profile):
+            backward.append(list(thetas))
+            return _orig(cfg, times, thetas)
+
+        monkeypatch.setattr(eccsim.solver, "_uptake_row", uptake_row)
+        monkeypatch.setattr(eccsim.solver, "_adjoint_profile", adjoint_profile)
+        traj, report = solve_open_loop(cfg, np.full(n + 1, 1.0 / (n + 1)),
+                                       dt=0.05)
+        assert report.converged
+        m = traj.times.shape[0] - 1
+        assert len(backward) == report.iterations
+        assert len(forward) == (report.iterations + 1) * m
+        for k, thetas in enumerate(backward):
+            assert thetas == forward[k * m:(k + 1) * m]
+        # At this N the array uptake rounds some intervals differently.
+        assert _uptake(cfg, traj.requests)[1][:-1].tolist() != forward[-m:]
+
     def test_non_finite_adjoint_raises(self, solved):
         # One NaN node in g turns that node's controls into NaN, and the
         # state step after it must stop the pass.
@@ -412,6 +450,49 @@ class TestMyopicAndFixed:
         field = ReplicatorField(cfg, AllocationState([0.0, 0.0]))
         manual = integrate_dde(field.delayed_rate, x0, 0.5, (0.0, 5.0), 0.01)
         np.testing.assert_array_equal(traj.shares, manual.shares)
+
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.one_of(st.floats(0.05, 1.5),
+                     st.integers(1, 30).map(lambda k: 0.05 * k)))
+    @settings(max_examples=60, deadline=None)
+    def test_delayed_pass_matches_dde_bitwise(self, n, seed, tau):
+        # A delayed solve_fixed runs the float pass; up to N = 6 it must
+        # reproduce integrate_dde on the field bit for bit, whether or not
+        # tau is a multiple of dt.  Past the delay bound some runs blow up;
+        # then both must.
+        rng = np.random.default_rng(seed)
+        power = rng.uniform(0.5, 3.0, size=n)
+        cfg = make_config(n_ecps=n, ecp_power=power,
+                          ecp_access_price=rng.uniform(0.1, 1.0, size=n),
+                          cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
+                          learning_rate=float(rng.uniform(0.2, 3.0)),
+                          population_delay=tau)
+        x0 = 0.8 * rng.dirichlet(np.ones(n + 1)) + 0.2 / (n + 1)
+        r0 = rng.dirichlet(np.ones(n + 1))[:n]
+        field = ReplicatorField(cfg, AllocationState(r0))
+
+        def shares(run):
+            try:
+                return run().shares.tolist()
+            except BlowUp:
+                return "BlowUp"
+
+        fast = shares(lambda: solve_fixed(cfg, x0, r0, (0.0, 2.0), 0.05))
+        assert fast == shares(lambda: integrate_dde(
+            field.delayed_rate, x0, tau, (0.0, 2.0), 0.05))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_delayed_pass_checks_last_component(self, x0, bad, monkeypatch):
+        monkeypatch.setattr(eccsim.solver, "_rhs_floats",
+                            lambda cfg, now, delayed, supply: [0.0, 0.0, bad])
+        with pytest.raises(BlowUp):
+            solve_fixed(make_config(population_delay=0.5), x0, [0.1, 0.2],
+                        (0.0, 1.0), 0.1)
+
+    def test_fixed_rejects_wrong_length_start(self):
+        with pytest.raises(ValueError, match="x0: length"):
+            solve_fixed(make_config(population_delay=0.5), [0.5, 0.5],
+                        [0.1, 0.2], (0.0, 1.0), 0.1)
 
     def test_fixed_utility_start_oracle(self, cfg, x0):
         # At r=0 and zero price: u = [8.75, 5.75, 8.0] for the duopoly start.
