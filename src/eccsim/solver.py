@@ -41,6 +41,7 @@ from .model import (
     MarketSnapshot,
     PopulationState,
     SystemConfig,
+    _check_sizes,
     _left_sum,
     _payoffs,
     _uptake,
@@ -598,6 +599,7 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
     zero delay is the plain RK4 run of integrate_ode, via integrate_dde.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))
+    _check_sizes(cfg, alloc=alloc)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (cfg.n_ecps + 1,):
         raise ValueError("x0: length inconsistent with n_ecps")

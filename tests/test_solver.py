@@ -489,10 +489,15 @@ class TestMyopicAndFixed:
             solve_fixed(make_config(population_delay=0.5), x0, [0.1, 0.2],
                         (0.0, 1.0), 0.1)
 
-    def test_fixed_rejects_wrong_length_start(self):
-        with pytest.raises(ValueError, match="x0: length"):
-            solve_fixed(make_config(population_delay=0.5), [0.5, 0.5],
-                        [0.1, 0.2], (0.0, 1.0), 0.1)
+    @pytest.mark.parametrize("x0,r0,field", [
+        ([0.5, 0.5], [0.1, 0.2], "x0"),
+        ([0.3, 0.3, 0.4], [0.1], "requests"),
+    ])
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_fixed_rejects_wrong_lengths(self, x0, r0, field, tau):
+        with pytest.raises(ValueError, match=f"^{field}: length"):
+            solve_fixed(make_config(population_delay=tau), x0, r0,
+                        (0.0, 1.0), 0.1)
 
     def test_fixed_utility_start_oracle(self, cfg, x0):
         # At r=0 and zero price: u = [8.75, 5.75, 8.0] for the duopoly start.
