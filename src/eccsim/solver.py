@@ -20,12 +20,12 @@ scenarios.  The controls come from the one stationary-control kernel of
 
 Both halves of the sweep loop over Python floats, not numpy arrays: at a
 handful of shares per node the interpreter's cost per numpy call, not the
-arithmetic, sets the speed.  So does the delayed population run that
-solve_fixed (and so the CLI) takes for tau > 0, _delayed_pass.  Both float
-loops repeat the array formulas' operations in their order, so for N <= 6
-their results are bit-identical to them.  The generic integrators
-integrate_ode and integrate_dde keep the array form; solve_fixed uses them
-only for tau = 0.
+arithmetic, sets the speed.  For the same reason the delayed population
+run that solve_fixed (and so the CLI) takes for tau > 0, _delayed_pass,
+loops over floats.  Both float loops repeat the array formulas' operations
+in their order, so for N <= 6 their results are bit-identical to them.
+The generic integrators integrate_ode and integrate_dde keep the array
+form; solve_fixed uses them only for tau = 0.
 """
 
 from __future__ import annotations
