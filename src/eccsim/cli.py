@@ -212,7 +212,7 @@ def load_scenario(path: str) -> Scenario:
         if not isinstance(block, dict) or set(block) != {"param", "values"}:
             raise InvalidScenario("sweep: expected an object with param and values")
         param = block["param"]
-        if param not in SWEEP_PARAMS:
+        if not isinstance(param, str) or param not in SWEEP_PARAMS:
             raise InvalidScenario(
                 f"sweep: param must be one of {', '.join(SWEEP_PARAMS)}")
         values = tuple(_number_list(block["values"], "sweep"))
@@ -306,7 +306,10 @@ def _dump_json(obj: dict, path: str | None) -> str:
 
 def _ensure_out(args: argparse.Namespace) -> str:
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise InvalidScenario(f"out: {exc.strerror}: {out}") from None
     return out
 
 

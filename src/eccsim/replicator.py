@@ -111,8 +111,9 @@ class ReplicatorField:
     public vector field.  The supply w is fixed per field and computed
     once (`supply`).  Integrators take `rate` or `delayed_rate`; the time
     argument is unused.  The CLI's delayed runs do not call `delayed_rate`:
-    `solver.solve_fixed` steps them with the float kernel _rhs_floats,
-    which gives the same values bit for bit for N <= 6.
+    `solver.solve_fixed` hands the float kernel _rhs_floats to the
+    method-of-steps loop of `integrate_dde`, which gives the same values
+    bit for bit for N <= 6.
     """
 
     cfg: SystemConfig

@@ -18,14 +18,15 @@ the new g undamped: the map settles in 5-9 sweeps on the shipped
 scenarios.  The controls come from the one stationary-control kernel of
 `eccsim.stackelberg`, and supply, Theta and payoffs from `eccsim.model`.
 
-Both halves of the sweep loop over Python floats, not numpy arrays: at a
-handful of shares per node the interpreter's cost per numpy call, not the
-arithmetic, sets the speed.  For the same reason the delayed population
-run that solve_fixed (and so the CLI) takes for tau > 0, _delayed_pass,
-loops over floats.  Both float loops repeat the array formulas' operations
-in their order, so for N <= 6 their results are bit-identical to them.
-The generic integrators integrate_ode and integrate_dde keep the array
-form; solve_fixed uses them only for tau = 0.
+Every step loop runs on Python floats, not numpy arrays: at a handful of
+shares per node the interpreter's cost per numpy call, not the arithmetic,
+sets the speed.  integrate_ode and integrate_dde adapt their array field to
+a float-list kernel (_on_lists).  A delayed run has one loop,
+_method_of_steps, which integrate_dde runs on the adapted field and
+solve_fixed (and so the CLI) on the float kernel replicator._rhs_floats.
+The loops repeat the array formulas' operations in their order, so for
+N <= 6 results are bit-identical to them; from N = 7 sums, the simplex sum
+included, may round differently (see model._left_sum).
 """
 
 from __future__ import annotations
@@ -196,35 +197,24 @@ def _make_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
     return times
 
 
-def _check_finite(y: np.ndarray) -> None:
-    # Also true for NaN and +-inf, which compare False.
-    if not np.abs(y).max() <= MAGNITUDE_LIMIT:
-        raise BlowUp("state magnitude left the finite range")
-
-
-def _project_simplex(y: np.ndarray) -> np.ndarray:
-    y = np.maximum(y, SHARE_FLOOR)
-    s = y.sum()
-    if abs(s - 1.0) > DRIFT_TOL:
-        y = y / s
-    return y
-
-
-def _check_finite_floats(y: list[float]) -> None:
-    """_check_finite for a list of Python floats."""
+def _check_finite(y: list[float]) -> None:
     for v in y:
         # Tested per component: max() would skip a NaN after the first entry.
         if not abs(v) <= MAGNITUDE_LIMIT:
             raise BlowUp("state magnitude left the finite range")
 
 
-def _project_simplex_floats(y: list[float]) -> list[float]:
-    """_project_simplex for a list of Python floats, same order of operations."""
+def _project_simplex(y: list[float]) -> list[float]:
     y = [max(v, SHARE_FLOOR) for v in y]
     s = _left_sum(y)
     if abs(s - 1.0) > DRIFT_TOL:
         y = [v / s for v in y]
     return y
+
+
+def _on_lists(field: Callable[..., np.ndarray]) -> Callable[..., list[float]]:
+    """Array field as a float-list kernel; it must keep the state's length."""
+    return lambda t, *states: field(t, *map(np.array, states)).tolist()
 
 
 def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
@@ -236,41 +226,79 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
     sum drifts past DRIFT_TOL and floored at SHARE_FLOOR to preserve
     interiority; population runs use this, generic test problems must not
     (a 1-d decay would be pinned to its initial value by renormalization).
+    The steps run on floats: `field` must return a vector as long as the
+    state, and from N = 7 the simplex sum may round unlike numpy's.
 
     Raises:
         BlowUp: a state magnitude exceeded MAGNITUDE_LIMIT or went non-finite.
     """
     times = _make_grid(t_span, dt)
-    y = np.asarray(x0, dtype=float).copy()
-    out = np.empty((times.shape[0], y.shape[0]))
-    out[0] = y
-    for i, t in enumerate(times[:-1]):
-        k1 = field(t, y)
-        k2 = field(t + 0.5 * dt, y + (0.5 * dt) * k1)
-        k3 = field(t + 0.5 * dt, y + (0.5 * dt) * k2)
-        k4 = field(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rate = _on_lists(field)
+    y = np.asarray(x0, dtype=float).tolist()
+    rows = [y]
+    half, sixth = 0.5 * dt, dt / 6.0
+    for t in map(float, times[:-1]):
+        k1 = rate(t, y)
+        k2 = rate(t + half, [v + half * k for v, k in zip(y, k1)])
+        k3 = rate(t + half, [v + half * k for v, k in zip(y, k2)])
+        k4 = rate(t + dt, [v + dt * k for v, k in zip(y, k3)])
+        y = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
+             for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
         _check_finite(y)
         if simplex:
             y = _project_simplex(y)
-        out[i + 1] = y
-    return Trajectory(times=times, shares=out)
+        rows.append(y)
+    return Trajectory(times=times, shares=np.array(rows))
 
 
-def _lag(tq: float, t0: float, dt: float, filled: int) -> tuple[int, float]:
-    """Row j and weight frac of the lagged state at time tq on the grid.
+def _method_of_steps(rate: Callable[[float, list[float], list[float]],
+                                    list[float]],
+                     x0: list[float], tau: float,
+                     t_span: tuple[float, float], dt: float,
+                     *, simplex: bool) -> Trajectory:
+    """RK4 steps of x'(t) = rate(t, x(t), x(t - tau)) over float lists.
 
-    The state is row j + frac*(row j+1 - row j), or row j alone when frac
-    is 0, read from rows 0..filled integrated so far: row 0 (the constant
-    prehistory) before t0 and the newest row past it.
+    The lag reads x0 up to t0, the current state past the stored rows, and
+    else interpolates linearly between the rows (kept in the output through
+    a flat memoryview) around t - tau.  Raises as integrate_dde.
     """
-    if tq <= t0:
-        return 0, 0.0
-    pos = (tq - t0) / dt
-    j = int(pos)
-    if j >= filled:
-        return filled, 0.0
-    return j, pos - j
+    check_delay(tau, dt)
+    times = _make_grid(t_span, dt)
+    t0, width = float(times[0]), len(x0)
+    out = np.empty((times.shape[0], width))
+    out[0] = y = x0
+    hist = memoryview(out).cast("B").cast("d")
+
+    def delayed(tq: float, filled: int):
+        if tq <= t0:
+            return x0
+        pos = (tq - t0) / dt
+        j = int(pos)
+        if j >= filled:
+            return y
+        row = hist[j * width:(j + 1) * width]
+        frac = pos - j
+        if frac <= 0.0:
+            return row
+        return [a + frac * (b - a)
+                for a, b in zip(row, hist[(j + 1) * width:(j + 2) * width])]
+
+    half, sixth = 0.5 * dt, dt / 6.0
+    for i, t in enumerate(map(float, times[:-1])):
+        k1 = rate(t, y, delayed(t - tau, i))
+        lag_mid = delayed(t + half - tau, i)
+        k2 = rate(t + half, [v + half * k for v, k in zip(y, k1)], lag_mid)
+        k3 = rate(t + half, [v + half * k for v, k in zip(y, k2)], lag_mid)
+        k4 = rate(t + dt, [v + dt * k for v, k in zip(y, k3)],
+                  delayed(t + dt - tau, i))
+        y = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
+             for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        _check_finite(y)
+        if simplex:
+            y = _project_simplex(y)
+        for s, v in enumerate(y, (i + 1) * width):
+            hist[s] = v
+    return Trajectory(times=times, shares=out)
 
 
 def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
@@ -282,94 +310,19 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     already-integrated grid by linear interpolation, so the method is
     second order: the error falls by 4 per halving of dt.  Before the start
     the delayed state is the constant x0.  tau = 0 hands the field to
-    integrate_ode with the current state fed to both slots.  This is the
-    generic path; solve_fixed (and so the CLI) steps a delayed population
-    with _delayed_pass, which repeats it over Python floats.
+    integrate_ode with the current state fed to both slots.  tau > 0 runs
+    _method_of_steps, as solve_fixed does; `field` is as for integrate_ode.
 
     Raises:
         ValueError: 0 < tau < dt (one step would outrun the buffer).
         BlowUp: as for integrate_ode.
     """
-    check_delay(tau, dt)
     if tau == 0.0:
         return integrate_ode(lambda t, x: field(t, x, x), x0, t_span, dt,
                              simplex=simplex)
-    times = _make_grid(t_span, dt)
-    t0 = times[0]
-    y = np.asarray(x0, dtype=float).copy()
-    out = np.empty((times.shape[0], y.shape[0]))
-    out[0] = y
-
-    def delayed(tq: float, filled: int) -> np.ndarray:
-        j, frac = _lag(tq, t0, dt, filled)
-        if frac <= 0.0:
-            return out[j]
-        return out[j] + frac * (out[j + 1] - out[j])
-
-    half, sixth = 0.5 * dt, dt / 6.0
-    for i, t in enumerate(times[:-1]):
-        k1 = field(t, y, delayed(t - tau, i))
-        lag_mid = delayed(t + half - tau, i)
-        k2 = field(t + half, y + half * k1, lag_mid)
-        k3 = field(t + half, y + half * k2, lag_mid)
-        k4 = field(t + dt, y + dt * k3, delayed(t + dt - tau, i))
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(y)
-        if simplex:
-            y = _project_simplex(y)
-        out[i + 1] = y
-    return Trajectory(times=times, shares=out)
-
-
-def _delayed_pass(field: ReplicatorField, x0: np.ndarray, tau: float,
-                  t_span: tuple[float, float], dt: float) -> Trajectory:
-    """Float form of integrate_dde(field.delayed_rate, x0, tau, t_span, dt).
-
-    Same RK4 stages, constant prehistory x0, lag rule (_lag), finite check
-    and simplex projection, in the same order, with the field's float
-    kernel _rhs_floats; so for N <= 6 the shares are bit-identical to the
-    array integrator (see model._left_sum).  The step loop calls no numpy:
-    it writes and reads the preallocated rows through a flat memoryview.
-
-    Raises:
-        ValueError: 0 < tau < dt, or a malformed grid.
-        BlowUp: as for integrate_dde.
-    """
-    check_delay(tau, dt)
-    times = _make_grid(t_span, dt)
-    cfg, supply = field.cfg, field.supply.tolist()
-    t0, width = float(times[0]), len(supply)
-    y = x0.tolist()
-    out = np.empty((times.shape[0], width))
-    out[0] = y
-    hist = memoryview(out).cast("B").cast("d")
-
-    def delayed(tq: float, filled: int):
-        j, frac = _lag(tq, t0, dt, filled)
-        row = hist[j * width:(j + 1) * width]
-        if frac <= 0.0:
-            return row
-        return [a + frac * (b - a)
-                for a, b in zip(row, hist[(j + 1) * width:(j + 2) * width])]
-
-    half, sixth = 0.5 * dt, dt / 6.0
-    for i, t in enumerate(map(float, times[:-1])):
-        k1 = _rhs_floats(cfg, y, delayed(t - tau, i), supply)
-        lag_mid = delayed(t + half - tau, i)
-        k2 = _rhs_floats(cfg, [v + half * k for v, k in zip(y, k1)],
-                         lag_mid, supply)
-        k3 = _rhs_floats(cfg, [v + half * k for v, k in zip(y, k2)],
-                         lag_mid, supply)
-        k4 = _rhs_floats(cfg, [v + dt * k for v, k in zip(y, k3)],
-                         delayed(t + dt - tau, i), supply)
-        y = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
-             for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
-        _check_finite_floats(y)
-        y = _project_simplex_floats(y)
-        base = (i + 1) * width
-        for s, v in enumerate(y):
-            hist[base + s] = v
-    return Trajectory(times=times, shares=out)
+    return _method_of_steps(_on_lists(field),
+                            np.asarray(x0, dtype=float).tolist(), tau,
+                            t_span, dt, simplex=simplex)
 
 
 def _affine_rk4(y, a: float, src, h: float):
@@ -395,9 +348,8 @@ def _adjoint_profile(cfg: SystemConfig, times: np.ndarray,
     g = [0.0] * m
     for i in range(m - 1, 0, -1):
         g[i - 1] = _affine_rk4(g[i], rate[i - 1], 1.0, h)
-    out = np.array(g)
-    _check_finite(out)
-    return out
+    _check_finite(g)
+    return np.array(g)
 
 
 def _adjoint_scales(cfg: SystemConfig) -> tuple[np.ndarray, float]:
@@ -479,8 +431,8 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
         c, theta = _uptake_row(cfg, r)
         thetas.append(theta)
         x = [_affine_rk4(y, -theta, -delta * cs, dt) for y, cs in zip(x, c)]
-        _check_finite_floats(x)
-        x = _project_simplex_floats(x)
+        _check_finite(x)
+        x = _project_simplex(x)
     return np.array(shares), np.array(requests), np.array(prices), thetas
 
 
@@ -594,8 +546,9 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
                 dt: float) -> Trajectory:
     """Population run under a frozen allocation and zero cloud price.
 
-    Honors cfg.population_delay with constant prehistory x0 through
-    _delayed_pass, the float form of integrate_dde(field.delayed_rate, ..);
+    Honors cfg.population_delay with constant prehistory x0: a delayed run
+    steps the float kernel _rhs_floats in the loop of integrate_dde, so for
+    N <= 6 it matches integrate_dde(field.delayed_rate, ..) bit for bit;
     zero delay is the plain RK4 run of integrate_ode, via integrate_dde.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))
@@ -608,7 +561,10 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
     field = ReplicatorField(cfg, alloc)
     tau = cfg.population_delay
     if tau > 0.0:
-        traj = _delayed_pass(field, x0, tau, t_span, dt)
+        supply = field.supply.tolist()
+        traj = _method_of_steps(
+            lambda t, now, lag: _rhs_floats(cfg, now, lag, supply),
+            x0.tolist(), tau, t_span, dt, simplex=True)
     else:
         traj = integrate_dde(field.delayed_rate, x0, tau, t_span, dt)
     m = traj.times.shape[0]

@@ -186,10 +186,12 @@ class TestLoadScenario:
             load_scenario(path)
 
     def test_sweep_bad_param(self, tmp_path):
-        path = write_scenario(tmp_path,
-                              sweep={"param": "K", "values": [1.0]})
-        with pytest.raises(InvalidScenario, match="sweep: param must be one of"):
-            load_scenario(path)
+        for param in ("K", ["R_c"], {}):
+            path = write_scenario(tmp_path,
+                                  sweep={"param": param, "values": [1.0]})
+            with pytest.raises(InvalidScenario,
+                               match="sweep: param must be one of"):
+                load_scenario(path)
 
     def test_sweep_valid(self, tmp_path):
         path = write_scenario(tmp_path,
@@ -306,6 +308,24 @@ class TestSimulate:
         scenario = write_scenario(tmp_path, scheme="bogus")
         assert main(["simulate", scenario]) == 2
         assert "scheme" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [False, True])
+@pytest.mark.parametrize("command", [
+    ["simulate", "scn.json"],
+    ["compare", "scn.json", "--deltas", "1"],
+    ["sweep", "scn.json", "--param", "R_c", "--values", "2"],
+])
+def test_out_blocked_by_file_exit_code(tmp_path, capsys, command, under):
+    # --out names an existing file, or a path below one.
+    scenario = write_scenario(tmp_path, scheme="olsec", dt=0.1)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n", encoding="utf-8")
+    out = blocker / "run" if under else blocker
+    argv = [scenario if arg == "scn.json" else arg for arg in command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: out: ")
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
 class TestEss:
@@ -502,8 +522,9 @@ def test_bench_tracer_hooks_bind(tmp_path):
     # The benchmark's tracer wraps cli, solver, replicator and model names
     # by attribute from outside the package; a renamed hook crashes it.
     # An undelayed fixed-controls run goes through integrate_dde and
-    # ReplicatorField.delayed_rate; a delayed one steps solver._delayed_pass
-    # instead, so the tracer sees neither but must still run it.
+    # ReplicatorField.delayed_rate; a delayed one steps the float kernel in
+    # solver._method_of_steps instead, so the tracer sees neither but must
+    # still run it.
     root = Path(__file__).resolve().parent.parent
     code = f"""
 import sys

@@ -28,7 +28,7 @@ from eccsim.solver import (
     solve_open_loop,
     solve_ssec,
 )
-from eccsim.solver import (_adjoint_profile, _check_finite_floats,
+from eccsim.solver import (_adjoint_profile, _check_finite,
                            _forward_pass)
 from eccsim.stackelberg import (CcpCostate, EcpCostate, optimal_price,
                                 optimal_request)
@@ -134,6 +134,16 @@ class TestIntegrateDde:
                              (0.0, 0.5), 0.05, simplex=False)
         np.testing.assert_allclose(traj.shares[:, 0], 1.0 - traj.times,
                                    atol=1e-12)
+
+    def test_second_order_delayed_decay(self):
+        # x' = -x(t - 1) with x == 1 before t=0 has x(3) = -1/6 exactly.
+        errs = []
+        for dt in (0.1, 0.05, 0.025, 0.0125):
+            traj = integrate_dde(lambda t, y, z: -z, [1.0], 1.0,
+                                 (0.0, 3.0), dt, simplex=False)
+            errs.append(abs(traj.shares[-1, 0] + 1.0 / 6.0))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 3.8 < coarse / fine < 4.2
 
     def test_subcritical_delay_converges(self, cfg, x0):
         alloc = AllocationState([0.0, 0.0])
@@ -402,10 +412,10 @@ class TestSweep:
             _forward_pass(cfg, traj.shares[0], traj.times, g)
 
     def test_float_finite_check_reads_every_component(self):
-        _check_finite_floats([0.5, -0.25, MAGNITUDE_LIMIT])
+        _check_finite([0.5, -0.25, MAGNITUDE_LIMIT])
         for bad in (np.nan, np.inf, -np.inf, 2.0 * MAGNITUDE_LIMIT):
             with pytest.raises(BlowUp):
-                _check_finite_floats([0.5, 0.25, bad])
+                _check_finite([0.5, 0.25, bad])
 
     def test_rejects_boundary_start(self, cfg):
         with pytest.raises(ValueError, match="x0"):
