@@ -277,31 +277,27 @@ def _summary(scn: Scenario, traj: Trajectory,
     return out
 
 
-def _csv_header(n: int) -> str:
-    cols = (["t"] + [f"x_{k}" for k in range(1, n + 1)] + ["x_c"]
-            + [f"r_{k}" for k in range(1, n + 1)] + ["r_c", "p"]
-            + [f"u_{k}" for k in range(1, n + 1)] + ["u_c"]
-            + [f"U_{k}" for k in range(1, n + 1)] + ["U_c"])
-    return ",".join(cols)
+def _cols(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}_{k}" for k in range(1, n + 1)] + [f"{prefix}_c"]
 
 
-def _write_trajectory_csv(path: str, cfg: SystemConfig, traj: Trajectory) -> None:
-    n = cfg.n_ecps
-    remainder = 1.0 - traj.requests.sum(axis=1)
-    data = np.column_stack([
-        traj.times, traj.shares, traj.requests, remainder, traj.prices,
-        traj.utilities, traj.integral_utilities,
-    ])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header=_csv_header(n), comments="")
+def _csv(header: list[str], rows):
+    """CSV lines, streamed: string cells as they are, numbers as %.17g."""
+    yield ",".join(header)
+    for row in rows:
+        yield ",".join(["%s" if isinstance(c, str) else "%.17g"
+                        for c in row]) % tuple(row)
 
 
-def _dump_json(obj: dict, path: str | None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path is not None:
+def _write(out: str, name: str, lines) -> None:
+    """Write `lines`, each ended by a newline, to the artifact out/name."""
+    path = os.path.join(out, name)
+    try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise InvalidScenario(f"out: {exc.strerror}: {path}") from None
 
 
 def _ensure_out(args: argparse.Namespace) -> str:
@@ -317,9 +313,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scn = _override(load_scenario(args.scenario), args)
     out = _ensure_out(args)
     traj, report = _run_scheme(scn)
-    _write_trajectory_csv(os.path.join(out, "trajectory.csv"), scn.cfg, traj)
-    summary = _summary(scn, traj, report)
-    print(_dump_json(summary, os.path.join(out, "summary.json")))
+    n = scn.cfg.n_ecps
+    table = np.column_stack([
+        traj.times, traj.shares, traj.requests,
+        1.0 - traj.requests.sum(axis=1), traj.prices,
+        traj.utilities, traj.integral_utilities,
+    ])
+    _write(out, "trajectory.csv", _csv(
+        ["t"] + _cols("x", n) + _cols("r", n) + ["p"] + _cols("u", n)
+        + _cols("U", n), table))
+    text = json.dumps(_summary(scn, traj, report), indent=2, sort_keys=True)
+    _write(out, "summary.json", [text])
+    print(text)
     return 0
 
 
@@ -336,7 +341,7 @@ def cmd_ess(args: argparse.Namespace) -> int:
         "eigenvalues": [float(v) for v in eig],
         "delay_bound": float(delay_stability_bound(cfg, alloc)),
     }
-    print(_dump_json(payload, None))
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
@@ -351,7 +356,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     runs = [_derive(scn, {"learning_rate": delta}, scheme=scheme)
             for delta in deltas for scheme in ("olsec", "ssec")]
     out = _ensure_out(args)
-    n = scn.cfg.n_ecps
     rows = []
     for sub in runs:
         traj, report = _run_scheme(sub)
@@ -363,21 +367,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "integral_utilities": summary["integral_utilities"],
             "converged": summary["converged"],
         })
-    header = (["delta", "scheme", "convergence_time"]
-              + [f"U_{k}" for k in range(1, n + 1)] + ["U_c"])
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [format(row["delta"], ".17g"), row["scheme"]]
-        t_conv = row["convergence_time"]
-        cells.append("nan" if t_conv is None else format(t_conv, ".17g"))
-        for k in range(1, n + 1):
-            cells.append(format(row["integral_utilities"][f"ecp_{k}"], ".17g"))
-        cells.append(format(row["integral_utilities"]["ccp"], ".17g"))
-        lines.append(",".join(cells))
-    with open(os.path.join(out, "compare.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(_dump_json({"deltas": deltas, "rows": rows},
-                     os.path.join(out, "compare_summary.json")))
+    _write(out, "compare.csv", _csv(
+        ["delta", "scheme", "convergence_time"] + _cols("U", scn.cfg.n_ecps),
+        ([row["delta"], row["scheme"],
+          math.nan if row["convergence_time"] is None
+          else row["convergence_time"], *row["integral_utilities"].values()]
+         for row in rows)))
+    text = json.dumps({"deltas": deltas, "rows": rows}, indent=2,
+                      sort_keys=True)
+    _write(out, "compare_summary.json", [text])
+    print(text)
     return 0
 
 
@@ -416,7 +415,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "sweep: tau_x sweeps require the fixed-controls scheme")
     runs = [_derive(scn, {SWEEP_PARAMS[param]: value}) for value in values]
     out = _ensure_out(args)
-    n = scn.cfg.n_ecps
     rows = []
     for value, sub in zip(values, runs):
         traj, report = _run_scheme(sub)
@@ -427,19 +425,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             verdict = ("converged" if report is None or report.converged
                        else "no-convergence")
-        rows.append([value] + [float(v) for v in traj.shares[-1]]
-                    + [float(traj.prices[i_eq]),
-                       float(1.0 - traj.requests[i_eq].sum())]
-                    + [verdict])
-    header = (["value"] + [f"x_{k}" for k in range(1, n + 1)] + ["x_c"]
-              + ["p_star", "r_c", "verdict"])
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else format(cell, ".17g")
-            for cell in row))
-    with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append([value, *traj.shares[-1], traj.prices[i_eq],
+                     1.0 - traj.requests[i_eq].sum(), verdict])
+    _write(out, "sweep.csv", _csv(
+        ["value"] + _cols("x", scn.cfg.n_ecps) + ["p_star", "r_c", "verdict"],
+        rows))
     return 0
 
 

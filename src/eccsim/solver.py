@@ -21,9 +21,9 @@ scenarios.  The controls come from the one stationary-control kernel of
 Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
 sets the speed.  integrate_ode and integrate_dde adapt their array field to
-a float-list kernel (_on_lists).  A delayed run has one loop,
-_method_of_steps, which integrate_dde runs on the adapted field and
-solve_fixed (and so the CLI) on the float kernel replicator._rhs_floats.
+a float-list kernel (_on_lists) and step it in the one population loop,
+_method_of_steps, which a delayed solve_fixed (so the CLI) runs on the
+float kernel replicator._rhs_floats; the sweep steps by _affine_rk4.
 The loops repeat the array formulas' operations in their order, so for
 N <= 6 results are bit-identical to them; from N = 7 sums, the simplex sum
 included, may round differently (see model._left_sum).
@@ -185,7 +185,9 @@ def grid_steps(t_span: tuple[float, float], dt: float) -> int:
 
 
 def check_delay(tau: float, dt: float, name: str = "tau") -> None:
-    """Reject a nonzero delay shorter than one step (it outruns the buffer)."""
+    """Reject a non-finite delay, or a nonzero one shorter than a step."""
+    if not math.isfinite(tau):
+        raise ValueError(f"{name}: must be finite")
     if tau != 0.0 and tau < dt:
         raise ValueError(f"{name}: delay shorter than dt is not resolvable")
 
@@ -226,29 +228,17 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
     sum drifts past DRIFT_TOL and floored at SHARE_FLOOR to preserve
     interiority; population runs use this, generic test problems must not
     (a 1-d decay would be pinned to its initial value by renormalization).
-    The steps run on floats: `field` must return a vector as long as the
+    The steps are those of _method_of_steps at zero delay (the lag it reads
+    goes unused), on floats: `field` must return a vector as long as the
     state, and from N = 7 the simplex sum may round unlike numpy's.
 
     Raises:
         BlowUp: a state magnitude exceeded MAGNITUDE_LIMIT or went non-finite.
     """
-    times = _make_grid(t_span, dt)
     rate = _on_lists(field)
-    y = np.asarray(x0, dtype=float).tolist()
-    rows = [y]
-    half, sixth = 0.5 * dt, dt / 6.0
-    for t in map(float, times[:-1]):
-        k1 = rate(t, y)
-        k2 = rate(t + half, [v + half * k for v, k in zip(y, k1)])
-        k3 = rate(t + half, [v + half * k for v, k in zip(y, k2)])
-        k4 = rate(t + dt, [v + dt * k for v, k in zip(y, k3)])
-        y = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
-             for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
-        _check_finite(y)
-        if simplex:
-            y = _project_simplex(y)
-        rows.append(y)
-    return Trajectory(times=times, shares=np.array(rows))
+    return _method_of_steps(lambda t, now, lag: rate(t, now),
+                            np.asarray(x0, dtype=float).tolist(), 0.0,
+                            t_span, dt, simplex=simplex)
 
 
 def _method_of_steps(rate: Callable[[float, list[float], list[float]],
@@ -310,11 +300,13 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     already-integrated grid by linear interpolation, so the method is
     second order: the error falls by 4 per halving of dt.  Before the start
     the delayed state is the constant x0.  tau = 0 hands the field to
-    integrate_ode with the current state fed to both slots.  tau > 0 runs
-    _method_of_steps, as solve_fixed does; `field` is as for integrate_ode.
+    integrate_ode with the current state fed to both slots.  Either way the
+    steps are those of _method_of_steps, as in solve_fixed; `field` is as
+    for integrate_ode.
 
     Raises:
-        ValueError: 0 < tau < dt (one step would outrun the buffer).
+        ValueError: tau not finite, or 0 < tau < dt (one step would outrun
+            the buffer).
         BlowUp: as for integrate_ode.
     """
     if tau == 0.0:
@@ -452,6 +444,27 @@ def _attach_utilities(cfg: SystemConfig, traj: Trajectory) -> None:
     traj.integral_utilities = _running_trapezoid(weighted, traj.times)
 
 
+def _initial_shares(cfg: SystemConfig, x0) -> np.ndarray:
+    """x0 as an array, checked: one share per provider, all of them interior."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (cfg.n_ecps + 1,):
+        raise ValueError("x0: length inconsistent with n_ecps")
+    if not np.all(x0 > 0.0):
+        raise ValueError("x0: initial shares must be interior")
+    return x0
+
+
+def _path(cfg: SystemConfig, x0, times: np.ndarray,
+          g: np.ndarray | None) -> Trajectory:
+    """Forward pass under g (None: zeros, stored as None), with utilities."""
+    shares, requests, prices, _ = _forward_pass(
+        cfg, x0, times, np.zeros(times.shape[0]) if g is None else g)
+    traj = Trajectory(times=times, shares=shares, requests=requests,
+                      prices=prices, g=g)
+    _attach_utilities(cfg, traj)
+    return traj
+
+
 def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
                     t_span: tuple[float, float] | None = None,
                     max_iter: int = 500, tol: float = 1e-8,
@@ -475,9 +488,7 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
     """
     if t_span is None:
         t_span = (0.0, cfg.horizon)
-    x0 = np.asarray(x0, dtype=float)
-    if np.any(x0 <= 0.0):
-        raise ValueError("x0: initial shares must be interior")
+    x0 = _initial_shares(cfg, x0)
     times = _make_grid(t_span, dt)
     lam_diag, mu_scale = _adjoint_scales(cfg)
     adjoint_unit = max(float(np.max(np.abs(lam_diag))), abs(mu_scale))
@@ -500,11 +511,7 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
     report = SweepReport(iterations=iterations, state_residual=state_res,
                          costate_terminal_residual=costate_res,
                          converged=converged)
-    shares, requests, prices, _ = _forward_pass(cfg, x0, times, g)
-    traj = Trajectory(times=times, shares=shares, requests=requests,
-                      prices=prices, g=g)
-    _attach_utilities(cfg, traj)
-    return traj, report
+    return _path(cfg, x0, times, g), report
 
 
 def replay_forward(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
@@ -515,12 +522,7 @@ def replay_forward(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
     """
     if traj.g is None:
         raise ValueError("trajectory stores no adjoints to replay")
-    shares, requests, prices, _ = _forward_pass(
-        cfg, traj.shares[0].copy(), traj.times, traj.g)
-    out = Trajectory(times=traj.times, shares=shares, requests=requests,
-                     prices=prices, g=traj.g)
-    _attach_utilities(cfg, out)
-    return out
+    return _path(cfg, traj.shares[0], traj.times, traj.g)
 
 
 def solve_ssec(cfg: SystemConfig, x0, t_span: tuple[float, float],
@@ -530,16 +532,7 @@ def solve_ssec(cfg: SystemConfig, x0, t_span: tuple[float, float],
     Identical to the sweep's forward pass with g pinned to zero, i.e.
     providers optimize instantaneous payoff only.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if np.any(x0 <= 0.0):
-        raise ValueError("x0: initial shares must be interior")
-    times = _make_grid(t_span, dt)
-    shares, requests, prices, _ = _forward_pass(
-        cfg, x0, times, np.zeros(times.shape[0]))
-    traj = Trajectory(times=times, shares=shares, requests=requests,
-                      prices=prices)
-    _attach_utilities(cfg, traj)
-    return traj
+    return _path(cfg, _initial_shares(cfg, x0), _make_grid(t_span, dt), None)
 
 
 def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
@@ -547,17 +540,13 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
     """Population run under a frozen allocation and zero cloud price.
 
     Honors cfg.population_delay with constant prehistory x0: a delayed run
-    steps the float kernel _rhs_floats in the loop of integrate_dde, so for
+    steps the float kernel _rhs_floats in _method_of_steps, so for
     N <= 6 it matches integrate_dde(field.delayed_rate, ..) bit for bit;
     zero delay is the plain RK4 run of integrate_ode, via integrate_dde.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))
     _check_sizes(cfg, alloc=alloc)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (cfg.n_ecps + 1,):
-        raise ValueError("x0: length inconsistent with n_ecps")
-    if np.any(x0 <= 0.0):
-        raise ValueError("x0: initial shares must be interior")
+    x0 = _initial_shares(cfg, x0)
     field = ReplicatorField(cfg, alloc)
     tau = cfg.population_delay
     if tau > 0.0:

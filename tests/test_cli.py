@@ -328,6 +328,23 @@ def test_out_blocked_by_file_exit_code(tmp_path, capsys, command, under):
     assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
+@pytest.mark.parametrize("command,artifact", [
+    (["simulate", "scn.json"], "trajectory.csv"),
+    (["simulate", "scn.json"], "summary.json"),
+    (["compare", "scn.json", "--deltas", "1"], "compare.csv"),
+    (["compare", "scn.json", "--deltas", "1"], "compare_summary.json"),
+    (["sweep", "scn.json", "--param", "R_c", "--values", "2"], "sweep.csv"),
+])
+def test_artifact_blocked_by_directory_exit_code(tmp_path, capsys, command,
+                                                 artifact):
+    scenario = write_scenario(tmp_path, scheme="olsec", dt=0.1)
+    out = tmp_path / "run"
+    (out / artifact).mkdir(parents=True)
+    argv = [scenario if arg == "scn.json" else arg for arg in command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: out: ")
+
+
 class TestEss:
     def test_prints_rest_point(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
@@ -374,6 +391,20 @@ class TestCompare:
         assert payload["deltas"] == [1.0, 2.0]
         assert len(payload["rows"]) == 4
         assert all(row["converged"] for row in payload["rows"])
+
+    def test_unconverged_run_writes_nan(self, tmp_path, capsys):
+        # At this horizon neither scheme locks onto its rest point.
+        out = tmp_path / "cmp"
+        assert main(["compare", str(SCENARIOS / "scenario_a.json"),
+                     "--dt", "1.0", "--horizon", "5", "--deltas", "0.5",
+                     "--out", str(out)]) == 0
+        lines = (out / "compare.csv").read_text().splitlines()
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["0.5", "olsec", "nan"], ["0.5", "ssec", "nan"]]
+        for text in (capsys.readouterr().out,
+                     (out / "compare_summary.json").read_text()):
+            rows = json.loads(text)["rows"]
+            assert [row["convergence_time"] for row in rows] == [None, None]
 
     def test_rejects_bad_deltas(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)

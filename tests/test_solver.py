@@ -128,6 +128,11 @@ class TestIntegrateDde:
         with pytest.raises(ValueError, match="tau"):
             integrate_dde(lambda t, y, z: -z, [1.0], 0.005, (0.0, 1.0), 0.01)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_rejects_non_finite_delay(self, tau):
+        with pytest.raises(ValueError, match="^tau: must be finite"):
+            integrate_dde(lambda t, y, z: -z, [1.0], tau, (0.0, 1.0), 0.01)
+
     def test_constant_prehistory_linear_segment(self):
         # y' = -y(t - 0.5) with y == 1 before t=0: y(t) = 1 - t on [0, 0.5].
         traj = integrate_dde(lambda t, y, z: -z, [1.0], 0.5,
@@ -421,6 +426,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="x0"):
             solve_open_loop(cfg, [0.5, 0.5, 0.0], dt=0.1)
 
+    @pytest.mark.parametrize("solve", [
+        lambda cfg, x0: solve_open_loop(cfg, x0, dt=0.1, t_span=(0.0, 1.0)),
+        lambda cfg, x0: solve_ssec(cfg, x0, (0.0, 1.0), 0.1),
+        lambda cfg, x0: solve_fixed(cfg, x0, [0.1, 0.2], (0.0, 1.0), 0.1),
+    ], ids=["olsec", "ssec", "fixed"])
+    def test_rejects_nan_share(self, cfg, solve):
+        with pytest.raises(ValueError, match="^x0: initial shares must be"):
+            solve(cfg, [0.5, np.nan, 0.5])
+
     def test_nonconvergence_reported_not_raised(self, cfg):
         _, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.1,
                                     t_span=(0.0, 5.0), max_iter=2)
@@ -502,12 +516,20 @@ class TestMyopicAndFixed:
     @pytest.mark.parametrize("x0,r0,field", [
         ([0.5, 0.5], [0.1, 0.2], "x0"),
         ([0.3, 0.3, 0.4], [0.1], "requests"),
+        ([0.2, 0.2, 0.3, 0.3], [0.1, 0.2], "x0"),
     ])
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     def test_fixed_rejects_wrong_lengths(self, x0, r0, field, tau):
-        with pytest.raises(ValueError, match=f"^{field}: length"):
-            solve_fixed(make_config(population_delay=tau), x0, r0,
-                        (0.0, 1.0), 0.1)
+        # The other solvers take no allocation: only the x0 cases apply.
+        cfg = make_config(population_delay=tau)
+        solves = [lambda: solve_fixed(cfg, x0, r0, (0.0, 1.0), 0.1)]
+        if field == "x0":
+            solves += [
+                lambda: solve_open_loop(cfg, x0, dt=0.1, t_span=(0.0, 1.0)),
+                lambda: solve_ssec(cfg, x0, (0.0, 1.0), 0.1)]
+        for solve in solves:
+            with pytest.raises(ValueError, match=f"^{field}: length"):
+                solve()
 
     def test_fixed_utility_start_oracle(self, cfg, x0):
         # At r=0 and zero price: u = [8.75, 5.75, 8.0] for the duopoly start.
