@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -54,22 +55,31 @@ def _rhs_arrays(cfg: SystemConfig, now: np.ndarray, delayed: np.ndarray,
     return cfg.learning_rate * delayed * (utils - mean)
 
 
-def _rhs_floats(cfg: SystemConfig, now: list[float], delayed: list[float],
-                supply: list[float]) -> list[float]:
-    """_rhs_arrays over Python floats, for the per-step loop of the solver.
+def _rhs_floats(cfg: SystemConfig, supply: list[float]):
+    """_rhs_arrays over Python floats, curried as rate(t, delayed) -> field(now).
 
-    Same operations in the same order, so the result is bit-identical to
-    _rhs_arrays for N <= 6 (see model._left_sum).  A delayed share <= 0
+    `rate` builds the utilities and the factors delta*y of one delayed
+    state once, `field` sums the mean at `now` and forms the velocities:
+    the same operations in the same order, so the result is bit-identical
+    to _rhs_arrays for N <= 6 (see model._left_sum).  A delayed share <= 0
     hands over to _rhs_arrays, which owns the ZeroShare check.
     """
-    if not min(delayed) > 0.0:
-        return _rhs_arrays(cfg, np.array(now), np.array(delayed),
-                           np.array(supply)).tolist()
     users, beta, delta = cfg.n_users, cfg.mapping_factor, cfg.learning_rate
-    utils = [beta * (w / (users * y)) / p
-             for w, y, p in zip(supply, delayed, cfg.float_vectors[1])]
-    mean = _left_sum([x * u for x, u in zip(now, utils)])
-    return [(delta * y) * (u - mean) for y, u in zip(delayed, utils)]
+    prices = cfg.float_vectors[1]
+
+    def rate(t: float, delayed):
+        if not min(delayed) > 0.0:
+            lag, w = np.array(delayed), np.array(supply)
+            return lambda now: _rhs_arrays(cfg, np.array(now), lag, w).tolist()
+        utils = [beta * (w / (users * y)) / p
+                 for w, y, p in zip(supply, delayed, prices)]
+        growth = [delta * y for y in delayed]
+
+        def field(now: list[float]) -> list[float]:
+            mean = _left_sum(map(mul, now, utils))
+            return [g * (u - mean) for g, u in zip(growth, utils)]
+        return field
+    return rate
 
 
 def replicator_rhs(cfg: SystemConfig, pop: PopulationState,
@@ -111,9 +121,9 @@ class ReplicatorField:
     public vector field.  The supply w is fixed per field and computed
     once (`supply`).  Integrators take `rate` or `delayed_rate`; the time
     argument is unused.  The CLI's delayed runs do not call `delayed_rate`:
-    `solver.solve_fixed` hands the float kernel _rhs_floats to the
-    method-of-steps loop of `integrate_dde`, which gives the same values
-    bit for bit for N <= 6.
+    `solver.solve_fixed` hands the float kernel _rhs_floats, curried to
+    build the utilities once per lagged state, to the method-of-steps loop
+    of `integrate_dde`, which gives the same values bit for bit for N <= 6.
     """
 
     cfg: SystemConfig

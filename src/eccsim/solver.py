@@ -20,19 +20,20 @@ scenarios.  The controls come from the one stationary-control kernel of
 
 Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
-sets the speed.  integrate_ode and integrate_dde adapt their array field to
-a float-list kernel (_on_lists) and step it in the one population loop,
-_method_of_steps, which a delayed solve_fixed (so the CLI) runs on the
-float kernel replicator._rhs_floats; the sweep steps by _affine_rk4.
-The loops repeat the array formulas' operations in their order, so for
-N <= 6 results are bit-identical to them; from N = 7 sums, the simplex sum
+sets the speed.  The one population loop, _method_of_steps, steps a
+curried kernel rate(t, lag) -> field(now) and reads each lagged state once
+(node i reads grid position i - tau/dt); integrate_ode and integrate_dde
+curry their array field, a delayed solve_fixed (so the CLI) runs the float
+kernel replicator._rhs_floats, and the sweep steps by _affine_rk4.  The
+loops repeat the array formulas' operations in their order, so for N <= 6
+results are bit-identical to them; from N = 7 sums, the simplex sum
 included, may round differently (see model._left_sum).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -128,13 +129,9 @@ class Trajectory:
     def upto(self, t_end: float) -> "Trajectory":
         """View of the trajectory restricted to times <= t_end."""
         m = int(np.searchsorted(self.times, t_end + 1e-12, side="right"))
-
-        def cut(a):
-            return None if a is None else a[:m]
-
-        return Trajectory(self.times[:m], self.shares[:m], cut(self.requests),
-                          cut(self.prices), cut(self.g), cut(self.utilities),
-                          cut(self.integral_utilities))
+        cols = {f.name: getattr(self, f.name) for f in fields(self)}
+        return Trajectory(**{k: None if a is None else a[:m]
+                             for k, a in cols.items()})
 
 
 @dataclass(frozen=True)
@@ -185,9 +182,11 @@ def grid_steps(t_span: tuple[float, float], dt: float) -> int:
 
 
 def check_delay(tau: float, dt: float, name: str = "tau") -> None:
-    """Reject a non-finite delay, or a nonzero one shorter than a step."""
+    """Reject a non-finite or negative delay, or a nonzero one shorter than a step."""
     if not math.isfinite(tau):
         raise ValueError(f"{name}: must be finite")
+    if tau < 0.0:
+        raise ValueError(f"{name}: must be nonnegative")
     if tau != 0.0 and tau < dt:
         raise ValueError(f"{name}: delay shorter than dt is not resolvable")
 
@@ -214,9 +213,12 @@ def _project_simplex(y: list[float]) -> list[float]:
     return y
 
 
-def _on_lists(field: Callable[..., np.ndarray]) -> Callable[..., list[float]]:
-    """Array field as a float-list kernel; it must keep the state's length."""
-    return lambda t, *states: field(t, *map(np.array, states)).tolist()
+def _curried(field: Callable[..., np.ndarray]) -> Callable:
+    """Array field(t, now, lag) as a _method_of_steps kernel, one lag array per read."""
+    def rate(t: float, lag):
+        lag = np.array(lag)
+        return lambda now: field(t, np.array(now), lag).tolist()
+    return rate
 
 
 def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
@@ -235,52 +237,52 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
     Raises:
         BlowUp: a state magnitude exceeded MAGNITUDE_LIMIT or went non-finite.
     """
-    rate = _on_lists(field)
-    return _method_of_steps(lambda t, now, lag: rate(t, now),
-                            np.asarray(x0, dtype=float).tolist(), 0.0,
-                            t_span, dt, simplex=simplex)
+    return _method_of_steps(_curried(lambda t, now, lag: field(t, now)), x0,
+                            0.0, t_span, dt, simplex=simplex)
 
 
-def _method_of_steps(rate: Callable[[float, list[float], list[float]],
-                                    list[float]],
-                     x0: list[float], tau: float,
-                     t_span: tuple[float, float], dt: float,
+def _method_of_steps(rate: Callable[[float, list[float]], Callable], x0,
+                     tau: float, t_span: tuple[float, float], dt: float,
                      *, simplex: bool) -> Trajectory:
-    """RK4 steps of x'(t) = rate(t, x(t), x(t - tau)) over float lists.
+    """RK4 steps of x'(t) = f(t, x(t), x(t - tau)) over float lists.
 
-    The lag reads x0 up to t0, the current state past the stored rows, and
-    else interpolates linearly between the rows (kept in the output through
-    a flat memoryview) around t - tau.  Raises as integrate_dde.
+    The kernel is curried: rate(t, lag) reads one lagged state and returns
+    `field`, with field(now) = f(t, now, lag).  Node i reads the lag at grid
+    position i - tau/dt, k2 and k3 share i + 1/2 - tau/dt, and k4 reads
+    i + 1 - tau/dt, whose field is node i+1's k1: 2*steps + 1 `rate` calls.
+    Positions <= 0 read x0, ones past the stored rows (tau = 0 only, where
+    the lag goes unused) the state at node i, others interpolate linearly
+    between rows kept in the output's flat memoryview.  Raises as integrate_dde.
     """
     check_delay(tau, dt)
     times = _make_grid(t_span, dt)
-    t0, width = float(times[0]), len(x0)
+    x0 = np.asarray(x0, dtype=float).tolist()
+    width, shift = len(x0), tau / dt
     out = np.empty((times.shape[0], width))
     out[0] = y = x0
     hist = memoryview(out).cast("B").cast("d")
 
-    def delayed(tq: float, filled: int):
-        if tq <= t0:
+    def delayed(pos: float, i: int):
+        if pos <= 0.0:
             return x0
-        pos = (tq - t0) / dt
         j = int(pos)
-        if j >= filled:
+        if j >= i:
             return y
-        row = hist[j * width:(j + 1) * width]
-        frac = pos - j
+        k = j * width
+        row, frac = hist[k:k + width], pos - j
         if frac <= 0.0:
             return row
-        return [a + frac * (b - a)
-                for a, b in zip(row, hist[(j + 1) * width:(j + 2) * width])]
+        return [a + frac * (b - a) for a, b in zip(row, hist[k + width:k + 2 * width])]
 
     half, sixth = 0.5 * dt, dt / 6.0
-    for i, t in enumerate(map(float, times[:-1])):
-        k1 = rate(t, y, delayed(t - tau, i))
-        lag_mid = delayed(t + half - tau, i)
-        k2 = rate(t + half, [v + half * k for v, k in zip(y, k1)], lag_mid)
-        k3 = rate(t + half, [v + half * k for v, k in zip(y, k2)], lag_mid)
-        k4 = rate(t + dt, [v + dt * k for v, k in zip(y, k3)],
-                  delayed(t + dt - tau, i))
+    field = rate(float(times[0]), delayed(-shift, 0))
+    for i, t_end in enumerate(map(float, times[1:])):
+        k1 = field(y)
+        mid = rate(t_end - half, delayed(i + 0.5 - shift, i))
+        k2 = mid([v + half * k for v, k in zip(y, k1)])
+        k3 = mid([v + half * k for v, k in zip(y, k2)])
+        field = rate(t_end, delayed(i + 1 - shift, i))
+        k4 = field([v + dt * k for v, k in zip(y, k3)])
         y = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
              for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
         _check_finite(y)
@@ -299,22 +301,22 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     Each step takes RK4 stages, but the delayed state is read from the
     already-integrated grid by linear interpolation, so the method is
     second order: the error falls by 4 per halving of dt.  Before the start
-    the delayed state is the constant x0.  tau = 0 hands the field to
-    integrate_ode with the current state fed to both slots.  Either way the
-    steps are those of _method_of_steps, as in solve_fixed; `field` is as
-    for integrate_ode.
+    the delayed state is the constant x0.  Node i reads the lag at grid
+    position i - tau/dt, so a step reads two lagged states (mid-step, end).
+    tau = 0 hands the field to integrate_ode with the current state fed to
+    both slots.  Either way the steps are those of _method_of_steps, as in
+    solve_fixed; `field` is as for integrate_ode.
 
     Raises:
-        ValueError: tau not finite, or 0 < tau < dt (one step would outrun
-            the buffer).
+        ValueError: tau not finite, negative, or 0 < tau < dt (one step
+            would outrun the buffer).
         BlowUp: as for integrate_ode.
     """
     if tau == 0.0:
         return integrate_ode(lambda t, x: field(t, x, x), x0, t_span, dt,
                              simplex=simplex)
-    return _method_of_steps(_on_lists(field),
-                            np.asarray(x0, dtype=float).tolist(), tau,
-                            t_span, dt, simplex=simplex)
+    return _method_of_steps(_curried(field), x0, tau, t_span, dt,
+                            simplex=simplex)
 
 
 def _affine_rk4(y, a: float, src, h: float):
@@ -384,12 +386,8 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
 
     Returns shares, requests and prices per node, plus the M-1
     per-interval Theta values for the backward pass (_adjoint_profile), so
-    both halves of the sweep read the same Theta.
-
-    The node loop runs on Python floats and lists and calls no numpy: the
-    per-run constants are converted once, and the rows become arrays after
-    the loop.  It repeats the array formulas' operations in their order, so
-    for N <= 6 the result is bit-identical to them (see model._left_sum).
+    both halves of the sweep read the same Theta.  The node loop calls no
+    numpy (see the module docstring).
     """
     n = cfg.n_ecps
     m = times.shape[0]
@@ -540,7 +538,7 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
     """Population run under a frozen allocation and zero cloud price.
 
     Honors cfg.population_delay with constant prehistory x0: a delayed run
-    steps the float kernel _rhs_floats in _method_of_steps, so for
+    steps the curried float kernel _rhs_floats in _method_of_steps, so for
     N <= 6 it matches integrate_dde(field.delayed_rate, ..) bit for bit;
     zero delay is the plain RK4 run of integrate_ode, via integrate_dde.
     """
@@ -548,14 +546,11 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
     _check_sizes(cfg, alloc=alloc)
     x0 = _initial_shares(cfg, x0)
     field = ReplicatorField(cfg, alloc)
-    tau = cfg.population_delay
-    if tau > 0.0:
-        supply = field.supply.tolist()
-        traj = _method_of_steps(
-            lambda t, now, lag: _rhs_floats(cfg, now, lag, supply),
-            x0.tolist(), tau, t_span, dt, simplex=True)
+    if cfg.population_delay > 0.0:
+        traj = _method_of_steps(_rhs_floats(cfg, field.supply.tolist()), x0,
+                                cfg.population_delay, t_span, dt, simplex=True)
     else:
-        traj = integrate_dde(field.delayed_rate, x0, tau, t_span, dt)
+        traj = integrate_dde(field.delayed_rate, x0, 0.0, t_span, dt)
     m = traj.times.shape[0]
     traj.requests = np.tile(alloc.requests, (m, 1))
     traj.prices = np.zeros(m)

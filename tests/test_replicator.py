@@ -175,7 +175,7 @@ class TestReplicatorField:
         now = rng.dirichlet(np.ones(n + 1))
         delayed = rng.dirichlet(np.ones(n + 1))
         supply = field.supply.tolist()
-        got = _rhs_floats(cfg, now.tolist(), delayed.tolist(), supply)
+        got = _rhs_floats(cfg, supply)(0.0, delayed.tolist())(now.tolist())
         assert got == _rhs_arrays(cfg, now, delayed, field.supply).tolist()
 
         utils = [cfg.mapping_factor * (w / (cfg.n_users * y)) / p
@@ -191,13 +191,13 @@ class TestReplicatorField:
     def test_zero_share_raises_through_float_kernel(self, cfg):
         supply = ReplicatorField(cfg, AllocationState([0.0, 0.0])).supply
         with pytest.raises(ZeroShare, match="cloud"):
-            _rhs_floats(cfg, [0.3, 0.3, 0.4], [0.5, 0.5, 0.0],
-                        supply.tolist())
+            _rhs_floats(cfg, supply.tolist())(0.0, [0.5, 0.5, 0.0])(
+                [0.3, 0.3, 0.4])
 
     def test_float_kernel_empty_group_without_supply(self, cfg):
         field = ReplicatorField(cfg, AllocationState([0.55, 0.45]))
         now, delayed = [0.5, 0.4, 0.1], [0.6, 0.4, 0.0]
-        got = _rhs_floats(cfg, now, delayed, field.supply.tolist())
+        got = _rhs_floats(cfg, field.supply.tolist())(0.0, delayed)(now)
         assert got == field.delayed_rate(0.0, np.array(now),
                                          np.array(delayed)).tolist()
         assert got[2] == 0.0

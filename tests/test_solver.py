@@ -29,7 +29,7 @@ from eccsim.solver import (
     solve_ssec,
 )
 from eccsim.solver import (_adjoint_profile, _check_finite,
-                           _forward_pass)
+                           _forward_pass, _make_grid, _method_of_steps)
 from eccsim.stackelberg import (CcpCostate, EcpCostate, optimal_price,
                                 optimal_request)
 
@@ -133,6 +133,55 @@ class TestIntegrateDde:
         with pytest.raises(ValueError, match="^tau: must be finite"):
             integrate_dde(lambda t, y, z: -z, [1.0], tau, (0.0, 1.0), 0.01)
 
+    def test_rejects_negative_delay(self):
+        # A negative shift would read rows the loop has not written yet.
+        with pytest.raises(ValueError, match="^tau: must be nonnegative$"):
+            integrate_dde(lambda t, y, z: -z, [1.0], -0.5, (0.0, 1.0), 0.01)
+
+    def test_zero_delay_reads_only_stored_rows(self):
+        # At tau = 0 the lag positions are the grid nodes themselves, so no
+        # lagged state is interpolated: every lag is x0 or a stored row.
+        # Reading the lag at (t - tau - t0)/dt instead interpolated on 148 of
+        # these 3000 steps, where t fell a rounding error below a node.
+        assert _make_grid((0.0, 30.0), 0.01).shape == (3001,)
+        lags = []
+
+        def rate(t, lag):
+            lags.append(list(lag))
+            return lambda now: [-0.1 * v for v in now]
+
+        x0 = [0.3, 0.7]
+        traj = _method_of_steps(rate, x0, 0.0, (0.0, 30.0), 0.01,
+                                simplex=False)
+        rows = {tuple(row) for row in traj.shares.tolist()}
+        assert len(lags) == 2 * 3000 + 1
+        assert all(lag == x0 or tuple(lag) in rows for lag in lags)
+
+    @pytest.mark.parametrize("tau", [0.1, 0.25, 0.3])
+    def test_two_lag_reads_per_step(self, x0, tau, monkeypatch):
+        # Stages k2 and k3 share the mid-step lag, and the end-of-step lag
+        # of k4 is the next step's start lag: 2*steps + 1 lag reads, each
+        # building its utilities once, for 4*steps field evaluations.
+        calls = {"rate": 0, "field": 0}
+
+        def counted(cfg, supply, _orig=eccsim.solver._rhs_floats):
+            inner = _orig(cfg, supply)
+
+            def rate(t, lag):
+                calls["rate"] += 1
+                field = inner(t, lag)
+
+                def counted_field(now):
+                    calls["field"] += 1
+                    return field(now)
+                return counted_field
+            return rate
+
+        monkeypatch.setattr(eccsim.solver, "_rhs_floats", counted)
+        solve_fixed(make_config(population_delay=tau), x0, [0.1, 0.2],
+                    (0.0, 1.0), 0.1)
+        assert calls == {"rate": 2 * 10 + 1, "field": 4 * 10}
+
     def test_constant_prehistory_linear_segment(self):
         # y' = -y(t - 0.5) with y == 1 before t=0: y(t) = 1 - t on [0, 0.5].
         traj = integrate_dde(lambda t, y, z: -z, [1.0], 0.5,
@@ -149,6 +198,20 @@ class TestIntegrateDde:
             errs.append(abs(traj.shares[-1, 0] + 1.0 / 6.0))
         for coarse, fine in zip(errs, errs[1:]):
             assert 3.8 < coarse / fine < 4.2
+
+    def test_second_order_off_grid_delay(self):
+        # x' = -x(t - 0.73), x == 1 before t=0: on [2 tau, 3 tau], which
+        # holds t = 2, x(t) = 1 - t + (t-tau)^2/2 - (t-2 tau)^3/6.  The delay
+        # is no multiple of any dt below, so every lag is interpolated.
+        tau = 0.73
+        exact = 1.0 - 2.0 + (2.0 - tau) ** 2 / 2.0 - (2.0 - 2.0 * tau) ** 3 / 6.0
+        errs = []
+        for dt in (0.1, 0.05, 0.025, 0.0125, 0.00625):
+            traj = integrate_dde(lambda t, y, z: -z, [1.0], tau,
+                                 (0.0, 2.0), dt, simplex=False)
+            errs.append(abs(traj.shares[-1, 0] - exact))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 3.5 < coarse / fine < 4.6
 
     def test_subcritical_delay_converges(self, cfg, x0):
         alloc = AllocationState([0.0, 0.0])
@@ -508,7 +571,8 @@ class TestMyopicAndFixed:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_delayed_pass_checks_last_component(self, x0, bad, monkeypatch):
         monkeypatch.setattr(eccsim.solver, "_rhs_floats",
-                            lambda cfg, now, delayed, supply: [0.0, 0.0, bad])
+                            lambda cfg, supply: lambda t, delayed:
+                            lambda now: [0.0, 0.0, bad])
         with pytest.raises(BlowUp):
             solve_fixed(make_config(population_delay=0.5), x0, [0.1, 0.2],
                         (0.0, 1.0), 0.1)
