@@ -150,11 +150,14 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(raw, dict):
         raise InvalidScenario("scenario: top level must be an object")
 
+    known = (set(_SCALAR_FIELDS) | set(_VECTOR_FIELDS)
+             | {"population_delay", "x0", "r0", "dt", "eps_convergence",
+                "scheme", "sweep"})
+    for key in raw:
+        if key not in known:
+            raise InvalidScenario(f"{key}: unknown field")
     required = (set(_SCALAR_FIELDS) | set(_VECTOR_FIELDS)
                 | {"x0", "r0", "dt", "eps_convergence", "scheme"})
-    for key in raw:
-        if key not in required | {"population_delay", "sweep"}:
-            raise InvalidScenario(f"{key}: unknown field")
     for key in sorted(required):
         if key not in raw:
             raise InvalidScenario(f"{key}: missing field")
@@ -437,20 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "the providers' hierarchical differential game.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    options = {
+    overrides = {
         "--dt": {"type": float, "help": "override the scenario step size"},
         "--horizon": {"type": float, "help": "override the scenario horizon"},
         "--scheme": {"choices": SCHEMES, "help": "override the scenario scheme"},
-        "--out": {"help": "output directory"},
     }
 
     def common(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument("scenario", help="path to a scenario JSON file")
         for flag in flags:
-            p.add_argument(flag, default=None, **options[flag])
+            p.add_argument(flag, default=None, **overrides[flag])
 
     p_sim = sub.add_parser("simulate", help="run one scheme, write CSV + summary")
-    common(p_sim, "--dt", "--horizon", "--scheme", "--out")
+    common(p_sim, "--dt", "--horizon", "--scheme")
+    p_sim.add_argument("--out", default=None, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ess = sub.add_parser("ess", help="print the closed-form rest point")
@@ -458,17 +461,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_ess.set_defaults(func=cmd_ess)
 
     p_cmp = sub.add_parser("compare", help="olsec vs ssec across learning rates")
-    common(p_cmp, "--dt", "--horizon", "--out")
+    common(p_cmp, "--dt", "--horizon")
     p_cmp.add_argument("--deltas", default="0.5,1,1.5,2",
                        help="comma-separated learning rates")
+    p_cmp.add_argument("--out", default=None, help="output directory")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_swp = sub.add_parser("sweep", help="re-solve across one parameter")
-    common(p_swp, "--dt", "--horizon", "--scheme", "--out")
+    common(p_swp, "--dt", "--horizon", "--scheme")
     p_swp.add_argument("--param", default=None, choices=sorted(SWEEP_PARAMS),
                        help="parameter to sweep (default: scenario sweep block)")
     p_swp.add_argument("--values", default=None,
                        help="comma-separated parameter values")
+    p_swp.add_argument("--out", default=None, help="output directory")
     p_swp.set_defaults(func=cmd_sweep)
     return parser
 

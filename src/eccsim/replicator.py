@@ -58,23 +58,19 @@ def _rhs_arrays(cfg: SystemConfig, now: np.ndarray, delayed: np.ndarray,
 def _rhs_floats(cfg: SystemConfig, supply: list[float]):
     """_rhs_arrays over Python floats, curried as rate(t, delayed) -> field(now).
 
-    `rate` builds the utilities and the factors delta*y of one delayed
-    state once, `field` sums the mean at `now` and forms the velocities:
-    the same operations in the same order, so the result is bit-identical
-    to _rhs_arrays for N <= 6 (see model._left_sum).  A delayed share <= 0
-    hands over to _rhs_arrays, which owns the ZeroShare check.
+    `rate` builds the utilities and factors delta*y of a delayed state once,
+    `field` sums the mean at `now` and forms the velocities, in _rhs_arrays'
+    order of operations: bit-identical to it for N <= 6 (see model._left_sum).
+    A delayed share <= 0 hands over to _rhs_arrays, which owns the ZeroShare check.
     """
     users, beta, delta = cfg.n_users, cfg.mapping_factor, cfg.learning_rate
     prices = cfg.float_vectors[1]
-
     def rate(t: float, delayed):
         if not min(delayed) > 0.0:
             lag, w = np.array(delayed), np.array(supply)
             return lambda now: _rhs_arrays(cfg, np.array(now), lag, w).tolist()
-        utils = [beta * (w / (users * y)) / p
-                 for w, y, p in zip(supply, delayed, prices)]
+        utils = [beta * (w / (users * y)) / p for w, y, p in zip(supply, delayed, prices)]
         growth = [delta * y for y in delayed]
-
         def field(now: list[float]) -> list[float]:
             mean = _left_sum(map(mul, now, utils))
             return [g * (u - mean) for g, u in zip(growth, utils)]

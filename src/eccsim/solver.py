@@ -20,20 +20,19 @@ scenarios.  The controls come from the one stationary-control kernel of
 
 Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
-sets the speed.  The one population loop, _method_of_steps, steps a
-curried kernel rate(t, lag) -> field(now) and reads each lagged state once
-(node i reads grid position i - tau/dt); integrate_ode and integrate_dde
-curry their array field, a delayed solve_fixed (so the CLI) runs the float
-kernel replicator._rhs_floats, and the sweep steps by _affine_rk4.  The
-loops repeat the array formulas' operations in their order, so for N <= 6
-results are bit-identical to them; from N = 7 sums, the simplex sum
+sets the speed.  The one population loop, _method_of_steps, steps a curried
+kernel rate(t, lag) -> field(now) and reads each lagged state once, node i
+at grid position i - tau/dt; integrate_ode and integrate_dde curry their
+array field, a delayed solve_fixed (so the CLI) runs replicator._rhs_floats.
+The loops repeat the array formulas' operations in their order, so for
+N <= 6 results are bit-identical to them; from N = 7 sums, the simplex sum
 included, may round differently (see model._left_sum).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -129,9 +128,13 @@ class Trajectory:
     def upto(self, t_end: float) -> "Trajectory":
         """View of the trajectory restricted to times <= t_end."""
         m = int(np.searchsorted(self.times, t_end + 1e-12, side="right"))
-        cols = {f.name: getattr(self, f.name) for f in fields(self)}
-        return Trajectory(**{k: None if a is None else a[:m]
-                             for k, a in cols.items()})
+
+        def cut(a):
+            return None if a is None else a[:m]
+
+        return Trajectory(self.times[:m], self.shares[:m], cut(self.requests),
+                          cut(self.prices), cut(self.g), cut(self.utilities),
+                          cut(self.integral_utilities))
 
 
 @dataclass(frozen=True)
@@ -246,13 +249,12 @@ def _method_of_steps(rate: Callable[[float, list[float]], Callable], x0,
                      *, simplex: bool) -> Trajectory:
     """RK4 steps of x'(t) = f(t, x(t), x(t - tau)) over float lists.
 
-    The kernel is curried: rate(t, lag) reads one lagged state and returns
-    `field`, with field(now) = f(t, now, lag).  Node i reads the lag at grid
-    position i - tau/dt, k2 and k3 share i + 1/2 - tau/dt, and k4 reads
-    i + 1 - tau/dt, whose field is node i+1's k1: 2*steps + 1 `rate` calls.
-    Positions <= 0 read x0, ones past the stored rows (tau = 0 only, where
-    the lag goes unused) the state at node i, others interpolate linearly
-    between rows kept in the output's flat memoryview.  Raises as integrate_dde.
+    rate(t, lag) reads one lagged state and returns field, field(now) =
+    f(t, now, lag).  Node i reads the lag at grid position i - tau/dt, k2 and
+    k3 share i + 1/2 - tau/dt, k4 reads i + 1 - tau/dt, whose field is node
+    i+1's k1: 2*steps + 1 `rate` calls.  Positions <= 0 read row 0 (x0), ones
+    past the stored rows (tau = 0 only; the lag goes unused) row i, others
+    interpolate rows kept in a flat memoryview.  Raises as integrate_dde.
     """
     check_delay(tau, dt)
     times = _make_grid(t_span, dt)
@@ -263,9 +265,7 @@ def _method_of_steps(rate: Callable[[float, list[float]], Callable], x0,
     hist = memoryview(out).cast("B").cast("d")
 
     def delayed(pos: float, i: int):
-        if pos <= 0.0:
-            return x0
-        j = int(pos)
+        j = max(int(pos), 0)
         if j >= i:
             return y
         k = j * width
@@ -302,10 +302,10 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     already-integrated grid by linear interpolation, so the method is
     second order: the error falls by 4 per halving of dt.  Before the start
     the delayed state is the constant x0.  Node i reads the lag at grid
-    position i - tau/dt, so a step reads two lagged states (mid-step, end).
-    tau = 0 hands the field to integrate_ode with the current state fed to
-    both slots.  Either way the steps are those of _method_of_steps, as in
-    solve_fixed; `field` is as for integrate_ode.
+    position i - tau/dt, so a step reads two lagged states.  tau = 0 hands
+    the field to integrate_ode with the current state fed to both slots.
+    Either way the steps are those of _method_of_steps, as in solve_fixed;
+    `field` is as for integrate_ode.
 
     Raises:
         ValueError: tau not finite, negative, or 0 < tau < dt (one step
@@ -386,8 +386,7 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
 
     Returns shares, requests and prices per node, plus the M-1
     per-interval Theta values for the backward pass (_adjoint_profile), so
-    both halves of the sweep read the same Theta.  The node loop calls no
-    numpy (see the module docstring).
+    both halves of the sweep read the same Theta.
     """
     n = cfg.n_ecps
     m = times.shape[0]
