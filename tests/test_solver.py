@@ -140,9 +140,9 @@ class TestIntegrateDde:
 
     def test_zero_delay_reads_only_stored_rows(self):
         # At tau = 0 the lag positions are the grid nodes themselves, so no
-        # lagged state is interpolated: every lag is x0 or a stored row.
-        # Reading the lag at (t - tau - t0)/dt instead interpolated on 148 of
-        # these 3000 steps, where t fell a rounding error below a node.
+        # lagged state is interpolated: every lag is x0 or a stored row.  A
+        # position taken from the grid times, (t - tau - t0)/dt, can fall a
+        # rounding error below a node and interpolate a row for nothing.
         assert _make_grid((0.0, 30.0), 0.01).shape == (3001,)
         lags = []
 
