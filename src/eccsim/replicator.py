@@ -56,25 +56,30 @@ def _rhs_arrays(cfg: SystemConfig, now: np.ndarray, delayed: np.ndarray,
 
 
 def _rhs_floats(cfg: SystemConfig, supply: list[float]):
-    """_rhs_arrays over Python floats, curried as rate(t, delayed) -> field(now).
+    """_rhs_arrays curried as rate(ts, lags) -> fields, one field(now) per lag row.
 
-    `rate` builds the utilities and factors delta*y of a delayed state once,
-    `field` sums the mean at `now` and forms the velocities, in _rhs_arrays'
-    order of operations: bit-identical to it for N <= 6 (see model._left_sum).
-    A delayed share <= 0 hands over to _rhs_arrays, which owns the ZeroShare check.
+    `rate` builds the utilities and factors delta*y of a whole block of
+    delayed states in one numpy pass, element by element as _rhs_arrays does;
+    each `field` sums the mean at `now` over Python floats and forms the
+    velocities, in _rhs_arrays' order of operations: bit-identical to it for
+    N <= 6 (see model._left_sum).  A block holding a delayed share <= 0 hands
+    its rows to _rhs_arrays, which owns the ZeroShare check.
     """
     users, beta, delta = cfg.n_users, cfg.mapping_factor, cfg.learning_rate
-    prices = cfg.float_vectors[1]
-    def rate(t: float, delayed):
-        if not min(delayed) > 0.0:
-            lag, w = np.array(delayed), np.array(supply)
-            return lambda now: _rhs_arrays(cfg, np.array(now), lag, w).tolist()
-        utils = [beta * (w / (users * y)) / p for w, y, p in zip(supply, delayed, prices)]
-        growth = [delta * y for y in delayed]
+    w, prices = np.array(supply), cfg.all_access_prices
+
+    def velocity(utils: list[float], growth: list[float]):
         def field(now: list[float]) -> list[float]:
             mean = _left_sum(map(mul, now, utils))
             return [g * (u - mean) for g, u in zip(growth, utils)]
         return field
+
+    def rate(ts, lags: np.ndarray) -> list:
+        if not lags.min() > 0.0:
+            return [lambda now, lag=lag: _rhs_arrays(cfg, np.array(now), lag, w).tolist()
+                    for lag in lags]
+        utils = beta * (w / (users * lags)) / prices
+        return list(map(velocity, utils.tolist(), (delta * lags).tolist()))
     return rate
 
 
@@ -117,9 +122,10 @@ class ReplicatorField:
     public vector field.  The supply w is fixed per field and computed
     once (`supply`).  Integrators take `rate` or `delayed_rate`; the time
     argument is unused.  The CLI's delayed runs do not call `delayed_rate`:
-    `solver.solve_fixed` hands the float kernel _rhs_floats, curried to
-    build the utilities once per lagged state, to the method-of-steps loop
-    of `integrate_dde`, which gives the same values bit for bit for N <= 6.
+    `solver.solve_fixed` hands the float kernel _rhs_floats, which builds
+    the utilities of a block of lagged states in one numpy pass, to
+    `solver._method_of_steps`, the loop `integrate_dde` steps too; it gives
+    the same values bit for bit for N <= 6.
     """
 
     cfg: SystemConfig

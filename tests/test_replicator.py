@@ -175,7 +175,7 @@ class TestReplicatorField:
         now = rng.dirichlet(np.ones(n + 1))
         delayed = rng.dirichlet(np.ones(n + 1))
         supply = field.supply.tolist()
-        got = _rhs_floats(cfg, supply)(0.0, delayed.tolist())(now.tolist())
+        got = _rhs_floats(cfg, supply)([0.0], delayed[None, :])[0](now.tolist())
         assert got == _rhs_arrays(cfg, now, delayed, field.supply).tolist()
 
         utils = [cfg.mapping_factor * (w / (cfg.n_users * y)) / p
@@ -191,13 +191,27 @@ class TestReplicatorField:
     def test_zero_share_raises_through_float_kernel(self, cfg):
         supply = ReplicatorField(cfg, AllocationState([0.0, 0.0])).supply
         with pytest.raises(ZeroShare, match="cloud"):
-            _rhs_floats(cfg, supply.tolist())(0.0, [0.5, 0.5, 0.0])(
+            _rhs_floats(cfg, supply.tolist())([0.0], np.array([[0.5, 0.5, 0.0]]))[0](
                 [0.3, 0.3, 0.4])
+
+    def test_zero_share_check_covers_every_row_of_a_block(self, cfg):
+        # One zero share in the last row of a block sends the block to
+        # _rhs_arrays: the earlier rows still give their velocities, the
+        # last one raises, naming the provider.  A check on the first row
+        # alone would divide by the zero share instead.
+        supply = ReplicatorField(cfg, AllocationState([0.1, 0.2])).supply
+        lags = np.array([[0.3, 0.3, 0.4], [0.2, 0.5, 0.3], [0.6, 0.0, 0.4]])
+        fields = _rhs_floats(cfg, supply.tolist())([0.0, 0.5, 1.0], lags)
+        now = np.array([0.3, 0.3, 0.4])
+        for lag, field in zip(lags[:2], fields):
+            assert field(now.tolist()) == _rhs_arrays(cfg, now, lag, supply).tolist()
+        with pytest.raises(ZeroShare, match="^ecp 2:"):
+            fields[2](now.tolist())
 
     def test_float_kernel_empty_group_without_supply(self, cfg):
         field = ReplicatorField(cfg, AllocationState([0.55, 0.45]))
         now, delayed = [0.5, 0.4, 0.1], [0.6, 0.4, 0.0]
-        got = _rhs_floats(cfg, field.supply.tolist())(0.0, delayed)(now)
+        got = _rhs_floats(cfg, field.supply.tolist())([0.0], np.array([delayed]))[0](now)
         assert got == field.delayed_rate(0.0, np.array(now),
                                          np.array(delayed)).tolist()
         assert got[2] == 0.0

@@ -146,9 +146,9 @@ class TestIntegrateDde:
         assert _make_grid((0.0, 30.0), 0.01).shape == (3001,)
         lags = []
 
-        def rate(t, lag):
-            lags.append(list(lag))
-            return lambda now: [-0.1 * v for v in now]
+        def rate(ts, rows):
+            lags.extend(list(lag) for lag in rows)
+            return [lambda now: [-0.1 * v for v in now]] * len(rows)
 
         x0 = [0.3, 0.7]
         traj = _method_of_steps(rate, x0, 0.0, (0.0, 30.0), 0.01,
@@ -160,27 +160,68 @@ class TestIntegrateDde:
     @pytest.mark.parametrize("tau", [0.1, 0.25, 0.3])
     def test_two_lag_reads_per_step(self, x0, tau, monkeypatch):
         # Stages k2 and k3 share the mid-step lag, and the end-of-step lag
-        # of k4 is the next step's start lag: 2*steps + 1 lag reads, each
+        # of k4 is the next step's start lag: 2*steps + 1 lag rows, each
         # building its utilities once, for 4*steps field evaluations.
         calls = {"rate": 0, "field": 0}
 
         def counted(cfg, supply, _orig=eccsim.solver._rhs_floats):
             inner = _orig(cfg, supply)
 
-            def rate(t, lag):
-                calls["rate"] += 1
-                field = inner(t, lag)
-
-                def counted_field(now):
+            def counted_field(field):
+                def call(now):
                     calls["field"] += 1
                     return field(now)
-                return counted_field
+                return call
+
+            def rate(ts, lags):
+                calls["rate"] += len(lags)
+                return [counted_field(field) for field in inner(ts, lags)]
             return rate
 
         monkeypatch.setattr(eccsim.solver, "_rhs_floats", counted)
         solve_fixed(make_config(population_delay=tau), x0, [0.1, 0.2],
                     (0.0, 1.0), 0.1)
         assert calls == {"rate": 2 * 10 + 1, "field": 4 * 10}
+
+    @pytest.mark.parametrize("tau,dt,t_end", [
+        (0.1, 0.1, 2.0),       # tau = dt: one step per block
+        (0.15, 0.1, 2.0),      # tau = 1.5 dt
+        (0.3, 0.1, 2.5),       # tau/dt = 2.9999999999999996: two steps
+        (0.73, 0.1, 5.0),      # tau/dt = 7.3: seven steps, 50 = 7*7 + 1
+        (1.7, 0.01, 5.0),      # tau/dt = 170: LAG_BLOCK steps, 500 = 15*32 + 20
+    ])
+    def test_lag_rows_interpolate_the_trajectory(self, tau, dt, t_end):
+        # Every lag row handed to `rate` is the linear interpolation of the
+        # returned trajectory at its grid position, x0 at or below 0, bit
+        # for bit.  A block that reads a row before the loop has written it
+        # gets a value the finished trajectory does not hold.
+        rows = []
+
+        def rate(ts, lags):
+            rows.extend(lags.tolist())
+            return [lambda now, lag=lag: [-0.5 * a - 0.1 * b * b
+                                          for a, b in zip(lag, now)]
+                    for lag in lags.tolist()]
+
+        x0 = [1.0, 0.5]
+        traj = _method_of_steps(rate, x0, tau, (0.0, t_end), dt, simplex=False)
+        shares = traj.shares.tolist()
+        steps = len(shares) - 1
+        shift = tau / dt
+        positions = [-shift] + [p for i in range(steps)
+                                for p in ((i + 0.5) - shift, (i + 1) - shift)]
+        want = []
+        for p in positions:
+            j = int(p)
+            if p <= 0.0:
+                want.append(x0)
+            elif p == j:
+                want.append(shares[j])
+            else:
+                want.append([a + (p - j) * (b - a)
+                             for a, b in zip(shares[j], shares[j + 1])])
+        assert len(rows) == 2 * steps + 1
+        assert np.array(rows).tobytes() == np.array(want).tobytes()
 
     def test_constant_prehistory_linear_segment(self):
         # y' = -y(t - 0.5) with y == 1 before t=0: y(t) = 1 - t on [0, 0.5].
@@ -571,8 +612,8 @@ class TestMyopicAndFixed:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_delayed_pass_checks_last_component(self, x0, bad, monkeypatch):
         monkeypatch.setattr(eccsim.solver, "_rhs_floats",
-                            lambda cfg, supply: lambda t, delayed:
-                            lambda now: [0.0, 0.0, bad])
+                            lambda cfg, supply: lambda ts, lags:
+                            [lambda now: [0.0, 0.0, bad]] * len(lags))
         with pytest.raises(BlowUp):
             solve_fixed(make_config(population_delay=0.5), x0, [0.1, 0.2],
                         (0.0, 1.0), 0.1)
