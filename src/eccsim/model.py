@@ -242,24 +242,14 @@ def _supply(cfg: SystemConfig, requests: np.ndarray) -> np.ndarray:
                            cfg.cloud_power * remainder), axis=-1)
 
 
-def _uptake(cfg: SystemConfig, requests: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Uptake c_s = beta*w_s/(K p_s) and Theta = delta*sum_s c_s.
-
-    Works along the last axis; c_s is the utility mass of group s.
-    """
-    c = ((cfg.mapping_factor / cfg.n_users) * _supply(cfg, requests)
-         / cfg.all_access_prices)
-    return c, cfg.learning_rate * c.sum(axis=-1)
-
-
 def _left_sum(values) -> float:
     """Sum of Python floats added left to right from 0.0.
 
-    This is numpy's order for fewer than 8 entries, so results match the
-    array formulas bit for bit there.  numpy sums 8 or more entries
-    pairwise, so from N = 7 on (N+1 shares) the two may round differently.
-    Builtin sum() is not used: from Python 3.12 it compensates rounding.
+    Every sum over providers in the population formulas runs in this
+    order.  numpy adds 8 or more entries pairwise, so the numpy sums that
+    remain, of the N requests in _supply and _payoffs along a grid, may
+    round differently from N = 8 on.  Builtin sum() is not used: from
+    Python 3.12 it compensates rounding.
     """
     total = 0.0
     for v in values:
@@ -269,13 +259,10 @@ def _left_sum(values) -> float:
 
 def _uptake_row(cfg: SystemConfig, requests: list[float]
                 ) -> tuple[list[float], float]:
-    """_uptake for one node over Python floats: (c as a list, Theta).
+    """Uptake c_s = beta*w_s/(K p_s) and Theta = delta*sum_s c_s of one node.
 
-    Same operations in the same order as _supply/_uptake, so the results
-    are bit-identical for N <= 6.  Beyond that numpy reorders the two sums
-    (see _left_sum): the cloud's c moves by at most N ulps of its
-    full-supply value beta*R_c/(K p_c), and Theta by delta times that plus
-    at most N+1 ulps.
+    c_s is the utility mass of group s; w the compute per provider, as
+    _supply lays it out.  Takes and returns Python floats: (c, Theta).
     """
     power, prices = cfg.float_vectors
     r_c = cfg.cloud_power
@@ -341,7 +328,7 @@ def mean_utility(pop: PopulationState, utils: np.ndarray) -> float:
     utils = np.asarray(utils, dtype=float)
     if utils.shape != pop.shares.shape:
         raise ValueError("utils: length inconsistent with population")
-    return float((pop.shares * utils).sum())
+    return _left_sum((pop.shares * utils).tolist())
 
 
 def theta(cfg: SystemConfig, alloc: AllocationState) -> float:
@@ -353,7 +340,7 @@ def theta(cfg: SystemConfig, alloc: AllocationState) -> float:
     allocation because each R_n is.
     """
     _check_sizes(cfg, alloc=alloc)
-    return float(_uptake(cfg, alloc.requests)[1])
+    return _uptake_row(cfg, alloc.requests.tolist())[1]
 
 
 def _payoffs(cfg: SystemConfig, shares: np.ndarray, requests: np.ndarray,

@@ -25,7 +25,7 @@ from .model import (
     _left_sum,
     _per_user_power,
     _supply,
-    _uptake,
+    _uptake_row,
     theta,
 )
 
@@ -40,30 +40,16 @@ __all__ = [
 ]
 
 
-def _rhs_arrays(cfg: SystemConfig, now: np.ndarray, delayed: np.ndarray,
-                supply: np.ndarray) -> np.ndarray:
-    """Share velocities from raw arrays; `delayed` feeds the utilities.
-
-    With now == delayed this is the plain replicator field.  The delayed
-    variant evaluates utilities at the old population but averages them with
-    the current shares as mixing weights.  The mean is summed in provider
-    order, not by np.dot, whose rounding depends on the BLAS kernel.
-    """
-    omega = _per_user_power(cfg, delayed, supply)
-    utils = cfg.mapping_factor * omega / cfg.all_access_prices
-    mean = float((now * utils).sum())
-    return cfg.learning_rate * delayed * (utils - mean)
-
-
 def _rhs_floats(cfg: SystemConfig, supply: list[float]):
-    """_rhs_arrays curried as rate(ts, lags) -> fields, one field(now) per lag row.
+    """Delayed field as rate(ts, lags) -> fields, one field(now) per lag row.
 
+    x_dot_s = delta * y_s * (pi_s(y) - now . pi(y)) with y the lag row.
     `rate` builds the utilities and factors delta*y of a whole block of
-    delayed states in one numpy pass, element by element as _rhs_arrays does;
-    each `field` sums the mean at `now` over Python floats and forms the
-    velocities, in _rhs_arrays' order of operations: bit-identical to it for
-    N <= 6 (see model._left_sum).  A block holding a delayed share <= 0 hands
-    its rows to _rhs_arrays, which owns the ZeroShare check.
+    delayed states in one numpy pass; each `field` sums the mean at `now`
+    over Python floats (model._left_sum) and forms the velocities.  A block
+    holding a delayed share <= 0 takes each row's per-user compute from
+    model._per_user_power when that row's field is called, so the ZeroShare
+    check and the empty-group rule stay there.
     """
     users, beta, delta = cfg.n_users, cfg.mapping_factor, cfg.learning_rate
     w, prices = np.array(supply), cfg.all_access_prices
@@ -74,13 +60,22 @@ def _rhs_floats(cfg: SystemConfig, supply: list[float]):
             return [g * (u - mean) for g, u in zip(growth, utils)]
         return field
 
+    def checked(lag: np.ndarray, now: list[float]) -> list[float]:
+        utils = beta * _per_user_power(cfg, lag, w) / prices
+        return velocity(utils.tolist(), (delta * lag).tolist())(now)
+
     def rate(ts, lags: np.ndarray) -> list:
         if not lags.min() > 0.0:
-            return [lambda now, lag=lag: _rhs_arrays(cfg, np.array(now), lag, w).tolist()
-                    for lag in lags]
+            return [lambda now, lag=lag: checked(lag, now) for lag in lags]
         utils = beta * (w / (users * lags)) / prices
         return list(map(velocity, utils.tolist(), (delta * lags).tolist()))
     return rate
+
+
+def _rhs_row(rate, now, delayed) -> np.ndarray:
+    """Velocities of the kernel `rate` at one state pair, as an array."""
+    field, = rate(None, np.array(delayed, dtype=float, ndmin=2))
+    return np.array(field(np.asarray(now, dtype=float).tolist()))
 
 
 def replicator_rhs(cfg: SystemConfig, pop: PopulationState,
@@ -106,8 +101,8 @@ def delayed_replicator_rhs(cfg: SystemConfig, pop_now: PopulationState,
     """
     _check_sizes(cfg, pop_now, alloc)
     _check_sizes(cfg, pop_delayed)
-    return _rhs_arrays(cfg, pop_now.shares, pop_delayed.shares,
-                       _supply(cfg, alloc.requests))
+    rate = _rhs_floats(cfg, _supply(cfg, alloc.requests).tolist())
+    return _rhs_row(rate, pop_now.shares, pop_delayed.shares)
 
 
 @dataclass(frozen=True)
@@ -121,11 +116,10 @@ class ReplicatorField:
     utility-difference form so the error behavior (ZeroShare) matches the
     public vector field.  The supply w is fixed per field and computed
     once (`supply`).  Integrators take `rate` or `delayed_rate`; the time
-    argument is unused.  The CLI's delayed runs do not call `delayed_rate`:
-    `solver.solve_fixed` hands the float kernel _rhs_floats, which builds
-    the utilities of a block of lagged states in one numpy pass, to
-    `solver._method_of_steps`, the loop `integrate_dde` steps too; it gives
-    the same values bit for bit for N <= 6.
+    argument is unused.  Both evaluate the float kernel _rhs_floats at one
+    state pair; a delayed `solver.solve_fixed` steps that kernel itself,
+    which builds the utilities of a block of lagged states in one numpy
+    pass.
     """
 
     cfg: SystemConfig
@@ -138,6 +132,11 @@ class ReplicatorField:
         supply.flags.writeable = False
         return supply
 
+    @cached_property
+    def _rate(self):
+        """The float kernel _rhs_floats of `supply`, built once."""
+        return _rhs_floats(self.cfg, self.supply.tolist())
+
     def rate(self, t: float, shares: np.ndarray) -> np.ndarray:
         """Undelayed velocities at raw state `shares`."""
         return self.delayed_rate(t, shares, shares)
@@ -145,7 +144,7 @@ class ReplicatorField:
     def delayed_rate(self, t: float, shares_now: np.ndarray,
                      shares_delayed: np.ndarray) -> np.ndarray:
         """Velocities with utilities read from `shares_delayed`."""
-        return _rhs_arrays(self.cfg, shares_now, shares_delayed, self.supply)
+        return _rhs_row(self._rate, shares_now, shares_delayed)
 
 
 @dataclass(frozen=True)
@@ -164,9 +163,10 @@ def analytic_ess(cfg: SystemConfig, alloc: AllocationState) -> EssResult:
     common utility is then the total uptake sum_s c_s, i.e. Theta/delta.
     """
     _check_sizes(cfg, alloc=alloc)
-    c, _ = _uptake(cfg, alloc.requests)
-    common = float(c.sum())
-    return EssResult(shares=PopulationState(c / common), common_utility=common)
+    c, _ = _uptake_row(cfg, alloc.requests.tolist())
+    common = _left_sum(c)
+    return EssResult(shares=PopulationState(np.array(c) / common),
+                     common_utility=common)
 
 
 def ess_jacobian_eigen(cfg: SystemConfig, alloc: AllocationState) -> np.ndarray:

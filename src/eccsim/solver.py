@@ -29,10 +29,8 @@ window shorter than tau every lag it reads is already integrated, so the
 window's lag reads and the work that depends on the lag alone take one
 numpy pass, and each field(now) is stepped on floats.  integrate_ode and
 integrate_dde adapt their array field, a delayed solve_fixed (so the CLI)
-runs replicator._rhs_floats.  The loops repeat the array formulas'
-operations in their order, so for N <= 6 results are bit-identical to
-them; from N = 7 sums, the simplex sum included, may round differently
-(see model._left_sum).
+runs replicator._rhs_floats.  Sums over providers, the simplex sum
+included, run left to right (model._left_sum).
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from .model import (
     _check_sizes,
     _left_sum,
     _payoffs,
-    _uptake,
     _uptake_row,
 )
 from .replicator import ReplicatorField, _rhs_floats
@@ -244,7 +241,7 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
     (a 1-d decay would be pinned to its initial value by renormalization).
     The steps are those of _method_of_steps at zero delay (the lag it reads
     goes unused), on floats: `field` must return a vector as long as the
-    state, and from N = 7 the simplex sum may round unlike numpy's.
+    state.
 
     Raises:
         BlowUp: a state magnitude exceeded MAGNITUDE_LIMIT or went non-finite.
@@ -267,7 +264,8 @@ def _method_of_steps(rate: Callable[[list[float], np.ndarray], list], x0,
     if p - j <= 0, else interpolates rows j and j+1.  Steps s..e-1 form one
     block, read in one numpy pass: with e - s < tau/dt they read no row past
     s, the last one stored, and e - s <= LAG_BLOCK bounds the block's memory.
-    At tau = 0 every lag is the current state, so a block is one step and
+    At tau = 0 the lag is a placeholder holding the step-start state y, for
+    a kernel that ignores it (integrate_ode's): a block is one step and
     `lags` the pair (y, y) of the state's list, read without numpy.  Raises
     as integrate_dde.
     """
@@ -384,7 +382,8 @@ def costate_backward_grid(cfg: SystemConfig, times: np.ndarray,
     off-diagonal entries, mu (M, N) = xi1*p_c*K*g, theta_mat (M, N, N) = 0.
     The sweep itself carries only g.
     """
-    g = _adjoint_profile(cfg, times, _uptake(cfg, requests)[1][:-1].tolist())
+    g = _adjoint_profile(cfg, times, [_uptake_row(cfg, r)[1]
+                                      for r in requests[:-1].tolist()])
     lam_diag, mu_scale = _adjoint_scales(cfg)
     n = cfg.n_ecps
     lam = np.zeros((g.shape[0], n, n))
@@ -560,9 +559,11 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
 
     Honors cfg.population_delay with constant prehistory x0: a delayed run
     steps the float kernel _rhs_floats in _method_of_steps, which builds the
-    utilities of a block of lagged states in one numpy pass, so for N <= 6
-    it matches integrate_dde(field.delayed_rate, ..) bit for bit; zero delay
-    is the plain RK4 run of integrate_ode, via integrate_dde.
+    utilities of a block of lagged states in one numpy pass, and matches
+    integrate_dde(field.delayed_rate, ..) bit for bit.  Zero delay is the
+    plain RK4 run integrate_ode(field.rate, ..): there the loop's lag is a
+    placeholder holding the step-start state, which _rhs_floats would read
+    its utilities from.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))
     _check_sizes(cfg, alloc=alloc)
@@ -572,7 +573,7 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
         traj = _method_of_steps(_rhs_floats(cfg, field.supply.tolist()), x0,
                                 cfg.population_delay, t_span, dt, simplex=True)
     else:
-        traj = integrate_dde(field.delayed_rate, x0, 0.0, t_span, dt)
+        traj = integrate_ode(field.rate, x0, t_span, dt, simplex=True)
     m = traj.times.shape[0]
     traj.requests = np.tile(alloc.requests, (m, 1))
     traj.prices = np.zeros(m)
@@ -590,6 +591,8 @@ def convergence_time(traj: Trajectory, target, eps: float) -> float | None:
     if not eps > 0.0:
         raise ValueError("eps: must be positive")
     tgt = target.shares if isinstance(target, PopulationState) else np.asarray(target, float)
+    if tgt.shape != traj.shares.shape[1:]:
+        raise ValueError("target: length inconsistent with trajectory")
     err = np.max(np.abs(traj.shares - tgt[None, :]), axis=1)
     bad = np.nonzero(err >= eps)[0]
     if bad.shape[0] == 0:
@@ -613,9 +616,11 @@ def integral_utility(traj: Trajectory, who, rho: float) -> float:
         if who.lower() != "ccp":
             raise ValueError('who: expected an index in 1..N or "ccp"')
         col = n
+    elif isinstance(who, (bool, np.bool_)) or not float(who).is_integer():
+        raise ValueError('who: expected an index in 1..N or "ccp"')
+    elif not 1 <= int(who) <= n:
+        raise ValueError(f"who: must be in 1..{n}")
     else:
-        if not 1 <= int(who) <= n:
-            raise ValueError(f"who: must be in 1..{n}")
         col = int(who) - 1
     weighted = np.exp(-rho * traj.times) * traj.utilities[:, col]
     return float(_running_trapezoid(weighted, traj.times)[-1])

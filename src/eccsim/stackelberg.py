@@ -138,9 +138,7 @@ def _stationary_controls(cfg: SystemConfig, x_ecp: list[float],
 
     A float kernel: it takes and returns lists of Python floats and calls
     no numpy, because the sweep's forward pass calls it at every grid node.
-    Its sums of N entries run left to right (model._left_sum), numpy's
-    order below 8 entries, so from N = 8 on the price may differ from an
-    array spelling by the rounding of those sums.
+    Its sums of N entries run left to right (model._left_sum).
     """
     eta2, eta3 = cfg.ecp_weights[1:]
     xi2, xi3 = cfg.ccp_weights[1:]

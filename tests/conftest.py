@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eccsim import SystemConfig
+from eccsim.model import _supply
 
 
 def make_config(**overrides) -> SystemConfig:
@@ -32,6 +33,19 @@ def make_big_cloud_config(**overrides) -> SystemConfig:
     kwargs = dict(cloud_power=5.0, cloud_access_price=0.5, nominal_rate=0.08)
     kwargs.update(overrides)
     return make_config(**kwargs)
+
+
+def uptake_reference(cfg: SystemConfig, requests: np.ndarray):
+    """Uptake c_s = beta*w_s/(K p_s) and Theta = delta*sum_s c_s over arrays.
+
+    The array spelling of model._uptake_row, along the last axis.  numpy
+    sums fewer than 8 entries left to right, so up to N = 6 it matches the
+    float kernel bit for bit; from N = 7 numpy sums the N+1 uptakes, and
+    from N = 8 the N requests, pairwise.
+    """
+    c = ((cfg.mapping_factor / cfg.n_users) * _supply(cfg, requests)
+         / cfg.all_access_prices)
+    return c, cfg.learning_rate * c.sum(axis=-1)
 
 
 @pytest.fixture

@@ -19,9 +19,10 @@ from eccsim import (
     theta,
     user_utility,
 )
-from eccsim.model import ALLOC_TOL, _uptake, _uptake_row
+from eccsim.model import ALLOC_TOL, _uptake_row
+from eccsim.replicator import analytic_ess
 
-from conftest import make_config
+from conftest import make_config, uptake_reference
 
 
 def snap_of(cfg, shares, requests, price=0.0):
@@ -147,6 +148,19 @@ class TestUtilities:
         pop = PopulationState([0.5, 0.5])
         assert mean_utility(pop, [2.0, 4.0]) == 3.0
 
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_mean_utility_sums_in_provider_order(self, n):
+        # numpy sums 8 or more products pairwise; the mean adds them left
+        # to right at every N.
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            shares = rng.dirichlet(np.ones(n + 1))
+            utils = rng.uniform(0.0, 10.0, size=n + 1)
+            want = 0.0
+            for x, u in zip(shares.tolist(), utils.tolist()):
+                want += x * u
+            assert mean_utility(PopulationState(shares), utils) == want
+
     def test_mean_utility_shape_check(self):
         pop = PopulationState([0.5, 0.5])
         with pytest.raises(ValueError, match="^utils"):
@@ -240,14 +254,15 @@ def test_theta_positive_and_price_scaling(data):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
 def test_uptake_row_matches_uptake(n, seed):
-    # The sweep's per-node uptake over Python floats is the array _uptake
-    # spelled for one node: bit for bit while numpy sums left to right
-    # (fewer than 8 entries, N <= 6).  From N = 7 numpy sums the N+1
-    # uptakes, and from N = 8 the N requests, pairwise.  Reordering the
-    # request sum moves the cloud remainder 1 - sum r by at most N ulps of
-    # 1, which can be thousands of ulps of a small remainder, so the cloud
-    # entry is bounded on the scale of its full-supply value; reordering
-    # the uptake sum moves Theta by at most N+1 ulps on top of that.
+    # The per-node uptake over Python floats, and the public theta and
+    # analytic_ess built on it, against the array formula: bit for bit
+    # while numpy sums left to right (fewer than 8 entries, N <= 6).  From
+    # N = 7 numpy sums the N+1 uptakes, and from N = 8 the N requests,
+    # pairwise.  Reordering the request sum moves the cloud remainder
+    # 1 - sum r by at most N ulps of 1, which can be thousands of ulps of a
+    # small remainder, so the cloud entry is bounded on the scale of its
+    # full-supply value; reordering the uptake sum moves Theta by at most
+    # N+1 ulps on top of that.
     rng = np.random.default_rng(seed)
     power = rng.uniform(0.5, 3.0, size=n)
     cfg = make_config(n_ecps=n, ecp_power=power,
@@ -258,14 +273,26 @@ def test_uptake_row_matches_uptake(n, seed):
                       mapping_factor=float(rng.uniform(0.5, 2.0)))
     requests = rng.dirichlet(np.ones(n + 1))[:n]
     requests[rng.random(n) < 0.2] = 0.0
+    # The public functions take an allocation, which may not lie past the
+    # feasibility slack.
+    ess = None
     if rng.random() < 0.25:
         # At the feasibility slack, where the remainder is clamped to 0.
         requests = rng.dirichlet(np.ones(n)) * (1.0 + ALLOC_TOL)
+    else:
+        alloc = AllocationState(requests)
+        ess = analytic_ess(cfg, alloc)
     c_row, theta_row = _uptake_row(cfg, requests.tolist())
-    c, theta_arr = _uptake(cfg, requests)
+    if ess is not None:
+        assert theta(cfg, alloc) == theta_row
+    c, theta_arr = uptake_reference(cfg, requests)
+    common = float(c.sum())
     if n <= 6:
         assert c_row == c.tolist()
         assert theta_row == float(theta_arr)
+        if ess is not None:
+            assert ess.common_utility == common
+            assert ess.shares.shares.tolist() == (c / common).tolist()
         return
     eps = np.finfo(float).eps
     cloud_tol = n * eps * (cfg.mapping_factor / cfg.n_users
@@ -274,3 +301,8 @@ def test_uptake_row_matches_uptake(n, seed):
     assert abs(c_row[n] - c[n]) <= cloud_tol
     assert abs(theta_row - theta_arr) <= ((n + 1) * eps * theta_arr
                                           + cfg.learning_rate * cloud_tol)
+    if ess is not None:
+        common_tol = (n + 1) * eps * common + cloud_tol
+        assert abs(ess.common_utility - common) <= common_tol
+        np.testing.assert_allclose(ess.shares.shares, c / common, rtol=0,
+                                   atol=(cloud_tol + common_tol) / common + eps)

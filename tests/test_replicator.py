@@ -20,7 +20,6 @@ from eccsim.model import (
 )
 from eccsim.replicator import (
     ReplicatorField,
-    _rhs_arrays,
     _rhs_floats,
     analytic_ess,
     delay_stability_bound,
@@ -155,13 +154,12 @@ class TestReplicatorField:
         with pytest.raises(ZeroShare, match="cloud"):
             field.delayed_rate(0.0, now, np.array([0.5, 0.5, 0.0]))
 
-    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_float_kernel_matches_arrays_bitwise(self, n, seed):
-        # The float kernel repeats _rhs_arrays in its order of operations;
-        # numpy sums fewer than 8 entries left to right, so up to N = 6 both
-        # agree to the bit, and delayed_rate matches a plain Python
-        # reference that sums the population mean left to right.
+        # The float kernel, delayed_rate and delayed_replicator_rhs all
+        # match a plain Python reference that sums the population mean left
+        # to right, at every N: numpy would sum 8 or more entries pairwise.
         rng = np.random.default_rng(seed)
         power = rng.uniform(0.5, 3.0, size=n)
         cfg = make_config(n_ecps=n, n_users=int(rng.integers(1, 500)),
@@ -176,7 +174,6 @@ class TestReplicatorField:
         delayed = rng.dirichlet(np.ones(n + 1))
         supply = field.supply.tolist()
         got = _rhs_floats(cfg, supply)([0.0], delayed[None, :])[0](now.tolist())
-        assert got == _rhs_arrays(cfg, now, delayed, field.supply).tolist()
 
         utils = [cfg.mapping_factor * (w / (cfg.n_users * y)) / p
                  for w, y, p in zip(supply, delayed.tolist(),
@@ -186,7 +183,11 @@ class TestReplicatorField:
             mean += x * u
         want = [(cfg.learning_rate * y) * (u - mean)
                 for y, u in zip(delayed.tolist(), utils)]
+        assert got == want
         assert field.delayed_rate(0.0, now, delayed).tolist() == want
+        assert delayed_replicator_rhs(
+            cfg, PopulationState(now), PopulationState(delayed),
+            field.alloc).tolist() == want
 
     def test_zero_share_raises_through_float_kernel(self, cfg):
         supply = ReplicatorField(cfg, AllocationState([0.0, 0.0])).supply
@@ -195,16 +196,18 @@ class TestReplicatorField:
                 [0.3, 0.3, 0.4])
 
     def test_zero_share_check_covers_every_row_of_a_block(self, cfg):
-        # One zero share in the last row of a block sends the block to
-        # _rhs_arrays: the earlier rows still give their velocities, the
-        # last one raises, naming the provider.  A check on the first row
-        # alone would divide by the zero share instead.
+        # One zero share in the last row of a block sends every row of the
+        # block to model._per_user_power: the earlier rows still give the
+        # velocities of a one-row block, the last one raises, naming the
+        # provider.  A check on the first row alone would divide by the
+        # zero share instead.
         supply = ReplicatorField(cfg, AllocationState([0.1, 0.2])).supply
         lags = np.array([[0.3, 0.3, 0.4], [0.2, 0.5, 0.3], [0.6, 0.0, 0.4]])
         fields = _rhs_floats(cfg, supply.tolist())([0.0, 0.5, 1.0], lags)
         now = np.array([0.3, 0.3, 0.4])
         for lag, field in zip(lags[:2], fields):
-            assert field(now.tolist()) == _rhs_arrays(cfg, now, lag, supply).tolist()
+            one, = _rhs_floats(cfg, supply.tolist())([0.0], lag[None, :])
+            assert field(now.tolist()) == one(now.tolist())
         with pytest.raises(ZeroShare, match="^ecp 2:"):
             fields[2](now.tolist())
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_big_cloud_config, make_config
+from conftest import make_big_cloud_config, make_config, uptake_reference
 
 import eccsim.solver
-from eccsim.model import (AllocationState, PopulationState, _uptake,
+from eccsim.model import (AllocationState, PopulationState, _uptake_row,
                           ccp_instant_utility, ecp_instant_utility)
 from eccsim.replicator import ReplicatorField, analytic_ess
 from eccsim.solver import (
@@ -337,7 +337,8 @@ class TestCostateBackward:
         lam, mu, theta_mat = costate_backward_grid(cfg, traj.times,
                                                    traj.requests)
         g = _adjoint_profile(cfg, traj.times,
-                             _uptake(cfg, traj.requests)[1][:-1].tolist())
+                             [_uptake_row(cfg, r)[1]
+                              for r in traj.requests[:-1].tolist()])
         assert g[-1] == 0.0 and g[0] > 0.0
         eta1, xi1, users = cfg.ecp_weights[0], cfg.ccp_weights[0], cfg.n_users
         for k, p_k in enumerate(cfg.ecp_access_price):
@@ -478,8 +479,8 @@ class TestSweep:
         np.testing.assert_array_equal(traj.prices, again.prices)
 
     def test_n8_backward_pass_reads_forward_theta(self, monkeypatch):
-        # From N = 7 the float uptake of the forward pass may round Theta
-        # differently from the array _uptake.  Each backward pass must see
+        # From N = 7 an array uptake may round Theta differently from the
+        # float one of the forward pass.  Each backward pass must see
         # exactly the per-interval Theta of the forward pass before it.
         n = 8
         cfg = make_big_cloud_config(
@@ -509,7 +510,7 @@ class TestSweep:
         for k, thetas in enumerate(backward):
             assert thetas == forward[k * m:(k + 1) * m]
         # At this N the array uptake rounds some intervals differently.
-        assert _uptake(cfg, traj.requests)[1][:-1].tolist() != forward[-m:]
+        assert uptake_reference(cfg, traj.requests)[1][:-1].tolist() != forward[-m:]
 
     def test_non_finite_adjoint_raises(self, solved):
         # One NaN node in g turns that node's controls into NaN, and the
@@ -579,15 +580,15 @@ class TestMyopicAndFixed:
         manual = integrate_dde(field.delayed_rate, x0, 0.5, (0.0, 5.0), 0.01)
         np.testing.assert_array_equal(traj.shares, manual.shares)
 
-    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+    @given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
            st.one_of(st.floats(0.05, 1.5),
                      st.integers(1, 30).map(lambda k: 0.05 * k)))
     @settings(max_examples=60, deadline=None)
     def test_delayed_pass_matches_dde_bitwise(self, n, seed, tau):
-        # A delayed solve_fixed runs the float pass; up to N = 6 it must
-        # reproduce integrate_dde on the field bit for bit, whether or not
-        # tau is a multiple of dt.  Past the delay bound some runs blow up;
-        # then both must.
+        # A delayed solve_fixed runs the float pass a block of lags at a
+        # time; it must reproduce integrate_dde on the field, one lag row
+        # per call, bit for bit, whether or not tau is a multiple of dt.
+        # Past the delay bound some runs blow up; then both must.
         rng = np.random.default_rng(seed)
         power = rng.uniform(0.5, 3.0, size=n)
         cfg = make_config(n_ecps=n, ecp_power=power,
@@ -674,6 +675,17 @@ class TestMeasures:
         with pytest.raises(ValueError, match="eps"):
             convergence_time(traj, [0.5, 0.5], 0.0)
 
+    def test_convergence_time_rejects_wrong_length_target(self):
+        # A length-1 target would broadcast silently; a length-2 one against
+        # three shares would fail inside numpy.
+        two = self.make_traj([0.3, 0.01])
+        three = Trajectory(times=np.arange(2.0),
+                           shares=np.tile([0.2, 0.3, 0.5], (2, 1)))
+        for traj, target in ((two, [0.5]), (three, [0.5, 0.5])):
+            with pytest.raises(ValueError, match="^target: length inconsistent"
+                                                 " with trajectory$"):
+                convergence_time(traj, target, 0.1)
+
     def flat_utility_traj(self, value, t_end, dt):
         times = np.round(np.arange(0.0, t_end + 1e-12, dt), 12)
         shares = np.tile([0.5, 0.5], (times.shape[0], 1))
@@ -698,6 +710,10 @@ class TestMeasures:
             integral_utility(traj, 2, 0.0)
         with pytest.raises(ValueError, match="who"):
             integral_utility(traj, "leader", 0.0)
+        for who in (1.5, True, np.True_, np.nan):
+            with pytest.raises(ValueError, match="^who: expected an index"):
+                integral_utility(traj, who, 0.0)
+        assert integral_utility(traj, np.int64(1), 0.0) == pytest.approx(1.0)
 
     def test_integral_utility_requires_utilities(self):
         traj = integrate_ode(decay, [1.0], (0.0, 1.0), 0.1)
