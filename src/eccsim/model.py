@@ -96,10 +96,10 @@ class SystemConfig:
     population_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_ecps, (int, np.integer)) or self.n_ecps < 1:
-            raise ValueError("n_ecps: must be a positive integer")
-        if not isinstance(self.n_users, (int, np.integer)) or self.n_users < 1:
-            raise ValueError("n_users: must be a positive integer")
+        for name in ("n_ecps", "n_users"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{name}: must be a positive integer")
         power = _as_float_vector(self.ecp_power, "ecp_power", self.n_ecps)
         if np.any(power <= 0.0):
             raise ValueError("ecp_power: every entry must be positive")
@@ -237,7 +237,8 @@ def _check_sizes(cfg: SystemConfig, pop: PopulationState | None = None,
 
 def _supply(cfg: SystemConfig, requests: np.ndarray) -> np.ndarray:
     """Compute per provider [R_n + R_c r_n .., R_c r_c] along the last axis."""
-    remainder = np.maximum(1.0 - requests.sum(axis=-1, keepdims=True), 0.0)
+    # The last running sum adds the requests left to right, as _uptake_row.
+    remainder = np.maximum(1.0 - np.cumsum(requests, axis=-1)[..., -1:], 0.0)
     return np.concatenate((cfg.ecp_power + cfg.cloud_power * requests,
                            cfg.cloud_power * remainder), axis=-1)
 
@@ -246,8 +247,8 @@ def _left_sum(values) -> float:
     """Sum of Python floats added left to right from 0.0.
 
     Every sum over providers in the population formulas runs in this
-    order.  numpy adds 8 or more entries pairwise, so the numpy sums that
-    remain, of the N requests in _supply and _payoffs along a grid, may
+    order.  numpy adds 8 or more entries pairwise, so the numpy sum that
+    remains, of the N requests in _payoffs' compute sales along a grid, may
     round differently from N = 8 on.  Builtin sum() is not used: from
     Python 3.12 it compensates rounding.
     """
@@ -284,6 +285,8 @@ def _per_user_power(cfg: SystemConfig, shares: np.ndarray,
                     supply: np.ndarray) -> np.ndarray:
     """Per-user compute w_s/(K x_s) from shares and supply; 0 if w_s = x_s = 0.
 
+    Shares may carry leading axes (a block of states); the output has their shape.
+
     Raises:
         ZeroShare: some provider holds compute but has no users.
     """
@@ -292,11 +295,11 @@ def _per_user_power(cfg: SystemConfig, shares: np.ndarray,
     empty = shares <= 0.0
     stuck = empty & (supply > 0.0)
     if stuck.any():
-        idx = int(np.argmax(stuck))
+        idx = int(np.nonzero(stuck)[-1][0])
         label = "cloud" if idx == cfg.n_ecps else f"ecp {idx + 1}"
         raise ZeroShare(f"{label}: positive compute with zero user share")
-    return np.divide(supply, cfg.n_users * shares, out=np.zeros_like(supply),
-                     where=~empty)
+    return np.divide(supply, cfg.n_users * shares,
+                     out=np.zeros(shares.shape), where=~empty)
 
 
 def per_user_power(cfg: SystemConfig, snap: MarketSnapshot) -> np.ndarray:

@@ -45,13 +45,12 @@ def _rhs_floats(cfg: SystemConfig, supply: list[float]):
 
     x_dot_s = delta * y_s * (pi_s(y) - now . pi(y)) with y the lag row.
     `rate` builds the utilities and factors delta*y of a whole block of
-    delayed states in one numpy pass; each `field` sums the mean at `now`
-    over Python floats (model._left_sum) and forms the velocities.  A block
-    holding a delayed share <= 0 takes each row's per-user compute from
-    model._per_user_power when that row's field is called, so the ZeroShare
-    check and the empty-group rule stay there.
+    delayed states in one numpy pass, the per-user compute from
+    model._per_user_power, which owns the ZeroShare check and the
+    empty-group rule; each `field` sums the mean at `now` over Python
+    floats (model._left_sum) and forms the velocities.
     """
-    users, beta, delta = cfg.n_users, cfg.mapping_factor, cfg.learning_rate
+    beta, delta = cfg.mapping_factor, cfg.learning_rate
     w, prices = np.array(supply), cfg.all_access_prices
 
     def velocity(utils: list[float], growth: list[float]):
@@ -60,14 +59,8 @@ def _rhs_floats(cfg: SystemConfig, supply: list[float]):
             return [g * (u - mean) for g, u in zip(growth, utils)]
         return field
 
-    def checked(lag: np.ndarray, now: list[float]) -> list[float]:
-        utils = beta * _per_user_power(cfg, lag, w) / prices
-        return velocity(utils.tolist(), (delta * lag).tolist())(now)
-
     def rate(ts, lags: np.ndarray) -> list:
-        if not lags.min() > 0.0:
-            return [lambda now, lag=lag: checked(lag, now) for lag in lags]
-        utils = beta * (w / (users * lags)) / prices
+        utils = beta * _per_user_power(cfg, lags, w) / prices
         return list(map(velocity, utils.tolist(), (delta * lags).tolist()))
     return rate
 
@@ -117,9 +110,7 @@ class ReplicatorField:
     public vector field.  The supply w is fixed per field and computed
     once (`supply`).  Integrators take `rate` or `delayed_rate`; the time
     argument is unused.  Both evaluate the float kernel _rhs_floats at one
-    state pair; a delayed `solver.solve_fixed` steps that kernel itself,
-    which builds the utilities of a block of lagged states in one numpy
-    pass.
+    state pair; `solver.solve_fixed` steps that kernel itself.
     """
 
     cfg: SystemConfig
@@ -132,11 +123,6 @@ class ReplicatorField:
         supply.flags.writeable = False
         return supply
 
-    @cached_property
-    def _rate(self):
-        """The float kernel _rhs_floats of `supply`, built once."""
-        return _rhs_floats(self.cfg, self.supply.tolist())
-
     def rate(self, t: float, shares: np.ndarray) -> np.ndarray:
         """Undelayed velocities at raw state `shares`."""
         return self.delayed_rate(t, shares, shares)
@@ -144,7 +130,8 @@ class ReplicatorField:
     def delayed_rate(self, t: float, shares_now: np.ndarray,
                      shares_delayed: np.ndarray) -> np.ndarray:
         """Velocities with utilities read from `shares_delayed`."""
-        return _rhs_row(self._rate, shares_now, shares_delayed)
+        return _rhs_row(_rhs_floats(self.cfg, self.supply.tolist()),
+                        shares_now, shares_delayed)
 
 
 @dataclass(frozen=True)

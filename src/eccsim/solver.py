@@ -27,10 +27,10 @@ sets the speed.  The one population loop, _method_of_steps, steps a kernel
 rate(ts, lags) -> fields that takes a block of lagged states at once: on a
 window shorter than tau every lag it reads is already integrated, so the
 window's lag reads and the work that depends on the lag alone take one
-numpy pass, and each field(now) is stepped on floats.  integrate_ode and
-integrate_dde adapt their array field, a delayed solve_fixed (so the CLI)
-runs replicator._rhs_floats.  Sums over providers, the simplex sum
-included, run left to right (model._left_sum).
+numpy pass, and each field(now) is stepped on floats; at tau = 0 each RK4
+stage's state is its own lag.  integrate_ode and integrate_dde adapt their
+array field, solve_fixed (so the CLI) runs replicator._rhs_floats.  Sums
+over providers, the simplex sum included, run left to right (model._left_sum).
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ from .model import (
     MarketSnapshot,
     PopulationState,
     SystemConfig,
-    _check_sizes,
     _left_sum,
     _payoffs,
     _uptake_row,
+    provider_power,
 )
-from .replicator import ReplicatorField, _rhs_floats
+from .replicator import _rhs_floats
 from .stackelberg import _price_gaps, _stationary_controls
 
 __all__ = [
@@ -223,9 +223,19 @@ def _project_simplex(y: list[float]) -> list[float]:
 
 
 def _curried(field: Callable[..., np.ndarray]) -> Callable:
-    """Array field(t, now, lag) as a _method_of_steps kernel, one closure per lag row."""
+    """Array field(t, now, lag) as a _method_of_steps kernel, one closure per lag row.
+
+    Raises:
+        ValueError: `field` returned anything but a vector as long as the state.
+    """
+    def call(t, now, lag):
+        out = np.asarray(field(t, np.array(now), lag))
+        if out.shape != (len(now),):
+            raise ValueError("field: must return a vector as long as the state")
+        return out.tolist()
+
     def rate(ts, lags):
-        return [lambda now, t=t, lag=lag: field(t, np.array(now), lag).tolist()
+        return [lambda now, t=t, lag=lag: call(t, now, lag)
                 for t, lag in zip(ts, lags)]
     return rate
 
@@ -239,12 +249,11 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
     sum drifts past DRIFT_TOL and floored at SHARE_FLOOR to preserve
     interiority; population runs use this, generic test problems must not
     (a 1-d decay would be pinned to its initial value by renormalization).
-    The steps are those of _method_of_steps at zero delay (the lag it reads
-    goes unused), on floats: `field` must return a vector as long as the
-    state.
+    The steps are those of _method_of_steps at zero delay, on floats.
 
     Raises:
         BlowUp: a state magnitude exceeded MAGNITUDE_LIMIT or went non-finite.
+        ValueError: `field` returned anything but a vector as long as the state.
     """
     return _method_of_steps(_curried(lambda t, now, lag: field(t, now)), x0,
                             0.0, t_span, dt, simplex=simplex)
@@ -259,15 +268,14 @@ def _method_of_steps(rate: Callable[[list[float], np.ndarray], list], x0,
     array `lags` at time ts[r], and returns one field per row, field(now) =
     f(t, now, lag).  Step i reads the lag at grid position i + 1/2 - tau/dt
     for k2 and k3 and at i + 1 - tau/dt for k4, whose field is step i+1's k1;
-    the first k1 reads row 0 (x0).  A run hands 2*steps + 1 rows to `rate`
-    and makes 4*steps field calls.  Position p reads row j = max(int(p), 0)
-    if p - j <= 0, else interpolates rows j and j+1.  Steps s..e-1 form one
-    block, read in one numpy pass: with e - s < tau/dt they read no row past
-    s, the last one stored, and e - s <= LAG_BLOCK bounds the block's memory.
-    At tau = 0 the lag is a placeholder holding the step-start state y, for
-    a kernel that ignores it (integrate_ode's): a block is one step and
-    `lags` the pair (y, y) of the state's list, read without numpy.  Raises
-    as integrate_dde.
+    the first k1 reads row 0 (x0).  A run makes 4*steps field calls, and a
+    delayed one hands 2*steps + 1 rows to `rate`.  Position p reads row
+    j = max(int(p), 0) if p - j <= 0, else interpolates rows j and j+1.
+    Steps s..e-1 form one block, read in one numpy pass: with e - s < tau/dt
+    they read no row past s, the last one stored, and e - s <= LAG_BLOCK
+    bounds the block's memory.  At tau = 0 no row past x0 is read: every
+    stage after the first k1 is rate([t], [now])[0](now), its own state the
+    one-row block of lags.  Raises as integrate_dde.
     """
     check_delay(tau, dt)
     times = _make_grid(t_span, dt)
@@ -279,14 +287,16 @@ def _method_of_steps(rate: Callable[[list[float], np.ndarray], list], x0,
 
     def read(s: int, e: int):
         """Lag rows of steps s..e-1, mid-step and end-of-step for each."""
-        if shift == 0.0:
-            return y, y
         pos = np.arange(2 * s + 1, 2 * e + 1) * 0.5 - shift
         lo = np.maximum(np.floor(pos), 0.0)
         hi = np.maximum(np.ceil(pos), 0.0)
         a = out[lo.astype(int)]
         frac = (pos - lo)[:, None]
         return np.where(frac > 0.0, a + frac * (out[hi.astype(int)] - a), a)
+
+    def own(t: float):
+        """Field at time t whose lag is the state it is called at (tau = 0)."""
+        return lambda now: rate([t], np.array([now]))[0](now)
 
     half, sixth = 0.5 * dt, dt / 6.0
     block = min(max(math.ceil(shift) - 1, 1), LAG_BLOCK)
@@ -295,7 +305,7 @@ def _method_of_steps(rate: Callable[[list[float], np.ndarray], list], x0,
     for s in range(0, steps, block):
         e = min(s + block, steps)
         ts = [u for t_end in islice(ends, e - s) for u in (t_end - half, t_end)]
-        fields = iter(rate(ts, read(s, e)))
+        fields = iter(rate(ts, read(s, e)) if shift else map(own, ts))
         for i, mid, end in zip(range(s + 1, e + 1), fields, fields):  # in pairs
             k1 = field(y)
             k2 = mid([v + half * k for v, k in zip(y, k1)])
@@ -323,18 +333,14 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     the delayed state is the constant x0.  Step i reads the lags at grid
     positions i + 1/2 - tau/dt and i + 1 - tau/dt, a block of steps at a
     time, and calls `field` once per RK4 stage with that stage's lag as an
-    array row.  tau = 0 hands the field to integrate_ode with the current
-    state fed to both slots.  Either way the steps are those of
-    _method_of_steps, as in solve_fixed; `field` is as for integrate_ode.
+    array row; at tau = 0 the lag is the stage's own state.  The steps are
+    those of _method_of_steps, as in solve_fixed.
 
     Raises:
         ValueError: tau not finite, negative, or 0 < tau < dt (one step
-            would outrun the buffer).
+            would outrun the buffer); `field` as for integrate_ode.
         BlowUp: as for integrate_ode.
     """
-    if tau == 0.0:
-        return integrate_ode(lambda t, x: field(t, x, x), x0, t_span, dt,
-                             simplex=simplex)
     return _method_of_steps(_curried(field), x0, tau, t_span, dt,
                             simplex=simplex)
 
@@ -557,23 +563,15 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
                 dt: float) -> Trajectory:
     """Population run under a frozen allocation and zero cloud price.
 
-    Honors cfg.population_delay with constant prehistory x0: a delayed run
-    steps the float kernel _rhs_floats in _method_of_steps, which builds the
+    Honors cfg.population_delay with constant prehistory x0: steps the
+    float kernel _rhs_floats in _method_of_steps, which builds the
     utilities of a block of lagged states in one numpy pass, and matches
-    integrate_dde(field.delayed_rate, ..) bit for bit.  Zero delay is the
-    plain RK4 run integrate_ode(field.rate, ..): there the loop's lag is a
-    placeholder holding the step-start state, which _rhs_floats would read
-    its utilities from.
+    integrate_dde(field.delayed_rate, ..) of a ReplicatorField bit for bit.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))
-    _check_sizes(cfg, alloc=alloc)
-    x0 = _initial_shares(cfg, x0)
-    field = ReplicatorField(cfg, alloc)
-    if cfg.population_delay > 0.0:
-        traj = _method_of_steps(_rhs_floats(cfg, field.supply.tolist()), x0,
-                                cfg.population_delay, t_span, dt, simplex=True)
-    else:
-        traj = integrate_ode(field.rate, x0, t_span, dt, simplex=True)
+    supply = provider_power(cfg, alloc).tolist()
+    traj = _method_of_steps(_rhs_floats(cfg, supply), _initial_shares(cfg, x0),
+                            cfg.population_delay, t_span, dt, simplex=True)
     m = traj.times.shape[0]
     traj.requests = np.tile(alloc.requests, (m, 1))
     traj.prices = np.zeros(m)

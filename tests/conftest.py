@@ -38,10 +38,10 @@ def make_big_cloud_config(**overrides) -> SystemConfig:
 def uptake_reference(cfg: SystemConfig, requests: np.ndarray):
     """Uptake c_s = beta*w_s/(K p_s) and Theta = delta*sum_s c_s over arrays.
 
-    The array spelling of model._uptake_row, along the last axis.  numpy
-    sums fewer than 8 entries left to right, so up to N = 6 it matches the
-    float kernel bit for bit; from N = 7 numpy sums the N+1 uptakes, and
-    from N = 8 the N requests, pairwise.
+    The array spelling of model._uptake_row, along the last axis.  The
+    uptakes match the float kernel bit for bit at every N; numpy sums fewer
+    than 8 entries left to right, so Theta does up to N = 6, and from N = 7
+    numpy sums the N+1 uptakes pairwise.
     """
     c = ((cfg.mapping_factor / cfg.n_users) * _supply(cfg, requests)
          / cfg.all_access_prices)

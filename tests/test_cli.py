@@ -552,11 +552,9 @@ def test_cli_import_leaves_scipy_out():
 def test_bench_tracer_hooks_bind(tmp_path):
     # The benchmark's tracer wraps cli, solver, replicator and model names
     # by attribute from outside the package; a renamed hook crashes it.
-    # An undelayed fixed-controls run goes through integrate_ode and
-    # ReplicatorField.rate, which calls delayed_rate, but not through
-    # integrate_dde.  A delayed one steps the float kernel in
+    # A fixed-controls run, delayed or not, steps the float kernel in
     # solver._method_of_steps and calls neither integrate_dde nor
-    # delayed_rate; the tracer must still run it.
+    # ReplicatorField.delayed_rate; the tracer must still run it.
     root = Path(__file__).resolve().parent.parent
     code = f"""
 import sys
@@ -577,7 +575,6 @@ print(code, metrics["solver.dde_steps"], metrics["replicator.field_evals"])
             env={**os.environ, "PYTHONPATH": str(root / "src")})
         return out.stdout.splitlines()[-1].split()
 
-    # 500 steps of dt = 0.01 over the horizon 5, four field calls per step.
-    assert traced(write_scenario(tmp_path)) == ["0", "0", "2000"]
+    assert traced(write_scenario(tmp_path)) == ["0", "0", "0"]
     delayed = write_scenario(tmp_path, "delayed.json", population_delay=0.5)
     assert traced(delayed)[0] == "0"

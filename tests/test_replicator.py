@@ -196,20 +196,19 @@ class TestReplicatorField:
                 [0.3, 0.3, 0.4])
 
     def test_zero_share_check_covers_every_row_of_a_block(self, cfg):
-        # One zero share in the last row of a block sends every row of the
-        # block to model._per_user_power: the earlier rows still give the
-        # velocities of a one-row block, the last one raises, naming the
-        # provider.  A check on the first row alone would divide by the
-        # zero share instead.
+        # One zero share in the last row of a block raises when the block
+        # is read, naming the provider.  A check on the first row alone
+        # would divide by the zero share instead.  The earlier rows, as a
+        # block of their own, give the velocities of one-row blocks.
         supply = ReplicatorField(cfg, AllocationState([0.1, 0.2])).supply
+        rate = _rhs_floats(cfg, supply.tolist())
         lags = np.array([[0.3, 0.3, 0.4], [0.2, 0.5, 0.3], [0.6, 0.0, 0.4]])
-        fields = _rhs_floats(cfg, supply.tolist())([0.0, 0.5, 1.0], lags)
-        now = np.array([0.3, 0.3, 0.4])
-        for lag, field in zip(lags[:2], fields):
-            one, = _rhs_floats(cfg, supply.tolist())([0.0], lag[None, :])
-            assert field(now.tolist()) == one(now.tolist())
         with pytest.raises(ZeroShare, match="^ecp 2:"):
-            fields[2](now.tolist())
+            rate([0.0, 0.5, 1.0], lags)
+        now = [0.3, 0.3, 0.4]
+        for lag, field in zip(lags[:2], rate([0.0, 0.5], lags[:2])):
+            one, = rate([0.0], lag[None, :])
+            assert field(now) == one(now)
 
     def test_float_kernel_empty_group_without_supply(self, cfg):
         field = ReplicatorField(cfg, AllocationState([0.55, 0.45]))

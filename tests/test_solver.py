@@ -103,6 +103,23 @@ class TestIntegrateOde:
                 integrate_ode(lambda t, y: np.array([bad]), [1.0],
                               (0.0, 1.0), 0.1)
 
+    @pytest.mark.parametrize("field", [
+        lambda t, y, z: -y[:1],
+        lambda t, y, z: np.append(-y, 0.0),
+        lambda t, y, z: float(-y[0]),
+    ], ids=["shorter", "longer", "scalar"])
+    def test_rejects_field_of_wrong_length(self, field):
+        # A shorter vector used to leave unwritten rows in the trajectory,
+        # a longer one was cut to the state's length, and a scalar failed
+        # inside the step loop.  Checked undelayed and delayed.
+        match = "^field: must return a vector as long as the state$"
+        with pytest.raises(ValueError, match=match):
+            integrate_ode(lambda t, y: field(t, y, y), [1.0, 2.0],
+                          (0.0, 1.0), 0.1)
+        with pytest.raises(ValueError, match=match):
+            integrate_dde(field, [1.0, 2.0], 0.5, (0.0, 1.0), 0.1,
+                          simplex=False)
+
     def test_simplex_projection_keeps_interior(self):
         drift = np.array([-10.0, 10.0, 0.0])
         traj = integrate_ode(lambda t, y: drift, [0.3, 0.3, 0.4],
@@ -139,23 +156,24 @@ class TestIntegrateDde:
             integrate_dde(lambda t, y, z: -z, [1.0], -0.5, (0.0, 1.0), 0.01)
 
     def test_zero_delay_reads_only_stored_rows(self):
-        # At tau = 0 the lag positions are the grid nodes themselves, so no
-        # lagged state is interpolated: every lag is x0 or a stored row.  A
-        # position taken from the grid times, (t - tau - t0)/dt, can fall a
-        # rounding error below a node and interpolate a row for nothing.
+        # At tau = 0 x(t - tau) is x(t): every RK4 stage hands the state its
+        # field is called at as its lag, so no stored row is read and no lag
+        # is interpolated.  A position taken from the grid times,
+        # (t - tau - t0)/dt, could fall a rounding error below a node.
         assert _make_grid((0.0, 30.0), 0.01).shape == (3001,)
-        lags = []
+        calls = []
 
         def rate(ts, rows):
-            lags.extend(list(lag) for lag in rows)
-            return [lambda now: [-0.1 * v for v in now]] * len(rows)
+            def field(now, lag):
+                calls.append((lag, list(now)))
+                return [-0.1 * v for v in now]
+            return [lambda now, lag=lag.tolist(): field(now, lag)
+                    for lag in rows]
 
-        x0 = [0.3, 0.7]
-        traj = _method_of_steps(rate, x0, 0.0, (0.0, 30.0), 0.01,
-                                simplex=False)
-        rows = {tuple(row) for row in traj.shares.tolist()}
-        assert len(lags) == 2 * 3000 + 1
-        assert all(lag == x0 or tuple(lag) in rows for lag in lags)
+        _method_of_steps(rate, [0.3, 0.7], 0.0, (0.0, 30.0), 0.01,
+                         simplex=False)
+        assert len(calls) == 4 * 3000
+        assert all(lag == now for lag, now in calls)
 
     @pytest.mark.parametrize("tau", [0.1, 0.25, 0.3])
     def test_two_lag_reads_per_step(self, x0, tau, monkeypatch):
