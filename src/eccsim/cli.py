@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AllocationState, SystemConfig
+from .model import AllocationState, SystemConfig, _cloud_remainder, _running_total
 from .replicator import analytic_ess, delay_stability_bound, ess_jacobian_eigen
 from .solver import (
     BlowUp,
@@ -185,9 +185,9 @@ def load_scenario(path: str) -> Scenario:
         raise InvalidScenario(f"x0: expected {n + 1} entries")
     if np.any(x0 <= 0.0):
         raise InvalidScenario("x0: shares must be strictly positive")
-    if abs(float(x0.sum()) - 1.0) > 1e-9:
+    if abs(_running_total(x0) - 1.0) > 1e-9:
         raise InvalidScenario("x0: shares must sum to 1")
-    x0 = x0 / x0.sum()
+    x0 = x0 / _running_total(x0)
 
     r0 = np.asarray(_number_list(raw["r0"], "r0"), dtype=float)
     if r0.shape[0] != n:
@@ -248,8 +248,8 @@ def _summary(scn: Scenario, traj: Trajectory,
     cfg = scn.cfg
     t_end = float(traj.times[-1])
     i_eq = traj.index_at(SAMPLE_FRACTION * t_end)
-    requests_eq = traj.requests[i_eq]
-    target = analytic_ess(cfg, AllocationState(requests_eq)).shares
+    alloc_eq = AllocationState(traj.requests[i_eq])
+    target = analytic_ess(cfg, alloc_eq).shares
     t_conv = convergence_time(traj.upto(CONVERGENCE_FRACTION * t_end),
                               target, scn.eps_convergence)
     n = cfg.n_ecps
@@ -257,8 +257,8 @@ def _summary(scn: Scenario, traj: Trajectory,
         "scheme": scn.scheme,
         "equilibrium_shares": [float(v) for v in traj.shares[-1]],
         "equilibrium_price": float(traj.prices[i_eq]),
-        "equilibrium_requests": [float(v) for v in requests_eq],
-        "equilibrium_cloud_remainder": float(1.0 - requests_eq.sum()),
+        "equilibrium_requests": alloc_eq.requests.tolist(),
+        "equilibrium_cloud_remainder": alloc_eq.cloud_remainder,
         "convergence_time": None if t_conv is None else float(t_conv),
         "integral_utilities": {
             **{f"ecp_{k + 1}": float(traj.integral_utilities[-1][k])
@@ -316,7 +316,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n = scn.cfg.n_ecps
     table = np.column_stack([
         traj.times, traj.shares, traj.requests,
-        1.0 - traj.requests.sum(axis=1), traj.prices,
+        _cloud_remainder(traj.requests), traj.prices,
         traj.utilities, traj.integral_utilities,
     ])
     _write(out, "trajectory.csv", _csv(
@@ -426,7 +426,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             verdict = ("converged" if report is None or report.converged
                        else "no-convergence")
         rows.append([value, *traj.shares[-1], traj.prices[i_eq],
-                     1.0 - traj.requests[i_eq].sum(), verdict])
+                     _cloud_remainder(traj.requests[i_eq]), verdict])
     _write(out, "sweep.csv", _csv(
         ["value"] + _cols("x", scn.cfg.n_ecps) + ["p_star", "r_c", "verdict"],
         rows))

@@ -163,7 +163,7 @@ class PopulationState:
             raise ValueError("shares: need at least one edge provider plus the cloud")
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValueError("shares: entries must lie in [0, 1]")
-        if abs(arr.sum() - 1.0) > SIMPLEX_TOL:
+        if abs(_running_total(arr) - 1.0) > SIMPLEX_TOL:
             raise ValueError("shares: must sum to 1")
         object.__setattr__(self, "shares", arr)
 
@@ -201,14 +201,14 @@ class AllocationState:
             raise ValueError("requests: need at least one edge provider")
         if np.any(arr < 0.0) or np.any(arr >= 1.0):
             raise ValueError("requests: entries must lie in [0, 1)")
-        if arr.sum() > 1.0 + ALLOC_TOL:
+        if _running_total(arr) > 1.0 + ALLOC_TOL:
             raise ValueError("requests: must sum to at most 1")
         object.__setattr__(self, "requests", arr)
 
     @property
     def cloud_remainder(self) -> float:
-        """Fraction r_c = 1 - sum r_n retained by the cloud."""
-        return max(0.0, 1.0 - float(self.requests.sum()))
+        """Fraction r_c = max(1 - sum r_n, 0) retained by the cloud."""
+        return float(_cloud_remainder(self.requests))
 
 
 @dataclass(frozen=True)
@@ -235,27 +235,34 @@ def _check_sizes(cfg: SystemConfig, pop: PopulationState | None = None,
         raise ValueError("requests: length inconsistent with n_ecps")
 
 
-def _supply(cfg: SystemConfig, requests: np.ndarray) -> np.ndarray:
-    """Compute per provider [R_n + R_c r_n .., R_c r_c] along the last axis."""
-    # The last running sum adds the requests left to right, as _uptake_row.
-    remainder = np.maximum(1.0 - np.cumsum(requests, axis=-1)[..., -1:], 0.0)
-    return np.concatenate((cfg.ecp_power + cfg.cloud_power * requests,
-                           cfg.cloud_power * remainder), axis=-1)
-
-
 def _left_sum(values) -> float:
     """Sum of Python floats added left to right from 0.0.
 
-    Every sum over providers in the population formulas runs in this
-    order.  numpy adds 8 or more entries pairwise, so the numpy sum that
-    remains, of the N requests in _payoffs' compute sales along a grid, may
-    round differently from N = 8 on.  Builtin sum() is not used: from
-    Python 3.12 it compensates rounding.
+    Every sum over providers runs in this order (arrays: _running_total),
+    not numpy's sum, which adds 8 or more entries pairwise, nor builtin
+    sum(), which from Python 3.12 compensates rounding.
     """
     total = 0.0
     for v in values:
         total += v
     return total
+
+
+def _running_total(values: np.ndarray) -> np.ndarray:
+    """Sum along the last axis, left to right: the last running sum."""
+    return np.cumsum(values, axis=-1)[..., -1]
+
+
+def _cloud_remainder(requests: np.ndarray) -> np.ndarray:
+    """r_c = max(1 - sum r_n, 0) along the last axis; floats: _uptake_row."""
+    return np.maximum(1.0 - _running_total(requests), 0.0)
+
+
+def _supply(cfg: SystemConfig, requests: np.ndarray) -> np.ndarray:
+    """Compute per provider [R_n + R_c r_n .., R_c r_c] along the last axis."""
+    remainder = _cloud_remainder(requests)[..., None]
+    return np.concatenate((cfg.ecp_power + cfg.cloud_power * requests,
+                           cfg.cloud_power * remainder), axis=-1)
 
 
 def _uptake_row(cfg: SystemConfig, requests: list[float]
@@ -362,7 +369,7 @@ def _payoffs(cfg: SystemConfig, shares: np.ndarray, requests: np.ndarray,
     revenue_w = np.array([eta1] * n + [xi1])
     mismatch_w = np.array([eta3] * n + [xi3])
     sales = np.concatenate((-eta2 * requests,
-                            xi2 * requests.sum(axis=-1, keepdims=True)), axis=-1)
+                            xi2 * _running_total(requests)[..., None]), axis=-1)
     mismatch = cfg.n_users * cfg.nominal_rate * shares - _supply(cfg, requests)
     return (revenue_w * cfg.all_access_prices * cfg.n_users * shares
             + cfg.cloud_power * np.asarray(price)[..., None] * sales

@@ -65,12 +65,6 @@ def _rhs_floats(cfg: SystemConfig, supply: list[float]):
     return rate
 
 
-def _rhs_row(rate, now, delayed) -> np.ndarray:
-    """Velocities of the kernel `rate` at one state pair, as an array."""
-    field, = rate(None, np.array(delayed, dtype=float, ndmin=2))
-    return np.array(field(np.asarray(now, dtype=float).tolist()))
-
-
 def replicator_rhs(cfg: SystemConfig, pop: PopulationState,
                    alloc: AllocationState) -> np.ndarray:
     """Share velocities x_dot_s = delta * x_s * (pi_s - mean pi).
@@ -94,8 +88,8 @@ def delayed_replicator_rhs(cfg: SystemConfig, pop_now: PopulationState,
     """
     _check_sizes(cfg, pop_now, alloc)
     _check_sizes(cfg, pop_delayed)
-    rate = _rhs_floats(cfg, _supply(cfg, alloc.requests).tolist())
-    return _rhs_row(rate, pop_now.shares, pop_delayed.shares)
+    return ReplicatorField(cfg, alloc).delayed_rate(0.0, pop_now.shares,
+                                                    pop_delayed.shares)
 
 
 @dataclass(frozen=True)
@@ -108,9 +102,9 @@ class ReplicatorField:
     is exactly linear in x for a fixed allocation.  The methods keep the
     utility-difference form so the error behavior (ZeroShare) matches the
     public vector field.  The supply w is fixed per field and computed
-    once (`supply`).  Integrators take `rate` or `delayed_rate`; the time
-    argument is unused.  Both evaluate the float kernel _rhs_floats at one
-    state pair; `solver.solve_fixed` steps that kernel itself.
+    once (`supply`).  Integrators take `rate` or `delayed_rate` (the time
+    argument is unused), which evaluate the float kernel _rhs_floats at
+    one state pair, as the public fields do; `solve_fixed` steps it itself.
     """
 
     cfg: SystemConfig
@@ -130,8 +124,9 @@ class ReplicatorField:
     def delayed_rate(self, t: float, shares_now: np.ndarray,
                      shares_delayed: np.ndarray) -> np.ndarray:
         """Velocities with utilities read from `shares_delayed`."""
-        return _rhs_row(_rhs_floats(self.cfg, self.supply.tolist()),
-                        shares_now, shares_delayed)
+        rate = _rhs_floats(self.cfg, self.supply.tolist())
+        field, = rate(None, np.array(shares_delayed, dtype=float, ndmin=2))
+        return np.array(field(np.asarray(shares_now, dtype=float).tolist()))
 
 
 @dataclass(frozen=True)

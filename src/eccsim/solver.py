@@ -24,13 +24,10 @@ scenarios.  The controls come from the one stationary-control kernel of
 Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
 sets the speed.  The one population loop, _method_of_steps, steps a kernel
-rate(ts, lags) -> fields that takes a block of lagged states at once: on a
-window shorter than tau every lag it reads is already integrated, so the
-window's lag reads and the work that depends on the lag alone take one
-numpy pass, and each field(now) is stepped on floats; at tau = 0 each RK4
-stage's state is its own lag.  integrate_ode and integrate_dde adapt their
-array field, solve_fixed (so the CLI) runs replicator._rhs_floats.  Sums
-over providers, the simplex sum included, run left to right (model._left_sum).
+that reads a block of lagged states in one numpy pass; integrate_ode and
+integrate_dde adapt their array field, solve_fixed (so the CLI) runs
+replicator._rhs_floats.  Every sum over providers, the simplex sums of x0
+and of each step included, runs left to right (model._left_sum).
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (
+    SIMPLEX_TOL,
     AllocationState,
     MarketSnapshot,
     PopulationState,
@@ -85,6 +83,9 @@ CONTROL_CAP = 1.0 - 1e-6
 MAX_GRID_STEPS = 10**6
 # Most steps whose lagged states the delayed loop reads in one numpy pass.
 LAG_BLOCK = 32
+# Bounds on the share and adjoint residuals of a converged sweep (SweepReport).
+SWEEP_TOL = 1e-8
+COSTATE_TOL = 1e-6
 
 
 class BlowUp(RuntimeError):
@@ -148,10 +149,10 @@ class SweepReport:
     """Outcome of the forward-backward sweep.
 
     state_residual is the largest change in any share between the last two
-    sweeps; costate_terminal_residual is the analogous change over the
-    terminal-anchored adjoint paths (their values at T are pinned to zero
-    by construction, so path change is the meaningful residual), i.e.
-    max(eta1*max p_n, xi1*p_c)*K times the largest change in g.
+    sweeps; costate_terminal_residual the largest change in the adjoint
+    paths (pinned to zero at T, so path change is the residual that
+    matters), max(eta1*max p_n, xi1*p_c)*K times the largest change in g.
+    Converged: the two fell below SWEEP_TOL and COSTATE_TOL.
     Non-convergence is reported here, not raised.
     """
 
@@ -273,9 +274,8 @@ def _method_of_steps(rate: Callable[[list[float], np.ndarray], list], x0,
     j = max(int(p), 0) if p - j <= 0, else interpolates rows j and j+1.
     Steps s..e-1 form one block, read in one numpy pass: with e - s < tau/dt
     they read no row past s, the last one stored, and e - s <= LAG_BLOCK
-    bounds the block's memory.  At tau = 0 no row past x0 is read: every
-    stage after the first k1 is rate([t], [now])[0](now), its own state the
-    one-row block of lags.  Raises as integrate_dde.
+    bounds the block's memory.  At tau = 0 each later stage is its own lag,
+    rate([t], [now])[0](now).  Raises as integrate_dde.
     """
     check_delay(tau, dt)
     times = _make_grid(t_span, dt)
@@ -418,8 +418,7 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
     n = cfg.n_ecps
     m = times.shape[0]
     dt = float(times[1] - times[0]) if m > 1 else 0.0
-    inv_p, gap, mix = _price_gaps(cfg)
-    inv_p_sum = float(inv_p.sum())
+    inv_p, gap, inv_p_sum, mix = _price_gaps(cfg)
     lam_diag, mu_scale = _adjoint_scales(cfg)
     q_terms = list(zip(lam_diag.tolist(), inv_p.tolist(), gap.tolist()))
     p_max = default_price_cap(cfg)
@@ -469,12 +468,14 @@ def _attach_utilities(cfg: SystemConfig, traj: Trajectory) -> None:
 
 
 def _initial_shares(cfg: SystemConfig, x0) -> np.ndarray:
-    """x0 as an array, checked: one share per provider, all of them interior."""
+    """x0 as an array, checked: one interior share per provider, summing to 1."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (cfg.n_ecps + 1,):
         raise ValueError("x0: length inconsistent with n_ecps")
     if not np.all(x0 > 0.0):
         raise ValueError("x0: initial shares must be interior")
+    if abs(_left_sum(x0.tolist()) - 1.0) > SIMPLEX_TOL:
+        raise ValueError("x0: initial shares must sum to 1")
     return x0
 
 
@@ -491,20 +492,16 @@ def _path(cfg: SystemConfig, x0, times: np.ndarray,
 
 def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
                     t_span: tuple[float, float] | None = None,
-                    max_iter: int = 500, tol: float = 1e-8,
-                    costate_tol: float = 1e-6
-                    ) -> tuple[Trajectory, SweepReport]:
+                    max_iter: int = 500) -> tuple[Trajectory, SweepReport]:
     """Open-loop equilibrium of the full hierarchical game.
 
     Iterates the map g -> forward pass -> backward pass -> g from g = 0,
     so the first forward pass runs the myopic controls.  The map is taken
-    undamped; it contracts fast on every tested configuration.  Converged
-    means the largest share change between sweeps fell below tol and the
-    largest adjoint change, max(eta1*max p_n, xi1*p_c)*K * max|dg|, below
-    costate_tol.  The returned trajectory is a final forward pass under the
-    last g, stored with it, so replaying it reproduces it exactly.  A run
-    that exhausts max_iter returns converged=False in the report rather
-    than raising.
+    undamped; it contracts fast on every tested configuration.  It stops
+    once converged (see SweepReport).  The returned trajectory is a final
+    forward pass under the last g, stored with it, so replaying it
+    reproduces it exactly.  A run that exhausts max_iter returns
+    converged=False in the report rather than raising.
 
     Raises:
         BlowUp: integration left the finite range.
@@ -529,7 +526,7 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
         costate_res = adjoint_unit * float(np.max(np.abs(g_new - g)))
         g = g_new
         prev_shares = shares
-        if state_res < tol and costate_res < costate_tol:
+        if state_res < SWEEP_TOL and costate_res < COSTATE_TOL:
             converged = True
             break
     report = SweepReport(iterations=iterations, state_residual=state_res,
@@ -564,8 +561,7 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
     """Population run under a frozen allocation and zero cloud price.
 
     Honors cfg.population_delay with constant prehistory x0: steps the
-    float kernel _rhs_floats in _method_of_steps, which builds the
-    utilities of a block of lagged states in one numpy pass, and matches
+    float kernel _rhs_floats in _method_of_steps, and matches
     integrate_dde(field.delayed_rate, ..) of a ReplicatorField bit for bit.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))

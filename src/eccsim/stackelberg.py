@@ -31,6 +31,7 @@ from .model import (
     SystemConfig,
     _check_sizes,
     _left_sum,
+    _running_total,
     ccp_instant_utility,
     ecp_instant_utility,
     theta,
@@ -99,15 +100,16 @@ class CcpCostate:
         return cls(np.zeros(n_ecps), np.zeros((n_ecps, n_ecps)))
 
 
-def _price_gaps(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """(1/p_n, gap_n = 1/p_n - 1/p_c, mix = N/p_c - sum 1/p_n).
+def _price_gaps(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(1/p_n, gap_n = 1/p_n - 1/p_c, sum 1/p_n, mix = N/p_c - sum 1/p_n).
 
     mix is the common sensitivity of the cloud-bound utility mass to the
     price.
     """
     inv_p = 1.0 / cfg.ecp_access_price
-    mix = float(cfg.n_ecps / cfg.cloud_access_price - inv_p.sum())
-    return inv_p, inv_p - 1.0 / cfg.cloud_access_price, mix
+    inv_sum = float(_running_total(inv_p))
+    mix = cfg.n_ecps / cfg.cloud_access_price - inv_sum
+    return inv_p, inv_p - 1.0 / cfg.cloud_access_price, inv_sum, mix
 
 
 def q_vector(cfg: SystemConfig, pop: PopulationState, n: int) -> np.ndarray:
@@ -120,7 +122,7 @@ def q_vector(cfg: SystemConfig, pop: PopulationState, n: int) -> np.ndarray:
     _check_sizes(cfg, pop)
     if not 1 <= n <= cfg.n_ecps:
         raise ValueError(f"n: must be in 1..{cfg.n_ecps}")
-    inv_p, gap, _ = _price_gaps(cfg)
+    inv_p, gap, _, _ = _price_gaps(cfg)
     out = -gap[n - 1] * pop.ecp
     out[n - 1] += inv_p[n - 1]
     return out
@@ -166,7 +168,7 @@ def _general_controls(cfg: SystemConfig, pop: PopulationState,
     _check_sizes(cfg, pop)
     x_ecp = pop.ecp
     lam = ecp_costates.lam
-    inv_p, gap, mix = _price_gaps(cfg)
+    inv_p, gap, _, mix = _price_gaps(cfg)
     lam_dot_q = np.diagonal(lam) * inv_p - gap * (lam @ x_ecp)
     flow = (float(np.dot(ccp_costate.mu, -inv_p - x_ecp * mix))
             + float(np.einsum("nm,nm->", ccp_costate.theta_mat, lam)) * mix)

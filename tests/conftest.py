@@ -38,14 +38,14 @@ def make_big_cloud_config(**overrides) -> SystemConfig:
 def uptake_reference(cfg: SystemConfig, requests: np.ndarray):
     """Uptake c_s = beta*w_s/(K p_s) and Theta = delta*sum_s c_s over arrays.
 
-    The array spelling of model._uptake_row, along the last axis.  The
-    uptakes match the float kernel bit for bit at every N; numpy sums fewer
-    than 8 entries left to right, so Theta does up to N = 6, and from N = 7
-    numpy sums the N+1 uptakes pairwise.
+    The array spelling of model._uptake_row, along the last axis.  Theta
+    adds the N+1 uptakes left to right, as the last entry of their running
+    sum (numpy's sum adds 8 or more entries pairwise), so the uptakes and
+    Theta match the float kernel bit for bit at every N.
     """
     c = ((cfg.mapping_factor / cfg.n_users) * _supply(cfg, requests)
          / cfg.all_access_prices)
-    return c, cfg.learning_rate * c.sum(axis=-1)
+    return c, cfg.learning_rate * np.cumsum(c, axis=-1)[..., -1]
 
 
 @pytest.fixture

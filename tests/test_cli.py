@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eccsim import AllocationState
 from eccsim.cli import InvalidScenario, _override, load_scenario, main
 
 BASE = {
@@ -538,6 +539,28 @@ class TestSweep:
         assert code == 2
         assert "error: cloud_power: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+def test_cloud_remainder_matches_allocation_state(tmp_path):
+    # numpy adds these 8 requests pairwise to 0.06999999999999995; the
+    # model adds them left to right.  Every r_c the CLI writes is the
+    # model's, bit for bit.
+    r0 = [0.048, 0.234, 0.006, 0.021, 0.162, 0.121, 0.273, 0.065]
+    want = AllocationState(r0).cloud_remainder
+    assert want == 0.06999999999999984
+    scenario = write_scenario(tmp_path, n_ecps=8, ecp_power=[1.0] * 8,
+                              ecp_access_price=[0.3] * 8,
+                              x0=[0.1] * 8 + [0.2], r0=r0)
+    assert main(["simulate", scenario, "--out", str(tmp_path / "run")]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["equilibrium_cloud_remainder"] == want
+    lines = (tmp_path / "run" / "trajectory.csv").read_text().splitlines()
+    col = lines[0].split(",").index("r_c")
+    assert {float(line.split(",")[col]) for line in lines[1:]} == {want}
+    assert main(["sweep", scenario, "--param", "R_c", "--values", "3",
+                 "--out", str(tmp_path / "swp")]) == 0
+    head, row = (tmp_path / "swp" / "sweep.csv").read_text().splitlines()
+    assert float(row.split(",")[head.split(",").index("r_c")]) == want
 
 
 def test_cli_import_leaves_scipy_out():

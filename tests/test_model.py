@@ -19,8 +19,9 @@ from eccsim import (
     theta,
     user_utility,
 )
-from eccsim.model import ALLOC_TOL, _uptake_row
+from eccsim.model import ALLOC_TOL, _left_sum, _payoffs, _uptake_row
 from eccsim.replicator import ReplicatorField, analytic_ess
+from eccsim.stackelberg import _price_gaps
 
 from conftest import make_config, uptake_reference
 
@@ -165,21 +166,48 @@ class TestUtilities:
 
     @pytest.mark.parametrize("n", [7, 8, 9])
     def test_supply_sums_requests_in_provider_order(self, n):
-        # numpy sums 8 or more requests pairwise; the cloud's remainder
-        # 1 - sum r in provider_power and ReplicatorField.supply adds them
-        # left to right, as _uptake_row does, so all give the same uptakes.
+        # numpy sums 8 or more entries pairwise; every sum over providers
+        # adds them left to right, as _uptake_row does: the cloud's
+        # remainder max(1 - sum r, 0) in provider_power,
+        # ReplicatorField.supply and AllocationState.cloud_remainder, the
+        # compute sales sum r in the cloud's payoff along a grid, and
+        # sum 1/p_n in _price_gaps.
         rng = np.random.default_rng(n)
         power = rng.uniform(0.5, 3.0, size=n)
         cfg = make_config(n_ecps=n, ecp_power=power,
                           ecp_access_price=rng.uniform(0.1, 1.0, size=n),
                           cloud_power=float(power.max() * 2.0))
         scale, prices = cfg.mapping_factor / cfg.n_users, cfg.all_access_prices
-        for _ in range(200):
-            alloc = AllocationState(rng.dirichlet(np.ones(n + 1))[:n])
-            c, _ = _uptake_row(cfg, alloc.requests.tolist())
+        requests = rng.dirichlet(np.ones(n + 1), size=200)[:, :n]
+        for r in requests:
+            alloc = AllocationState(r)
+            c, _ = _uptake_row(cfg, r.tolist())
             for supply in (provider_power(cfg, alloc),
                            ReplicatorField(cfg, alloc).supply):
                 assert (scale * supply / prices).tolist() == c
+            assert alloc.cloud_remainder == max(1.0 - _left_sum(r.tolist()), 0.0)
+
+        shares = rng.dirichlet(np.ones(n + 1), size=200)
+        price = rng.uniform(0.0, 2.0, size=200)
+        got = _payoffs(cfg, shares, requests, price)[:, -1]
+        xi1, xi2, xi3 = cfg.ccp_weights
+        kphi, p_c, r_c = (cfg.n_users * cfg.nominal_rate,
+                          cfg.cloud_access_price, cfg.cloud_power)
+        for u, x, r, p in zip(got.tolist(), shares[:, -1].tolist(),
+                              requests.tolist(), price.tolist()):
+            sold = _left_sum(r)
+            gap = kphi * x - r_c * max(1.0 - sold, 0.0)
+            assert u == (xi1 * p_c * cfg.n_users * x + r_c * p * (xi2 * sold)
+                         - xi3 * (gap * gap))
+
+        for _ in range(200):
+            p_n = rng.uniform(0.1, 1.0, size=n)
+            gaps = _price_gaps(make_config(n_ecps=n, ecp_power=power,
+                                           ecp_access_price=p_n,
+                                           cloud_power=cfg.cloud_power))
+            inv_sum = _left_sum((1.0 / p_n).tolist())
+            assert gaps[2] == inv_sum
+            assert gaps[3] == n / cfg.cloud_access_price - inv_sum
 
     def test_mean_utility_shape_check(self):
         pop = PopulationState([0.5, 0.5])
@@ -276,10 +304,8 @@ def test_theta_positive_and_price_scaling(data):
 def test_uptake_row_matches_uptake(n, seed):
     # The per-node uptake over Python floats, and the public theta and
     # analytic_ess built on it, against the array formula.  Both sum the
-    # requests left to right, so the uptakes agree bit for bit at every N.
-    # Theta and the ESS do too while numpy sums the N+1 uptakes left to
-    # right (fewer than 8 entries, N <= 6); from N = 7 it sums them
-    # pairwise, which moves their total by at most N+1 ulps.
+    # requests and the N+1 uptakes left to right, so the uptakes, Theta
+    # and the ESS agree bit for bit at every N.
     rng = np.random.default_rng(seed)
     power = rng.uniform(0.5, 3.0, size=n)
     cfg = make_config(n_ecps=n, ecp_power=power,
@@ -303,18 +329,9 @@ def test_uptake_row_matches_uptake(n, seed):
     if ess is not None:
         assert theta(cfg, alloc) == theta_row
     c, theta_arr = uptake_reference(cfg, requests)
-    common = float(c.sum())
+    common = float(np.cumsum(c)[-1])
     assert c_row == c.tolist()
-    if n <= 6:
-        assert theta_row == float(theta_arr)
-        if ess is not None:
-            assert ess.common_utility == common
-            assert ess.shares.shares.tolist() == (c / common).tolist()
-        return
-    eps = np.finfo(float).eps
-    assert abs(theta_row - theta_arr) <= (n + 1) * eps * theta_arr
+    assert theta_row == float(theta_arr)
     if ess is not None:
-        common_tol = (n + 1) * eps * common
-        assert abs(ess.common_utility - common) <= common_tol
-        np.testing.assert_allclose(ess.shares.shares, c / common, rtol=0,
-                                   atol=common_tol / common + eps)
+        assert ess.common_utility == common
+        assert ess.shares.shares.tolist() == (c / common).tolist()

@@ -497,9 +497,10 @@ class TestSweep:
         np.testing.assert_array_equal(traj.prices, again.prices)
 
     def test_n8_backward_pass_reads_forward_theta(self, monkeypatch):
-        # From N = 7 an array uptake may round Theta differently from the
-        # float one of the forward pass.  Each backward pass must see
-        # exactly the per-interval Theta of the forward pass before it.
+        # From N = 7 numpy's pairwise sum of the N+1 uptakes may round
+        # Theta differently from the float one of the forward pass.  Each
+        # backward pass must see exactly the per-interval Theta of the
+        # forward pass before it.
         n = 8
         cfg = make_big_cloud_config(
             n_ecps=n, ecp_power=np.linspace(0.5, 1.5, n),
@@ -527,8 +528,9 @@ class TestSweep:
         assert len(forward) == (report.iterations + 1) * m
         for k, thetas in enumerate(backward):
             assert thetas == forward[k * m:(k + 1) * m]
-        # At this N the array uptake rounds some intervals differently.
-        assert uptake_reference(cfg, traj.requests)[1][:-1].tolist() != forward[-m:]
+        # At this N numpy's sum rounds some intervals differently.
+        c, _ = uptake_reference(cfg, traj.requests[:-1])
+        assert (cfg.learning_rate * c.sum(axis=-1)).tolist() != forward[-m:]
 
     def test_non_finite_adjoint_raises(self, solved):
         # One NaN node in g turns that node's controls into NaN, and the
@@ -555,8 +557,11 @@ class TestSweep:
         lambda cfg, x0: solve_fixed(cfg, x0, [0.1, 0.2], (0.0, 1.0), 0.1),
     ], ids=["olsec", "ssec", "fixed"])
     def test_rejects_nan_share(self, cfg, solve):
-        with pytest.raises(ValueError, match="^x0: initial shares must be"):
-            solve(cfg, [0.5, np.nan, 0.5])
+        for x0, match in (([0.5, np.nan, 0.5], "be interior"),
+                          ([1.0, 1.0, 1.0], "sum to 1")):
+            with pytest.raises(ValueError,
+                               match=f"^x0: initial shares must {match}$"):
+                solve(cfg, x0)
 
     def test_nonconvergence_reported_not_raised(self, cfg):
         _, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.1,
