@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 
 import numpy as np
 
@@ -41,22 +40,29 @@ __all__ = [
 
 
 def _rhs_floats(cfg: SystemConfig, supply: list[float]):
-    """Delayed field as rate(ts, lags) -> fields, one field(now) per lag row.
+    """Delayed field as rate(ts, lags) -> fields, one field per lag row.
 
-    x_dot_s = delta * y_s * (pi_s(y) - now . pi(y)) with y the lag row.
-    `rate` builds the utilities and factors delta*y of a whole block of
-    delayed states in one numpy pass, the per-user compute from
-    model._per_user_power, which owns the ZeroShare check and the
-    empty-group rule; each `field` sums the mean at `now` over Python
-    floats (model._left_sum) and forms the velocities.
+    x_dot_s = delta * y_s * (pi_s(y) - now . pi(y)) with y the lag row and
+    now = base + h*slope in field(base, slope, h).  `rate` builds the
+    utilities and factors delta*y of a block of lags in one numpy pass, the
+    per-user compute from model._per_user_power, which owns the ZeroShare
+    check and the empty-group rule.  `field` sums the mean as (a + h*k)*u
+    left to right (model._left_sum), the steps of a built `now`, so the
+    bits match; in loops, as comprehensions are calls before Python 3.12.
     """
     beta, delta = cfg.mapping_factor, cfg.learning_rate
     w, prices = np.array(supply), cfg.all_access_prices
 
     def velocity(utils: list[float], growth: list[float]):
-        def field(now: list[float]) -> list[float]:
-            mean = _left_sum(map(mul, now, utils))
-            return [g * (u - mean) for g, u in zip(growth, utils)]
+        def field(base: list[float], slope: list[float],
+                  h: float) -> list[float]:
+            mean = 0.0
+            for a, k, u in zip(base, slope, utils):
+                mean += (a + h * k) * u
+            out = []
+            for g, u in zip(growth, utils):
+                out.append(g * (u - mean))
+            return out
         return field
 
     def rate(ts, lags: np.ndarray) -> list:
@@ -126,7 +132,8 @@ class ReplicatorField:
         """Velocities with utilities read from `shares_delayed`."""
         rate = _rhs_floats(self.cfg, self.supply.tolist())
         field, = rate(None, np.array(shares_delayed, dtype=float, ndmin=2))
-        return np.array(field(np.asarray(shares_now, dtype=float).tolist()))
+        now = np.asarray(shares_now, dtype=float).tolist()
+        return np.array(field(now, [0.0] * len(now), 0.0))
 
 
 @dataclass(frozen=True)

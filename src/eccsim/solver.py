@@ -24,10 +24,13 @@ scenarios.  The controls come from the one stationary-control kernel of
 Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
 sets the speed.  The one population loop, _method_of_steps, steps a kernel
-that reads a block of lagged states in one numpy pass; integrate_ode and
-integrate_dde adapt their array field, solve_fixed (so the CLI) runs
-replicator._rhs_floats.  Every sum over providers, the simplex sums of x0
-and of each step included, runs left to right (model._left_sum).
+that reads a block of lagged states in one numpy pass and gives a field
+per lag whose field(base, slope, h) is the velocity at base + h*slope, so
+no RK4 stage state is built; integrate_ode and integrate_dde adapt their
+array field, solve_fixed (so the CLI) runs replicator._rhs_floats.  Its
+step and field loops append instead of using comprehensions, which only
+Python 3.12 inlines (PEP 709).  Every sum over providers, the simplex sums
+of x0 and of each step included, runs left to right (model._left_sum).
 """
 
 from __future__ import annotations
@@ -135,13 +138,8 @@ class Trajectory:
     def upto(self, t_end: float) -> "Trajectory":
         """View of the trajectory restricted to times <= t_end."""
         m = int(np.searchsorted(self.times, t_end + 1e-12, side="right"))
-
-        def cut(a):
-            return None if a is None else a[:m]
-
-        return Trajectory(self.times[:m], self.shares[:m], cut(self.requests),
-                          cut(self.prices), cut(self.g), cut(self.utilities),
-                          cut(self.integral_utilities))
+        return Trajectory(*[None if a is None else a[:m]
+                            for a in vars(self).values()])
 
 
 @dataclass(frozen=True)
@@ -208,19 +206,26 @@ def _make_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
     return times
 
 
-def _check_finite(y: list[float]) -> None:
+def _check_finite(y: list[float]) -> list[float]:
+    """y, once each component is within MAGNITUDE_LIMIT (max() skips NaN)."""
     for v in y:
-        # Tested per component: max() would skip a NaN after the first entry.
         if not abs(v) <= MAGNITUDE_LIMIT:
             raise BlowUp("state magnitude left the finite range")
+    return y
 
 
 def _project_simplex(y: list[float]) -> list[float]:
-    y = [max(v, SHARE_FLOOR) for v in y]
-    s = _left_sum(y)
-    if abs(s - 1.0) > DRIFT_TOL:
-        y = [v / s for v in y]
-    return y
+    """_check_finite, floor at SHARE_FLOOR and renormalise, in one pass."""
+    floored, total = [], 0.0
+    for v in y:
+        if not abs(v) <= MAGNITUDE_LIMIT:  # checked before the floor
+            raise BlowUp("state magnitude left the finite range")
+        v = v if v > SHARE_FLOOR else SHARE_FLOOR
+        floored.append(v)
+        total += v
+    if abs(total - 1.0) > DRIFT_TOL:
+        return [v / total for v in floored]
+    return floored
 
 
 def _curried(field: Callable[..., np.ndarray]) -> Callable:
@@ -229,14 +234,15 @@ def _curried(field: Callable[..., np.ndarray]) -> Callable:
     Raises:
         ValueError: `field` returned anything but a vector as long as the state.
     """
-    def call(t, now, lag):
-        out = np.asarray(field(t, np.array(now), lag))
-        if out.shape != (len(now),):
+    def call(t, lag, base, slope, h):
+        now = np.array([a + h * k for a, k in zip(base, slope)])
+        out = np.asarray(field(t, now, lag))
+        if out.shape != (len(base),):
             raise ValueError("field: must return a vector as long as the state")
         return out.tolist()
 
     def rate(ts, lags):
-        return [lambda now, t=t, lag=lag: call(t, now, lag)
+        return [lambda base, slope, h, t=t, lag=lag: call(t, lag, base, slope, h)
                 for t, lag in zip(ts, lags)]
     return rate
 
@@ -266,24 +272,25 @@ def _method_of_steps(rate: Callable[[list[float], np.ndarray], list], x0,
     """RK4 steps of x'(t) = f(t, x(t), x(t - tau)) over float lists.
 
     rate(ts, lags) takes a block of lagged states, one per row of the 2-D
-    array `lags` at time ts[r], and returns one field per row, field(now) =
-    f(t, now, lag).  Step i reads the lag at grid position i + 1/2 - tau/dt
-    for k2 and k3 and at i + 1 - tau/dt for k4, whose field is step i+1's k1;
-    the first k1 reads row 0 (x0).  A run makes 4*steps field calls, and a
-    delayed one hands 2*steps + 1 rows to `rate`.  Position p reads row
-    j = max(int(p), 0) if p - j <= 0, else interpolates rows j and j+1.
-    Steps s..e-1 form one block, read in one numpy pass: with e - s < tau/dt
-    they read no row past s, the last one stored, and e - s <= LAG_BLOCK
-    bounds the block's memory.  At tau = 0 each later stage is its own lag,
-    rate([t], [now])[0](now).  Raises as integrate_dde.
+    array `lags` at time ts[r], and returns one field per row,
+    field(base, slope, h) = f(t, base + h*slope, lag); k1 = field(y, y, 0.0)
+    as y + 0*y is y for finite y.  Step i reads the lag at grid position
+    i + 1/2 - tau/dt for k2 and k3 and at i + 1 - tau/dt for k4, whose field
+    is step i+1's k1; the first k1 reads row 0 (x0).  A run makes 4*steps
+    field calls, and a delayed one hands 2*steps + 1 rows to `rate`.
+    Position p reads row j = max(int(p), 0) if p - j <= 0, else interpolates
+    rows j and j+1.  Steps s..e-1 form one block, read in one numpy pass:
+    with e - s < tau/dt they read no row past s, the last one stored, and
+    e - s <= LAG_BLOCK bounds the block's memory.  At tau = 0 each later
+    stage is its own lag (own).  One `settle` pass checks each step's state
+    and, with simplex, projects it.  Raises as integrate_dde.
     """
     check_delay(tau, dt)
     times = _make_grid(t_span, dt)
     x0 = np.asarray(x0, dtype=float).tolist()
-    width, shift, steps = len(x0), tau / dt, times.shape[0] - 1
-    out = np.empty((steps + 1, width))
+    shift, steps = tau / dt, times.shape[0] - 1
+    out = np.empty((steps + 1, len(x0)))
     out[0] = y = x0
-    hist = memoryview(out).cast("B").cast("d")
 
     def read(s: int, e: int):
         """Lag rows of steps s..e-1, mid-step and end-of-step for each."""
@@ -296,9 +303,13 @@ def _method_of_steps(rate: Callable[[list[float], np.ndarray], list], x0,
 
     def own(t: float):
         """Field at time t whose lag is the state it is called at (tau = 0)."""
-        return lambda now: rate([t], np.array([now]))[0](now)
+        def field(base, slope, h):
+            now = [a + h * k for a, k in zip(base, slope)]
+            return rate([t], np.array([now]))[0](now, now, 0.0)
+        return field
 
     half, sixth = 0.5 * dt, dt / 6.0
+    settle = _project_simplex if simplex else _check_finite
     block = min(max(math.ceil(shift) - 1, 1), LAG_BLOCK)
     field = rate(times[:1].tolist(), out[:1])[0]
     ends = map(float, times[1:])
@@ -307,18 +318,15 @@ def _method_of_steps(rate: Callable[[list[float], np.ndarray], list], x0,
         ts = [u for t_end in islice(ends, e - s) for u in (t_end - half, t_end)]
         fields = iter(rate(ts, read(s, e)) if shift else map(own, ts))
         for i, mid, end in zip(range(s + 1, e + 1), fields, fields):  # in pairs
-            k1 = field(y)
-            k2 = mid([v + half * k for v, k in zip(y, k1)])
-            k3 = mid([v + half * k for v, k in zip(y, k2)])
+            k1 = field(y, y, 0.0)
+            k2 = mid(y, k1, half)
+            k3 = mid(y, k2, half)
             field = end
-            k4 = field([v + dt * k for v, k in zip(y, k3)])
-            y = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
-                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
-            _check_finite(y)
-            if simplex:
-                y = _project_simplex(y)
-            for q, v in enumerate(y, i * width):
-                hist[q] = v
+            k4 = end(y, k3, dt)
+            nxt = []
+            for v, a, b, c, d in zip(y, k1, k2, k3, k4):
+                nxt.append(v + sixth * (a + 2.0 * b + 2.0 * c + d))
+            out[i] = y = settle(nxt)
     return Trajectory(times=times, shares=out)
 
 
@@ -330,11 +338,9 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     Each step takes RK4 stages, but the delayed state is read from the
     already-integrated grid by linear interpolation, so the method is
     second order: the error falls by 4 per halving of dt.  Before the start
-    the delayed state is the constant x0.  Step i reads the lags at grid
-    positions i + 1/2 - tau/dt and i + 1 - tau/dt, a block of steps at a
-    time, and calls `field` once per RK4 stage with that stage's lag as an
-    array row; at tau = 0 the lag is the stage's own state.  The steps are
-    those of _method_of_steps, as in solve_fixed.
+    the delayed state is the constant x0; at tau = 0 it is each stage's
+    own state.  `field` is called once per RK4 stage; the steps are those
+    of _method_of_steps, as in solve_fixed.
 
     Raises:
         ValueError: tau not finite, negative, or 0 < tau < dt (one step
@@ -368,8 +374,7 @@ def _adjoint_profile(cfg: SystemConfig, times: np.ndarray,
     g = [0.0] * m
     for i in range(m - 1, 0, -1):
         g[i - 1] = _affine_rk4(g[i], rate[i - 1], 1.0, h)
-    _check_finite(g)
-    return np.array(g)
+    return np.array(_check_finite(g))
 
 
 def _adjoint_scales(cfg: SystemConfig) -> tuple[np.ndarray, float]:
@@ -391,10 +396,8 @@ def costate_backward_grid(cfg: SystemConfig, times: np.ndarray,
     g = _adjoint_profile(cfg, times, [_uptake_row(cfg, r)[1]
                                       for r in requests[:-1].tolist()])
     lam_diag, mu_scale = _adjoint_scales(cfg)
-    n = cfg.n_ecps
-    lam = np.zeros((g.shape[0], n, n))
-    lam[:, np.arange(n), np.arange(n)] = g[:, None] * lam_diag
-    mu = np.repeat((mu_scale * g)[:, None], n, axis=1)
+    lam = g[:, None, None] * np.diag(lam_diag)
+    mu = np.repeat((mu_scale * g)[:, None], cfg.n_ecps, axis=1)
     return lam, mu, np.zeros_like(lam)
 
 
@@ -445,9 +448,8 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
             break
         c, theta = _uptake_row(cfg, r)
         thetas.append(theta)
-        x = [_affine_rk4(y, -theta, -delta * cs, dt) for y, cs in zip(x, c)]
-        _check_finite(x)
-        x = _project_simplex(x)
+        x = _project_simplex([_affine_rk4(y, -theta, -delta * cs, dt)
+                              for y, cs in zip(x, c)])
     return np.array(shares), np.array(requests), np.array(prices), thetas
 
 

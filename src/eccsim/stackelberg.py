@@ -164,14 +164,14 @@ def _stationary_controls(cfg: SystemConfig, x_ecp: list[float],
 def _general_controls(cfg: SystemConfig, pop: PopulationState,
                       ecp_costates: EcpCostate, ccp_costate: CcpCostate
                       ) -> tuple[list[float], float, float]:
-    """_stationary_controls with both adjoint terms from general costates."""
+    """_stationary_controls at general costates, summed left to right."""
     _check_sizes(cfg, pop)
     x_ecp = pop.ecp
     lam = ecp_costates.lam
     inv_p, gap, _, mix = _price_gaps(cfg)
-    lam_dot_q = np.diagonal(lam) * inv_p - gap * (lam @ x_ecp)
-    flow = (float(np.dot(ccp_costate.mu, -inv_p - x_ecp * mix))
-            + float(np.einsum("nm,nm->", ccp_costate.theta_mat, lam)) * mix)
+    lam_dot_q = np.diagonal(lam) * inv_p - gap * _running_total(lam * x_ecp)
+    flow = (float(_running_total(ccp_costate.mu * (-inv_p - x_ecp * mix)))
+            + float(_running_total((ccp_costate.theta_mat * lam).ravel())) * mix)
     return _stationary_controls(cfg, x_ecp.tolist(), lam_dot_q.tolist(), flow)
 
 
@@ -215,7 +215,7 @@ def ecp_hamiltonian(cfg: SystemConfig, snap: MarketSnapshot,
         raise ValueError(f"n: must be in 1..{cfg.n_ecps}")
     flow = replicator_rhs(cfg, snap.population, snap.allocation)[: cfg.n_ecps]
     return (ecp_instant_utility(cfg, snap, n)
-            + float(np.dot(costate.lam[n - 1], flow)))
+            + float(_running_total(costate.lam[n - 1] * flow)))
 
 
 def ecp_costate_rhs(cfg: SystemConfig, snap: MarketSnapshot,
@@ -248,8 +248,8 @@ def ccp_hamiltonian(cfg: SystemConfig, snap: MarketSnapshot,
         for n in range(1, cfg.n_ecps + 1)
     ])
     return (ccp_instant_utility(cfg, snap)
-            + float(np.dot(ccp_costate.mu, flow))
-            + float(np.einsum("nm,nm->", ccp_costate.theta_mat, lam_flow)))
+            + float(_running_total(ccp_costate.mu * flow))
+            + float(_running_total((ccp_costate.theta_mat * lam_flow).ravel())))
 
 
 def ccp_costate_rhs(cfg: SystemConfig, snap: MarketSnapshot,

@@ -173,7 +173,8 @@ class TestReplicatorField:
         now = rng.dirichlet(np.ones(n + 1))
         delayed = rng.dirichlet(np.ones(n + 1))
         supply = field.supply.tolist()
-        got = _rhs_floats(cfg, supply)([0.0], delayed[None, :])[0](now.tolist())
+        at, = _rhs_floats(cfg, supply)([0.0], delayed[None, :])
+        got = at(now.tolist(), now.tolist(), 0.0)
 
         utils = [cfg.mapping_factor * (w / (cfg.n_users * y)) / p
                  for w, y, p in zip(supply, delayed.tolist(),
@@ -189,11 +190,33 @@ class TestReplicatorField:
             cfg, PopulationState(now), PopulationState(delayed),
             field.alloc).tolist() == want
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_fused_stage_matches_built_stage_bitwise(self, n):
+        # field(base, slope, h) is the velocity at base + h*slope: bit for
+        # bit the field at that list, built, on every row of a block of
+        # random lags.
+        rng = np.random.default_rng(n)
+        power = rng.uniform(0.5, 3.0, size=n)
+        cfg = make_config(n_ecps=n, ecp_power=power,
+                          ecp_access_price=rng.uniform(0.1, 1.0, size=n),
+                          cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
+                          learning_rate=float(rng.uniform(0.2, 3.0)))
+        supply = ReplicatorField(cfg, AllocationState(
+            rng.dirichlet(np.ones(n + 1))[:n])).supply.tolist()
+        lags = rng.dirichlet(np.ones(n + 1), size=5)
+        fields = _rhs_floats(cfg, supply)([0.0] * 5, lags)
+        for field in fields:
+            for h in (0.0, 0.005, 0.01, -0.3):
+                base = rng.dirichlet(np.ones(n + 1)).tolist()
+                slope = rng.normal(size=n + 1).tolist()
+                now = [a + h * k for a, k in zip(base, slope)]
+                assert field(base, slope, h) == field(now, [0.0] * (n + 1), 0.0)
+
     def test_zero_share_raises_through_float_kernel(self, cfg):
         supply = ReplicatorField(cfg, AllocationState([0.0, 0.0])).supply
         with pytest.raises(ZeroShare, match="cloud"):
             _rhs_floats(cfg, supply.tolist())([0.0], np.array([[0.5, 0.5, 0.0]]))[0](
-                [0.3, 0.3, 0.4])
+                [0.3, 0.3, 0.4], [0.3, 0.3, 0.4], 0.0)
 
     def test_zero_share_check_covers_every_row_of_a_block(self, cfg):
         # One zero share in the last row of a block raises when the block
@@ -208,12 +231,13 @@ class TestReplicatorField:
         now = [0.3, 0.3, 0.4]
         for lag, field in zip(lags[:2], rate([0.0, 0.5], lags[:2])):
             one, = rate([0.0], lag[None, :])
-            assert field(now) == one(now)
+            assert field(now, now, 0.0) == one(now, now, 0.0)
 
     def test_float_kernel_empty_group_without_supply(self, cfg):
         field = ReplicatorField(cfg, AllocationState([0.55, 0.45]))
         now, delayed = [0.5, 0.4, 0.1], [0.6, 0.4, 0.0]
-        got = _rhs_floats(cfg, field.supply.tolist())([0.0], np.array([delayed]))[0](now)
+        got = _rhs_floats(cfg, field.supply.tolist())([0.0], np.array([delayed]))[0](
+            now, now, 0.0)
         assert got == field.delayed_rate(0.0, np.array(now),
                                          np.array(delayed)).tolist()
         assert got[2] == 0.0

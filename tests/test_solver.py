@@ -28,8 +28,9 @@ from eccsim.solver import (
     solve_open_loop,
     solve_ssec,
 )
-from eccsim.solver import (_adjoint_profile, _check_finite,
-                           _forward_pass, _make_grid, _method_of_steps)
+from eccsim.solver import (_adjoint_profile, _check_finite, _curried,
+                           _forward_pass, _make_grid, _method_of_steps,
+                           _project_simplex)
 from eccsim.stackelberg import (CcpCostate, EcpCostate, optimal_price,
                                 optimal_request)
 
@@ -38,6 +39,11 @@ E_INV = 0.36787944117144233
 
 def decay(t, y):
     return -y
+
+
+def stage(base, slope, h):
+    """The state a kernel's field(base, slope, h) stands for, as a list."""
+    return [a + h * k for a, k in zip(base, slope)]
 
 
 class TestGrid:
@@ -167,13 +173,32 @@ class TestIntegrateDde:
             def field(now, lag):
                 calls.append((lag, list(now)))
                 return [-0.1 * v for v in now]
-            return [lambda now, lag=lag.tolist(): field(now, lag)
+            return [lambda *at, lag=lag.tolist(): field(stage(*at), lag)
                     for lag in rows]
 
         _method_of_steps(rate, [0.3, 0.7], 0.0, (0.0, 30.0), 0.01,
                          simplex=False)
         assert len(calls) == 4 * 3000
         assert all(lag == now for lag, now in calls)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_curried_kernel_builds_the_stage(self, n):
+        # An array field adapted by _curried sees base + h*slope, built bit
+        # for bit as a list would be, and its own row's lag.
+        rng = np.random.default_rng(n)
+        seen = []
+
+        def field(t, now, lag):
+            seen.append((t, now.tolist(), lag.tolist()))
+            return np.sin(now) * lag
+
+        ts, lags = [0.5, 1.0, 1.5], rng.normal(size=(3, n))
+        for t, lag, at in zip(ts, lags, _curried(field)(ts, lags)):
+            base, slope = rng.normal(size=(2, n)).tolist()
+            h = float(rng.uniform(-1.0, 1.0))
+            now = stage(base, slope, h)
+            assert at(base, slope, h) == (np.sin(now) * lag).tolist()
+            assert seen.pop() == (t, now, lag.tolist())
 
     @pytest.mark.parametrize("tau", [0.1, 0.25, 0.3])
     def test_two_lag_reads_per_step(self, x0, tau, monkeypatch):
@@ -186,9 +211,9 @@ class TestIntegrateDde:
             inner = _orig(cfg, supply)
 
             def counted_field(field):
-                def call(now):
+                def call(base, slope, h):
                     calls["field"] += 1
-                    return field(now)
+                    return field(base, slope, h)
                 return call
 
             def rate(ts, lags):
@@ -217,8 +242,8 @@ class TestIntegrateDde:
 
         def rate(ts, lags):
             rows.extend(lags.tolist())
-            return [lambda now, lag=lag: [-0.5 * a - 0.1 * b * b
-                                          for a, b in zip(lag, now)]
+            return [lambda *at, lag=lag: [-0.5 * a - 0.1 * b * b
+                                          for a, b in zip(lag, stage(*at))]
                     for lag in lags.tolist()]
 
         x0 = [1.0, 0.5]
@@ -547,6 +572,17 @@ class TestSweep:
             with pytest.raises(BlowUp):
                 _check_finite([0.5, 0.25, bad])
 
+    def test_projection_checks_before_the_floor(self):
+        # A floor applied first would turn each of these into SHARE_FLOOR.
+        with pytest.raises(BlowUp):
+            _project_simplex([-2e12, 0.5, 0.5])
+        for bad in (np.nan, np.inf, -np.inf):
+            for k in range(3):
+                y = [0.3, 0.3, 0.4]
+                y[k] = bad
+                with pytest.raises(BlowUp):
+                    _project_simplex(y)
+
     def test_rejects_boundary_start(self, cfg):
         with pytest.raises(ValueError, match="x0"):
             solve_open_loop(cfg, [0.5, 0.5, 0.0], dt=0.1)
@@ -637,7 +673,7 @@ class TestMyopicAndFixed:
     def test_delayed_pass_checks_last_component(self, x0, bad, monkeypatch):
         monkeypatch.setattr(eccsim.solver, "_rhs_floats",
                             lambda cfg, supply: lambda ts, lags:
-                            [lambda now: [0.0, 0.0, bad]] * len(lags))
+                            [lambda base, slope, h: [0.0, 0.0, bad]] * len(lags))
         with pytest.raises(BlowUp):
             solve_fixed(make_config(population_delay=0.5), x0, [0.1, 0.2],
                         (0.0, 1.0), 0.1)

@@ -291,3 +291,60 @@ def test_stationary_controls_match_array_spelling(n, seed):
     assert a_list == a_want.tolist()
     assert b_slope == b_want
     assert price == numerator / (2.0 * nb * (xi2 + xi3 * power_c * nb))
+
+
+def left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_general_costate_sums_run_left_to_right(n):
+    # From N = 8 BLAS products (np.dot, @, einsum) round unlike a left to
+    # right sum; the general-costate controls and both Hamiltonians match a
+    # plain Python reference bit for bit.
+    rng = np.random.default_rng(n)
+    power = rng.uniform(0.5, 3.0, size=n)
+    cfg = make_config(n_ecps=n, ecp_power=power,
+                      ecp_access_price=rng.uniform(0.1, 1.0, size=n),
+                      cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
+                      learning_rate=float(rng.uniform(0.2, 3.0)))
+    inv_p = (1.0 / cfg.ecp_access_price).tolist()
+    inv_c = 1.0 / cfg.cloud_access_price
+    mix = n / cfg.cloud_access_price - left_to_right(inv_p)
+    for _ in range(50):
+        x = rng.dirichlet(np.ones(n + 1))
+        r = rng.dirichlet(np.ones(n + 1))[:n]
+        lam, th = rng.normal(size=(2, n, n)).tolist()
+        mu = rng.normal(size=n).tolist()
+        pop, costate = PopulationState(x), EcpCostate(np.array(lam))
+        leader = CcpCostate(np.array(mu), np.array(th))
+        xe = x[:n].tolist()
+        lam_dot_q = [lam[k][k] * inv_p[k] - (inv_p[k] - inv_c)
+                     * left_to_right(a * b for a, b in zip(lam[k], xe))
+                     for k in range(n)]
+        flow = (left_to_right(m * (-ip - xk * mix)
+                              for m, ip, xk in zip(mu, inv_p, xe))
+                + left_to_right(a * b for ta, la in zip(th, lam)
+                                for a, b in zip(ta, la)) * mix)
+        a_vec, b_slope, price = _stationary_controls(cfg, xe, lam_dot_q, flow)
+        assert optimal_price(cfg, pop, costate, leader) == price
+        for k in range(1, n + 1):
+            assert decompose_request(cfg, pop, costate, k) == (a_vec[k - 1],
+                                                               b_slope)
+
+        snap = snapshot(x, r, price=abs(price))
+        x_dot = replicator_rhs(cfg, pop, snap.allocation)[:n].tolist()
+        for k in range(1, n + 1):
+            assert ecp_hamiltonian(cfg, snap, costate, k) == (
+                ecp_instant_utility(cfg, snap, k)
+                + left_to_right(a * b for a, b in zip(lam[k - 1], x_dot)))
+        lam_flow = [ecp_costate_rhs(cfg, snap, costate, k).tolist()
+                    for k in range(1, n + 1)]
+        assert ccp_hamiltonian(cfg, snap, costate, leader) == (
+            ccp_instant_utility(cfg, snap)
+            + left_to_right(a * b for a, b in zip(mu, x_dot))
+            + left_to_right(a * b for ta, fa in zip(th, lam_flow)
+                            for a, b in zip(ta, fa)))
