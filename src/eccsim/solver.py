@@ -207,7 +207,7 @@ def _make_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
 
 
 def _check_finite(y: list[float]) -> list[float]:
-    """y, once each component is within MAGNITUDE_LIMIT (max() skips NaN)."""
+    """y, each component checked against MAGNITUDE_LIMIT (max() skips NaN)."""
     for v in y:
         if not abs(v) <= MAGNITUDE_LIMIT:
             raise BlowUp("state magnitude left the finite range")
