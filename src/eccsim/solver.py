@@ -18,7 +18,8 @@ integrates the population forward under the stationary controls for the
 current g, integrates g backward from zero (backward is the stable
 direction, since it grows at rate rho+Theta forward in time), and takes
 the new g undamped: the map settles in 5-9 sweeps on the shipped
-scenarios.  The controls come from the one stationary-control kernel of
+scenarios, and the last forward pass, stored with the g it ran under, is
+the answer.  The controls come from the one stationary-control kernel of
 `eccsim.stackelberg`, and supply, Theta and payoffs from `eccsim.model`.
 
 Every step loop runs on Python floats, not numpy arrays: at a handful of
@@ -402,8 +403,7 @@ def costate_backward_grid(cfg: SystemConfig, times: np.ndarray,
 
 
 def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
-                  g: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+                  g: np.ndarray | None) -> tuple[Trajectory, list[float]]:
     """Integrate the population forward under stationary-point controls.
 
     At each grid node the adjoints lam_nn = eta1*p_n*K*g, mu_n = xi1*p_c*K*g
@@ -414,9 +414,10 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
     linear field x' = delta*c - Theta*x (see ReplicatorField), one scalar
     _affine_rk4 step per share.
 
-    Returns shares, requests and prices per node, plus the M-1
-    per-interval Theta values for the backward pass (_adjoint_profile), so
-    both halves of the sweep read the same Theta.
+    Returns the trajectory of shares, requests and prices per node, stored
+    with g (None: zeros, stored as None) and without utilities, plus the
+    M-1 per-interval Theta values for the backward pass (_adjoint_profile),
+    so both halves of the sweep read the same Theta.
     """
     n = cfg.n_ecps
     m = times.shape[0]
@@ -429,7 +430,7 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
 
     shares, requests, prices, thetas = [], [], [], []
     x = np.asarray(x0, dtype=float).tolist()
-    for i, gi in enumerate(g.tolist()):
+    for i, gi in enumerate([0.0] * m if g is None else g.tolist()):
         shares.append(x)
         xe = x[:n]
         lam_dot_q = [(gi * lam) * (ip - gp * xk)
@@ -450,7 +451,9 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
         thetas.append(theta)
         x = _project_simplex([_affine_rk4(y, -theta, -delta * cs, dt)
                               for y, cs in zip(x, c)])
-    return np.array(shares), np.array(requests), np.array(prices), thetas
+    return Trajectory(times=times, shares=np.array(shares),
+                      requests=np.array(requests), prices=np.array(prices),
+                      g=g), thetas
 
 
 def _running_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -461,12 +464,13 @@ def _running_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _attach_utilities(cfg: SystemConfig, traj: Trajectory) -> None:
+def _attach_utilities(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
     """Fill the per-provider utility and discounted running-integral columns."""
     utilities = _payoffs(cfg, traj.shares, traj.requests, traj.prices)
     weighted = np.exp(-cfg.discount_rate * traj.times)[:, None] * utilities
     traj.utilities = utilities
     traj.integral_utilities = _running_trapezoid(weighted, traj.times)
+    return traj
 
 
 def _initial_shares(cfg: SystemConfig, x0) -> np.ndarray:
@@ -481,17 +485,6 @@ def _initial_shares(cfg: SystemConfig, x0) -> np.ndarray:
     return x0
 
 
-def _path(cfg: SystemConfig, x0, times: np.ndarray,
-          g: np.ndarray | None) -> Trajectory:
-    """Forward pass under g (None: zeros, stored as None), with utilities."""
-    shares, requests, prices, _ = _forward_pass(
-        cfg, x0, times, np.zeros(times.shape[0]) if g is None else g)
-    traj = Trajectory(times=times, shares=shares, requests=requests,
-                      prices=prices, g=g)
-    _attach_utilities(cfg, traj)
-    return traj
-
-
 def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
                     t_span: tuple[float, float] | None = None,
                     max_iter: int = 500) -> tuple[Trajectory, SweepReport]:
@@ -500,52 +493,54 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
     Iterates the map g -> forward pass -> backward pass -> g from g = 0,
     so the first forward pass runs the myopic controls.  The map is taken
     undamped; it contracts fast on every tested configuration.  It stops
-    once converged (see SweepReport).  The returned trajectory is a final
-    forward pass under the last g, stored with it, so replaying it
-    reproduces it exactly.  A run that exhausts max_iter returns
+    once converged (see SweepReport), after at most max_iter forward
+    passes.  The returned trajectory is the last forward pass, stored with
+    the g it ran under, so the report's residuals describe it and replaying
+    it reproduces it exactly.  A run that exhausts max_iter returns
     converged=False in the report rather than raising.
 
     Raises:
         BlowUp: integration left the finite range.
-        ValueError: malformed grid or parameters.
+        ValueError: malformed grid or parameters, max_iter included.
     """
+    if (isinstance(max_iter, bool)
+            or not isinstance(max_iter, (int, np.integer)) or max_iter < 1):
+        raise ValueError("max_iter: must be a positive integer")
     if t_span is None:
         t_span = (0.0, cfg.horizon)
     x0 = _initial_shares(cfg, x0)
     times = _make_grid(t_span, dt)
     lam_diag, mu_scale = _adjoint_scales(cfg)
     adjoint_unit = max(float(np.max(np.abs(lam_diag))), abs(mu_scale))
-    g = np.zeros(times.shape[0])
-    prev_shares = None
+    g, traj = np.zeros(times.shape[0]), None
     state_res = costate_res = np.inf
-    converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        shares, _, _, thetas = _forward_pass(cfg, x0, times, g)
-        if prev_shares is not None:
-            state_res = float(np.max(np.abs(shares - prev_shares)))
-        g_new = _adjoint_profile(cfg, times, thetas)
-        costate_res = adjoint_unit * float(np.max(np.abs(g_new - g)))
-        g = g_new
-        prev_shares = shares
-        if state_res < SWEEP_TOL and costate_res < COSTATE_TOL:
-            converged = True
+        prev, (traj, thetas) = traj, _forward_pass(cfg, x0, times, g)
+        if prev is not None:
+            state_res = float(np.max(np.abs(traj.shares - prev.shares)))
+        g = _adjoint_profile(cfg, times, thetas)
+        costate_res = adjoint_unit * float(np.max(np.abs(g - traj.g)))
+        converged = state_res < SWEEP_TOL and costate_res < COSTATE_TOL
+        if converged:
             break
     report = SweepReport(iterations=iterations, state_residual=state_res,
                          costate_terminal_residual=costate_res,
                          converged=converged)
-    return _path(cfg, x0, times, g), report
+    return _attach_utilities(cfg, traj), report
 
 
 def replay_forward(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
     """Re-run the forward pass under a trajectory's frozen adjoint profile g.
 
-    On a converged solve the result matches the original bit for bit; used
-    to certify that the stored schedule is self-consistent.
+    The result of solve_open_loop, converged or not, replays bit for bit;
+    used to certify that the stored schedule is self-consistent.
     """
     if traj.g is None:
         raise ValueError("trajectory stores no adjoints to replay")
-    return _path(cfg, traj.shares[0], traj.times, traj.g)
+    if traj.g.shape != traj.times.shape:
+        raise ValueError("g: length inconsistent with times")
+    return _attach_utilities(
+        cfg, _forward_pass(cfg, traj.shares[0], traj.times, traj.g)[0])
 
 
 def solve_ssec(cfg: SystemConfig, x0, t_span: tuple[float, float],
@@ -555,7 +550,8 @@ def solve_ssec(cfg: SystemConfig, x0, t_span: tuple[float, float],
     Identical to the sweep's forward pass with g pinned to zero, i.e.
     providers optimize instantaneous payoff only.
     """
-    return _path(cfg, _initial_shares(cfg, x0), _make_grid(t_span, dt), None)
+    return _attach_utilities(cfg, _forward_pass(
+        cfg, _initial_shares(cfg, x0), _make_grid(t_span, dt), None)[0])
 
 
 def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
@@ -573,8 +569,7 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
     m = traj.times.shape[0]
     traj.requests = np.tile(alloc.requests, (m, 1))
     traj.prices = np.zeros(m)
-    _attach_utilities(cfg, traj)
-    return traj
+    return _attach_utilities(cfg, traj)
 
 
 def convergence_time(traj: Trajectory, target, eps: float) -> float | None:

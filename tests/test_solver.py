@@ -28,9 +28,9 @@ from eccsim.solver import (
     solve_open_loop,
     solve_ssec,
 )
-from eccsim.solver import (_adjoint_profile, _check_finite, _curried,
-                           _forward_pass, _make_grid, _method_of_steps,
-                           _project_simplex)
+from eccsim.solver import (_adjoint_profile, _adjoint_scales, _check_finite,
+                           _curried, _forward_pass, _make_grid,
+                           _method_of_steps, _project_simplex)
 from eccsim.stackelberg import (CcpCostate, EcpCostate, optimal_price,
                                 optimal_request)
 
@@ -550,7 +550,7 @@ class TestSweep:
         assert report.converged
         m = traj.times.shape[0] - 1
         assert len(backward) == report.iterations
-        assert len(forward) == (report.iterations + 1) * m
+        assert len(forward) == report.iterations * m
         for k, thetas in enumerate(backward):
             assert thetas == forward[k * m:(k + 1) * m]
         # At this N numpy's sum rounds some intervals differently.
@@ -604,6 +604,54 @@ class TestSweep:
                                     t_span=(0.0, 5.0), max_iter=2)
         assert not report.converged
         assert report.iterations == 2
+
+    @pytest.mark.parametrize("max_iter", [0, -3, True, 2.5])
+    def test_rejects_bad_max_iter(self, cfg, max_iter):
+        with pytest.raises(ValueError,
+                           match="^max_iter: must be a positive integer$"):
+            solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.1, t_span=(0.0, 1.0),
+                            max_iter=max_iter)
+
+    def test_one_map_is_unconverged(self, cfg):
+        # A single forward pass has no predecessor to compare shares with.
+        _, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.1,
+                                    t_span=(0.0, 5.0), max_iter=1)
+        assert not report.converged
+        assert report.iterations == 1
+        assert report.state_residual == np.inf
+
+    @pytest.mark.parametrize("max_iter", [500, 2])
+    def test_report_certifies_returned_trajectory(self, max_iter):
+        # The costate residual is that of the returned pass: its own
+        # backward pass moves the stored g by exactly that much, and
+        # replaying it reproduces it, converged or not.
+        cfg = make_config(horizon=10.0)
+        traj, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.05,
+                                       max_iter=max_iter)
+        assert report.converged == (max_iter == 500)
+        g_next = _adjoint_profile(cfg, traj.times,
+                                  [_uptake_row(cfg, r)[1]
+                                   for r in traj.requests[:-1].tolist()])
+        lam_diag, mu_scale = _adjoint_scales(cfg)
+        unit = max(float(np.max(np.abs(lam_diag))), abs(mu_scale))
+        assert (unit * float(np.max(np.abs(g_next - traj.g)))
+                == report.costate_terminal_residual)
+        again = replay_forward(cfg, traj)
+        for name in ("shares", "requests", "prices", "utilities",
+                     "integral_utilities"):
+            np.testing.assert_array_equal(getattr(traj, name),
+                                          getattr(again, name))
+
+    @pytest.mark.parametrize("resize", [lambda g: g[:10],
+                                        lambda g: np.append(g, 0.0)],
+                             ids=["shorter", "longer"])
+    def test_replay_rejects_g_of_wrong_length(self, solved, resize):
+        cfg, traj, _ = solved
+        bad = Trajectory(times=traj.times, shares=traj.shares,
+                         g=resize(traj.g))
+        with pytest.raises(ValueError,
+                           match="^g: length inconsistent with times$"):
+            replay_forward(cfg, bad)
 
 
 class TestMyopicAndFixed:
