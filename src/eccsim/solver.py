@@ -16,22 +16,21 @@ the follower adjoints are lam_nn = eta1*p_n*K*g (off-diagonal entries 0),
 the leader's are mu_n = xi1*p_c*K*g (its theta_mat is 0).  One sweep
 integrates the population forward under the stationary controls for the
 current g, integrates g backward from zero (backward is the stable
-direction, since it grows at rate rho+Theta forward in time), and takes
-the new g undamped: the map settles in 5-9 sweeps on the shipped
-scenarios, and the last forward pass, stored with the g it ran under, is
-the answer.  The controls come from the one stationary-control kernel of
-`eccsim.stackelberg`, and supply, Theta and payoffs from `eccsim.model`.
+direction, since it grows at rate rho+Theta forward in time), and mixes
+the new g with the last (depth-1 Anderson): the map settles in 5-8 sweeps
+on the shipped scenarios; the last forward pass, stored with the g it ran
+under, is the answer.  Controls come from the kernel of `eccsim.stackelberg`,
+and supply, Theta and payoffs from `eccsim.model`.
 
 Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
 sets the speed.  The one population loop, _method_of_steps, steps a kernel
-that reads a block of lagged states in one numpy pass and gives a field
-per lag whose field(base, slope, h) is the velocity at base + h*slope, so
-no RK4 stage state is built; integrate_ode and integrate_dde adapt their
-array field, solve_fixed (so the CLI) runs replicator._rhs_floats.  Its
-step and field loops append instead of using comprehensions, which only
-Python 3.12 inlines (PEP 709).  Every sum over providers, the simplex sums
-of x0 and of each step included, runs left to right (model._left_sum).
+that reads a block of lagged states in one numpy pass and builds no RK4
+stage state; integrate_ode and integrate_dde adapt their array field,
+solve_fixed (so the CLI) runs replicator._rhs_floats.  Its step and field
+loops append instead of using comprehensions, which only Python 3.12
+inlines (PEP 709).  Every sum over providers, the simplex sums of x0 and
+of each step included, runs left to right (model._left_sum).
 """
 
 from __future__ import annotations
@@ -369,12 +368,11 @@ def _adjoint_profile(cfg: SystemConfig, times: np.ndarray,
     forward pass's piecewise-constant controls: `thetas` holds the M-1
     per-interval values, as _forward_pass returns them.
     """
-    rate = [cfg.discount_rate + th for th in thetas]
-    m = times.shape[0]
+    rho, m = cfg.discount_rate, times.shape[0]
     h = float(times[0] - times[1]) if m > 1 else 0.0
     g = [0.0] * m
     for i in range(m - 1, 0, -1):
-        g[i - 1] = _affine_rk4(g[i], rate[i - 1], 1.0, h)
+        g[i - 1] = _affine_rk4(g[i], rho + thetas[i - 1], 1.0, h)
     return np.array(_check_finite(g))
 
 
@@ -392,8 +390,13 @@ def costate_backward_grid(cfg: SystemConfig, times: np.ndarray,
     Expands the scalar profile g into the general adjoint layout of
     `eccsim.stackelberg`: lam (M, N, N) with diagonal eta1*p_n*K*g and zero
     off-diagonal entries, mu (M, N) = xi1*p_c*K*g, theta_mat (M, N, N) = 0.
-    The sweep itself carries only g.
+    The sweep itself carries only g.  Raises ValueError unless requests
+    holds one row per time of one request per edge provider.
     """
+    if requests.shape[:1] != times.shape:
+        raise ValueError("requests: length inconsistent with times")
+    if requests.shape[1:] != (cfg.n_ecps,):
+        raise ValueError("requests: length inconsistent with n_ecps")
     g = _adjoint_profile(cfg, times, [_uptake_row(cfg, r)[1]
                                       for r in requests[:-1].tolist()])
     lam_diag, mu_scale = _adjoint_scales(cfg)
@@ -419,14 +422,13 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
     M-1 per-interval Theta values for the backward pass (_adjoint_profile),
     so both halves of the sweep read the same Theta.
     """
-    n = cfg.n_ecps
-    m = times.shape[0]
+    n, m = cfg.n_ecps, times.shape[0]
     dt = float(times[1] - times[0]) if m > 1 else 0.0
     inv_p, gap, inv_p_sum, mix = _price_gaps(cfg)
     lam_diag, mu_scale = _adjoint_scales(cfg)
     q_terms = list(zip(lam_diag.tolist(), inv_p.tolist(), gap.tolist()))
-    p_max = default_price_cap(cfg)
-    delta = cfg.learning_rate
+    p_max, delta = default_price_cap(cfg), cfg.learning_rate
+    controls = _stationary_controls(cfg)
 
     shares, requests, prices, thetas = [], [], [], []
     x = np.asarray(x0, dtype=float).tolist()
@@ -436,13 +438,12 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
         lam_dot_q = [(gi * lam) * (ip - gp * xk)
                      for (lam, ip, gp), xk in zip(q_terms, xe)]
         flow = -(mu_scale * gi) * (inv_p_sum + _left_sum(xe) * mix)
-        a_vec, b_slope, price = _stationary_controls(cfg, xe, lam_dot_q, flow)
+        a_vec, b_slope, price = controls(xe, lam_dot_q, flow)
         price = min(max(price, 0.0), p_max)
         r = [min(max(a - b_slope * price, 0.0), CONTROL_CAP) for a in a_vec]
         total = _left_sum(r)
         if total > CONTROL_CAP:
-            scale = CONTROL_CAP / total
-            r = [v * scale for v in r]
+            r = [v * (CONTROL_CAP / total) for v in r]
         requests.append(r)
         prices.append(price)
         if i == m - 1:
@@ -485,14 +486,30 @@ def _initial_shares(cfg: SystemConfig, x0) -> np.ndarray:
     return x0
 
 
+def _anderson(image: np.ndarray, res: np.ndarray, last) -> np.ndarray:
+    """Next g: image - gamma*(image - image_prev), depth-1 Anderson mixing.
+
+    res = image - g; gamma = <dr, res>/<dr, dr>, dr = res - res_prev, with
+    last = (image_prev, res_prev) (Walker & Ni 2011).  No last or no finite
+    gamma: the plain image.  Inner products add left to right.
+    """
+    if last is None:
+        return image
+    d_res = (res - last[1]).tolist()
+    den = _left_sum([d * d for d in d_res])
+    num = _left_sum([d * r for d, r in zip(d_res, res.tolist())])
+    gamma = num / den if den > 0.0 else math.nan
+    return image - gamma * (image - last[0]) if math.isfinite(gamma) else image
+
+
 def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
                     t_span: tuple[float, float] | None = None,
                     max_iter: int = 500) -> tuple[Trajectory, SweepReport]:
     """Open-loop equilibrium of the full hierarchical game.
 
     Iterates the map g -> forward pass -> backward pass -> g from g = 0,
-    so the first forward pass runs the myopic controls.  The map is taken
-    undamped; it contracts fast on every tested configuration.  It stops
+    so the first forward pass runs the myopic controls; later maps mix the
+    last two images (_anderson), which keeps the fixed points.  It stops
     once converged (see SweepReport), after at most max_iter forward
     passes.  The returned trajectory is the last forward pass, stored with
     the g it ran under, so the report's residuals describe it and replaying
@@ -506,27 +523,25 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
     if (isinstance(max_iter, bool)
             or not isinstance(max_iter, (int, np.integer)) or max_iter < 1):
         raise ValueError("max_iter: must be a positive integer")
-    if t_span is None:
-        t_span = (0.0, cfg.horizon)
     x0 = _initial_shares(cfg, x0)
-    times = _make_grid(t_span, dt)
+    times = _make_grid((0.0, cfg.horizon) if t_span is None else t_span, dt)
     lam_diag, mu_scale = _adjoint_scales(cfg)
     adjoint_unit = max(float(np.max(np.abs(lam_diag))), abs(mu_scale))
-    g, traj = np.zeros(times.shape[0]), None
+    g, traj, last = np.zeros(times.shape[0]), None, None
     state_res = costate_res = np.inf
     for iterations in range(1, max_iter + 1):
         prev, (traj, thetas) = traj, _forward_pass(cfg, x0, times, g)
         if prev is not None:
             state_res = float(np.max(np.abs(traj.shares - prev.shares)))
-        g = _adjoint_profile(cfg, times, thetas)
-        costate_res = adjoint_unit * float(np.max(np.abs(g - traj.g)))
+        image = _adjoint_profile(cfg, times, thetas)
+        res = image - traj.g
+        costate_res = adjoint_unit * float(np.max(np.abs(res)))
         converged = state_res < SWEEP_TOL and costate_res < COSTATE_TOL
         if converged:
             break
-    report = SweepReport(iterations=iterations, state_residual=state_res,
-                         costate_terminal_residual=costate_res,
-                         converged=converged)
-    return _attach_utilities(cfg, traj), report
+        g, last = _anderson(image, res, last), (image, res)
+    return _attach_utilities(cfg, traj), SweepReport(
+        iterations, state_res, costate_res, converged)
 
 
 def replay_forward(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
@@ -588,10 +603,8 @@ def convergence_time(traj: Trajectory, target, eps: float) -> float | None:
     bad = np.nonzero(err >= eps)[0]
     if bad.shape[0] == 0:
         return float(traj.times[0])
-    last = int(bad[-1])
-    if last == traj.times.shape[0] - 1:
-        return None
-    return float(traj.times[last + 1])
+    after = int(bad[-1]) + 1
+    return float(traj.times[after]) if after < traj.times.shape[0] else None
 
 
 def integral_utility(traj: Trajectory, who, rho: float) -> float:
@@ -603,11 +616,9 @@ def integral_utility(traj: Trajectory, who, rho: float) -> float:
     if traj.utilities is None:
         raise ValueError("trajectory stores no utilities")
     n = traj.n_ecps
-    if isinstance(who, str):
-        if who.lower() != "ccp":
-            raise ValueError('who: expected an index in 1..N or "ccp"')
+    if isinstance(who, str) and who.lower() == "ccp":
         col = n
-    elif isinstance(who, (bool, np.bool_)) or not float(who).is_integer():
+    elif isinstance(who, (str, bool, np.bool_)) or not float(who).is_integer():
         raise ValueError('who: expected an index in 1..N or "ccp"')
     elif not 1 <= int(who) <= n:
         raise ValueError(f"who: must be in 1..{n}")

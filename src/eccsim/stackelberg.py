@@ -8,10 +8,10 @@ the first-order machinery of that hierarchical game: per-player
 Hamiltonians, the closed-form stationary controls, and the adjoint
 (costate) vector fields integrated backward by the solver.
 
-The stationary controls have one implementation, `_stationary_controls`,
-a kernel over Python floats.  It sees the adjoints only through two
-aggregate terms, which the public functions here evaluate at general
-costates and the solver's forward pass at its scalar adjoint profile.
+The stationary controls have one implementation, the float kernel that
+`_stationary_controls(cfg)` binds to a configuration.  It sees the adjoints
+only through two aggregate terms, which the public functions here evaluate
+at general costates and the solver's forward pass at its scalar profile.
 
 Controls returned here are unprojected stationary points; clamping to the
 feasible box is the caller's job, because feasibility is a property of the
@@ -21,6 +21,7 @@ stored schedule, not of the optimality condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -128,37 +129,41 @@ def q_vector(cfg: SystemConfig, pop: PopulationState, n: int) -> np.ndarray:
     return out
 
 
-def _stationary_controls(cfg: SystemConfig, x_ecp: list[float],
-                         lam_dot_q: list[float], leader_flow: float
-                         ) -> tuple[list[float], float, float]:
-    """Stationary controls (A, B, p): requests A_n - B*p and the leader price.
+def _stationary_controls(cfg: SystemConfig) -> Callable:
+    """Kernel controls(x_ecp, lam_dot_q, leader_flow) -> (A, B, p) for cfg.
 
-    The adjoints enter only through lam_dot_q[n] = lam_n . q_n(x) and the
-    leader's flow term mu . (-1/p - x*mix) + mix * <theta_mat, lam>.  The
-    price maximizes the leader's Hamiltonian after the followers' reactions
-    are substituted, which makes it strictly concave in p.
+    Stationary requests A_n - B*p and the leader price p.  The adjoints
+    enter only through lam_dot_q[n] = lam_n . q_n(x) and the leader's flow
+    term mu . (-1/p - x*mix) + mix * <theta_mat, lam>.  The price maximizes
+    the leader's Hamiltonian after the followers' reactions are
+    substituted, which makes it strictly concave in p.
 
-    A float kernel: it takes and returns lists of Python floats and calls
-    no numpy, because the sweep's forward pass calls it at every grid node.
+    A float kernel over lists of Python floats, with no numpy, because the
+    sweep's forward pass calls it at every grid node; cfg is read and the
+    constant factors folded once, in the formula's order of operations.
     Its sums of N entries run left to right (model._left_sum).
     """
     eta2, eta3 = cfg.ecp_weights[1:]
     xi2, xi3 = cfg.ccp_weights[1:]
-    power_c = cfg.cloud_power
+    power_c, power = cfg.cloud_power, cfg.float_vectors[0]
     kphi = cfg.n_users * cfg.nominal_rate
     gain = cfg.learning_rate * cfg.mapping_factor / cfg.n_users
     b_slope = eta2 / (2.0 * eta3 * power_c)
     adjoint_gain = gain / (2.0 * eta3 * power_c)
-    a_vec = [(kphi * x - power) / power_c + adjoint_gain * q
-             for x, power, q in zip(x_ecp, cfg.float_vectors[0], lam_dot_q)]
-    sum_a = _left_sum(a_vec)
     nb = cfg.n_ecps * b_slope
-    numerator = (xi2 * sum_a
-                 + 2.0 * xi3 * nb * (kphi * (1.0 - _left_sum(x_ecp))
+    share_gain, flow_gain = 2.0 * xi3 * nb, gain * b_slope
+    denominator = 2.0 * nb * (xi2 + xi3 * power_c * nb)
+
+    def controls(x_ecp, lam_dot_q, leader_flow):
+        a_vec = [(kphi * x - w) / power_c + adjoint_gain * q
+                 for x, w, q in zip(x_ecp, power, lam_dot_q)]
+        sum_a = _left_sum(a_vec)
+        numerator = (xi2 * sum_a
+                     + share_gain * (kphi * (1.0 - _left_sum(x_ecp))
                                      - power_c * (1.0 - sum_a))
-                 + gain * b_slope * leader_flow)
-    price = numerator / (2.0 * nb * (xi2 + xi3 * power_c * nb))
-    return a_vec, b_slope, price
+                     + flow_gain * leader_flow)
+        return a_vec, b_slope, numerator / denominator
+    return controls
 
 
 def _general_controls(cfg: SystemConfig, pop: PopulationState,
@@ -172,7 +177,7 @@ def _general_controls(cfg: SystemConfig, pop: PopulationState,
     lam_dot_q = np.diagonal(lam) * inv_p - gap * _running_total(lam * x_ecp)
     flow = (float(_running_total(ccp_costate.mu * (-inv_p - x_ecp * mix)))
             + float(_running_total((ccp_costate.theta_mat * lam).ravel())) * mix)
-    return _stationary_controls(cfg, x_ecp.tolist(), lam_dot_q.tolist(), flow)
+    return _stationary_controls(cfg)(x_ecp.tolist(), lam_dot_q.tolist(), flow)
 
 
 def decompose_request(cfg: SystemConfig, pop: PopulationState,
@@ -243,10 +248,8 @@ def ccp_hamiltonian(cfg: SystemConfig, snap: MarketSnapshot,
     followers' adjoint flow, hence the theta_mat-weighted lam velocities.
     """
     flow = replicator_rhs(cfg, snap.population, snap.allocation)[: cfg.n_ecps]
-    lam_flow = np.stack([
-        ecp_costate_rhs(cfg, snap, ecp_costates, n)
-        for n in range(1, cfg.n_ecps + 1)
-    ])
+    lam_flow = np.stack([ecp_costate_rhs(cfg, snap, ecp_costates, n)
+                         for n in range(1, cfg.n_ecps + 1)])
     return (ccp_instant_utility(cfg, snap)
             + float(_running_total(ccp_costate.mu * flow))
             + float(_running_total((ccp_costate.theta_mat * lam_flow).ravel())))
@@ -264,5 +267,4 @@ def ccp_costate_rhs(cfg: SystemConfig, snap: MarketSnapshot,
     xi1 = cfg.ccp_weights[0]
     decay = cfg.discount_rate + th
     mu_dot = ccp_costate.mu * decay - xi1 * cfg.cloud_access_price * cfg.n_users
-    theta_dot = ccp_costate.theta_mat * th
-    return mu_dot, theta_dot
+    return mu_dot, ccp_costate.theta_mat * th

@@ -1,5 +1,8 @@
 """Unit tests for the integrators and the equilibrium sweep."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +11,15 @@ from hypothesis import strategies as st
 from conftest import make_big_cloud_config, make_config, uptake_reference
 
 import eccsim.solver
+from eccsim.cli import load_scenario
 from eccsim.model import (AllocationState, PopulationState, _uptake_row,
                           ccp_instant_utility, ecp_instant_utility)
 from eccsim.replicator import ReplicatorField, analytic_ess
 from eccsim.solver import (
+    COSTATE_TOL,
     MAGNITUDE_LIMIT,
     MAX_GRID_STEPS,
+    SWEEP_TOL,
     BlowUp,
     Trajectory,
     convergence_time,
@@ -28,13 +34,15 @@ from eccsim.solver import (
     solve_open_loop,
     solve_ssec,
 )
-from eccsim.solver import (_adjoint_profile, _adjoint_scales, _check_finite,
-                           _curried, _forward_pass, _make_grid,
-                           _method_of_steps, _project_simplex)
+from eccsim.solver import (_adjoint_profile, _adjoint_scales,
+                           _attach_utilities, _check_finite, _curried,
+                           _forward_pass, _make_grid, _method_of_steps,
+                           _project_simplex)
 from eccsim.stackelberg import (CcpCostate, EcpCostate, optimal_price,
                                 optimal_request)
 
 E_INV = 0.36787944117144233
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def decay(t, y):
@@ -392,6 +400,17 @@ class TestCostateBackward:
         assert not lam[:, 0, 1].any() and not lam[:, 1, 0].any()
         assert not theta_mat.any()
 
+    @pytest.mark.parametrize("rows,cols,match", [
+        (8, 2, "times"), (15, 2, "times"), (11, 3, "n_ecps")])
+    def test_rejects_requests_of_wrong_shape(self, rows, cols, match):
+        # Too few rows used to fail inside the list indexing, too many were
+        # cut off, and a third column was summed into r_c.
+        cfg = make_config()
+        times = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ValueError, match=f"^requests: length "
+                                             f"inconsistent with {match}$"):
+            costate_backward_grid(cfg, times, np.zeros((rows, cols)))
+
     def test_rows_scale_with_access_price(self, grids):
         # Source eta1*p_n*K makes lam22 = (p_2/p_1) * lam11 pointwise.
         _, _, (lam, _, _) = grids
@@ -459,12 +478,48 @@ class TestSweep:
             assert traj.utilities[i].tolist() == want
 
     def test_big_cloud_duopoly_converges_fast(self):
-        # The undamped default map settles in under a dozen iterations at
-        # T=50, dt=0.01; the control-damped sweep it replaced needed 35.
+        # The Anderson-mixed map settles in 7 maps at T=50, dt=0.01 (the
+        # plain map took 9, the control-damped sweep before it 35).
         cfg = make_big_cloud_config()
         _, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.01)
         assert report.converged
-        assert report.iterations <= 12
+        assert report.iterations <= 8
+
+    def test_mixing_changes_the_work_not_the_answer(self):
+        # The plain map g -> image, iterated here to the same two
+        # tolerances, reaches the same equilibrium in more maps.
+        def plain(cfg, x0, times):
+            lam_diag, mu_scale = _adjoint_scales(cfg)
+            unit = max(float(np.max(np.abs(lam_diag))), abs(mu_scale))
+            g, prev = np.zeros(times.shape[0]), None
+            for maps in range(1, 100):
+                traj, thetas = _forward_pass(cfg, x0, times, g)
+                g = _adjoint_profile(cfg, times, thetas)
+                if (prev is not None
+                        and np.max(np.abs(traj.shares - prev.shares))
+                        < SWEEP_TOL
+                        and unit * np.max(np.abs(g - traj.g)) < COSTATE_TOL):
+                    return _attach_utilities(cfg, traj), maps
+                prev = traj
+            raise AssertionError("plain map did not converge")
+
+        scn = load_scenario(str(SCENARIOS / "scenario_a.json"))
+        times = _make_grid((0.0, 50.0), 1.0)
+        mixed_maps = plain_maps = 0
+        for delta in (0.5, 1.0, 1.5, 2.0):
+            cfg = dataclasses.replace(scn.cfg, learning_rate=delta)
+            traj, report = solve_open_loop(cfg, scn.x0, dt=1.0)
+            want, maps = plain(cfg, scn.x0, times)
+            assert report.converged
+            np.testing.assert_allclose(traj.integral_utilities[-1],
+                                       want.integral_utilities[-1], rtol=1e-7)
+            mixed_maps += report.iterations
+            plain_maps += maps
+        assert mixed_maps <= 30 < plain_maps
+        n6 = load_scenario(str(SCENARIOS / "scenario_n6.json"))
+        _, report = solve_open_loop(dataclasses.replace(n6.cfg, horizon=30.0),
+                                    n6.x0, dt=0.25)
+        assert report.converged and report.iterations == 5
 
     def test_controls_match_general_costate_formulas(self, solved_big):
         # At the adjoints expanded from g, the sweep's stationary controls
@@ -620,11 +675,12 @@ class TestSweep:
         assert report.iterations == 1
         assert report.state_residual == np.inf
 
-    @pytest.mark.parametrize("max_iter", [500, 2])
+    @pytest.mark.parametrize("max_iter", [500, 2, 3])
     def test_report_certifies_returned_trajectory(self, max_iter):
         # The costate residual is that of the returned pass: its own
         # backward pass moves the stored g by exactly that much, and
-        # replaying it reproduces it, converged or not.
+        # replaying it reproduces it, converged or not.  With max_iter=3
+        # the returned pass ran under a mixed g, not a plain image.
         cfg = make_config(horizon=10.0)
         traj, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.05,
                                        max_iter=max_iter)

@@ -271,8 +271,8 @@ def test_stationary_controls_match_array_spelling(n, seed):
     x = rng.dirichlet(np.ones(n + 1))[:n]
     lam_dot_q = 10.0 * rng.normal(size=n)
     flow = 10.0 * float(rng.normal())
-    a_list, b_slope, price = _stationary_controls(
-        cfg, x.tolist(), lam_dot_q.tolist(), flow)
+    a_list, b_slope, price = _stationary_controls(cfg)(
+        x.tolist(), lam_dot_q.tolist(), flow)
 
     eta2, eta3 = cfg.ecp_weights[1:]
     xi2, xi3 = cfg.ccp_weights[1:]
@@ -329,7 +329,7 @@ def test_general_costate_sums_run_left_to_right(n):
                               for m, ip, xk in zip(mu, inv_p, xe))
                 + left_to_right(a * b for ta, la in zip(th, lam)
                                 for a, b in zip(ta, la)) * mix)
-        a_vec, b_slope, price = _stationary_controls(cfg, xe, lam_dot_q, flow)
+        a_vec, b_slope, price = _stationary_controls(cfg)(xe, lam_dot_q, flow)
         assert optimal_price(cfg, pop, costate, leader) == price
         for k in range(1, n + 1):
             assert decompose_request(cfg, pop, costate, k) == (a_vec[k - 1],
