@@ -319,9 +319,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _cloud_remainder(traj.requests), traj.prices,
         traj.utilities, traj.integral_utilities,
     ])
+    # Row by row as Python floats, which format faster than numpy scalars.
     _write(out, "trajectory.csv", _csv(
         ["t"] + _cols("x", n) + _cols("r", n) + ["p"] + _cols("u", n)
-        + _cols("U", n), table))
+        + _cols("U", n), (row.tolist() for row in table)))
     text = json.dumps(_summary(scn, traj, report), indent=2, sort_keys=True)
     _write(out, "summary.json", [text])
     print(text)

@@ -271,15 +271,19 @@ def _uptake_row(cfg: SystemConfig, requests: list[float]
 
     c_s is the utility mass of group s; w the compute per provider, as
     _supply lays it out.  Takes and returns Python floats: (c, Theta).
+    One loop builds c and the running sums of r and c, left to right.
     """
     power, prices = cfg.float_vectors
-    r_c = cfg.cloud_power
-    remainder = max(1.0 - _left_sum(requests), 0.0)
-    supply = [w + r_c * r for w, r in zip(power, requests)]
-    supply.append(r_c * remainder)
-    scale = cfg.mapping_factor / cfg.n_users
-    c = [scale * w / p for w, p in zip(supply, prices)]
-    return c, cfg.learning_rate * _left_sum(c)
+    r_c, scale = cfg.cloud_power, cfg.mapping_factor / cfg.n_users
+    c, sum_r, sum_c = [], 0.0, 0.0
+    for w, p, r in zip(power, prices, requests):
+        u = scale * (w + r_c * r) / p
+        c.append(u)
+        sum_r += r
+        sum_c += u
+    u = scale * (r_c * max(1.0 - sum_r, 0.0)) / prices[-1]
+    c.append(u)
+    return c, cfg.learning_rate * (sum_c + u)
 
 
 def provider_power(cfg: SystemConfig, alloc: AllocationState) -> np.ndarray:

@@ -27,10 +27,13 @@ shares per node the interpreter's cost per numpy call, not the arithmetic,
 sets the speed.  The one population loop, _method_of_steps, steps a kernel
 that reads a block of lagged states in one numpy pass and builds no RK4
 stage state; integrate_ode and integrate_dde adapt their array field,
-solve_fixed (so the CLI) runs replicator._rhs_floats.  Its step and field
-loops append instead of using comprehensions, which only Python 3.12
-inlines (PEP 709).  Every sum over providers, the simplex sums of x0 and
-of each step included, runs left to right (model._left_sum).
+solve_fixed (so the CLI) runs replicator._rhs_floats.  The sweep's fields
+are affine, so its RK4 step is one precomputed map per interval
+(_affine_rk4), and its forward pass is bound to (cfg, grid) once per solve
+(_forward_map).  Step and field loops append instead of using
+comprehensions, which only Python 3.12 inlines (PEP 709).  Every sum over
+providers, the simplex sums of x0 and of each step included, runs left to
+right (model._left_sum).
 """
 
 from __future__ import annotations
@@ -351,13 +354,15 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
                             simplex=simplex)
 
 
-def _affine_rk4(y, a: float, src, h: float):
-    """One RK4 step of y' = a*y - src with constant coefficients (h < 0: back)."""
-    k1 = a * y - src
-    k2 = a * (y + (0.5 * h) * k1) - src
-    k3 = a * (y + (0.5 * h) * k2) - src
-    k4 = a * (y + h * k3) - src
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _affine_rk4(a: float, h: float) -> tuple[float, float]:
+    """(R, S): one RK4 step of y' = a*y - src (a, src constant) is R*y - S*src.
+
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 is RK4's stability polynomial at
+    z = a*h and S = h*(R(z) - 1)/z; h < 0 steps backward.
+    """
+    z = a * h
+    poly = 1.0 + z * (0.5 + z * (1.0 / 6.0 + z * (1.0 / 24.0)))
+    return 1.0 + z * poly, h * poly
 
 
 def _adjoint_profile(cfg: SystemConfig, times: np.ndarray,
@@ -372,7 +377,8 @@ def _adjoint_profile(cfg: SystemConfig, times: np.ndarray,
     h = float(times[0] - times[1]) if m > 1 else 0.0
     g = [0.0] * m
     for i in range(m - 1, 0, -1):
-        g[i - 1] = _affine_rk4(g[i], rho + thetas[i - 1], 1.0, h)
+        grow, shift = _affine_rk4(rho + thetas[i - 1], h)
+        g[i - 1] = grow * g[i] - shift
     return np.array(_check_finite(g))
 
 
@@ -405,22 +411,18 @@ def costate_backward_grid(cfg: SystemConfig, times: np.ndarray,
     return lam, mu, np.zeros_like(lam)
 
 
-def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
-                  g: np.ndarray | None) -> tuple[Trajectory, list[float]]:
-    """Integrate the population forward under stationary-point controls.
+def _forward_map(cfg: SystemConfig, times: np.ndarray) -> Callable:
+    """The sweep's forward pass bound to (cfg, times): run(x0, g) on floats.
 
-    At each grid node the adjoints lam_nn = eta1*p_n*K*g, mu_n = xi1*p_c*K*g
-    (theta_mat = 0) give the two adjoint terms of the stationary-control
-    kernel of `eccsim.stackelberg`; its price and requests are projected
-    onto the feasible box (price cap: default_price_cap) and stay frozen
-    across the RK4 stages of the step.  The state advances by the reduced
-    linear field x' = delta*c - Theta*x (see ReplicatorField), one scalar
-    _affine_rk4 step per share.
-
-    Returns the trajectory of shares, requests and prices per node, stored
-    with g (None: zeros, stored as None) and without utilities, plus the
-    M-1 per-interval Theta values for the backward pass (_adjoint_profile),
-    so both halves of the sweep read the same Theta.
+    At each node the adjoints lam_nn = eta1*p_n*K*g, mu_n = xi1*p_c*K*g
+    (theta_mat = 0) give the two adjoint terms of the control kernel of
+    `eccsim.stackelberg`; its price and requests, projected onto the
+    feasible box (price cap: default_price_cap), hold over the step, on
+    which x' = delta*c - Theta*x (see ReplicatorField) is one _affine_rk4
+    map.  What depends on cfg and times alone, the kernel too, is bound once.
+    run(x0, g), with M values of g, returns lists: shares, requests and
+    prices per node, and the M-1 per-interval Theta that the backward pass
+    (_adjoint_profile) must read.
     """
     n, m = cfg.n_ecps, times.shape[0]
     dt = float(times[1] - times[0]) if m > 1 else 0.0
@@ -428,33 +430,51 @@ def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
     lam_diag, mu_scale = _adjoint_scales(cfg)
     q_terms = list(zip(lam_diag.tolist(), inv_p.tolist(), gap.tolist()))
     p_max, delta = default_price_cap(cfg), cfg.learning_rate
-    controls = _stationary_controls(cfg)
+    controls, last = _stationary_controls(cfg), m - 1
 
-    shares, requests, prices, thetas = [], [], [], []
-    x = np.asarray(x0, dtype=float).tolist()
-    for i, gi in enumerate([0.0] * m if g is None else g.tolist()):
-        shares.append(x)
-        xe = x[:n]
-        lam_dot_q = [(gi * lam) * (ip - gp * xk)
-                     for (lam, ip, gp), xk in zip(q_terms, xe)]
-        flow = -(mu_scale * gi) * (inv_p_sum + _left_sum(xe) * mix)
-        a_vec, b_slope, price = controls(xe, lam_dot_q, flow)
-        price = min(max(price, 0.0), p_max)
-        r = [min(max(a - b_slope * price, 0.0), CONTROL_CAP) for a in a_vec]
-        total = _left_sum(r)
-        if total > CONTROL_CAP:
-            r = [v * (CONTROL_CAP / total) for v in r]
-        requests.append(r)
-        prices.append(price)
-        if i == m - 1:
-            break
-        c, theta = _uptake_row(cfg, r)
-        thetas.append(theta)
-        x = _project_simplex([_affine_rk4(y, -theta, -delta * cs, dt)
-                              for y, cs in zip(x, c)])
-    return Trajectory(times=times, shares=np.array(shares),
-                      requests=np.array(requests), prices=np.array(prices),
-                      g=g), thetas
+    def run(x, g):
+        shares, requests, prices, thetas = [], [], [], []
+        for i, gi in enumerate(g):
+            shares.append(x)
+            xe, lam_dot_q, sum_x = x[:n], [], 0.0
+            for (lam, ip, gp), xk in zip(q_terms, xe):
+                lam_dot_q.append((gi * lam) * (ip - gp * xk))
+                sum_x += xk
+            flow = -(mu_scale * gi) * (inv_p_sum + sum_x * mix)
+            a_vec, b_slope, price = controls(xe, lam_dot_q, flow)
+            price = 0.0 if price < 0.0 else p_max if price > p_max else price
+            r, total = [], 0.0
+            for a in a_vec:
+                v = a - b_slope * price
+                v = 0.0 if v < 0.0 else CONTROL_CAP if v > CONTROL_CAP else v
+                r.append(v)
+                total += v
+            if total > CONTROL_CAP:
+                r = [v * (CONTROL_CAP / total) for v in r]
+            requests.append(r)
+            prices.append(price)
+            if i == last:
+                break
+            c, theta = _uptake_row(cfg, r)
+            thetas.append(theta)
+            grow, shift = _affine_rk4(-theta, dt)
+            nxt = []
+            for y, cs in zip(x, c):
+                nxt.append(grow * y + shift * (delta * cs))
+            x = _project_simplex(nxt)
+        return shares, requests, prices, thetas
+    return run
+
+
+def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
+                  g: np.ndarray | None) -> tuple[Trajectory, list[float]]:
+    """A _forward_map pass as a Trajectory stored with g (None: zeros, stored
+    as None) and without utilities, and its Theta values."""
+    shares, requests, prices, thetas = _forward_map(cfg, times)(
+        np.asarray(x0, dtype=float).tolist(),
+        [0.0] * times.shape[0] if g is None else g.tolist())
+    return Trajectory(times, np.array(shares), np.array(requests),
+                      np.array(prices), g), thetas
 
 
 def _running_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -523,23 +543,27 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
     if (isinstance(max_iter, bool)
             or not isinstance(max_iter, (int, np.integer)) or max_iter < 1):
         raise ValueError("max_iter: must be a positive integer")
-    x0 = _initial_shares(cfg, x0)
+    x0 = _initial_shares(cfg, x0).tolist()
     times = _make_grid((0.0, cfg.horizon) if t_span is None else t_span, dt)
     lam_diag, mu_scale = _adjoint_scales(cfg)
     adjoint_unit = max(float(np.max(np.abs(lam_diag))), abs(mu_scale))
-    g, traj, last = np.zeros(times.shape[0]), None, None
+    forward = _forward_map(cfg, times)
+    g, shares, last = np.zeros(times.shape[0]), None, None
     state_res = costate_res = np.inf
     for iterations in range(1, max_iter + 1):
-        prev, (traj, thetas) = traj, _forward_pass(cfg, x0, times, g)
+        prev, ran = shares, g
+        rows, requests, prices, thetas = forward(x0, g.tolist())
+        shares = np.array(rows)
         if prev is not None:
-            state_res = float(np.max(np.abs(traj.shares - prev.shares)))
+            state_res = float(np.max(np.abs(shares - prev)))
         image = _adjoint_profile(cfg, times, thetas)
-        res = image - traj.g
+        res = image - ran
         costate_res = adjoint_unit * float(np.max(np.abs(res)))
         converged = state_res < SWEEP_TOL and costate_res < COSTATE_TOL
         if converged:
             break
         g, last = _anderson(image, res, last), (image, res)
+    traj = Trajectory(times, shares, np.array(requests), np.array(prices), ran)
     return _attach_utilities(cfg, traj), SweepReport(
         iterations, state_res, costate_res, converged)
 
@@ -554,8 +578,8 @@ def replay_forward(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
         raise ValueError("trajectory stores no adjoints to replay")
     if traj.g.shape != traj.times.shape:
         raise ValueError("g: length inconsistent with times")
-    return _attach_utilities(
-        cfg, _forward_pass(cfg, traj.shares[0], traj.times, traj.g)[0])
+    return _attach_utilities(cfg, _forward_pass(
+        cfg, _initial_shares(cfg, traj.shares[0]), traj.times, traj.g)[0])
 
 
 def solve_ssec(cfg: SystemConfig, x0, t_span: tuple[float, float],

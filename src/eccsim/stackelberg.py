@@ -31,7 +31,6 @@ from .model import (
     PopulationState,
     SystemConfig,
     _check_sizes,
-    _left_sum,
     _running_total,
     ccp_instant_utility,
     ecp_instant_utility,
@@ -141,7 +140,8 @@ def _stationary_controls(cfg: SystemConfig) -> Callable:
     A float kernel over lists of Python floats, with no numpy, because the
     sweep's forward pass calls it at every grid node; cfg is read and the
     constant factors folded once, in the formula's order of operations.
-    Its sums of N entries run left to right (model._left_sum).
+    One loop builds A and its sums of A and x, left to right from 0.0
+    (the rule of model._left_sum).
     """
     eta2, eta3 = cfg.ecp_weights[1:]
     xi2, xi3 = cfg.ccp_weights[1:]
@@ -155,11 +155,14 @@ def _stationary_controls(cfg: SystemConfig) -> Callable:
     denominator = 2.0 * nb * (xi2 + xi3 * power_c * nb)
 
     def controls(x_ecp, lam_dot_q, leader_flow):
-        a_vec = [(kphi * x - w) / power_c + adjoint_gain * q
-                 for x, w, q in zip(x_ecp, power, lam_dot_q)]
-        sum_a = _left_sum(a_vec)
+        a_vec, sum_a, sum_x = [], 0.0, 0.0
+        for x, w, q in zip(x_ecp, power, lam_dot_q):
+            a = (kphi * x - w) / power_c + adjoint_gain * q
+            a_vec.append(a)
+            sum_a += a
+            sum_x += x
         numerator = (xi2 * sum_a
-                     + share_gain * (kphi * (1.0 - _left_sum(x_ecp))
+                     + share_gain * (kphi * (1.0 - sum_x)
                                      - power_c * (1.0 - sum_a))
                      + flow_gain * leader_flow)
         return a_vec, b_slope, numerator / denominator

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from eccsim import AllocationState
-from eccsim.cli import InvalidScenario, _override, load_scenario, main
+from eccsim.cli import (InvalidScenario, _csv, _override, load_scenario,
+                        main)
 
 BASE = {
     "n_ecps": 2,
@@ -601,3 +602,16 @@ print(code, metrics["solver.dde_steps"], metrics["replicator.field_evals"])
     assert traced(write_scenario(tmp_path)) == ["0", "0", "0"]
     delayed = write_scenario(tmp_path, "delayed.json", population_delay=0.5)
     assert traced(delayed)[0] == "0"
+
+
+def test_csv_formats_array_rows_and_float_rows_alike():
+    # `simulate` hands _csv its table row by row as Python floats; the
+    # lines must be those of the numpy rows.
+    rng = np.random.default_rng(5)
+    table = np.vstack([rng.normal(size=(20, 7)) * 10.0 ** rng.integers(
+        -300, 300, size=(20, 7)), [np.nan, np.inf, -np.inf, 0.0, -0.0,
+                                   1e-320, 0.1]])
+    header = [f"c{k}" for k in range(7)]
+    want = list(_csv(header, table))
+    assert list(_csv(header, (row.tolist() for row in table))) == want
+    assert len(want) == 22

@@ -335,3 +335,37 @@ def test_uptake_row_matches_uptake(n, seed):
     if ess is not None:
         assert ess.common_utility == common
         assert ess.shares.shares.tolist() == (c / common).tolist()
+
+
+def uptake_row_comprehensions(cfg, requests):
+    """model._uptake_row as it was spelled before its one-loop form."""
+    power, prices = cfg.float_vectors
+    r_c = cfg.cloud_power
+    remainder = max(1.0 - _left_sum(requests), 0.0)
+    supply = [w + r_c * r for w, r in zip(power, requests)]
+    supply.append(r_c * remainder)
+    scale = cfg.mapping_factor / cfg.n_users
+    c = [scale * w / p for w, p in zip(supply, prices)]
+    return c, cfg.learning_rate * _left_sum(c)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_uptake_row_loop_matches_comprehensions(n):
+    # The one-loop kernel performs the comprehension spelling's operations
+    # and sums in the same order, so the two agree to the bit, also with
+    # zero requests and with the remainder clamped at 0.
+    rng = np.random.default_rng(100 + n)
+    for _ in range(50):
+        power = rng.uniform(0.5, 3.0, size=n)
+        cfg = make_config(n_ecps=n, ecp_power=power,
+                          ecp_access_price=rng.uniform(0.1, 1.0, size=n),
+                          cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
+                          cloud_access_price=float(rng.uniform(0.1, 1.0)),
+                          learning_rate=float(rng.uniform(0.2, 3.0)),
+                          mapping_factor=float(rng.uniform(0.5, 2.0)))
+        requests = rng.dirichlet(np.ones(n + 1))[:n]
+        requests[rng.random(n) < 0.2] = 0.0
+        if rng.random() < 0.25:
+            requests = rng.dirichlet(np.ones(n)) * (1.0 + ALLOC_TOL)
+        row = requests.tolist()
+        assert _uptake_row(cfg, row) == uptake_row_comprehensions(cfg, row)

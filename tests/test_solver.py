@@ -1,6 +1,7 @@
 """Unit tests for the integrators and the equilibrium sweep."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from eccsim.solver import (
     solve_open_loop,
     solve_ssec,
 )
-from eccsim.solver import (_adjoint_profile, _adjoint_scales,
+from eccsim.solver import (_adjoint_profile, _adjoint_scales, _affine_rk4,
                            _attach_utilities, _check_finite, _curried,
                            _forward_pass, _make_grid, _method_of_steps,
                            _project_simplex)
@@ -418,6 +419,31 @@ class TestCostateBackward:
                                    rtol=1e-12)
 
 
+def staged_rk4(y, a, src, h):
+    """The staged RK4 step of y' = a*y - src that _affine_rk4's map replaced."""
+    k1 = a * y - src
+    k2 = a * (y + (0.5 * h) * k1) - src
+    k3 = a * (y + (0.5 * h) * k2) - src
+    k4 = a * (y + h * k3) - src
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
+def test_affine_map_is_the_staged_step(sign):
+    # RK4 on y' = a*y - src is y -> R*y - S*src.  The two spellings round
+    # apart by a few eps times the terms' size: |y| + |h*src|, times the sum
+    # of the polynomials' absolute terms, at most e^|z|.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(18)
+    for _ in range(2000):
+        h = sign * 10.0 ** rng.uniform(-3.0, 0.5)
+        a = rng.uniform(-2.5, 2.5) / h
+        y, src = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        grow, shift = _affine_rk4(a, h)
+        bound = 8.0 * eps * math.exp(abs(a * h)) * (abs(y) + abs(h * src))
+        assert abs((grow * y - shift * src) - staged_rk4(y, a, src, h)) <= bound
+
+
 @pytest.fixture(scope="module")
 def solved():
     cfg = make_config(horizon=10.0)
@@ -708,6 +734,33 @@ class TestSweep:
         with pytest.raises(ValueError,
                            match="^g: length inconsistent with times$"):
             replay_forward(cfg, bad)
+
+    @pytest.mark.parametrize("spoil,match", [
+        (lambda x: x * 1.5, "initial shares must sum to 1"),
+        (lambda x: np.column_stack([x, x[:, :1]]),
+         "length inconsistent with n_ecps")], ids=["sum", "width"])
+    def test_replay_checks_the_start_row(self, solved, spoil, match):
+        # The start row passes the x0 checks of every other solver.
+        cfg, traj, _ = solved
+        bad = Trajectory(times=traj.times, shares=spoil(traj.shares),
+                         g=traj.g)
+        with pytest.raises(ValueError, match=f"^x0: {match}$"):
+            replay_forward(cfg, bad)
+
+    def test_solve_binds_the_control_kernel_once(self, monkeypatch):
+        # What depends on (cfg, grid) alone is bound once per solve, not
+        # once per forward pass.
+        binds = []
+
+        def bind(cfg, _orig=eccsim.solver._stationary_controls):
+            binds.append(cfg)
+            return _orig(cfg)
+
+        monkeypatch.setattr(eccsim.solver, "_stationary_controls", bind)
+        cfg = make_config(horizon=10.0)
+        _, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.05)
+        assert report.converged and report.iterations > 1
+        assert binds == [cfg]
 
 
 class TestMyopicAndFixed:

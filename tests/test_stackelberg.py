@@ -348,3 +348,48 @@ def test_general_costate_sums_run_left_to_right(n):
             + left_to_right(a * b for a, b in zip(mu, x_dot))
             + left_to_right(a * b for ta, fa in zip(th, lam_flow)
                             for a, b in zip(ta, fa)))
+
+
+def controls_comprehensions(cfg):
+    """The control kernel as it was spelled before its one-loop form."""
+    eta2, eta3 = cfg.ecp_weights[1:]
+    xi2, xi3 = cfg.ccp_weights[1:]
+    power_c, power = cfg.cloud_power, cfg.float_vectors[0]
+    kphi = cfg.n_users * cfg.nominal_rate
+    gain = cfg.learning_rate * cfg.mapping_factor / cfg.n_users
+    b_slope = eta2 / (2.0 * eta3 * power_c)
+    adjoint_gain = gain / (2.0 * eta3 * power_c)
+    nb = cfg.n_ecps * b_slope
+    share_gain, flow_gain = 2.0 * xi3 * nb, gain * b_slope
+    denominator = 2.0 * nb * (xi2 + xi3 * power_c * nb)
+
+    def controls(x_ecp, lam_dot_q, leader_flow):
+        a_vec = [(kphi * x - w) / power_c + adjoint_gain * q
+                 for x, w, q in zip(x_ecp, power, lam_dot_q)]
+        sum_a = left_to_right(a_vec)
+        numerator = (xi2 * sum_a
+                     + share_gain * (kphi * (1.0 - left_to_right(x_ecp))
+                                     - power_c * (1.0 - sum_a))
+                     + flow_gain * leader_flow)
+        return a_vec, b_slope, numerator / denominator
+    return controls
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_control_kernel_loop_matches_comprehensions(n):
+    # The one-loop kernel builds A, sum A and sum x with the comprehension
+    # spelling's operations, summed left to right from 0.0: equal bits.
+    rng = np.random.default_rng(200 + n)
+    for _ in range(50):
+        power = rng.uniform(0.5, 3.0, size=n)
+        cfg = make_config(n_ecps=n, ecp_power=power,
+                          ecp_access_price=rng.uniform(0.1, 1.0, size=n),
+                          cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
+                          learning_rate=float(rng.uniform(0.2, 3.0)),
+                          ecp_weights=tuple(rng.uniform(0.5, 2.0, size=3)),
+                          ccp_weights=tuple(rng.uniform(0.5, 2.0, size=3)))
+        args = (rng.dirichlet(np.ones(n + 1))[:n].tolist(),
+                (10.0 * rng.normal(size=n)).tolist(),
+                10.0 * float(rng.normal()))
+        assert (_stationary_controls(cfg)(*args)
+                == controls_comprehensions(cfg)(*args))
