@@ -39,19 +39,37 @@ __all__ = [
 ]
 
 
+def _lag_terms(cfg: SystemConfig, supply: list[float]):
+    """terms(lags) -> (u, G): what the delayed field reads of its lag rows alone.
+
+    For each row y of the 2-D array `lags`, u = beta*w/(K*y*p) the per-user
+    utilities and G = delta*y the growth factors, in one numpy pass for the
+    block; the per-user compute comes from model._per_user_power, which owns
+    the ZeroShare check and the empty-group rule.  The delayed field is
+    G*(u - now . u); _rhs_floats and the solver's rank-one RK4 map both read
+    these terms, so the field has one spelling.
+    """
+    beta, delta = cfg.mapping_factor, cfg.learning_rate
+    w, prices = np.array(supply), cfg.all_access_prices
+
+    def terms(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return beta * _per_user_power(cfg, lags, w) / prices, delta * lags
+    return terms
+
+
 def _rhs_floats(cfg: SystemConfig, supply: list[float]):
     """Delayed field as rate(ts, lags) -> fields, one field per lag row.
 
     x_dot_s = delta * y_s * (pi_s(y) - now . pi(y)) with y the lag row and
-    now = base + h*slope in field(base, slope, h).  `rate` builds the
-    utilities and factors delta*y of a block of lags in one numpy pass, the
-    per-user compute from model._per_user_power, which owns the ZeroShare
-    check and the empty-group rule.  `field` sums the mean as (a + h*k)*u
-    left to right (model._left_sum), the steps of a built `now`, so the
-    bits match; in loops, as comprehensions are calls before Python 3.12.
+    now = base + h*slope in field(base, slope, h).  `rate` reads the
+    utilities u and factors G = delta*y of a block of lags from _lag_terms.
+    `field` sums the mean as (a + h*k)*u left to right (model._left_sum),
+    the steps of a built `now`, so the bits match; in loops, as
+    comprehensions are calls before Python 3.12.  The staged RK4 runs
+    (integrate_ode, integrate_dde, solve_fixed at zero delay) call it four
+    times per step; a delayed solve_fixed steps _lag_terms by a map instead.
     """
-    beta, delta = cfg.mapping_factor, cfg.learning_rate
-    w, prices = np.array(supply), cfg.all_access_prices
+    terms = _lag_terms(cfg, supply)
 
     def velocity(utils: list[float], growth: list[float]):
         def field(base: list[float], slope: list[float],
@@ -66,8 +84,8 @@ def _rhs_floats(cfg: SystemConfig, supply: list[float]):
         return field
 
     def rate(ts, lags: np.ndarray) -> list:
-        utils = beta * _per_user_power(cfg, lags, w) / prices
-        return list(map(velocity, utils.tolist(), (delta * lags).tolist()))
+        utils, growth = terms(lags)
+        return list(map(velocity, utils.tolist(), growth.tolist()))
     return rate
 
 
@@ -110,7 +128,8 @@ class ReplicatorField:
     public vector field.  The supply w is fixed per field and computed
     once (`supply`).  Integrators take `rate` or `delayed_rate` (the time
     argument is unused), which evaluate the float kernel _rhs_floats at
-    one state pair, as the public fields do; `solve_fixed` steps it itself.
+    one state pair, as the public fields do; `solve_fixed` steps the same
+    terms itself (_lag_terms).
     """
 
     cfg: SystemConfig

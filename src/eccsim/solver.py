@@ -26,10 +26,14 @@ Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
 sets the speed.  The one population loop, _method_of_steps, steps a kernel
 that reads a block of lagged states in one numpy pass and builds no RK4
-stage state; integrate_ode and integrate_dde adapt their array field,
-solve_fixed (so the CLI) runs replicator._rhs_floats.  The sweep's fields
-are affine, so its RK4 step is one precomputed map per interval
-(_affine_rk4), and its forward pass is bound to (cfg, grid) once per solve
+stage state.  integrate_ode and integrate_dde take RK4 stages of their
+array field (_staged over _curried), as solve_fixed does of
+replicator._rhs_floats at zero delay.  A delayed solve_fixed (so the CLI's
+delay sweep) is affine in the current state under each lag row, so its RK4
+step is one rank-one map per step, precomputed from the lag terms
+(_rank_one_rk4 over replicator._lag_terms).  The sweep's fields are affine
+too, so its RK4 step is one precomputed map per interval (_affine_rk4),
+and its forward pass is bound to (cfg, grid) once per solve
 (_forward_map).  Step and field loops append instead of using
 comprehensions, which only Python 3.12 inlines (PEP 709).  Every sum over
 providers, the simplex sums of x0 and of each step included, runs left to
@@ -56,7 +60,7 @@ from .model import (
     _uptake_row,
     provider_power,
 )
-from .replicator import _rhs_floats
+from .replicator import _lag_terms, _rhs_floats
 from .stackelberg import _price_gaps, _stationary_controls
 
 __all__ = [
@@ -259,34 +263,153 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
     sum drifts past DRIFT_TOL and floored at SHARE_FLOOR to preserve
     interiority; population runs use this, generic test problems must not
     (a 1-d decay would be pinned to its initial value by renormalization).
-    The steps are those of _method_of_steps at zero delay, on floats.
+    The steps are the staged ones of _method_of_steps at zero delay, on
+    floats.
 
     Raises:
         BlowUp: a state magnitude exceeded MAGNITUDE_LIMIT or went non-finite.
         ValueError: `field` returned anything but a vector as long as the state.
     """
-    return _method_of_steps(_curried(lambda t, now, lag: field(t, now)), x0,
-                            0.0, t_span, dt, simplex=simplex)
+    return _method_of_steps(_staged(_curried(lambda t, now, lag: field(t, now))),
+                            x0, 0.0, t_span, dt, simplex=simplex)
 
 
-def _method_of_steps(rate: Callable[[list[float], np.ndarray], list], x0,
-                     tau: float, t_span: tuple[float, float], dt: float,
+def _staged(rate: Callable[[list[float], np.ndarray], list]) -> Callable:
+    """rate(ts, lags) -> fields as a _method_of_steps kernel of RK4 stages.
+
+    rate takes a block of lagged states, one per row of the 2-D array
+    `lags` at time ts[r], and returns one field per row,
+    field(base, slope, h) = f(t, base + h*slope, lag).  A step calls
+    k1 = first(y, y, 0.0) (y + 0*y is y for finite y), k2 = mid(y, k1, h/2),
+    k3 = mid(y, k2, h/2) and k4 = end(y, k3, h), and `end` is the next
+    step's `first`: four field calls per step.  At zero delay (no lags)
+    each stage builds the state it is evaluated at and hands it to `rate`
+    as a one-row block (own).
+    """
+    def kernel(dt, ts, lags):
+        half, sixth = 0.5 * dt, dt / 6.0
+        start = rate(ts, lags)[0]
+
+        def own(t: float):
+            """Field at time t whose lag is the state it is called at."""
+            def field(base, slope, h):
+                now = [a + h * k for a, k in zip(base, slope)]
+                return rate([t], np.array([now]))[0](now, now, 0.0)
+            return field
+
+        def rk4(first, mid, end):
+            def step(y):
+                k1 = first(y, y, 0.0)
+                k2 = mid(y, k1, half)
+                k3 = mid(y, k2, half)
+                k4 = end(y, k3, dt)
+                nxt = []
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4):
+                    nxt.append(v + sixth * (a + 2.0 * b + 2.0 * c + d))
+                return nxt
+            return step
+
+        def block(ts, lags):
+            nonlocal start
+            fields = iter(map(own, ts) if lags is None else rate(ts, lags))
+            steps = []
+            for mid, end in zip(fields, fields):  # in pairs
+                steps.append(rk4(start, mid, end))
+                start = end
+            return steps
+        return block
+    return kernel
+
+
+def _rank_one_rk4(terms: Callable) -> Callable:
+    """Delayed _method_of_steps kernel of x' = G*(u - x . u), one map per step.
+
+    (u, G) = terms(lags) are read from the lag rows alone (for the
+    population, replicator._lag_terms).  Under a fixed lag row the field
+    is affine in the state with a rank-one slope, so, as for _affine_rk4,
+    the RK4 step is a map computed ahead.  With rows 1 (start: k1, the
+    previous step's end row), 2 (mid: k2, k3) and 4 (end: k4), a stage at
+    state z has velocity G_j*u_j - G_j*(z . u_j), and its mean m_j = z . u_j
+    follows from the step's start y and six sums of lag terms:
+      m1 = y.u1,  m2 = y.u2 + h/2 (A12 - m1 B12),
+      m3 = y.u2 + h/2 (A22 - m2 B22),  m4 = y.u4 + h (A24 - m3 B24),
+      y' = y + C - (h/6 G1 m1 + h/3 G2 (m2 + m3) + h/6 G4 m4),
+    C = h/6 (G1 u1 + 4 G2 u2 + G4 u4), A12 = sum G1 u1 u2, B12 = sum G1 u2,
+    A22 = sum G2 u2^2, B22 = sum G2 u2, A24 = sum G2 u2 u4, B24 = sum G2 u4.
+    C and the sums are built per block in numpy, the sums one column at a
+    time, left to right (the bits of model._running_total); a step takes
+    its three dots in one float loop.  The kernel carries the end row's
+    terms to the next block.  Delayed runs only: at zero delay the lag is
+    the stage state, and the field is no longer affine in it.
+    """
+    def kernel(dt, ts, lags):
+        half, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
+        start = terms(lags)
+
+        def mapped(u1, u2, u4, g1, g2, g4, c, a12, b12, a22, b22, a24, b24):
+            def step(y):
+                m1 = d2 = d4 = 0.0
+                for v, p, q, r in zip(y, u1, u2, u4):
+                    m1 += v * p
+                    d2 += v * q
+                    d4 += v * r
+                m2 = d2 + half * (a12 - m1 * b12)
+                m3 = d2 + half * (a22 - m2 * b22)
+                m4 = d4 + dt * (a24 - m3 * b24)
+                w1, w2, w4 = sixth * m1, third * (m2 + m3), sixth * m4
+                nxt = []
+                for v, ck, p, q, r in zip(y, c, g1, g2, g4):
+                    nxt.append(v + ck - (w1 * p + w2 * q + w4 * r))
+                return nxt
+            return step
+
+        def across(v):
+            """Row sums of v, one column at a time, left to right."""
+            total = v[:, 0]
+            for k in range(1, v.shape[1]):
+                total = total + v[:, k]
+            return total.tolist()
+
+        def block(ts, lags):
+            nonlocal start
+            u, g = terms(lags)
+            u, g = np.concatenate((start[0], u)), np.concatenate((start[1], g))
+            start = u[-1:], g[-1:]
+            # Rows alternate start/end and mid: row r against u of row r+1
+            # gives A12, B12 at even r and A24, B24 at odd r; a mid row
+            # against its own u gives A22, B22.
+            gu, after, mid = g * u, u[1:], g[1::2] * u[1::2]
+            a_next, b_next = across(gu[:-1] * after), across(g[:-1] * after)
+            c = sixth * (gu[:-1:2] + 4.0 * mid + gu[2::2])
+            u, g = u.tolist(), g.tolist()
+            return list(map(mapped, u[:-1:2], u[1::2], u[2::2],
+                            g[:-1:2], g[1::2], g[2::2], c.tolist(),
+                            a_next[::2], b_next[::2], across(mid * after[::2]),
+                            across(mid), a_next[1::2], b_next[1::2]))
+        return block
+    return kernel
+
+
+def _method_of_steps(kernel: Callable, x0, tau: float,
+                     t_span: tuple[float, float], dt: float,
                      *, simplex: bool) -> Trajectory:
     """RK4 steps of x'(t) = f(t, x(t), x(t - tau)) over float lists.
 
-    rate(ts, lags) takes a block of lagged states, one per row of the 2-D
-    array `lags` at time ts[r], and returns one field per row,
-    field(base, slope, h) = f(t, base + h*slope, lag); k1 = field(y, y, 0.0)
-    as y + 0*y is y for finite y.  Step i reads the lag at grid position
-    i + 1/2 - tau/dt for k2 and k3 and at i + 1 - tau/dt for k4, whose field
-    is step i+1's k1; the first k1 reads row 0 (x0).  A run makes 4*steps
-    field calls, and a delayed one hands 2*steps + 1 rows to `rate`.
-    Position p reads row j = max(int(p), 0) if p - j <= 0, else interpolates
-    rows j and j+1.  Steps s..e-1 form one block, read in one numpy pass:
-    with e - s < tau/dt they read no row past s, the last one stored, and
-    e - s <= LAG_BLOCK bounds the block's memory.  At tau = 0 each later
-    stage is its own lag (own).  One `settle` pass checks each step's state
-    and, with simplex, projects it.  Raises as integrate_dde.
+    kernel(dt, ts, lags) gets row 0 (x0, the lag of the first step's k1)
+    and returns block(ts, lags), which gets the lag rows of a block of
+    steps, mid-step and end-of-step for each at times ts, and returns one
+    map per step: step(y), the state one RK4 step after y, unsettled.  A
+    step's start lag is the previous step's end lag, which the kernel
+    carries between blocks (_staged: fields, _rank_one_rk4: a map).  Step
+    i reads the lag at grid position i + 1/2 - tau/dt for k2 and k3 and at
+    i + 1 - tau/dt for k4, so a delayed run hands 2*steps + 1 rows to the
+    kernel.  Position p reads row j = max(int(p), 0) if p - j <= 0, else
+    interpolates rows j and j+1.  Steps s..e-1 form one block, read in one
+    numpy pass: with e - s < tau/dt they read no row past s, the last one
+    stored, and e - s <= LAG_BLOCK bounds the block's memory.  At tau = 0
+    no row is read and block gets lags None.  One `settle` pass checks
+    each step's state and, with simplex, projects it.  Raises as
+    integrate_dde.
     """
     check_delay(tau, dt)
     times = _make_grid(t_span, dt)
@@ -304,32 +427,19 @@ def _method_of_steps(rate: Callable[[list[float], np.ndarray], list], x0,
         frac = (pos - lo)[:, None]
         return np.where(frac > 0.0, a + frac * (out[hi.astype(int)] - a), a)
 
-    def own(t: float):
-        """Field at time t whose lag is the state it is called at (tau = 0)."""
-        def field(base, slope, h):
-            now = [a + h * k for a, k in zip(base, slope)]
-            return rate([t], np.array([now]))[0](now, now, 0.0)
-        return field
-
-    half, sixth = 0.5 * dt, dt / 6.0
+    half = 0.5 * dt
     settle = _project_simplex if simplex else _check_finite
-    block = min(max(math.ceil(shift) - 1, 1), LAG_BLOCK)
-    field = rate(times[:1].tolist(), out[:1])[0]
+    width = min(max(math.ceil(shift) - 1, 1), LAG_BLOCK)
+    block = kernel(dt, times[:1].tolist(), out[:1])
     ends = map(float, times[1:])
-    for s in range(0, steps, block):
-        e = min(s + block, steps)
+    for s in range(0, steps, width):
+        e = min(s + width, steps)
         ts = [u for t_end in islice(ends, e - s) for u in (t_end - half, t_end)]
-        fields = iter(rate(ts, read(s, e)) if shift else map(own, ts))
-        for i, mid, end in zip(range(s + 1, e + 1), fields, fields):  # in pairs
-            k1 = field(y, y, 0.0)
-            k2 = mid(y, k1, half)
-            k3 = mid(y, k2, half)
-            field = end
-            k4 = end(y, k3, dt)
-            nxt = []
-            for v, a, b, c, d in zip(y, k1, k2, k3, k4):
-                nxt.append(v + sixth * (a + 2.0 * b + 2.0 * c + d))
-            out[i] = y = settle(nxt)
+        rows = []
+        for step in block(ts, read(s, e) if shift else None):
+            y = settle(step(y))
+            rows.append(y)
+        out[s + 1:e + 1] = rows
     return Trajectory(times=times, shares=out)
 
 
@@ -342,15 +452,15 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     already-integrated grid by linear interpolation, so the method is
     second order: the error falls by 4 per halving of dt.  Before the start
     the delayed state is the constant x0; at tau = 0 it is each stage's
-    own state.  `field` is called once per RK4 stage; the steps are those
-    of _method_of_steps, as in solve_fixed.
+    own state.  `field` is called once per RK4 stage; the steps are the
+    staged ones of _method_of_steps (_staged).
 
     Raises:
         ValueError: tau not finite, negative, or 0 < tau < dt (one step
             would outrun the buffer); `field` as for integrate_ode.
         BlowUp: as for integrate_ode.
     """
-    return _method_of_steps(_curried(field), x0, tau, t_span, dt,
+    return _method_of_steps(_staged(_curried(field)), x0, tau, t_span, dt,
                             simplex=simplex)
 
 
@@ -416,10 +526,12 @@ def _forward_map(cfg: SystemConfig, times: np.ndarray) -> Callable:
 
     At each node the adjoints lam_nn = eta1*p_n*K*g, mu_n = xi1*p_c*K*g
     (theta_mat = 0) give the two adjoint terms of the control kernel of
-    `eccsim.stackelberg`; its price and requests, projected onto the
-    feasible box (price cap: default_price_cap), hold over the step, on
-    which x' = delta*c - Theta*x (see ReplicatorField) is one _affine_rk4
-    map.  What depends on cfg and times alone, the kernel too, is bound once.
+    `eccsim.stackelberg` (the loop that builds them adds the edge shares
+    once, for the leader term and the kernel alike); its price and
+    requests, projected onto the feasible box (price cap:
+    default_price_cap), hold over the step, on which x' = delta*c - Theta*x
+    (see ReplicatorField) is one _affine_rk4 map.  What depends on cfg and
+    times alone, the kernel too, is bound once.
     run(x0, g), with M values of g, returns lists: shares, requests and
     prices per node, and the M-1 per-interval Theta that the backward pass
     (_adjoint_profile) must read.
@@ -441,7 +553,7 @@ def _forward_map(cfg: SystemConfig, times: np.ndarray) -> Callable:
                 lam_dot_q.append((gi * lam) * (ip - gp * xk))
                 sum_x += xk
             flow = -(mu_scale * gi) * (inv_p_sum + sum_x * mix)
-            a_vec, b_slope, price = controls(xe, lam_dot_q, flow)
+            a_vec, b_slope, price = controls(xe, sum_x, lam_dot_q, flow)
             price = 0.0 if price < 0.0 else p_max if price > p_max else price
             r, total = [], 0.0
             for a in a_vec:
@@ -597,14 +709,21 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
                 dt: float) -> Trajectory:
     """Population run under a frozen allocation and zero cloud price.
 
-    Honors cfg.population_delay with constant prehistory x0: steps the
-    float kernel _rhs_floats in _method_of_steps, and matches
-    integrate_dde(field.delayed_rate, ..) of a ReplicatorField bit for bit.
+    Honors cfg.population_delay with constant prehistory x0.  Delayed, it
+    steps the lag terms of the replicator field (_lag_terms) by the
+    rank-one RK4 map (_rank_one_rk4): the RK4 steps of
+    integrate_dde(field.delayed_rate, ..) of a ReplicatorField, summed in
+    another order, so the shares agree to rounding, not bit for bit.  At
+    zero delay it steps the float kernel _rhs_floats in RK4 stages and
+    matches integrate_ode(field.rate, .., simplex=True) bit for bit.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))
     supply = provider_power(cfg, alloc).tolist()
-    traj = _method_of_steps(_rhs_floats(cfg, supply), _initial_shares(cfg, x0),
-                            cfg.population_delay, t_span, dt, simplex=True)
+    tau = cfg.population_delay
+    kernel = (_rank_one_rk4(_lag_terms(cfg, supply)) if tau
+              else _staged(_rhs_floats(cfg, supply)))
+    traj = _method_of_steps(kernel, _initial_shares(cfg, x0), tau, t_span, dt,
+                            simplex=True)
     m = traj.times.shape[0]
     traj.requests = np.tile(alloc.requests, (m, 1))
     traj.prices = np.zeros(m)

@@ -31,6 +31,7 @@ from .model import (
     PopulationState,
     SystemConfig,
     _check_sizes,
+    _left_sum,
     _running_total,
     ccp_instant_utility,
     ecp_instant_utility,
@@ -129,7 +130,7 @@ def q_vector(cfg: SystemConfig, pop: PopulationState, n: int) -> np.ndarray:
 
 
 def _stationary_controls(cfg: SystemConfig) -> Callable:
-    """Kernel controls(x_ecp, lam_dot_q, leader_flow) -> (A, B, p) for cfg.
+    """Kernel controls(x_ecp, sum_x, lam_dot_q, leader_flow) -> (A, B, p) for cfg.
 
     Stationary requests A_n - B*p and the leader price p.  The adjoints
     enter only through lam_dot_q[n] = lam_n . q_n(x) and the leader's flow
@@ -140,8 +141,9 @@ def _stationary_controls(cfg: SystemConfig) -> Callable:
     A float kernel over lists of Python floats, with no numpy, because the
     sweep's forward pass calls it at every grid node; cfg is read and the
     constant factors folded once, in the formula's order of operations.
-    One loop builds A and its sums of A and x, left to right from 0.0
-    (the rule of model._left_sum).
+    sum_x is the sum of x_ecp, which the caller has already added left to
+    right from 0.0 (the rule of model._left_sum); one loop builds A and
+    its sum in the same order.
     """
     eta2, eta3 = cfg.ecp_weights[1:]
     xi2, xi3 = cfg.ccp_weights[1:]
@@ -154,13 +156,12 @@ def _stationary_controls(cfg: SystemConfig) -> Callable:
     share_gain, flow_gain = 2.0 * xi3 * nb, gain * b_slope
     denominator = 2.0 * nb * (xi2 + xi3 * power_c * nb)
 
-    def controls(x_ecp, lam_dot_q, leader_flow):
-        a_vec, sum_a, sum_x = [], 0.0, 0.0
+    def controls(x_ecp, sum_x, lam_dot_q, leader_flow):
+        a_vec, sum_a = [], 0.0
         for x, w, q in zip(x_ecp, power, lam_dot_q):
             a = (kphi * x - w) / power_c + adjoint_gain * q
             a_vec.append(a)
             sum_a += a
-            sum_x += x
         numerator = (xi2 * sum_a
                      + share_gain * (kphi * (1.0 - sum_x)
                                      - power_c * (1.0 - sum_a))
@@ -175,12 +176,14 @@ def _general_controls(cfg: SystemConfig, pop: PopulationState,
     """_stationary_controls at general costates, summed left to right."""
     _check_sizes(cfg, pop)
     x_ecp = pop.ecp
+    x_list = x_ecp.tolist()
     lam = ecp_costates.lam
     inv_p, gap, _, mix = _price_gaps(cfg)
     lam_dot_q = np.diagonal(lam) * inv_p - gap * _running_total(lam * x_ecp)
     flow = (float(_running_total(ccp_costate.mu * (-inv_p - x_ecp * mix)))
             + float(_running_total((ccp_costate.theta_mat * lam).ravel())) * mix)
-    return _stationary_controls(cfg)(x_ecp.tolist(), lam_dot_q.tolist(), flow)
+    return _stationary_controls(cfg)(x_list, _left_sum(x_list),
+                                     lam_dot_q.tolist(), flow)
 
 
 def decompose_request(cfg: SystemConfig, pop: PopulationState,

@@ -20,6 +20,7 @@ from eccsim.model import (
 )
 from eccsim.replicator import (
     ReplicatorField,
+    _lag_terms,
     _rhs_floats,
     analytic_ess,
     delay_stability_bound,
@@ -233,6 +234,27 @@ class TestReplicatorField:
             one, = rate([0.0], lag[None, :])
             assert field(now, now, 0.0) == one(now, now, 0.0)
 
+    def test_lag_terms_are_what_the_field_reads(self, cfg):
+        # The field is G*(u - now . u) with (u, G) = _lag_terms(lags), the
+        # one spelling the solver's rank-one map reads too; a zero share
+        # with compute on offer raises there, naming the provider.
+        supply = ReplicatorField(cfg, AllocationState([0.1, 0.2])).supply
+        terms = _lag_terms(cfg, supply.tolist())
+        lags = np.array([[0.3, 0.3, 0.4], [0.2, 0.5, 0.3]])
+        u, g = terms(lags)
+        np.testing.assert_array_equal(g, cfg.learning_rate * lags)
+        now = [0.25, 0.35, 0.4]
+        for lag_u, lag_g, field in zip(u.tolist(), g.tolist(),
+                                       _rhs_floats(cfg, supply.tolist())(
+                                           [0.0, 0.5], lags)):
+            mean = 0.0
+            for x, v in zip(now, lag_u):
+                mean += x * v
+            assert field(now, now, 0.0) == [a * (v - mean)
+                                            for a, v in zip(lag_g, lag_u)]
+        with pytest.raises(ZeroShare, match="^ecp 1:"):
+            terms(np.array([[0.0, 0.6, 0.4]]))
+
     def test_float_kernel_empty_group_without_supply(self, cfg):
         field = ReplicatorField(cfg, AllocationState([0.55, 0.45]))
         now, delayed = [0.5, 0.4, 0.1], [0.6, 0.4, 0.0]
@@ -251,8 +273,8 @@ class TestReplicatorField:
 
     def test_solve_fixed_computes_supply_once(self, x0, monkeypatch):
         # The allocation is frozen for the whole run, so the supply count
-        # must not grow with the number of steps (4 field calls per step):
-        # once for the field, once for the payoffs along the trajectory.
+        # must not grow with the number of steps (one map per step):
+        # once for the lag terms, once for the payoffs along the trajectory.
         counts = []
         for horizon in (1.0, 2.0):
             calls = [0]

@@ -272,7 +272,7 @@ def test_stationary_controls_match_array_spelling(n, seed):
     lam_dot_q = 10.0 * rng.normal(size=n)
     flow = 10.0 * float(rng.normal())
     a_list, b_slope, price = _stationary_controls(cfg)(
-        x.tolist(), lam_dot_q.tolist(), flow)
+        x.tolist(), float(x.sum()), lam_dot_q.tolist(), flow)
 
     eta2, eta3 = cfg.ecp_weights[1:]
     xi2, xi3 = cfg.ccp_weights[1:]
@@ -329,7 +329,8 @@ def test_general_costate_sums_run_left_to_right(n):
                               for m, ip, xk in zip(mu, inv_p, xe))
                 + left_to_right(a * b for ta, la in zip(th, lam)
                                 for a, b in zip(ta, la)) * mix)
-        a_vec, b_slope, price = _stationary_controls(cfg)(xe, lam_dot_q, flow)
+        a_vec, b_slope, price = _stationary_controls(cfg)(
+            xe, left_to_right(xe), lam_dot_q, flow)
         assert optimal_price(cfg, pop, costate, leader) == price
         for k in range(1, n + 1):
             assert decompose_request(cfg, pop, costate, k) == (a_vec[k - 1],
@@ -363,12 +364,12 @@ def controls_comprehensions(cfg):
     share_gain, flow_gain = 2.0 * xi3 * nb, gain * b_slope
     denominator = 2.0 * nb * (xi2 + xi3 * power_c * nb)
 
-    def controls(x_ecp, lam_dot_q, leader_flow):
+    def controls(x_ecp, sum_x, lam_dot_q, leader_flow):
         a_vec = [(kphi * x - w) / power_c + adjoint_gain * q
                  for x, w, q in zip(x_ecp, power, lam_dot_q)]
         sum_a = left_to_right(a_vec)
         numerator = (xi2 * sum_a
-                     + share_gain * (kphi * (1.0 - left_to_right(x_ecp))
+                     + share_gain * (kphi * (1.0 - sum_x)
                                      - power_c * (1.0 - sum_a))
                      + flow_gain * leader_flow)
         return a_vec, b_slope, numerator / denominator
@@ -377,8 +378,9 @@ def controls_comprehensions(cfg):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_control_kernel_loop_matches_comprehensions(n):
-    # The one-loop kernel builds A, sum A and sum x with the comprehension
-    # spelling's operations, summed left to right from 0.0: equal bits.
+    # The one-loop kernel builds A and sum A with the comprehension
+    # spelling's operations, summed left to right from 0.0, and reads the
+    # sum of x it is handed: equal bits.
     rng = np.random.default_rng(200 + n)
     for _ in range(50):
         power = rng.uniform(0.5, 3.0, size=n)
@@ -388,8 +390,8 @@ def test_control_kernel_loop_matches_comprehensions(n):
                           learning_rate=float(rng.uniform(0.2, 3.0)),
                           ecp_weights=tuple(rng.uniform(0.5, 2.0, size=3)),
                           ccp_weights=tuple(rng.uniform(0.5, 2.0, size=3)))
-        args = (rng.dirichlet(np.ones(n + 1))[:n].tolist(),
-                (10.0 * rng.normal(size=n)).tolist(),
+        x = rng.dirichlet(np.ones(n + 1))[:n].tolist()
+        args = (x, left_to_right(x), (10.0 * rng.normal(size=n)).tolist(),
                 10.0 * float(rng.normal()))
         assert (_stationary_controls(cfg)(*args)
                 == controls_comprehensions(cfg)(*args))
