@@ -33,9 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AllocationState, SystemConfig, _cloud_remainder, _running_total
+from .model import (AllocationState, SystemConfig, _cloud_remainder,
+                    _running_total, _uptake_row)
 from .replicator import analytic_ess, delay_stability_bound, ess_jacobian_eigen
 from .solver import (
+    RK4_REAL_BOUND,
     BlowUp,
     SweepReport,
     Trajectory,
@@ -116,8 +118,11 @@ def _derive(scn: Scenario, cfg_changes: dict | None = None,
 
     Every scenario a command runs passes through here: the configuration
     checks, the rule that only fixed-controls models a population delay,
-    and the solvers' grid rules (`grid_steps`, `check_delay`) for the
-    horizon, dt and delay.
+    the solvers' grid rules (`grid_steps`, `check_delay`) for the horizon,
+    dt and delay, and RK4's stability on the fastest rate any scheme steps,
+    rho + Theta (the adjoint's), with Theta at its largest over the
+    allocations.  Theta is linear in the requests r, so that largest value
+    sits at a vertex: r = e_j or r = 0.
     """
     try:
         if cfg_changes:
@@ -128,6 +133,13 @@ def _derive(scn: Scenario, cfg_changes: dict | None = None,
                 "population_delay: only the fixed-controls scheme models delay")
         grid_steps((0.0, scn.cfg.horizon), scn.dt)
         check_delay(scn.cfg.population_delay, scn.dt, "population_delay")
+        cfg, n = scn.cfg, scn.cfg.n_ecps
+        theta_max = max(_uptake_row(cfg, [float(k == j) for k in range(n)])[1]
+                        for j in range(n + 1))  # j = n: r = 0
+        limit = RK4_REAL_BOUND / (cfg.discount_rate + theta_max)
+        if scn.dt > limit:
+            raise ValueError(f"dt: above {limit:.6g}, RK4's stability limit"
+                             " for this configuration")
     except ValueError as exc:
         raise InvalidScenario(str(exc)) from exc
     return scn

@@ -46,8 +46,8 @@ def _lag_terms(cfg: SystemConfig, supply: list[float]):
     utilities and G = delta*y the growth factors, in one numpy pass for the
     block; the per-user compute comes from model._per_user_power, which owns
     the ZeroShare check and the empty-group rule.  The delayed field is
-    G*(u - now . u); _rhs_floats and the solver's rank-one RK4 map both read
-    these terms, so the field has one spelling.
+    G*(u - now . u); ReplicatorField.delayed_rate and the solver's rank-one
+    RK4 map both read these terms, so the field has one spelling.
     """
     beta, delta = cfg.mapping_factor, cfg.learning_rate
     w, prices = np.array(supply), cfg.all_access_prices
@@ -55,38 +55,6 @@ def _lag_terms(cfg: SystemConfig, supply: list[float]):
     def terms(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return beta * _per_user_power(cfg, lags, w) / prices, delta * lags
     return terms
-
-
-def _rhs_floats(cfg: SystemConfig, supply: list[float]):
-    """Delayed field as rate(ts, lags) -> fields, one field per lag row.
-
-    x_dot_s = delta * y_s * (pi_s(y) - now . pi(y)) with y the lag row and
-    now = base + h*slope in field(base, slope, h).  `rate` reads the
-    utilities u and factors G = delta*y of a block of lags from _lag_terms.
-    `field` sums the mean as (a + h*k)*u left to right (model._left_sum),
-    the steps of a built `now`, so the bits match; in loops, as
-    comprehensions are calls before Python 3.12.  The staged RK4 runs
-    (integrate_ode, integrate_dde, solve_fixed at zero delay) call it four
-    times per step; a delayed solve_fixed steps _lag_terms by a map instead.
-    """
-    terms = _lag_terms(cfg, supply)
-
-    def velocity(utils: list[float], growth: list[float]):
-        def field(base: list[float], slope: list[float],
-                  h: float) -> list[float]:
-            mean = 0.0
-            for a, k, u in zip(base, slope, utils):
-                mean += (a + h * k) * u
-            out = []
-            for g, u in zip(growth, utils):
-                out.append(g * (u - mean))
-            return out
-        return field
-
-    def rate(ts, lags: np.ndarray) -> list:
-        utils, growth = terms(lags)
-        return list(map(velocity, utils.tolist(), growth.tolist()))
-    return rate
 
 
 def replicator_rhs(cfg: SystemConfig, pop: PopulationState,
@@ -126,10 +94,9 @@ class ReplicatorField:
     is exactly linear in x for a fixed allocation.  The methods keep the
     utility-difference form so the error behavior (ZeroShare) matches the
     public vector field.  The supply w is fixed per field and computed
-    once (`supply`).  Integrators take `rate` or `delayed_rate` (the time
-    argument is unused), which evaluate the float kernel _rhs_floats at
-    one state pair, as the public fields do; `solve_fixed` steps the same
-    terms itself (_lag_terms).
+    once (`supply`), and so are the lag terms the field reads (_lag_terms).
+    Integrators take `rate` or `delayed_rate` (the time argument is
+    unused); `solve_fixed` steps the same terms itself.
     """
 
     cfg: SystemConfig
@@ -146,13 +113,22 @@ class ReplicatorField:
         """Undelayed velocities at raw state `shares`."""
         return self.delayed_rate(t, shares, shares)
 
+    @cached_property
+    def _terms(self):
+        """_lag_terms of `supply`, bound once per field."""
+        return _lag_terms(self.cfg, self.supply.tolist())
+
     def delayed_rate(self, t: float, shares_now: np.ndarray,
                      shares_delayed: np.ndarray) -> np.ndarray:
-        """Velocities with utilities read from `shares_delayed`."""
-        rate = _rhs_floats(self.cfg, self.supply.tolist())
-        field, = rate(None, np.array(shares_delayed, dtype=float, ndmin=2))
+        """Velocities G*(u - now . u), with (u, G) read from `shares_delayed`.
+
+        The mean now . u adds left to right (model._left_sum).
+        """
+        (u,), (g,) = (a.tolist() for a in self._terms(
+            np.array(shares_delayed, dtype=float, ndmin=2)))
         now = np.asarray(shares_now, dtype=float).tolist()
-        return np.array(field(now, [0.0] * len(now), 0.0))
+        mean = _left_sum([x * v for x, v in zip(now, u)])
+        return np.array([a * (v - mean) for a, v in zip(g, u)])
 
 
 @dataclass(frozen=True)

@@ -24,27 +24,26 @@ and supply, Theta and payoffs from `eccsim.model`.
 
 Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
-sets the speed.  The one population loop, _method_of_steps, steps a kernel
-that reads a block of lagged states in one numpy pass and builds no RK4
-stage state.  integrate_ode and integrate_dde take RK4 stages of their
-array field (_staged over _curried), as solve_fixed does of
-replicator._rhs_floats at zero delay.  A delayed solve_fixed (so the CLI's
-delay sweep) is affine in the current state under each lag row, so its RK4
-step is one rank-one map per step, precomputed from the lag terms
-(_rank_one_rk4 over replicator._lag_terms).  The sweep's fields are affine
-too, so its RK4 step is one precomputed map per interval (_affine_rk4),
-and its forward pass is bound to (cfg, grid) once per solve
-(_forward_map).  Step and field loops append instead of using
-comprehensions, which only Python 3.12 inlines (PEP 709).  Every sum over
-providers, the simplex sums of x0 and of each step included, runs left to
-right (model._left_sum).
+sets the speed.  The one population loop, _method_of_steps, steps a
+stateless kernel that reads a block of lagged states in one numpy pass.
+integrate_ode and integrate_dde take RK4 stages of their array field
+(_staged).  A fixed-controls run (solve_fixed) steps one precomputed map
+per step instead: at zero delay its field is affine, x' = delta*c -
+Theta*x, and the map is _affine_rk4's; delayed, the field is affine in the
+current state under each lag row, and the map is rank-one, built from the
+lag terms (_rank_one_rk4 over replicator._lag_terms).  The sweep's fields
+are affine too, so its RK4 step is one _affine_rk4 map per interval, and
+its forward pass is bound to (cfg, grid) once per solve (_forward_map).
+Step and field loops append instead of using comprehensions, which only
+Python 3.12 inlines (PEP 709).  Every sum over providers, the simplex
+sums of x0 and of each step included, runs left to right
+(model._left_sum).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -60,7 +59,7 @@ from .model import (
     _uptake_row,
     provider_power,
 )
-from .replicator import _lag_terms, _rhs_floats
+from .replicator import _lag_terms
 from .stackelberg import _price_gaps, _stationary_controls
 
 __all__ = [
@@ -93,6 +92,9 @@ CONTROL_CAP = 1.0 - 1e-6
 MAX_GRID_STEPS = 10**6
 # Most steps whose lagged states the delayed loop reads in one numpy pass.
 LAG_BLOCK = 32
+# RK4 is stable on y' = a*y, a < 0, while -a*dt stays below this root of
+# R(z) = 1 (R: _affine_rk4's polynomial): its real stability interval.
+RK4_REAL_BOUND = 2.785293563405289
 # Bounds on the share and adjoint residuals of a converged sweep (SweepReport).
 SWEEP_TOL = 1e-8
 COSTATE_TOL = 1e-6
@@ -235,25 +237,6 @@ def _project_simplex(y: list[float]) -> list[float]:
     return floored
 
 
-def _curried(field: Callable[..., np.ndarray]) -> Callable:
-    """Array field(t, now, lag) as a _method_of_steps kernel, one closure per lag row.
-
-    Raises:
-        ValueError: `field` returned anything but a vector as long as the state.
-    """
-    def call(t, lag, base, slope, h):
-        now = np.array([a + h * k for a, k in zip(base, slope)])
-        out = np.asarray(field(t, now, lag))
-        if out.shape != (len(base),):
-            raise ValueError("field: must return a vector as long as the state")
-        return out.tolist()
-
-    def rate(ts, lags):
-        return [lambda base, slope, h, t=t, lag=lag: call(t, lag, base, slope, h)
-                for t, lag in zip(ts, lags)]
-    return rate
-
-
 def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
                   x0, t_span: tuple[float, float], dt: float,
                   *, simplex: bool = False) -> Trajectory:
@@ -270,32 +253,36 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
         BlowUp: a state magnitude exceeded MAGNITUDE_LIMIT or went non-finite.
         ValueError: `field` returned anything but a vector as long as the state.
     """
-    return _method_of_steps(_staged(_curried(lambda t, now, lag: field(t, now))),
+    return _method_of_steps(_staged(lambda t, now, lag: field(t, now)),
                             x0, 0.0, t_span, dt, simplex=simplex)
 
 
-def _staged(rate: Callable[[list[float], np.ndarray], list]) -> Callable:
-    """rate(ts, lags) -> fields as a _method_of_steps kernel of RK4 stages.
+def _staged(field: Callable[..., np.ndarray]) -> Callable:
+    """Array field f(t, now, lag) as a _method_of_steps kernel of RK4 stages.
 
-    rate takes a block of lagged states, one per row of the 2-D array
-    `lags` at time ts[r], and returns one field per row,
-    field(base, slope, h) = f(t, base + h*slope, lag).  A step calls
-    k1 = first(y, y, 0.0) (y + 0*y is y for finite y), k2 = mid(y, k1, h/2),
-    k3 = mid(y, k2, h/2) and k4 = end(y, k3, h), and `end` is the next
-    step's `first`: four field calls per step.  At zero delay (no lags)
-    each stage builds the state it is evaluated at and hands it to `rate`
-    as a one-row block (own).
+    A block's row r holds the lag at time ts[r] (the lag is the stage
+    itself when `lags` is None).  A step from row j calls the field at
+    k1 = f(t_j, y, lag_j), k2 and k3 at row j+1 and the built stages
+    y + dt/2*k1, y + dt/2*k2, and k4 at row j+2 and y + dt*k3: four field
+    calls per step, each stage built as a list, then handed to `field` as
+    an array.
+
+    Raises:
+        ValueError: `field` returned anything but a vector as long as the state.
     """
-    def kernel(dt, ts, lags):
+    def kernel(dt):
         half, sixth = 0.5 * dt, dt / 6.0
-        start = rate(ts, lags)[0]
 
-        def own(t: float):
-            """Field at time t whose lag is the state it is called at."""
-            def field(base, slope, h):
-                now = [a + h * k for a, k in zip(base, slope)]
-                return rate([t], np.array([now]))[0](now, now, 0.0)
-            return field
+        def at(t, lag):
+            """Velocity at row (t, lag) of the state base + h*slope."""
+            def call(base, slope, h):
+                now = np.array([a + h * k for a, k in zip(base, slope)])
+                out = np.asarray(field(t, now, now if lag is None else lag))
+                if out.shape != (len(base),):
+                    raise ValueError(
+                        "field: must return a vector as long as the state")
+                return out.tolist()
+            return call
 
         def rk4(first, mid, end):
             def step(y):
@@ -310,13 +297,9 @@ def _staged(rate: Callable[[list[float], np.ndarray], list]) -> Callable:
             return step
 
         def block(ts, lags):
-            nonlocal start
-            fields = iter(map(own, ts) if lags is None else rate(ts, lags))
-            steps = []
-            for mid, end in zip(fields, fields):  # in pairs
-                steps.append(rk4(start, mid, end))
-                start = end
-            return steps
+            fields = list(map(at, ts, [None] * len(ts) if lags is None
+                              else lags))
+            return list(map(rk4, fields[:-1:2], fields[1::2], fields[2::2]))
         return block
     return kernel
 
@@ -338,13 +321,11 @@ def _rank_one_rk4(terms: Callable) -> Callable:
     A22 = sum G2 u2^2, B22 = sum G2 u2, A24 = sum G2 u2 u4, B24 = sum G2 u4.
     C and the sums are built per block in numpy, the sums one column at a
     time, left to right (the bits of model._running_total); a step takes
-    its three dots in one float loop.  The kernel carries the end row's
-    terms to the next block.  Delayed runs only: at zero delay the lag is
-    the stage state, and the field is no longer affine in it.
+    its three dots in one float loop.  Delayed runs only: at zero delay the
+    lag is the stage state, and the field is no longer affine in it.
     """
-    def kernel(dt, ts, lags):
+    def kernel(dt):
         half, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
-        start = terms(lags)
 
         def mapped(u1, u2, u4, g1, g2, g4, c, a12, b12, a22, b22, a24, b24):
             def step(y):
@@ -371,10 +352,7 @@ def _rank_one_rk4(terms: Callable) -> Callable:
             return total.tolist()
 
         def block(ts, lags):
-            nonlocal start
             u, g = terms(lags)
-            u, g = np.concatenate((start[0], u)), np.concatenate((start[1], g))
-            start = u[-1:], g[-1:]
             # Rows alternate start/end and mid: row r against u of row r+1
             # gives A12, B12 at even r and A24, B24 at odd r; a mid row
             # against its own u gives A22, B22.
@@ -395,20 +373,19 @@ def _method_of_steps(kernel: Callable, x0, tau: float,
                      *, simplex: bool) -> Trajectory:
     """RK4 steps of x'(t) = f(t, x(t), x(t - tau)) over float lists.
 
-    kernel(dt, ts, lags) gets row 0 (x0, the lag of the first step's k1)
-    and returns block(ts, lags), which gets the lag rows of a block of
-    steps, mid-step and end-of-step for each at times ts, and returns one
-    map per step: step(y), the state one RK4 step after y, unsettled.  A
-    step's start lag is the previous step's end lag, which the kernel
-    carries between blocks (_staged: fields, _rank_one_rk4: a map).  Step
-    i reads the lag at grid position i + 1/2 - tau/dt for k2 and k3 and at
-    i + 1 - tau/dt for k4, so a delayed run hands 2*steps + 1 rows to the
-    kernel.  Position p reads row j = max(int(p), 0) if p - j <= 0, else
-    interpolates rows j and j+1.  Steps s..e-1 form one block, read in one
-    numpy pass: with e - s < tau/dt they read no row past s, the last one
-    stored, and e - s <= LAG_BLOCK bounds the block's memory.  At tau = 0
-    no row is read and block gets lags None.  One `settle` pass checks
-    each step's state and, with simplex, projects it.  Raises as
+    kernel(dt) returns block(ts, lags), which gets the lag rows of steps
+    s..e-1 at times ts, 2*(e - s) + 1 of them: the start row, then
+    mid-step and end-of-step for each step.  It returns one map per step:
+    step(y), the state one RK4 step after y, unsettled.  Step i reads the
+    lag at grid position i - tau/dt for k1, i + 1/2 - tau/dt for k2 and
+    k3 and i + 1 - tau/dt for k4.  Position p reads row j = max(int(p), 0)
+    if p - j <= 0, else interpolates rows j and j+1.  Steps s..e-1 form
+    one block, read in one numpy pass: with e - s < tau/dt they read no
+    row past s, the last one stored, and e - s <= LAG_BLOCK bounds the
+    block's memory.  A block's start row is the previous block's end row,
+    read again from the same stored rows, so kernels keep no state.  At
+    tau = 0 no row is read and block gets lags None.  One `settle` pass
+    checks each step's state and, with simplex, projects it.  Raises as
     integrate_dde.
     """
     check_delay(tau, dt)
@@ -419,22 +396,22 @@ def _method_of_steps(kernel: Callable, x0, tau: float,
     out[0] = y = x0
 
     def read(s: int, e: int):
-        """Lag rows of steps s..e-1, mid-step and end-of-step for each."""
-        pos = np.arange(2 * s + 1, 2 * e + 1) * 0.5 - shift
+        """Lag rows of steps s..e-1: the start row, then two per step."""
+        pos = np.arange(2 * s, 2 * e + 1) * 0.5 - shift
         lo = np.maximum(np.floor(pos), 0.0)
         hi = np.maximum(np.ceil(pos), 0.0)
         a = out[lo.astype(int)]
         frac = (pos - lo)[:, None]
         return np.where(frac > 0.0, a + frac * (out[hi.astype(int)] - a), a)
 
-    half = 0.5 * dt
+    half, grid = 0.5 * dt, times.tolist()
     settle = _project_simplex if simplex else _check_finite
     width = min(max(math.ceil(shift) - 1, 1), LAG_BLOCK)
-    block = kernel(dt, times[:1].tolist(), out[:1])
-    ends = map(float, times[1:])
+    block = kernel(dt)
     for s in range(0, steps, width):
         e = min(s + width, steps)
-        ts = [u for t_end in islice(ends, e - s) for u in (t_end - half, t_end)]
+        ts = [grid[s]] + [u for t_end in grid[s + 1:e + 1]
+                          for u in (t_end - half, t_end)]
         rows = []
         for step in block(ts, read(s, e) if shift else None):
             y = settle(step(y))
@@ -460,7 +437,7 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
             would outrun the buffer); `field` as for integrate_ode.
         BlowUp: as for integrate_ode.
     """
-    return _method_of_steps(_staged(_curried(field)), x0, tau, t_span, dt,
+    return _method_of_steps(_staged(field), x0, tau, t_span, dt,
                             simplex=simplex)
 
 
@@ -709,19 +686,33 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
                 dt: float) -> Trajectory:
     """Population run under a frozen allocation and zero cloud price.
 
-    Honors cfg.population_delay with constant prehistory x0.  Delayed, it
-    steps the lag terms of the replicator field (_lag_terms) by the
-    rank-one RK4 map (_rank_one_rk4): the RK4 steps of
-    integrate_dde(field.delayed_rate, ..) of a ReplicatorField, summed in
-    another order, so the shares agree to rounding, not bit for bit.  At
-    zero delay it steps the float kernel _rhs_floats in RK4 stages and
-    matches integrate_ode(field.rate, .., simplex=True) bit for bit.
+    Honors cfg.population_delay with constant prehistory x0; each RK4 step
+    is one precomputed map.  At zero delay the field is x' = delta*c -
+    Theta*x (see ReplicatorField), so the step is _affine_rk4's, the
+    sweep's step (_forward_map) under one allocation.  Delayed, it steps
+    the lag terms of the replicator field (_lag_terms) by the rank-one map
+    (_rank_one_rk4).  Either way these are the RK4 steps of a
+    ReplicatorField's integrate_ode(field.rate, .., simplex=True) or
+    integrate_dde(field.delayed_rate, ..), summed in another order: the
+    shares agree to rounding, not bit for bit.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))
-    supply = provider_power(cfg, alloc).tolist()
-    tau = cfg.population_delay
-    kernel = (_rank_one_rk4(_lag_terms(cfg, supply)) if tau
-              else _staged(_rhs_floats(cfg, supply)))
+    supply = provider_power(cfg, alloc).tolist()  # checks the length of r0
+    tau, delta = cfg.population_delay, cfg.learning_rate
+
+    def affine(dt):
+        c, theta = _uptake_row(cfg, alloc.requests.tolist())
+        grow, shift = _affine_rk4(-theta, dt)
+        source = [shift * (delta * cs) for cs in c]
+
+        def step(y):
+            nxt = []
+            for v, src in zip(y, source):
+                nxt.append(grow * v + src)
+            return nxt
+        return lambda ts, lags: [step] * (len(ts) // 2)
+
+    kernel = _rank_one_rk4(_lag_terms(cfg, supply)) if tau else affine
     traj = _method_of_steps(kernel, _initial_shares(cfg, x0), tau, t_span, dt,
                             simplex=True)
     m = traj.times.shape[0]

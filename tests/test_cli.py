@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import uptake_reference
+
 from eccsim import AllocationState
-from eccsim.cli import (InvalidScenario, _csv, _override, load_scenario,
-                        main)
+from eccsim.cli import (SCHEMES, InvalidScenario, _csv, _override,
+                        load_scenario, main)
+from eccsim.solver import RK4_REAL_BOUND
 
 BASE = {
     "n_ecps": 2,
@@ -280,6 +283,33 @@ class TestSimulate:
         assert code == 2
         assert "error: dt: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_dt_past_rk4_stability_exit_code(self, tmp_path, capsys, scheme):
+        # Every scheme steps rates up to rho + Theta, Theta largest at a
+        # vertex of the requests (r = 0 or r = e_n).  Past RK4's real
+        # stability bound a step amplifies: the fixed run used to raise
+        # ZeroShare, ssec and olsec wrote a blown-up trajectory.  Just
+        # inside the bound every scheme runs.
+        path = str(SCENARIOS / "scenario_a_fixed.json")
+        cfg = load_scenario(path).cfg
+        vertices = np.vstack([np.zeros(cfg.n_ecps), np.eye(cfg.n_ecps)])
+        limit = RK4_REAL_BOUND / (
+            cfg.discount_rate + float(uptake_reference(cfg, vertices)[1].max()))
+        assert limit == pytest.approx(8.795663884437754, rel=1e-12)
+        for factor, want in ((1.0 + 1e-6, 2), (1.0 - 1e-6, 0)):
+            dt = limit * factor
+            code = main(["simulate", path, "--scheme", scheme,
+                         "--dt", repr(dt), "--horizon", repr(10.0 * dt),
+                         "--out", str(tmp_path / "x")])
+            assert code == want
+            err = capsys.readouterr().err
+            if want:
+                assert err.startswith("error: dt: above 8.79566, RK4's")
+                assert not (tmp_path / "x").exists()
+        with pytest.raises(InvalidScenario, match="^dt: above 1.6225, RK4's"):
+            _override(load_scenario(str(SCENARIOS / "scenario_n6.json")),
+                      argparse.Namespace(dt=2.5, horizon=30.0, scheme=None))
 
     def test_delay_shorter_than_dt_exit_code(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, population_delay=0.005)
@@ -576,9 +606,9 @@ def test_cli_import_leaves_scipy_out():
 def test_bench_tracer_hooks_bind(tmp_path):
     # The benchmark's tracer wraps cli, solver, replicator and model names
     # by attribute from outside the package; a renamed hook crashes it.
-    # A fixed-controls run, delayed or not, steps the float kernel in
-    # solver._method_of_steps and calls neither integrate_dde nor
-    # ReplicatorField.delayed_rate; the tracer must still run it.
+    # A fixed-controls run, delayed or not, steps a precomputed RK4 map
+    # per step in solver._method_of_steps and calls neither integrate_dde
+    # nor ReplicatorField.delayed_rate; the tracer must still run it.
     root = Path(__file__).resolve().parent.parent
     code = f"""
 import sys

@@ -21,14 +21,13 @@ from eccsim.model import (
 from eccsim.replicator import (
     ReplicatorField,
     _lag_terms,
-    _rhs_floats,
     analytic_ess,
     delay_stability_bound,
     delayed_replicator_rhs,
     ess_jacobian_eigen,
     replicator_rhs,
 )
-from eccsim.solver import solve_fixed
+from eccsim.solver import _staged, solve_fixed
 
 
 class TestRhs:
@@ -158,9 +157,9 @@ class TestReplicatorField:
     @given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_float_kernel_matches_arrays_bitwise(self, n, seed):
-        # The float kernel, delayed_rate and delayed_replicator_rhs all
-        # match a plain Python reference that sums the population mean left
-        # to right, at every N: numpy would sum 8 or more entries pairwise.
+        # delayed_rate and delayed_replicator_rhs both match a plain Python
+        # reference that sums the population mean left to right, at every
+        # N: numpy would sum 8 or more entries pairwise.
         rng = np.random.default_rng(seed)
         power = rng.uniform(0.5, 3.0, size=n)
         cfg = make_config(n_ecps=n, n_users=int(rng.integers(1, 500)),
@@ -174,8 +173,6 @@ class TestReplicatorField:
         now = rng.dirichlet(np.ones(n + 1))
         delayed = rng.dirichlet(np.ones(n + 1))
         supply = field.supply.tolist()
-        at, = _rhs_floats(cfg, supply)([0.0], delayed[None, :])
-        got = at(now.tolist(), now.tolist(), 0.0)
 
         utils = [cfg.mapping_factor * (w / (cfg.n_users * y)) / p
                  for w, y, p in zip(supply, delayed.tolist(),
@@ -185,7 +182,6 @@ class TestReplicatorField:
             mean += x * u
         want = [(cfg.learning_rate * y) * (u - mean)
                 for y, u in zip(delayed.tolist(), utils)]
-        assert got == want
         assert field.delayed_rate(0.0, now, delayed).tolist() == want
         assert delayed_replicator_rhs(
             cfg, PopulationState(now), PopulationState(delayed),
@@ -193,75 +189,100 @@ class TestReplicatorField:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_fused_stage_matches_built_stage_bitwise(self, n):
-        # field(base, slope, h) is the velocity at base + h*slope: bit for
-        # bit the field at that list, built, on every row of a block of
-        # random lags.
+        # Staged RK4 (solver._staged) on delayed_rate evaluates the field at
+        # each stage built as a list: bit for bit the RK4 step written out,
+        # on every row of a block of random lags.
         rng = np.random.default_rng(n)
         power = rng.uniform(0.5, 3.0, size=n)
         cfg = make_config(n_ecps=n, ecp_power=power,
                           ecp_access_price=rng.uniform(0.1, 1.0, size=n),
                           cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
                           learning_rate=float(rng.uniform(0.2, 3.0)))
-        supply = ReplicatorField(cfg, AllocationState(
-            rng.dirichlet(np.ones(n + 1))[:n])).supply.tolist()
+        field = ReplicatorField(cfg, AllocationState(
+            rng.dirichlet(np.ones(n + 1))[:n]))
         lags = rng.dirichlet(np.ones(n + 1), size=5)
-        fields = _rhs_floats(cfg, supply)([0.0] * 5, lags)
-        for field in fields:
-            for h in (0.0, 0.005, 0.01, -0.3):
-                base = rng.dirichlet(np.ones(n + 1)).tolist()
-                slope = rng.normal(size=n + 1).tolist()
-                now = [a + h * k for a, k in zip(base, slope)]
-                assert field(base, slope, h) == field(now, [0.0] * (n + 1), 0.0)
+        dt = 0.01
+        steps = _staged(field.delayed_rate)(dt)([0.0] * 5, lags)
+        assert len(steps) == 2
+
+        def rate(lag, base, slope, h):
+            now = np.array([a + h * k for a, k in zip(base, slope)])
+            return field.delayed_rate(0.0, now, lag).tolist()
+
+        for j, step in enumerate(steps):
+            first, mid, end = lags[2 * j:2 * j + 3]
+            y = rng.dirichlet(np.ones(n + 1)).tolist()
+            k1 = rate(first, y, y, 0.0)
+            k2 = rate(mid, y, k1, 0.5 * dt)
+            k3 = rate(mid, y, k2, 0.5 * dt)
+            k4 = rate(end, y, k3, dt)
+            assert step(y) == [v + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                               for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
     def test_zero_share_raises_through_float_kernel(self, cfg):
         supply = ReplicatorField(cfg, AllocationState([0.0, 0.0])).supply
         with pytest.raises(ZeroShare, match="cloud"):
-            _rhs_floats(cfg, supply.tolist())([0.0], np.array([[0.5, 0.5, 0.0]]))[0](
-                [0.3, 0.3, 0.4], [0.3, 0.3, 0.4], 0.0)
+            _lag_terms(cfg, supply.tolist())(np.array([[0.5, 0.5, 0.0]]))
 
     def test_zero_share_check_covers_every_row_of_a_block(self, cfg):
         # One zero share in the last row of a block raises when the block
         # is read, naming the provider.  A check on the first row alone
         # would divide by the zero share instead.  The earlier rows, as a
-        # block of their own, give the velocities of one-row blocks.
-        supply = ReplicatorField(cfg, AllocationState([0.1, 0.2])).supply
-        rate = _rhs_floats(cfg, supply.tolist())
-        lags = np.array([[0.3, 0.3, 0.4], [0.2, 0.5, 0.3], [0.6, 0.0, 0.4]])
-        with pytest.raises(ZeroShare, match="^ecp 2:"):
-            rate([0.0, 0.5, 1.0], lags)
-        now = [0.3, 0.3, 0.4]
-        for lag, field in zip(lags[:2], rate([0.0, 0.5], lags[:2])):
-            one, = rate([0.0], lag[None, :])
-            assert field(now, now, 0.0) == one(now, now, 0.0)
-
-    def test_lag_terms_are_what_the_field_reads(self, cfg):
-        # The field is G*(u - now . u) with (u, G) = _lag_terms(lags), the
-        # one spelling the solver's rank-one map reads too; a zero share
-        # with compute on offer raises there, naming the provider.
+        # block of their own, give the terms of one-row blocks.
         supply = ReplicatorField(cfg, AllocationState([0.1, 0.2])).supply
         terms = _lag_terms(cfg, supply.tolist())
+        lags = np.array([[0.3, 0.3, 0.4], [0.2, 0.5, 0.3], [0.6, 0.0, 0.4]])
+        with pytest.raises(ZeroShare, match="^ecp 2:"):
+            terms(lags)
+        u, g = terms(lags[:2])
+        for k, lag in enumerate(lags[:2]):
+            one_u, one_g = terms(lag[None, :])
+            assert one_u.tolist() == u[k:k + 1].tolist()
+            assert one_g.tolist() == g[k:k + 1].tolist()
+
+    def test_lag_terms_are_what_the_field_reads(self, cfg):
+        # delayed_rate is G*(u - now . u) with (u, G) = _lag_terms(lags),
+        # the one spelling the solver's rank-one map reads too; a zero
+        # share with compute on offer raises there, naming the provider.
+        field = ReplicatorField(cfg, AllocationState([0.1, 0.2]))
+        terms = _lag_terms(cfg, field.supply.tolist())
         lags = np.array([[0.3, 0.3, 0.4], [0.2, 0.5, 0.3]])
         u, g = terms(lags)
         np.testing.assert_array_equal(g, cfg.learning_rate * lags)
         now = [0.25, 0.35, 0.4]
-        for lag_u, lag_g, field in zip(u.tolist(), g.tolist(),
-                                       _rhs_floats(cfg, supply.tolist())(
-                                           [0.0, 0.5], lags)):
+        for lag, lag_u, lag_g in zip(lags, u.tolist(), g.tolist()):
             mean = 0.0
             for x, v in zip(now, lag_u):
                 mean += x * v
-            assert field(now, now, 0.0) == [a * (v - mean)
-                                            for a, v in zip(lag_g, lag_u)]
+            assert field.delayed_rate(0.0, np.array(now), lag).tolist() == [
+                a * (v - mean) for a, v in zip(lag_g, lag_u)]
         with pytest.raises(ZeroShare, match="^ecp 1:"):
             terms(np.array([[0.0, 0.6, 0.4]]))
 
+    def test_field_binds_its_lag_terms_once(self, cfg, x0, monkeypatch):
+        # Like the supply, the lag terms are fixed per field: many
+        # delayed_rate calls bind _lag_terms once.
+        binds = []
+
+        def counted(*args, _orig=eccsim.replicator._lag_terms):
+            binds.append(args)
+            return _orig(*args)
+
+        monkeypatch.setattr(eccsim.replicator, "_lag_terms", counted)
+        field = ReplicatorField(cfg, AllocationState([0.1, 0.2]))
+        for k in range(50):
+            field.delayed_rate(0.0, x0, np.roll(x0, k))
+            field.rate(0.0, x0)
+        assert len(binds) == 1
+
     def test_float_kernel_empty_group_without_supply(self, cfg):
+        # All compute moved to the ECPs: the empty cloud group's utility
+        # term is 0, and so is its velocity.
         field = ReplicatorField(cfg, AllocationState([0.55, 0.45]))
         now, delayed = [0.5, 0.4, 0.1], [0.6, 0.4, 0.0]
-        got = _rhs_floats(cfg, field.supply.tolist())([0.0], np.array([delayed]))[0](
-            now, now, 0.0)
-        assert got == field.delayed_rate(0.0, np.array(now),
-                                         np.array(delayed)).tolist()
+        u, g = _lag_terms(cfg, field.supply.tolist())(np.array([delayed]))
+        assert u[0, 2] == 0.0 and g[0, 2] == 0.0
+        got = field.delayed_rate(0.0, np.array(now), np.array(delayed))
         assert got[2] == 0.0
 
     def test_empty_group_without_supply_through_field(self, cfg):

@@ -20,6 +20,7 @@ from eccsim.solver import (
     COSTATE_TOL,
     MAGNITUDE_LIMIT,
     MAX_GRID_STEPS,
+    RK4_REAL_BOUND,
     SWEEP_TOL,
     BlowUp,
     Trajectory,
@@ -36,9 +37,9 @@ from eccsim.solver import (
     solve_ssec,
 )
 from eccsim.solver import (_adjoint_profile, _adjoint_scales, _affine_rk4,
-                           _attach_utilities, _check_finite, _curried,
-                           _forward_pass, _make_grid, _method_of_steps,
-                           _project_simplex, _rank_one_rk4, _staged)
+                           _attach_utilities, _check_finite, _forward_pass,
+                           _make_grid, _method_of_steps, _project_simplex,
+                           _rank_one_rk4, _staged)
 from eccsim.stackelberg import (CcpCostate, EcpCostate, optimal_price,
                                 optimal_request)
 
@@ -58,10 +59,6 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 def decay(t, y):
     return -y
 
-
-def stage(base, slope, h):
-    """The state a kernel's field(base, slope, h) stands for, as a list."""
-    return [a + h * k for a, k in zip(base, slope)]
 
 
 class TestGrid:
@@ -187,22 +184,21 @@ class TestIntegrateDde:
         assert _make_grid((0.0, 30.0), 0.01).shape == (3001,)
         calls = []
 
-        def rate(ts, rows):
-            def field(now, lag):
-                calls.append((lag, list(now)))
-                return [-0.1 * v for v in now]
-            return [lambda *at, lag=lag.tolist(): field(stage(*at), lag)
-                    for lag in rows]
+        def field(t, now, lag):
+            calls.append((lag.tolist(), now.tolist()))
+            return -0.1 * now
 
-        _method_of_steps(_staged(rate), [0.3, 0.7], 0.0, (0.0, 30.0), 0.01,
+        _method_of_steps(_staged(field), [0.3, 0.7], 0.0, (0.0, 30.0), 0.01,
                          simplex=False)
         assert len(calls) == 4 * 3000
         assert all(lag == now for lag, now in calls)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_curried_kernel_builds_the_stage(self, n):
-        # An array field adapted by _curried sees base + h*slope, built bit
-        # for bit as a list would be, and its own row's lag.
+        # The array field staged by _staged sees each RK4 stage built bit
+        # for bit as a list would be, at its row's time and lag: k1 at row
+        # 0 and y, k2 and k3 at row 1 and y + dt/2*k, k4 at row 2 and
+        # y + dt*k3, and the step is RK4's sum of the four.
         rng = np.random.default_rng(n)
         seen = []
 
@@ -210,20 +206,30 @@ class TestIntegrateDde:
             seen.append((t, now.tolist(), lag.tolist()))
             return np.sin(now) * lag
 
-        ts, lags = [0.5, 1.0, 1.5], rng.normal(size=(3, n))
-        for t, lag, at in zip(ts, lags, _curried(field)(ts, lags)):
-            base, slope = rng.normal(size=(2, n)).tolist()
-            h = float(rng.uniform(-1.0, 1.0))
-            now = stage(base, slope, h)
-            assert at(base, slope, h) == (np.sin(now) * lag).tolist()
-            assert seen.pop() == (t, now, lag.tolist())
+        dt, ts, lags = 0.25, [0.5, 0.625, 0.75], rng.normal(size=(3, n))
+        step, = _staged(field)(dt)(ts, lags)
+        y = rng.normal(size=n).tolist()
+        got = step(y)
+
+        def at(t, lag, base, slope, h):
+            now = [a + h * k for a, k in zip(base, slope)]
+            assert seen.pop(0) == (t, now, lag.tolist())
+            return (np.sin(now) * lag).tolist()
+
+        k1 = at(ts[0], lags[0], y, y, 0.0)
+        k2 = at(ts[1], lags[1], y, k1, 0.5 * dt)
+        k3 = at(ts[1], lags[1], y, k2, 0.5 * dt)
+        k4 = at(ts[2], lags[2], y, k3, dt)
+        assert not seen
+        assert got == [v + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                       for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
     @pytest.mark.parametrize("tau", [0.1, 0.25, 0.3])
     def test_two_lag_reads_per_step(self, x0, tau, monkeypatch):
         # Stages k2 and k3 share the mid-step lag, and the end-of-step lag
         # of k4 is the next step's start lag: a delayed solve_fixed hands
-        # 2*steps + 1 lag rows to its rank-one kernel, each row's terms
-        # built once, and calls no staged field.
+        # its rank-one kernel two lag rows per step plus one start row per
+        # block (2*steps + blocks), and stages no field.
         rows = []
 
         def counted(cfg, supply, _orig=eccsim.solver._lag_terms):
@@ -234,14 +240,15 @@ class TestIntegrateDde:
                 return inner(lags)
             return terms
 
-        def staged(cfg, supply):
-            raise AssertionError("a delayed run steps no staged field")
+        def staged(field):
+            raise AssertionError("a delayed run stages no field")
 
         monkeypatch.setattr(eccsim.solver, "_lag_terms", counted)
-        monkeypatch.setattr(eccsim.solver, "_rhs_floats", staged)
+        monkeypatch.setattr(eccsim.solver, "_staged", staged)
         solve_fixed(make_config(population_delay=tau), x0, [0.1, 0.2],
                     (0.0, 1.0), 0.1)
-        assert rows[0] == 1 and sum(rows) == 2 * 10 + 1
+        assert all(r % 2 == 1 for r in rows)
+        assert sum(rows) == 2 * 10 + len(rows)
 
     @pytest.mark.parametrize("tau,dt,t_end", [
         (0.1, 0.1, 2.0),       # tau = dt: one step per block
@@ -251,26 +258,31 @@ class TestIntegrateDde:
         (1.7, 0.01, 5.0),      # tau/dt = 170: LAG_BLOCK steps, 500 = 15*32 + 20
     ])
     def test_lag_rows_interpolate_the_trajectory(self, tau, dt, t_end):
-        # Every lag row handed to `rate` is the linear interpolation of the
-        # returned trajectory at its grid position, x0 at or below 0, bit
-        # for bit.  A block that reads a row before the loop has written it
-        # gets a value the finished trajectory does not hold.
-        rows = []
+        # Every lag row handed to the kernel is the linear interpolation of
+        # the returned trajectory at its grid position, x0 at or below 0,
+        # bit for bit; a block of steps s..e-1 gets the rows at s, s + 1/2,
+        # .., e, less tau/dt.  A block that reads a row before the loop has
+        # written it gets a value the finished trajectory does not hold.
+        blocks = []
 
-        def rate(ts, lags):
-            rows.extend(lags.tolist())
-            return [lambda *at, lag=lag: [-0.5 * a - 0.1 * b * b
-                                          for a, b in zip(lag, stage(*at))]
-                    for lag in lags.tolist()]
+        def terms(lags):
+            blocks.append(lags.tolist())
+            return smooth_terms(lags)
 
         x0 = [1.0, 0.5]
-        traj = _method_of_steps(_staged(rate), x0, tau, (0.0, t_end), dt,
-                                simplex=False)
+        traj = _method_of_steps(_rank_one_rk4(terms), x0, tau, (0.0, t_end),
+                                dt, simplex=False)
         shares = traj.shares.tolist()
         steps = len(shares) - 1
+        width = {0.1: 1, 0.15: 1, 0.3: 2, 0.73: 7, 1.7: 32}[tau]
+        assert [len(b) // 2 for b in blocks] == (
+            [width] * (steps // width) + [steps % width] * (steps % width > 0))
         shift = tau / dt
-        positions = [-shift] + [p for i in range(steps)
-                                for p in ((i + 0.5) - shift, (i + 1) - shift)]
+        positions = [p for s in range(0, steps, width)
+                     for p in [s - shift] + [
+                         q for i in range(s, min(s + width, steps))
+                         for q in ((i + 0.5) - shift, (i + 1) - shift)]]
+        rows = [row for b in blocks for row in b]
         want = []
         for p in positions:
             j = int(p)
@@ -281,7 +293,7 @@ class TestIntegrateDde:
             else:
                 want.append([a + (p - j) * (b - a)
                              for a, b in zip(shares[j], shares[j + 1])])
-        assert len(rows) == 2 * steps + 1
+        assert len(rows) == 2 * steps + len(blocks)
         assert np.array(rows).tobytes() == np.array(want).tobytes()
 
     def test_constant_prehistory_linear_segment(self):
@@ -453,22 +465,27 @@ def test_affine_map_is_the_staged_step(sign):
         assert abs((grow * y - shift * src) - staged_rk4(y, a, src, h)) <= bound
 
 
+def test_rk4_real_bound_is_where_the_step_stops_damping():
+    # R(z) = 1 at z = -RK4_REAL_BOUND: RK4's step damps y' = a*y, a < 0,
+    # inside the bound and amplifies past it (R > 0 on the whole axis).
+    for factor, sign in ((1.0 - 1e-9, -1.0), (1.0 + 1e-9, 1.0)):
+        grow, _ = _affine_rk4(-RK4_REAL_BOUND * factor, 1.0)
+        assert math.copysign(1.0, grow - 1.0) == sign
+    assert abs(_affine_rk4(-RK4_REAL_BOUND, 1.0)[0] - 1.0) < 1e-13
+
+
 def smooth_terms(lags):
     """Lag terms (u, G) of a made-up rank-one field, positive and smooth."""
     return 1.0 + np.sin(lags) ** 2, 0.5 + 0.25 * np.cos(lags)
 
 
-def rank_one_rate(ts, lags):
-    """smooth_terms as staged fields: G*(u - now . u) at base + h*slope."""
-    def field(u, g):
-        def at(base, slope, h):
-            mean = 0.0
-            for a, k, v in zip(base, slope, u):
-                mean += (a + h * k) * v
-            return [gs * (v - mean) for gs, v in zip(g, u)]
-        return at
-    u, g = smooth_terms(lags)
-    return list(map(field, u.tolist(), g.tolist()))
+def rank_one_field(t, now, lag):
+    """smooth_terms as an array field: G*(u - now . u), the mean left to right."""
+    (u,), (g,) = smooth_terms(lag[None, :])
+    mean = 0.0
+    for a, v in zip(now.tolist(), u.tolist()):
+        mean += a * v
+    return g * (u - mean)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 10])
@@ -480,8 +497,8 @@ def test_rank_one_map_is_the_staged_step(n, tau, dt):
     x0 = np.random.default_rng(n).uniform(0.1, 1.0, size=n)
     mapped = _method_of_steps(_rank_one_rk4(smooth_terms), x0, tau,
                               (0.0, 3.0), dt, simplex=False)
-    staged = _method_of_steps(_staged(rank_one_rate), x0, tau, (0.0, 3.0), dt,
-                              simplex=False)
+    staged = _method_of_steps(_staged(rank_one_field), x0, tau, (0.0, 3.0),
+                              dt, simplex=False)
     np.testing.assert_allclose(mapped.shares, staged.shares, rtol=0.0,
                                atol=1e-14)
     assert np.ptp(mapped.shares[:, 0]) > 0.01  # the field moves the state
@@ -495,8 +512,7 @@ def test_rank_one_map_follows_its_formula(n):
     rng = np.random.default_rng(40 + n)
     dt = 0.01
     lags = rng.uniform(0.1, 1.0, size=(9, n))
-    kernel = _rank_one_rk4(smooth_terms)
-    steps = kernel(dt, [0.0], lags[:1])([0.0] * 8, lags[1:])
+    steps = _rank_one_rk4(smooth_terms)(dt)([0.0] * 9, lags)
     u, g = (a.tolist() for a in smooth_terms(lags))
 
     def total(values):
@@ -865,13 +881,39 @@ class TestMyopicAndFixed:
         assert abs(traj.prices[0] - myopic.prices[0]) > 0.01
 
     def test_fixed_matches_plain_integration(self, cfg, x0):
+        # The affine map and the staged field sum RK4 in another order:
+        # 9.9e-15 apart over these 500 steps.
         r0 = [0.1, 0.2]
         traj = solve_fixed(cfg, x0, r0, (0.0, 5.0), 0.01)
         field = ReplicatorField(cfg, AllocationState(r0))
         plain = integrate_ode(field.rate, x0, (0.0, 5.0), 0.01, simplex=True)
-        np.testing.assert_array_equal(traj.shares, plain.shares)
+        np.testing.assert_allclose(traj.shares, plain.shares, rtol=0.0,
+                                   atol=1e-13)
         np.testing.assert_array_equal(traj.requests[0], r0)
         assert not traj.prices.any()
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 9])
+    def test_fixed_steps_the_affine_map(self, n):
+        # At zero delay a step is y -> grow*y + shift*(delta*c) with
+        # (grow, shift) = _affine_rk4(-Theta, dt), then the simplex
+        # projection: bit for bit, as a plain float loop.
+        rng = np.random.default_rng(n)
+        power = rng.uniform(0.5, 3.0, size=n)
+        cfg = make_config(n_ecps=n, ecp_power=power,
+                          ecp_access_price=rng.uniform(0.1, 1.0, size=n),
+                          cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
+                          learning_rate=float(rng.uniform(0.2, 3.0)))
+        x0 = rng.dirichlet(np.ones(n + 1))
+        r0 = rng.dirichlet(np.ones(n + 1))[:n]
+        traj = solve_fixed(cfg, x0, r0, (0.0, 5.0), 0.01)
+        c, theta = _uptake_row(cfg, r0.tolist())
+        grow, shift = _affine_rk4(-theta, 0.01)
+        y, want = x0.tolist(), [x0.tolist()]
+        for _ in range(500):
+            y = _project_simplex([grow * v + shift * (cfg.learning_rate * cs)
+                                  for v, cs in zip(y, c)])
+            want.append(y)
+        assert traj.shares.tolist() == want
 
     def test_fixed_dispatches_to_dde(self, x0):
         cfg = make_config(population_delay=0.5)
@@ -925,7 +967,7 @@ class TestMyopicAndFixed:
         def kernel(terms):
             def block(ts, lags):
                 return [lambda y: [0.0, 0.0, bad]] * (len(lags) // 2)
-            return lambda dt, ts, lags: block
+            return lambda dt: block
         monkeypatch.setattr(eccsim.solver, "_rank_one_rk4", kernel)
         with pytest.raises(BlowUp):
             solve_fixed(make_config(population_delay=0.5), x0, [0.1, 0.2],

@@ -1,10 +1,13 @@
-"""Source guard for the summation rule: no BLAS call or reordered sum enters.
+"""Source guards: the summation rule, and no private helper without a caller.
 
 Every sum over providers runs left to right (model._left_sum over floats,
 model._running_total along an array's last axis), so identical inputs give
-byte-identical artifacts whatever BLAS kernel the CPU selects.
+byte-identical artifacts whatever BLAS kernel the CPU selects.  Every
+module-level private def or class is used by some other top-level
+statement of the package, so a helper whose callers are gone is noticed.
 """
 
+import ast
 import io
 import pathlib
 import tokenize
@@ -63,3 +66,43 @@ def test_guard_skips_strings_comments_and_decorators():
             "        return _left_sum(v)  # not x.sum() nor np.dot\n"
             "s = 'x.sum(1)'\n")
     assert offences(code) == []
+
+
+def uncalled(sources: dict[str, str]) -> list[str]:
+    """module.name of each top-level private def or class that no other
+    top-level statement of `sources` (module name -> code) names."""
+    found, used = [], []
+    for module, code in sources.items():
+        for stmt in ast.parse(code).body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(stmt)
+                      if isinstance(n, ast.Attribute)}
+            names |= {a.name for n in ast.walk(stmt)
+                      if isinstance(n, ast.ImportFrom) for a in n.names}
+            own = (stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                   and stmt.name.startswith("_")
+                   and not stmt.name.startswith("__") else None)
+            if own is not None:
+                found.append((module, own))
+            used.append((module, own, names))
+    return [f"{module}.{name}" for module, name in found
+            if not any(name in names for m, own, names in used
+                       if (m, own) != (module, name))]
+
+
+def test_every_private_helper_has_a_caller():
+    assert uncalled({p.stem: p.read_text(encoding="utf-8")
+                     for p in SOURCES}) == []
+
+
+def test_caller_guard_ignores_the_helper_itself():
+    sources = {
+        "a": ("def _used():\n    return 1\n\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+              "def _only_in_docs():\n    '_only_in_docs'\n\n"
+              "def public():\n    return _used()\n"),
+        "b": "from .a import _imported\n",
+        "c": "def _imported():\n    pass\n\nclass _Orphan:\n    pass\n",
+    }
+    assert uncalled(sources) == ["a._recursive", "a._only_in_docs",
+                                 "c._Orphan"]
