@@ -34,14 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (AllocationState, SystemConfig, _cloud_remainder,
-                    _running_total, _uptake_row)
+                    _running_total)
 from .replicator import analytic_ess, delay_stability_bound, ess_jacobian_eigen
 from .solver import (
-    RK4_REAL_BOUND,
     BlowUp,
     SweepReport,
     Trajectory,
     check_delay,
+    check_stability,
     convergence_time,
     grid_steps,
     solve_fixed,
@@ -119,10 +119,7 @@ def _derive(scn: Scenario, cfg_changes: dict | None = None,
     Every scenario a command runs passes through here: the configuration
     checks, the rule that only fixed-controls models a population delay,
     the solvers' grid rules (`grid_steps`, `check_delay`) for the horizon,
-    dt and delay, and RK4's stability on the fastest rate any scheme steps,
-    rho + Theta (the adjoint's), with Theta at its largest over the
-    allocations.  Theta is linear in the requests r, so that largest value
-    sits at a vertex: r = e_j or r = 0.
+    dt and delay, and RK4's stability bound on dt (`check_stability`).
     """
     try:
         if cfg_changes:
@@ -133,13 +130,7 @@ def _derive(scn: Scenario, cfg_changes: dict | None = None,
                 "population_delay: only the fixed-controls scheme models delay")
         grid_steps((0.0, scn.cfg.horizon), scn.dt)
         check_delay(scn.cfg.population_delay, scn.dt, "population_delay")
-        cfg, n = scn.cfg, scn.cfg.n_ecps
-        theta_max = max(_uptake_row(cfg, [float(k == j) for k in range(n)])[1]
-                        for j in range(n + 1))  # j = n: r = 0
-        limit = RK4_REAL_BOUND / (cfg.discount_rate + theta_max)
-        if scn.dt > limit:
-            raise ValueError(f"dt: above {limit:.6g}, RK4's stability limit"
-                             " for this configuration")
+        check_stability(scn.cfg, scn.dt)
     except ValueError as exc:
         raise InvalidScenario(str(exc)) from exc
     return scn

@@ -24,20 +24,17 @@ and supply, Theta and payoffs from `eccsim.model`.
 
 Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
-sets the speed.  The one population loop, _method_of_steps, steps a
-stateless kernel that reads a block of lagged states in one numpy pass.
-integrate_ode and integrate_dde take RK4 stages of their array field
-(_staged).  A fixed-controls run (solve_fixed) steps one precomputed map
-per step instead: at zero delay its field is affine, x' = delta*c -
-Theta*x, and the map is _affine_rk4's; delayed, the field is affine in the
-current state under each lag row, and the map is rank-one, built from the
-lag terms (_rank_one_rk4 over replicator._lag_terms).  The sweep's fields
-are affine too, so its RK4 step is one _affine_rk4 map per interval, and
-its forward pass is bound to (cfg, grid) once per solve (_forward_map).
-Step and field loops append instead of using comprehensions, which only
-Python 3.12 inlines (PEP 709).  Every sum over providers, the simplex
-sums of x0 and of each step included, runs left to right
-(model._left_sum).
+sets the speed.  The one population loop, _method_of_steps, hands a
+stateless kernel a block of lagged states read in one numpy pass, and the
+kernel runs the block's steps.  integrate_ode and integrate_dde take RK4
+stages of their array field (_staged).  A fixed-controls run (solve_fixed)
+steps one precomputed map per step instead: _affine_rk4's at zero delay,
+the rank-one _rank_one_rk4 when delayed.  The sweep's fields are affine
+too, so its RK4 step is one _affine_rk4 map per interval, and its forward
+pass is bound to (cfg, grid) once per solve (_forward_map).  Step and
+field loops append instead of using comprehensions, which only Python 3.12
+inlines (PEP 709).  Every sum over providers, the simplex sums of x0 and
+of each step included, runs left to right (model._left_sum).
 """
 
 from __future__ import annotations
@@ -76,6 +73,7 @@ __all__ = [
     "convergence_time",
     "grid_steps",
     "check_delay",
+    "check_stability",
     "integral_utility",
     "default_price_cap",
 ]
@@ -90,8 +88,8 @@ DRIFT_TOL = 1e-12
 CONTROL_CAP = 1.0 - 1e-6
 # Largest grid any integrator lays out; finer grids are rejected, not allocated.
 MAX_GRID_STEPS = 10**6
-# Most steps whose lagged states the delayed loop reads in one numpy pass.
-LAG_BLOCK = 32
+# Most steps in one kernel block, whose lag rows are read in one numpy pass.
+LAG_BLOCK = 256
 # RK4 is stable on y' = a*y, a < 0, while -a*dt stays below this root of
 # R(z) = 1 (R: _affine_rk4's polynomial): its real stability interval.
 RK4_REAL_BOUND = 2.785293563405289
@@ -208,6 +206,19 @@ def check_delay(tau: float, dt: float, name: str = "tau") -> None:
         raise ValueError(f"{name}: delay shorter than dt is not resolvable")
 
 
+def check_stability(cfg: SystemConfig, dt: float) -> None:
+    """Reject a dt past RK4's real stability bound on rho + Theta_max, the
+    fastest rate a solver steps; Theta is linear in the requests r, so its
+    largest value sits at a vertex, r = e_j or r = 0.  Names dt."""
+    n = cfg.n_ecps
+    theta_max = max(_uptake_row(cfg, [float(k == j) for k in range(n)])[1]
+                    for j in range(n + 1))  # j = n: r = 0
+    limit = RK4_REAL_BOUND / (cfg.discount_rate + theta_max)
+    if dt > limit:
+        raise ValueError(f"dt: above {limit:.6g}, RK4's stability limit"
+                         " for this configuration")
+
+
 def _make_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
     steps = grid_steps(t_span, dt)
     times = float(t_span[0]) + dt * np.arange(steps + 1)
@@ -216,7 +227,7 @@ def _make_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
 
 
 def _check_finite(y: list[float]) -> list[float]:
-    """y, each component checked against MAGNITUDE_LIMIT (max() skips NaN)."""
+    """y, each component checked against MAGNITUDE_LIMIT; NaN fails too."""
     for v in y:
         if not abs(v) <= MAGNITUDE_LIMIT:
             raise BlowUp("state magnitude left the finite range")
@@ -265,7 +276,7 @@ def _staged(field: Callable[..., np.ndarray]) -> Callable:
     k1 = f(t_j, y, lag_j), k2 and k3 at row j+1 and the built stages
     y + dt/2*k1, y + dt/2*k2, and k4 at row j+2 and y + dt*k3: four field
     calls per step, each stage built as a list, then handed to `field` as
-    an array.
+    an array.  The next step starts from the settled RK4 sum.
 
     Raises:
         ValueError: `field` returned anything but a vector as long as the state.
@@ -273,39 +284,34 @@ def _staged(field: Callable[..., np.ndarray]) -> Callable:
     def kernel(dt):
         half, sixth = 0.5 * dt, dt / 6.0
 
-        def at(t, lag):
+        def rate(t, lag, base, slope, h):
             """Velocity at row (t, lag) of the state base + h*slope."""
-            def call(base, slope, h):
-                now = np.array([a + h * k for a, k in zip(base, slope)])
-                out = np.asarray(field(t, now, now if lag is None else lag))
-                if out.shape != (len(base),):
-                    raise ValueError(
-                        "field: must return a vector as long as the state")
-                return out.tolist()
-            return call
+            now = np.array([a + h * k for a, k in zip(base, slope)])
+            out = np.asarray(field(t, now, now if lag is None else lag))
+            if out.shape != (len(base),):
+                raise ValueError(
+                    "field: must return a vector as long as the state")
+            return out.tolist()
 
-        def rk4(first, mid, end):
-            def step(y):
-                k1 = first(y, y, 0.0)
-                k2 = mid(y, k1, half)
-                k3 = mid(y, k2, half)
-                k4 = end(y, k3, dt)
+        def block(ts, lags, y, settle):
+            rows, lags = [], [None] * len(ts) if lags is None else lags
+            for j in range(0, len(ts) - 1, 2):
+                k1 = rate(ts[j], lags[j], y, y, 0.0)
+                k2 = rate(ts[j + 1], lags[j + 1], y, k1, half)
+                k3 = rate(ts[j + 1], lags[j + 1], y, k2, half)
+                k4 = rate(ts[j + 2], lags[j + 2], y, k3, dt)
                 nxt = []
                 for v, a, b, c, d in zip(y, k1, k2, k3, k4):
                     nxt.append(v + sixth * (a + 2.0 * b + 2.0 * c + d))
-                return nxt
-            return step
-
-        def block(ts, lags):
-            fields = list(map(at, ts, [None] * len(ts) if lags is None
-                              else lags))
-            return list(map(rk4, fields[:-1:2], fields[1::2], fields[2::2]))
+                y = settle(nxt)
+                rows.append(y)
+            return rows
         return block
     return kernel
 
 
 def _rank_one_rk4(terms: Callable) -> Callable:
-    """Delayed _method_of_steps kernel of x' = G*(u - x . u), one map per step.
+    """Delayed _method_of_steps kernel of x' = G*(u - x . u) by RK4 maps.
 
     (u, G) = terms(lags) are read from the lag rows alone (for the
     population, replicator._lag_terms).  Under a fixed lag row the field
@@ -320,15 +326,34 @@ def _rank_one_rk4(terms: Callable) -> Callable:
     C = h/6 (G1 u1 + 4 G2 u2 + G4 u4), A12 = sum G1 u1 u2, B12 = sum G1 u2,
     A22 = sum G2 u2^2, B22 = sum G2 u2, A24 = sum G2 u2 u4, B24 = sum G2 u4.
     C and the sums are built per block in numpy, the sums one column at a
-    time, left to right (the bits of model._running_total); a step takes
-    its three dots in one float loop.  Delayed runs only: at zero delay the
-    lag is the stage state, and the field is no longer affine in it.
+    time, left to right (the bits of model._running_total); one loop then
+    runs the steps, each taking its three dots in one float loop.  Delayed
+    runs only: at zero delay the lag is the stage state, not affine in it.
     """
     def kernel(dt):
         half, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
 
-        def mapped(u1, u2, u4, g1, g2, g4, c, a12, b12, a22, b22, a24, b24):
-            def step(y):
+        def across(v):
+            """Row sums of v, one column at a time, left to right."""
+            total = v[:, 0]
+            for k in range(1, v.shape[1]):
+                total = total + v[:, k]
+            return total.tolist()
+
+        def block(ts, lags, y, settle):
+            u, g = terms(lags)
+            # Rows alternate start/end and mid: row r against u of row r+1
+            # gives A12, B12 at even r and A24, B24 at odd r; a mid row
+            # against its own u gives A22, B22.
+            gu, after, mid = g * u, u[1:], g[1::2] * u[1::2]
+            a_next, b_next = across(gu[:-1] * after), across(g[:-1] * after)
+            c = sixth * (gu[:-1:2] + 4.0 * mid + gu[2::2])
+            u, g, rows = u.tolist(), g.tolist(), []
+            for u1, u2, u4, g1, g2, g4, cs, a12, b12, a22, b22, a24, b24 in zip(
+                    u[:-1:2], u[1::2], u[2::2], g[:-1:2], g[1::2], g[2::2],
+                    c.tolist(), a_next[::2], b_next[::2],
+                    across(mid * after[::2]), across(mid), a_next[1::2],
+                    b_next[1::2]):
                 m1 = d2 = d4 = 0.0
                 for v, p, q, r in zip(y, u1, u2, u4):
                     m1 += v * p
@@ -339,31 +364,11 @@ def _rank_one_rk4(terms: Callable) -> Callable:
                 m4 = d4 + dt * (a24 - m3 * b24)
                 w1, w2, w4 = sixth * m1, third * (m2 + m3), sixth * m4
                 nxt = []
-                for v, ck, p, q, r in zip(y, c, g1, g2, g4):
+                for v, ck, p, q, r in zip(y, cs, g1, g2, g4):
                     nxt.append(v + ck - (w1 * p + w2 * q + w4 * r))
-                return nxt
-            return step
-
-        def across(v):
-            """Row sums of v, one column at a time, left to right."""
-            total = v[:, 0]
-            for k in range(1, v.shape[1]):
-                total = total + v[:, k]
-            return total.tolist()
-
-        def block(ts, lags):
-            u, g = terms(lags)
-            # Rows alternate start/end and mid: row r against u of row r+1
-            # gives A12, B12 at even r and A24, B24 at odd r; a mid row
-            # against its own u gives A22, B22.
-            gu, after, mid = g * u, u[1:], g[1::2] * u[1::2]
-            a_next, b_next = across(gu[:-1] * after), across(g[:-1] * after)
-            c = sixth * (gu[:-1:2] + 4.0 * mid + gu[2::2])
-            u, g = u.tolist(), g.tolist()
-            return list(map(mapped, u[:-1:2], u[1::2], u[2::2],
-                            g[:-1:2], g[1::2], g[2::2], c.tolist(),
-                            a_next[::2], b_next[::2], across(mid * after[::2]),
-                            across(mid), a_next[1::2], b_next[1::2]))
+                y = settle(nxt)
+                rows.append(y)
+            return rows
         return block
     return kernel
 
@@ -373,20 +378,20 @@ def _method_of_steps(kernel: Callable, x0, tau: float,
                      *, simplex: bool) -> Trajectory:
     """RK4 steps of x'(t) = f(t, x(t), x(t - tau)) over float lists.
 
-    kernel(dt) returns block(ts, lags), which gets the lag rows of steps
-    s..e-1 at times ts, 2*(e - s) + 1 of them: the start row, then
-    mid-step and end-of-step for each step.  It returns one map per step:
-    step(y), the state one RK4 step after y, unsettled.  Step i reads the
-    lag at grid position i - tau/dt for k1, i + 1/2 - tau/dt for k2 and
-    k3 and i + 1 - tau/dt for k4.  Position p reads row j = max(int(p), 0)
-    if p - j <= 0, else interpolates rows j and j+1.  Steps s..e-1 form
-    one block, read in one numpy pass: with e - s < tau/dt they read no
-    row past s, the last one stored, and e - s <= LAG_BLOCK bounds the
-    block's memory.  A block's start row is the previous block's end row,
-    read again from the same stored rows, so kernels keep no state.  At
-    tau = 0 no row is read and block gets lags None.  One `settle` pass
-    checks each step's state and, with simplex, projects it.  Raises as
-    integrate_dde.
+    kernel(dt) returns block(ts, lags, y, settle), which runs steps s..e-1
+    from y, the state at s, passing each new state through `settle` (one
+    pass that checks it and, with simplex, projects it) before the next
+    step starts from it, and returns the e - s settled states.  `lags`
+    holds their 2*(e - s) + 1 lag rows at times ts: the start row, then
+    mid-step and end-of-step for each step.  Step i reads the lag at grid
+    position i - tau/dt for k1, i + 1/2 - tau/dt for k2 and k3 and
+    i + 1 - tau/dt for k4.  Position p reads row j = max(int(p), 0) if
+    p - j <= 0, else interpolates rows j and j+1.  With e - s < tau/dt a
+    block's rows lie at or before s, the last row stored, so one numpy
+    pass reads them; e - s <= LAG_BLOCK bounds its memory.  Its start row
+    is the previous block's end row, read again, so kernels keep no state.
+    At tau = 0 no row is read, block gets lags None, and blocks are
+    LAG_BLOCK steps wide.  Raises as integrate_dde.
     """
     check_delay(tau, dt)
     times = _make_grid(t_span, dt)
@@ -406,17 +411,15 @@ def _method_of_steps(kernel: Callable, x0, tau: float,
 
     half, grid = 0.5 * dt, times.tolist()
     settle = _project_simplex if simplex else _check_finite
-    width = min(max(math.ceil(shift) - 1, 1), LAG_BLOCK)
+    width = min(max(math.ceil(shift) - 1, 1), LAG_BLOCK) if shift else LAG_BLOCK
     block = kernel(dt)
     for s in range(0, steps, width):
         e = min(s + width, steps)
         ts = [grid[s]] + [u for t_end in grid[s + 1:e + 1]
                           for u in (t_end - half, t_end)]
-        rows = []
-        for step in block(ts, read(s, e) if shift else None):
-            y = settle(step(y))
-            rows.append(y)
+        rows = block(ts, read(s, e) if shift else None, y, settle)
         out[s + 1:e + 1] = rows
+        y = rows[-1]
     return Trajectory(times=times, shares=out)
 
 
@@ -632,6 +635,7 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
     if (isinstance(max_iter, bool)
             or not isinstance(max_iter, (int, np.integer)) or max_iter < 1):
         raise ValueError("max_iter: must be a positive integer")
+    check_stability(cfg, dt)
     x0 = _initial_shares(cfg, x0).tolist()
     times = _make_grid((0.0, cfg.horizon) if t_span is None else t_span, dt)
     lam_diag, mu_scale = _adjoint_scales(cfg)
@@ -678,6 +682,7 @@ def solve_ssec(cfg: SystemConfig, x0, t_span: tuple[float, float],
     Identical to the sweep's forward pass with g pinned to zero, i.e.
     providers optimize instantaneous payoff only.
     """
+    check_stability(cfg, dt)
     return _attach_utilities(cfg, _forward_pass(
         cfg, _initial_shares(cfg, x0), _make_grid(t_span, dt), None)[0])
 
@@ -689,15 +694,15 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
     Honors cfg.population_delay with constant prehistory x0; each RK4 step
     is one precomputed map.  At zero delay the field is x' = delta*c -
     Theta*x (see ReplicatorField), so the step is _affine_rk4's, the
-    sweep's step (_forward_map) under one allocation.  Delayed, it steps
-    the lag terms of the replicator field (_lag_terms) by the rank-one map
-    (_rank_one_rk4).  Either way these are the RK4 steps of a
-    ReplicatorField's integrate_ode(field.rate, .., simplex=True) or
-    integrate_dde(field.delayed_rate, ..), summed in another order: the
-    shares agree to rounding, not bit for bit.
+    sweep's step (_forward_map) under one allocation; delayed, the
+    rank-one map over the field's lag terms (_rank_one_rk4, _lag_terms).
+    These are the RK4 steps of a ReplicatorField's integrate_ode(field.rate,
+    .., simplex=True) or integrate_dde(field.delayed_rate, ..), summed in
+    another order: the shares agree to rounding, not bit for bit.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))
     supply = provider_power(cfg, alloc).tolist()  # checks the length of r0
+    check_stability(cfg, dt)
     tau, delta = cfg.population_delay, cfg.learning_rate
 
     def affine(dt):
@@ -705,12 +710,16 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
         grow, shift = _affine_rk4(-theta, dt)
         source = [shift * (delta * cs) for cs in c]
 
-        def step(y):
-            nxt = []
-            for v, src in zip(y, source):
-                nxt.append(grow * v + src)
-            return nxt
-        return lambda ts, lags: [step] * (len(ts) // 2)
+        def block(ts, lags, y, settle):
+            rows = []
+            for _ in range(len(ts) // 2):
+                nxt = []
+                for v, src in zip(y, source):
+                    nxt.append(grow * v + src)
+                y = settle(nxt)
+                rows.append(y)
+            return rows
+        return block
 
     kernel = _rank_one_rk4(_lag_terms(cfg, supply)) if tau else affine
     traj = _method_of_steps(kernel, _initial_shares(cfg, x0), tau, t_span, dt,

@@ -27,7 +27,7 @@ from eccsim.replicator import (
     ess_jacobian_eigen,
     replicator_rhs,
 )
-from eccsim.solver import _staged, solve_fixed
+from eccsim.solver import _check_finite, _staged, solve_fixed
 
 
 class TestRhs:
@@ -191,7 +191,8 @@ class TestReplicatorField:
     def test_fused_stage_matches_built_stage_bitwise(self, n):
         # Staged RK4 (solver._staged) on delayed_rate evaluates the field at
         # each stage built as a list: bit for bit the RK4 step written out,
-        # on every row of a block of random lags.
+        # on every row of a block of random lags, each step from the row
+        # before it.
         rng = np.random.default_rng(n)
         power = rng.uniform(0.5, 3.0, size=n)
         cfg = make_config(n_ecps=n, ecp_power=power,
@@ -202,22 +203,24 @@ class TestReplicatorField:
             rng.dirichlet(np.ones(n + 1))[:n]))
         lags = rng.dirichlet(np.ones(n + 1), size=5)
         dt = 0.01
-        steps = _staged(field.delayed_rate)(dt)([0.0] * 5, lags)
-        assert len(steps) == 2
+        y = rng.dirichlet(np.ones(n + 1)).tolist()
+        rows = _staged(field.delayed_rate)(dt)([0.0] * 5, lags, y,
+                                               _check_finite)
+        assert len(rows) == 2
 
         def rate(lag, base, slope, h):
             now = np.array([a + h * k for a, k in zip(base, slope)])
             return field.delayed_rate(0.0, now, lag).tolist()
 
-        for j, step in enumerate(steps):
+        for j, row in enumerate(rows):
             first, mid, end = lags[2 * j:2 * j + 3]
-            y = rng.dirichlet(np.ones(n + 1)).tolist()
             k1 = rate(first, y, y, 0.0)
             k2 = rate(mid, y, k1, 0.5 * dt)
             k3 = rate(mid, y, k2, 0.5 * dt)
             k4 = rate(end, y, k3, dt)
-            assert step(y) == [v + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                               for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+            assert row == [v + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                           for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+            y = row
 
     def test_zero_share_raises_through_float_kernel(self, cfg):
         supply = ReplicatorField(cfg, AllocationState([0.0, 0.0])).supply

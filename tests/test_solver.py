@@ -18,6 +18,7 @@ from eccsim.model import (AllocationState, PopulationState, _uptake_row,
 from eccsim.replicator import ReplicatorField, analytic_ess
 from eccsim.solver import (
     COSTATE_TOL,
+    LAG_BLOCK,
     MAGNITUDE_LIMIT,
     MAX_GRID_STEPS,
     RK4_REAL_BOUND,
@@ -193,6 +194,24 @@ class TestIntegrateDde:
         assert len(calls) == 4 * 3000
         assert all(lag == now for lag, now in calls)
 
+    def test_zero_delay_runs_lag_block_wide_blocks(self):
+        # With no lag to bound it, a zero-delay block is LAG_BLOCK steps
+        # wide: 3000 steps make 11 full blocks and one of 184.
+        widths = []
+
+        def kernel(dt, _inner=_staged(lambda t, now, lag: -0.1 * now)):
+            block = _inner(dt)
+
+            def counted(ts, lags, y, settle):
+                widths.append(len(ts) // 2)
+                return block(ts, lags, y, settle)
+            return counted
+
+        _method_of_steps(kernel, [0.3, 0.7], 0.0, (0.0, 30.0), 0.01,
+                         simplex=False)
+        assert widths == [LAG_BLOCK] * (3000 // LAG_BLOCK) + [
+            3000 % LAG_BLOCK]
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_curried_kernel_builds_the_stage(self, n):
         # The array field staged by _staged sees each RK4 stage built bit
@@ -207,9 +226,8 @@ class TestIntegrateDde:
             return np.sin(now) * lag
 
         dt, ts, lags = 0.25, [0.5, 0.625, 0.75], rng.normal(size=(3, n))
-        step, = _staged(field)(dt)(ts, lags)
         y = rng.normal(size=n).tolist()
-        got = step(y)
+        got, = _staged(field)(dt)(ts, lags, y, _check_finite)
 
         def at(t, lag, base, slope, h):
             now = [a + h * k for a, k in zip(base, slope)]
@@ -255,7 +273,8 @@ class TestIntegrateDde:
         (0.15, 0.1, 2.0),      # tau = 1.5 dt
         (0.3, 0.1, 2.5),       # tau/dt = 2.9999999999999996: two steps
         (0.73, 0.1, 5.0),      # tau/dt = 7.3: seven steps, 50 = 7*7 + 1
-        (1.7, 0.01, 5.0),      # tau/dt = 170: LAG_BLOCK steps, 500 = 15*32 + 20
+        (1.7, 0.01, 5.0),      # tau/dt = 170: 169 steps, 500 = 2*169 + 162
+        (3.0, 0.01, 6.0),      # tau/dt = 300: LAG_BLOCK steps bound the block
     ])
     def test_lag_rows_interpolate_the_trajectory(self, tau, dt, t_end):
         # Every lag row handed to the kernel is the linear interpolation of
@@ -274,7 +293,8 @@ class TestIntegrateDde:
                                 dt, simplex=False)
         shares = traj.shares.tolist()
         steps = len(shares) - 1
-        width = {0.1: 1, 0.15: 1, 0.3: 2, 0.73: 7, 1.7: 32}[tau]
+        window = {0.1: 1, 0.15: 1, 0.3: 2, 0.73: 7, 1.7: 169, 3.0: 299}[tau]
+        width = min(window, LAG_BLOCK)
         assert [len(b) // 2 for b in blocks] == (
             [width] * (steps // width) + [steps % width] * (steps % width > 0))
         shift = tau / dt
@@ -295,6 +315,29 @@ class TestIntegrateDde:
                              for a, b in zip(shares[j], shares[j + 1])])
         assert len(rows) == 2 * steps + len(blocks)
         assert np.array(rows).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("route,tau", [
+        ("fixed", 0.0), ("fixed", 0.7), ("fixed", 0.73), ("fixed", 1.7),
+        ("ode", 0.0), ("dde", 0.0), ("dde", 0.7)])
+    def test_block_width_does_not_show(self, route, tau, monkeypatch):
+        # Blocks only group steps: one step per block and LAG_BLOCK-wide
+        # blocks give the same shares, byte for byte, on every route.
+        scn = load_scenario(str(SCENARIOS / "scenario_delay.json"))
+        cfg = dataclasses.replace(scn.cfg, population_delay=tau)
+        field = ReplicatorField(cfg, AllocationState(scn.r0))
+        run = {
+            "fixed": lambda: solve_fixed(cfg, scn.x0, scn.r0, (0.0, 30.0),
+                                         scn.dt),
+            "ode": lambda: integrate_ode(field.rate, scn.x0, (0.0, 5.0),
+                                         scn.dt, simplex=True),
+            "dde": lambda: integrate_dde(field.delayed_rate, scn.x0, tau,
+                                         (0.0, 5.0), scn.dt),
+        }[route]
+        shares = []
+        for width in (1, LAG_BLOCK):
+            monkeypatch.setattr(eccsim.solver, "LAG_BLOCK", width)
+            shares.append(run().shares.tobytes())
+        assert shares[0] == shares[1]
 
     def test_constant_prehistory_linear_segment(self):
         # y' = -y(t - 0.5) with y == 1 before t=0: y(t) = 1 - t on [0, 0.5].
@@ -474,6 +517,26 @@ def test_rk4_real_bound_is_where_the_step_stops_damping():
     assert abs(_affine_rk4(-RK4_REAL_BOUND, 1.0)[0] - 1.0) < 1e-13
 
 
+@pytest.mark.parametrize("scheme", ["olsec", "ssec", "fixed"])
+def test_library_dt_past_rk4_bound_raises(scheme):
+    # The solvers check dt against RK4's real stability bound themselves,
+    # with the CLI's message: library calls are covered too.
+    scn = load_scenario(str(SCENARIOS / "scenario_a_fixed.json"))
+    cfg, x0, r0 = scn.cfg, scn.x0, scn.r0
+    vertices = np.vstack([np.zeros(cfg.n_ecps), np.eye(cfg.n_ecps)])
+    limit = RK4_REAL_BOUND / (
+        cfg.discount_rate + float(uptake_reference(cfg, vertices)[1].max()))
+    run = {
+        "olsec": lambda dt: solve_open_loop(cfg, x0, dt=dt,
+                                            t_span=(0.0, 10.0 * dt)),
+        "ssec": lambda dt: solve_ssec(cfg, x0, (0.0, 10.0 * dt), dt),
+        "fixed": lambda dt: solve_fixed(cfg, x0, r0, (0.0, 10.0 * dt), dt),
+    }[scheme]
+    with pytest.raises(ValueError, match="^dt: above 8.79566, RK4's"):
+        run(limit * (1.0 + 1e-6))
+    run(limit * (1.0 - 1e-6))
+
+
 def smooth_terms(lags):
     """Lag terms (u, G) of a made-up rank-one field, positive and smooth."""
     return 1.0 + np.sin(lags) ** 2, 0.5 + 0.25 * np.cos(lags)
@@ -506,13 +569,16 @@ def test_rank_one_map_is_the_staged_step(n, tau, dt):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rank_one_map_follows_its_formula(n):
-    # One step from each row triple, against the docstring's formula in
+    # The block's four steps, chained through the settle pass, each row
+    # against the docstring's formula applied to the row before it, in
     # Python floats with every sum over components left to right from 0.0,
     # bit for bit: numpy would add 8 or more entries pairwise.
     rng = np.random.default_rng(40 + n)
     dt = 0.01
     lags = rng.uniform(0.1, 1.0, size=(9, n))
-    steps = _rank_one_rk4(smooth_terms)(dt)([0.0] * 9, lags)
+    y = rng.uniform(0.1, 1.0, size=n).tolist()
+    rows = _rank_one_rk4(smooth_terms)(dt)([0.0] * 9, lags, y, _check_finite)
+    assert len(rows) == 4
     u, g = (a.tolist() for a in smooth_terms(lags))
 
     def total(values):
@@ -521,10 +587,9 @@ def test_rank_one_map_follows_its_formula(n):
             out += v
         return out
 
-    for k, step in enumerate(steps):
+    for k, row in enumerate(rows):
         u1, u2, u4 = u[2 * k], u[2 * k + 1], u[2 * k + 2]
         g1, g2, g4 = g[2 * k], g[2 * k + 1], g[2 * k + 2]
-        y = rng.uniform(0.1, 1.0, size=n).tolist()
         a12 = total((a * b) * c for a, b, c in zip(g1, u1, u2))
         b12 = total(a * b for a, b in zip(g1, u2))
         a22 = total((a * b) * b for a, b in zip(g2, u2))
@@ -541,7 +606,8 @@ def test_rank_one_map_follows_its_formula(n):
         want = [v + ck - ((dt / 6.0 * m1) * p + (dt / 3.0 * (m2 + m3)) * q
                           + (dt / 6.0 * m4) * r)
                 for v, ck, p, q, r in zip(y, c, g1, g2, g4)]
-        assert step(y) == want
+        assert row == want
+        y = row
 
 
 @pytest.fixture(scope="module")
@@ -730,6 +796,9 @@ class TestSweep:
                                        dt=0.05)
         assert report.converged
         m = traj.times.shape[0] - 1
+        # check_stability reads Theta at the n + 1 vertices of the requests
+        # before the first pass.
+        forward = forward[n + 1:]
         assert len(backward) == report.iterations
         assert len(forward) == report.iterations * m
         for k, thetas in enumerate(backward):
@@ -962,11 +1031,11 @@ class TestMyopicAndFixed:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_delayed_pass_checks_last_component(self, x0, bad, monkeypatch):
-        # The rank-one kernel's step returns the bad value last; the one
-        # settle pass must still see it.
+        # The rank-one kernel hands a state with the bad value last to the
+        # settle pass it was given, which must still see it.
         def kernel(terms):
-            def block(ts, lags):
-                return [lambda y: [0.0, 0.0, bad]] * (len(lags) // 2)
+            def block(ts, lags, y, settle):
+                return [settle([0.0, 0.0, bad])] * (len(lags) // 2)
             return lambda dt: block
         monkeypatch.setattr(eccsim.solver, "_rank_one_rk4", kernel)
         with pytest.raises(BlowUp):
