@@ -40,6 +40,7 @@ from .solver import (
     BlowUp,
     SweepReport,
     Trajectory,
+    _attach_utilities,
     check_delay,
     check_stability,
     convergence_time,
@@ -350,6 +351,12 @@ def cmd_ess(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    """olsec and ssec rows per learning rate: one sweep per rate.
+
+    The ssec row is the sweep's first forward pass (SweepReport.first_pass),
+    the run solve_ssec would repeat bit for bit.  Each row is summarised as
+    it is produced, so no more than one rate's trajectories are held.
+    """
     scn = _override(load_scenario(args.scenario), args)
     try:
         deltas = [float(v) for v in args.deltas.split(",") if v.strip()]
@@ -357,20 +364,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise InvalidScenario(f"deltas: {exc}") from exc
     if not deltas or any(not d > 0.0 for d in deltas):
         raise InvalidScenario("deltas: expected a non-empty list of positive numbers")
-    runs = [_derive(scn, {"learning_rate": delta}, scheme=scheme)
-            for delta in deltas for scheme in ("olsec", "ssec")]
+    runs = [_derive(scn, {"learning_rate": delta}, scheme="olsec")
+            for delta in deltas]
     out = _ensure_out(args)
     rows = []
-    for sub in runs:
-        traj, report = _run_scheme(sub)
+
+    def row(sub, scheme, traj, report):
         summary = _summary(sub, traj, report)
-        rows.append({
+        return {
             "delta": sub.cfg.learning_rate,
-            "scheme": sub.scheme,
+            "scheme": scheme,
             "convergence_time": summary["convergence_time"],
             "integral_utilities": summary["integral_utilities"],
             "converged": summary["converged"],
-        })
+        }
+
+    for sub in runs:
+        traj, report = _run_scheme(sub)
+        rows.append(row(sub, "olsec", traj, report))
+        rows.append(row(sub, "ssec",
+                        _attach_utilities(sub.cfg, report.first_pass), None))
     _write(out, "compare.csv", _csv(
         ["delta", "scheme", "convergence_time"] + _cols("U", scn.cfg.n_ecps),
         ([row["delta"], row["scheme"],

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -265,25 +266,35 @@ def _supply(cfg: SystemConfig, requests: np.ndarray) -> np.ndarray:
                            cfg.cloud_power * remainder), axis=-1)
 
 
-def _uptake_row(cfg: SystemConfig, requests: list[float]
-                ) -> tuple[list[float], float]:
-    """Uptake c_s = beta*w_s/(K p_s) and Theta = delta*sum_s c_s of one node.
+def _uptake(cfg: SystemConfig) -> Callable:
+    """Kernel uptake(requests) -> (c, Theta) of one node, cfg bound once.
 
-    c_s is the utility mass of group s; w the compute per provider, as
-    _supply lays it out.  Takes and returns Python floats: (c, Theta).
-    One loop builds c and the running sums of r and c, left to right.
+    Uptake c_s = beta*w_s/(K p_s) and Theta = delta*sum_s c_s: c_s is the
+    utility mass of group s; w the compute per provider, as _supply lays
+    it out.  Takes and returns Python floats.  One loop builds c and the
+    running sums of r and c, left to right.
     """
     power, prices = cfg.float_vectors
     r_c, scale = cfg.cloud_power, cfg.mapping_factor / cfg.n_users
-    c, sum_r, sum_c = [], 0.0, 0.0
-    for w, p, r in zip(power, prices, requests):
-        u = scale * (w + r_c * r) / p
+    p_c, delta = prices[-1], cfg.learning_rate
+
+    def uptake(requests):
+        c, sum_r, sum_c = [], 0.0, 0.0
+        for w, p, r in zip(power, prices, requests):
+            u = scale * (w + r_c * r) / p
+            c.append(u)
+            sum_r += r
+            sum_c += u
+        u = scale * (r_c * max(1.0 - sum_r, 0.0)) / p_c
         c.append(u)
-        sum_r += r
-        sum_c += u
-    u = scale * (r_c * max(1.0 - sum_r, 0.0)) / prices[-1]
-    c.append(u)
-    return c, cfg.learning_rate * (sum_c + u)
+        return c, delta * (sum_c + u)
+    return uptake
+
+
+def _uptake_row(cfg: SystemConfig, requests: list[float]
+                ) -> tuple[list[float], float]:
+    """(c, Theta) of one node: the _uptake kernel called once."""
+    return _uptake(cfg)(requests)
 
 
 def provider_power(cfg: SystemConfig, alloc: AllocationState) -> np.ndarray:

@@ -19,8 +19,10 @@ current g, integrates g backward from zero (backward is the stable
 direction, since it grows at rate rho+Theta forward in time), and mixes
 the new g with the last (depth-1 Anderson): the map settles in 5-8 sweeps
 on the shipped scenarios; the last forward pass, stored with the g it ran
-under, is the answer.  Controls come from the kernel of `eccsim.stackelberg`,
-and supply, Theta and payoffs from `eccsim.model`.
+under, is the answer.  The first pass, at g = 0, is the myopic baseline
+(solve_ssec), and the sweep's report keeps it.  Controls come from the
+kernel of `eccsim.stackelberg`, and supply, Theta and payoffs from
+`eccsim.model`.
 
 Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
@@ -31,7 +33,11 @@ stages of their array field (_staged).  A fixed-controls run (solve_fixed)
 steps one precomputed map per step instead: _affine_rk4's at zero delay,
 the rank-one _rank_one_rk4 when delayed.  The sweep's fields are affine
 too, so its RK4 step is one _affine_rk4 map per interval, and its forward
-pass is bound to (cfg, grid) once per solve (_forward_map).  Step and
+pass is bound to (cfg, grid) once per solve (_forward_map).  That map
+keeps the simplex by construction (S*Theta = 1 - R, and R, S > 0 within
+check_stability's bound), so the sweep settles each step by the finite
+check alone; _project_simplex settles integrate_ode and integrate_dde with
+simplex=True and every fixed-controls run.  Step and
 field loops append instead of using comprehensions, which only Python 3.12
 inlines (PEP 709).  Every sum over providers, the simplex sums of x0 and
 of each step included, runs left to right (model._left_sum).
@@ -39,6 +45,7 @@ of each step included, runs left to right (model._left_sum).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -53,7 +60,7 @@ from .model import (
     SystemConfig,
     _left_sum,
     _payoffs,
-    _uptake_row,
+    _uptake,
     provider_power,
 )
 from .replicator import _lag_terms
@@ -159,12 +166,18 @@ class SweepReport:
     matters), max(eta1*max p_n, xi1*p_c)*K times the largest change in g.
     Converged: the two fell below SWEEP_TOL and COSTATE_TOL.
     Non-convergence is reported here, not raised.
+
+    first_pass is the sweep's first forward pass, at g = 0: bit for bit
+    the trajectory solve_ssec returns, before its utilities are attached
+    (_attach_utilities).  It takes no part in comparison or repr.
     """
 
     iterations: int
     state_residual: float
     costate_terminal_residual: float
     converged: bool
+    first_pass: Trajectory | None = dataclasses.field(
+        default=None, compare=False, repr=False)
 
 
 def default_price_cap(cfg: SystemConfig) -> float:
@@ -210,8 +223,8 @@ def check_stability(cfg: SystemConfig, dt: float) -> None:
     """Reject a dt past RK4's real stability bound on rho + Theta_max, the
     fastest rate a solver steps; Theta is linear in the requests r, so its
     largest value sits at a vertex, r = e_j or r = 0.  Names dt."""
-    n = cfg.n_ecps
-    theta_max = max(_uptake_row(cfg, [float(k == j) for k in range(n)])[1]
+    n, uptake = cfg.n_ecps, _uptake(cfg)
+    theta_max = max(uptake([float(k == j) for k in range(n)])[1]
                     for j in range(n + 1))  # j = n: r = 0
     limit = RK4_REAL_BOUND / (cfg.discount_rate + theta_max)
     if dt > limit:
@@ -271,12 +284,14 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
 def _staged(field: Callable[..., np.ndarray]) -> Callable:
     """Array field f(t, now, lag) as a _method_of_steps kernel of RK4 stages.
 
-    A block's row r holds the lag at time ts[r] (the lag is the stage
-    itself when `lags` is None).  A step from row j calls the field at
-    k1 = f(t_j, y, lag_j), k2 and k3 at row j+1 and the built stages
-    y + dt/2*k1, y + dt/2*k2, and k4 at row j+2 and y + dt*k3: four field
-    calls per step, each stage built as a list, then handed to `field` as
-    an array.  The next step starts from the settled RK4 sum.
+    Step j of a block runs from times[j] to t = times[j+1] over lag rows
+    2j (start), 2j+1 (mid) and 2j+2 (end); the lag is the stage itself
+    when `lags` is None.  It calls the field at k1 = f(times[j], y, row 2j),
+    k2 and k3 at t - dt/2, row 2j+1 and the built stages y + dt/2*k1,
+    y + dt/2*k2, and k4 at t, row 2j+2 and y + dt*k3: four field calls per
+    step, each stage built as a list, then handed to `field` as an array.
+    The next step starts from the settled RK4 sum.  The only kernel that
+    reads `times`.
 
     Raises:
         ValueError: `field` returned anything but a vector as long as the state.
@@ -293,13 +308,15 @@ def _staged(field: Callable[..., np.ndarray]) -> Callable:
                     "field: must return a vector as long as the state")
             return out.tolist()
 
-        def block(ts, lags, y, settle):
-            rows, lags = [], [None] * len(ts) if lags is None else lags
-            for j in range(0, len(ts) - 1, 2):
-                k1 = rate(ts[j], lags[j], y, y, 0.0)
-                k2 = rate(ts[j + 1], lags[j + 1], y, k1, half)
-                k3 = rate(ts[j + 1], lags[j + 1], y, k2, half)
-                k4 = rate(ts[j + 2], lags[j + 2], y, k3, dt)
+        def block(times, lags, y, settle):
+            rows = []
+            lags = [None] * (2 * len(times) - 1) if lags is None else lags
+            for j, t in enumerate(times[1:]):
+                mid = lags[2 * j + 1]
+                k1 = rate(times[j], lags[2 * j], y, y, 0.0)
+                k2 = rate(t - half, mid, y, k1, half)
+                k3 = rate(t - half, mid, y, k2, half)
+                k4 = rate(t, lags[2 * j + 2], y, k3, dt)
                 nxt = []
                 for v, a, b, c, d in zip(y, k1, k2, k3, k4):
                     nxt.append(v + sixth * (a + 2.0 * b + 2.0 * c + d))
@@ -340,7 +357,7 @@ def _rank_one_rk4(terms: Callable) -> Callable:
                 total = total + v[:, k]
             return total.tolist()
 
-        def block(ts, lags, y, settle):
+        def block(times, lags, y, settle):
             u, g = terms(lags)
             # Rows alternate start/end and mid: row r against u of row r+1
             # gives A12, B12 at even r and A24, B24 at odd r; a mid row
@@ -378,20 +395,21 @@ def _method_of_steps(kernel: Callable, x0, tau: float,
                      *, simplex: bool) -> Trajectory:
     """RK4 steps of x'(t) = f(t, x(t), x(t - tau)) over float lists.
 
-    kernel(dt) returns block(ts, lags, y, settle), which runs steps s..e-1
-    from y, the state at s, passing each new state through `settle` (one
-    pass that checks it and, with simplex, projects it) before the next
-    step starts from it, and returns the e - s settled states.  `lags`
-    holds their 2*(e - s) + 1 lag rows at times ts: the start row, then
-    mid-step and end-of-step for each step.  Step i reads the lag at grid
-    position i - tau/dt for k1, i + 1/2 - tau/dt for k2 and k3 and
-    i + 1 - tau/dt for k4.  Position p reads row j = max(int(p), 0) if
-    p - j <= 0, else interpolates rows j and j+1.  With e - s < tau/dt a
-    block's rows lie at or before s, the last row stored, so one numpy
-    pass reads them; e - s <= LAG_BLOCK bounds its memory.  Its start row
-    is the previous block's end row, read again, so kernels keep no state.
-    At tau = 0 no row is read, block gets lags None, and blocks are
-    LAG_BLOCK steps wide.  Raises as integrate_dde.
+    kernel(dt) returns block(times, lags, y, settle), which runs steps
+    s..e-1 from y, the state at s, passing each new state through `settle`
+    (one pass that checks it and, with simplex, projects it) before the
+    next step starts from it, and returns the e - s settled states.
+    `times` holds the block's e - s + 1 grid times, `lags` their
+    2*(e - s) + 1 lag rows: the start row, then mid-step and end-of-step
+    for each step.  Step i reads the lag at grid position i - tau/dt for
+    k1, i + 1/2 - tau/dt for k2 and k3 and i + 1 - tau/dt for k4.
+    Position p reads row j = max(int(p), 0) if p - j <= 0, else
+    interpolates rows j and j+1.  With e - s < tau/dt a block's rows lie
+    at or before s, the last row stored, so one numpy pass reads them;
+    e - s <= LAG_BLOCK bounds its memory.  Its start row is the previous
+    block's end row, read again, so kernels keep no state.  At tau = 0 no
+    row is read, block gets lags None, and blocks are LAG_BLOCK steps
+    wide.  Raises as integrate_dde.
     """
     check_delay(tau, dt)
     times = _make_grid(t_span, dt)
@@ -409,15 +427,13 @@ def _method_of_steps(kernel: Callable, x0, tau: float,
         frac = (pos - lo)[:, None]
         return np.where(frac > 0.0, a + frac * (out[hi.astype(int)] - a), a)
 
-    half, grid = 0.5 * dt, times.tolist()
+    grid = times.tolist()
     settle = _project_simplex if simplex else _check_finite
     width = min(max(math.ceil(shift) - 1, 1), LAG_BLOCK) if shift else LAG_BLOCK
     block = kernel(dt)
     for s in range(0, steps, width):
         e = min(s + width, steps)
-        ts = [grid[s]] + [u for t_end in grid[s + 1:e + 1]
-                          for u in (t_end - half, t_end)]
-        rows = block(ts, read(s, e) if shift else None, y, settle)
+        rows = block(grid[s:e + 1], read(s, e) if shift else None, y, settle)
         out[s + 1:e + 1] = rows
         y = rows[-1]
     return Trajectory(times=times, shares=out)
@@ -493,7 +509,8 @@ def costate_backward_grid(cfg: SystemConfig, times: np.ndarray,
         raise ValueError("requests: length inconsistent with times")
     if requests.shape[1:] != (cfg.n_ecps,):
         raise ValueError("requests: length inconsistent with n_ecps")
-    g = _adjoint_profile(cfg, times, [_uptake_row(cfg, r)[1]
+    uptake = _uptake(cfg)
+    g = _adjoint_profile(cfg, times, [uptake(r)[1]
                                       for r in requests[:-1].tolist()])
     lam_diag, mu_scale = _adjoint_scales(cfg)
     lam = g[:, None, None] * np.diag(lam_diag)
@@ -510,8 +527,12 @@ def _forward_map(cfg: SystemConfig, times: np.ndarray) -> Callable:
     once, for the leader term and the kernel alike); its price and
     requests, projected onto the feasible box (price cap:
     default_price_cap), hold over the step, on which x' = delta*c - Theta*x
-    (see ReplicatorField) is one _affine_rk4 map.  What depends on cfg and
-    times alone, the kernel too, is bound once.
+    (see ReplicatorField) is one _affine_rk4 map.  The map keeps the sum
+    of the shares at 1 and each share positive (S*Theta = 1 - R; R, S > 0
+    while dt*Theta stays within check_stability's bound), so each new
+    state gets only _check_finite's test, folded into the step loop, and
+    no projection.  What depends on cfg and times alone, the control and
+    uptake kernels too, is bound once.
     run(x0, g), with M values of g, returns lists: shares, requests and
     prices per node, and the M-1 per-interval Theta that the backward pass
     (_adjoint_profile) must read.
@@ -522,7 +543,7 @@ def _forward_map(cfg: SystemConfig, times: np.ndarray) -> Callable:
     lam_diag, mu_scale = _adjoint_scales(cfg)
     q_terms = list(zip(lam_diag.tolist(), inv_p.tolist(), gap.tolist()))
     p_max, delta = default_price_cap(cfg), cfg.learning_rate
-    controls, last = _stationary_controls(cfg), m - 1
+    controls, uptake, last = _stationary_controls(cfg), _uptake(cfg), m - 1
 
     def run(x, g):
         shares, requests, prices, thetas = [], [], [], []
@@ -547,13 +568,16 @@ def _forward_map(cfg: SystemConfig, times: np.ndarray) -> Callable:
             prices.append(price)
             if i == last:
                 break
-            c, theta = _uptake_row(cfg, r)
+            c, theta = uptake(r)
             thetas.append(theta)
             grow, shift = _affine_rk4(-theta, dt)
             nxt = []
             for y, cs in zip(x, c):
-                nxt.append(grow * y + shift * (delta * cs))
-            x = _project_simplex(nxt)
+                y = grow * y + shift * (delta * cs)
+                if not abs(y) <= MAGNITUDE_LIMIT:  # _check_finite, inlined
+                    raise BlowUp("state magnitude left the finite range")
+                nxt.append(y)
+            x = nxt
         return shares, requests, prices, thetas
     return run
 
@@ -620,8 +644,9 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
     """Open-loop equilibrium of the full hierarchical game.
 
     Iterates the map g -> forward pass -> backward pass -> g from g = 0,
-    so the first forward pass runs the myopic controls; later maps mix the
-    last two images (_anderson), which keeps the fixed points.  It stops
+    so the first forward pass runs the myopic controls (solve_ssec's run;
+    the report keeps it as first_pass); later maps mix the last two
+    images (_anderson), which keeps the fixed points.  It stops
     once converged (see SweepReport), after at most max_iter forward
     passes.  The returned trajectory is the last forward pass, stored with
     the g it ran under, so the report's residuals describe it and replaying
@@ -647,7 +672,10 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
         prev, ran = shares, g
         rows, requests, prices, thetas = forward(x0, g.tolist())
         shares = np.array(rows)
-        if prev is not None:
+        if prev is None:
+            first = Trajectory(times, shares, np.array(requests),
+                               np.array(prices))
+        else:
             state_res = float(np.max(np.abs(shares - prev)))
         image = _adjoint_profile(cfg, times, thetas)
         res = image - ran
@@ -658,7 +686,7 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
         g, last = _anderson(image, res, last), (image, res)
     traj = Trajectory(times, shares, np.array(requests), np.array(prices), ran)
     return _attach_utilities(cfg, traj), SweepReport(
-        iterations, state_res, costate_res, converged)
+        iterations, state_res, costate_res, converged, first)
 
 
 def replay_forward(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
@@ -680,7 +708,8 @@ def solve_ssec(cfg: SystemConfig, x0, t_span: tuple[float, float],
     """Myopic baseline: each instant's static game, then one population step.
 
     Identical to the sweep's forward pass with g pinned to zero, i.e.
-    providers optimize instantaneous payoff only.
+    providers optimize instantaneous payoff only: the first pass of
+    solve_open_loop, which its report keeps (SweepReport.first_pass).
     """
     check_stability(cfg, dt)
     return _attach_utilities(cfg, _forward_pass(
@@ -706,13 +735,13 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
     tau, delta = cfg.population_delay, cfg.learning_rate
 
     def affine(dt):
-        c, theta = _uptake_row(cfg, alloc.requests.tolist())
+        c, theta = _uptake(cfg)(alloc.requests.tolist())
         grow, shift = _affine_rk4(-theta, dt)
         source = [shift * (delta * cs) for cs in c]
 
-        def block(ts, lags, y, settle):
+        def block(times, lags, y, settle):
             rows = []
-            for _ in range(len(ts) // 2):
+            for _ in range(len(times) - 1):
                 nxt = []
                 for v, src in zip(y, source):
                     nxt.append(grow * v + src)

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: schema checks and artifact round trips."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,9 +14,10 @@ import pytest
 from conftest import uptake_reference
 
 from eccsim import AllocationState
-from eccsim.cli import (SCHEMES, InvalidScenario, _csv, _override,
-                        load_scenario, main)
-from eccsim.solver import RK4_REAL_BOUND
+from eccsim.cli import (SCHEMES, InvalidScenario, _csv, _derive, _override,
+                        _summary, load_scenario, main)
+from eccsim.solver import (RK4_REAL_BOUND, Trajectory, _attach_utilities,
+                           solve_open_loop, solve_ssec)
 
 BASE = {
     "n_ecps": 2,
@@ -438,6 +440,46 @@ class TestCompare:
             rows = json.loads(text)["rows"]
             assert [row["convergence_time"] for row in rows] == [None, None]
 
+    def test_ssec_rows_are_the_sweeps_first_pass(self, tmp_path, capsys):
+        # compare reads each ssec row from the first forward pass (g = 0)
+        # of the olsec sweep at the same learning rate, in place of a
+        # solve_ssec run.  That pass must be solve_ssec's trajectory bit
+        # for bit, and the rows those of solve_ssec plus _summary.
+        scenario = str(SCENARIOS / "scenario_a.json")
+        out = tmp_path / "cmp"
+        assert main(["compare", scenario, "--dt", "1.0",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads((out / "compare_summary.json").read_text())
+        deltas = [0.5, 1.0, 1.5, 2.0]  # the default --deltas
+        assert payload["deltas"] == deltas
+        rows = [row for row in payload["rows"] if row["scheme"] == "ssec"]
+        assert [row["delta"] for row in rows] == deltas
+        scn = _override(load_scenario(scenario),
+                        argparse.Namespace(dt=1.0, horizon=None))
+        for delta, row in zip(deltas, rows):
+            sub = _derive(scn, {"learning_rate": delta}, scheme="ssec")
+            span = (0.0, sub.cfg.horizon)
+            _, report = solve_open_loop(sub.cfg, sub.x0, dt=sub.dt,
+                                        t_span=span)
+            shared = _attach_utilities(sub.cfg, report.first_pass)
+            alone = solve_ssec(sub.cfg, sub.x0, span, sub.dt)
+            for field in dataclasses.fields(Trajectory):
+                got, want = (getattr(t, field.name) for t in (shared, alone))
+                if want is None:
+                    assert got is None, field.name
+                else:
+                    assert got.shape == want.shape, field.name
+                    assert got.tobytes() == want.tobytes(), field.name
+            summary = _summary(sub, alone, None)
+            assert row == {
+                "delta": delta,
+                "scheme": "ssec",
+                "convergence_time": summary["convergence_time"],
+                "integral_utilities": summary["integral_utilities"],
+                "converged": True,
+            }
+
     def test_rejects_bad_deltas(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
         assert main(["compare", scenario, "--deltas", "nope"]) == 2
@@ -605,10 +647,14 @@ def test_cli_import_leaves_scipy_out():
 
 def test_bench_tracer_hooks_bind(tmp_path):
     # The benchmark's tracer wraps cli, solver, replicator and model names
-    # by attribute from outside the package; a renamed hook crashes it.
+    # by attribute from outside the package; a renamed hook crashes it, and
+    # so does a cli.solve_open_loop that returns anything but the pair
+    # (trajectory, report) the tracer unpacks, on compare and sweep alike.
     # A fixed-controls run, delayed or not, steps a precomputed RK4 map
     # per step in solver._method_of_steps and calls neither integrate_dde
     # nor ReplicatorField.delayed_rate; the tracer must still run it.
+    # compare makes one solve per learning rate: its ssec rows come from
+    # the olsec sweeps.
     root = Path(__file__).resolve().parent.parent
     code = f"""
 import sys
@@ -617,21 +663,26 @@ from tracer import Tracer
 tracer = Tracer()
 tracer.install()
 from eccsim.cli import main
-code = main(["simulate", sys.argv[1], "--out", sys.argv[2]])
+code = main(sys.argv[1:])
 metrics = tracer.metrics(1.0)
-print(code, metrics["solver.dde_steps"], metrics["replicator.field_evals"])
+print(code, metrics["solver.solves"], metrics["solver.dde_steps"],
+      metrics["replicator.field_evals"])
 """
 
-    def traced(scenario):
+    def traced(command, scenario, *flags):
         out = subprocess.run(
-            [sys.executable, "-c", code, scenario, str(tmp_path / "run")],
+            [sys.executable, "-c", code, command, scenario, *flags,
+             "--out", str(tmp_path / "run")],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": str(root / "src")})
-        return out.stdout.splitlines()[-1].split()
+        return [float(v) for v in out.stdout.splitlines()[-1].split()]
 
-    assert traced(write_scenario(tmp_path)) == ["0", "0", "0"]
+    assert traced("simulate", write_scenario(tmp_path)) == [0, 1, 0, 0]
     delayed = write_scenario(tmp_path, "delayed.json", population_delay=0.5)
-    assert traced(delayed)[0] == "0"
+    assert traced("simulate", delayed)[0] == 0
+    scenario_a = str(SCENARIOS / "scenario_a.json")
+    assert traced("compare", scenario_a, "--dt", "1.0")[:2] == [0, 4]
+    assert traced("sweep", scenario_a, "--dt", "1.0")[:2] == [0, 3]
 
 
 def test_csv_formats_array_rows_and_float_rows_alike():

@@ -202,9 +202,9 @@ class TestIntegrateDde:
         def kernel(dt, _inner=_staged(lambda t, now, lag: -0.1 * now)):
             block = _inner(dt)
 
-            def counted(ts, lags, y, settle):
-                widths.append(len(ts) // 2)
-                return block(ts, lags, y, settle)
+            def counted(times, lags, y, settle):
+                widths.append(len(times) - 1)
+                return block(times, lags, y, settle)
             return counted
 
         _method_of_steps(kernel, [0.3, 0.7], 0.0, (0.0, 30.0), 0.01,
@@ -225,19 +225,19 @@ class TestIntegrateDde:
             seen.append((t, now.tolist(), lag.tolist()))
             return np.sin(now) * lag
 
-        dt, ts, lags = 0.25, [0.5, 0.625, 0.75], rng.normal(size=(3, n))
+        dt, times, lags = 0.25, [0.5, 0.75], rng.normal(size=(3, n))
         y = rng.normal(size=n).tolist()
-        got, = _staged(field)(dt)(ts, lags, y, _check_finite)
+        got, = _staged(field)(dt)(times, lags, y, _check_finite)
 
         def at(t, lag, base, slope, h):
             now = [a + h * k for a, k in zip(base, slope)]
             assert seen.pop(0) == (t, now, lag.tolist())
             return (np.sin(now) * lag).tolist()
 
-        k1 = at(ts[0], lags[0], y, y, 0.0)
-        k2 = at(ts[1], lags[1], y, k1, 0.5 * dt)
-        k3 = at(ts[1], lags[1], y, k2, 0.5 * dt)
-        k4 = at(ts[2], lags[2], y, k3, dt)
+        k1 = at(0.5, lags[0], y, y, 0.0)
+        k2 = at(0.625, lags[1], y, k1, 0.5 * dt)
+        k3 = at(0.625, lags[1], y, k2, 0.5 * dt)
+        k4 = at(0.75, lags[2], y, k3, dt)
         assert not seen
         assert got == [v + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                        for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
@@ -577,7 +577,7 @@ def test_rank_one_map_follows_its_formula(n):
     dt = 0.01
     lags = rng.uniform(0.1, 1.0, size=(9, n))
     y = rng.uniform(0.1, 1.0, size=n).tolist()
-    rows = _rank_one_rk4(smooth_terms)(dt)([0.0] * 9, lags, y, _check_finite)
+    rows = _rank_one_rk4(smooth_terms)(dt)([0.0] * 5, lags, y, _check_finite)
     assert len(rows) == 4
     u, g = (a.tolist() for a in smooth_terms(lags))
 
@@ -780,17 +780,21 @@ class TestSweep:
             nominal_rate=0.15, horizon=5.0)
         forward, backward = [], []
 
-        def uptake_row(cfg, requests, _orig=eccsim.solver._uptake_row):
-            c, theta = _orig(cfg, requests)
-            forward.append(theta)
-            return c, theta
+        def uptake(cfg, _orig=eccsim.solver._uptake):
+            kernel = _orig(cfg)
+
+            def spied(requests):
+                c, theta = kernel(requests)
+                forward.append(theta)
+                return c, theta
+            return spied
 
         def adjoint_profile(cfg, times, thetas,
                             _orig=eccsim.solver._adjoint_profile):
             backward.append(list(thetas))
             return _orig(cfg, times, thetas)
 
-        monkeypatch.setattr(eccsim.solver, "_uptake_row", uptake_row)
+        monkeypatch.setattr(eccsim.solver, "_uptake", uptake)
         monkeypatch.setattr(eccsim.solver, "_adjoint_profile", adjoint_profile)
         traj, report = solve_open_loop(cfg, np.full(n + 1, 1.0 / (n + 1)),
                                        dt=0.05)
@@ -918,18 +922,57 @@ class TestSweep:
 
     def test_solve_binds_the_control_kernel_once(self, monkeypatch):
         # What depends on (cfg, grid) alone is bound once per solve, not
-        # once per forward pass.
-        binds = []
+        # once per forward pass: the control kernel by the forward map, the
+        # uptake kernel by check_stability and by the forward map.
+        binds = {"_stationary_controls": [], "_uptake": []}
 
-        def bind(cfg, _orig=eccsim.solver._stationary_controls):
-            binds.append(cfg)
-            return _orig(cfg)
+        def spy(name):
+            orig = getattr(eccsim.solver, name)
 
-        monkeypatch.setattr(eccsim.solver, "_stationary_controls", bind)
+            def bind(cfg):
+                binds[name].append(cfg)
+                return orig(cfg)
+            return bind
+
+        for name in binds:
+            monkeypatch.setattr(eccsim.solver, name, spy(name))
         cfg = make_config(horizon=10.0)
         _, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.05)
         assert report.converged and report.iterations > 1
-        assert binds == [cfg]
+        assert binds == {"_stationary_controls": [cfg], "_uptake": [cfg, cfg]}
+
+    @pytest.mark.parametrize("name,dt", [("scenario_n6.json", 0.1),
+                                         ("scenario_a.json", 0.01)])
+    def test_sweep_keeps_the_simplex_unprojected(self, name, dt, monkeypatch):
+        # The sweep's RK4 map y -> R*y + S*delta*c has S*Theta = 1 - R and
+        # R, S > 0 within check_stability's bound, so it settles each step
+        # by the finite check alone: over every forward pass of the two
+        # longest shipped sweeps each share stays positive and the shares
+        # sum to 1 within 1e-12 at every node, with no projection.
+        scn = load_scenario(str(SCENARIOS / name))
+        passes = []
+
+        def forward_map(cfg, times, _orig=eccsim.solver._forward_map):
+            run = _orig(cfg, times)
+
+            def spied(x, g):
+                out = run(x, g)
+                passes.append(out[0])
+                return out
+            return spied
+
+        def project(y):
+            raise AssertionError("the sweep projects no state")
+
+        monkeypatch.setattr(eccsim.solver, "_forward_map", forward_map)
+        monkeypatch.setattr(eccsim.solver, "_project_simplex", project)
+        traj, report = solve_open_loop(scn.cfg, scn.x0, dt=dt)
+        assert report.converged
+        assert len(passes) == report.iterations
+        assert traj.times.shape == (round(scn.cfg.horizon / dt) + 1,)
+        assert min(min(row) for rows in passes for row in rows) > 0.0
+        assert max(abs(math.fsum(row) - 1.0)
+                   for rows in passes for row in rows) <= 1e-12
 
 
 class TestMyopicAndFixed:
@@ -1034,7 +1077,7 @@ class TestMyopicAndFixed:
         # The rank-one kernel hands a state with the bad value last to the
         # settle pass it was given, which must still see it.
         def kernel(terms):
-            def block(ts, lags, y, settle):
+            def block(times, lags, y, settle):
                 return [settle([0.0, 0.0, bad])] * (len(lags) // 2)
             return lambda dt: block
         monkeypatch.setattr(eccsim.solver, "_rank_one_rk4", kernel)
