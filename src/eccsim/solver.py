@@ -327,28 +327,35 @@ def _staged(field: Callable[..., np.ndarray]) -> Callable:
     return kernel
 
 
-def _rank_one_rk4(terms: Callable) -> Callable:
+def _rank_one_rk4(terms: Callable, source: list[float],
+                  theta: float) -> Callable:
     """Delayed _method_of_steps kernel of x' = G*(u - x . u) by RK4 maps.
 
     (u, G) = terms(lags) are read from the lag rows alone (for the
-    population, replicator._lag_terms).  Under a fixed lag row the field
-    is affine in the state with a rank-one slope, so, as for _affine_rk4,
-    the RK4 step is a map computed ahead.  With rows 1 (start: k1, the
-    previous step's end row), 2 (mid: k2, k3) and 4 (end: k4), a stage at
-    state z has velocity G_j*u_j - G_j*(z . u_j), and its mean m_j = z . u_j
-    follows from the step's start y and six sums of lag terms:
-      m1 = y.u1,  m2 = y.u2 + h/2 (A12 - m1 B12),
-      m3 = y.u2 + h/2 (A22 - m2 B22),  m4 = y.u4 + h (A24 - m3 B24),
-      y' = y + C - (h/6 G1 m1 + h/3 G2 (m2 + m3) + h/6 G4 m4),
-    C = h/6 (G1 u1 + 4 G2 u2 + G4 u4), A12 = sum G1 u1 u2, B12 = sum G1 u2,
-    A22 = sum G2 u2^2, B22 = sum G2 u2, A24 = sum G2 u2 u4, B24 = sum G2 u4.
-    C and the sums are built per block in numpy, the sums one column at a
-    time, left to right (the bits of model._running_total); one loop then
-    runs the steps, each taking its three dots in one float loop.  Delayed
-    runs only: at zero delay the lag is the stage state, not affine in it.
+    population, replicator._lag_terms), and G*u is the constant `source`
+    in every row, summing to `theta`: for the population, delta*c and
+    Theta of model._uptake, since the share in G cancels the one dividing
+    u (ReplicatorField).  Under a fixed lag row the field is affine in the
+    state with a rank-one slope, so, as for _affine_rk4, the RK4 step is a
+    map computed ahead.  With rows 1 (start: k1, the previous step's end
+    row), 2 (mid: k2, k3) and 4 (end: k4), a stage at state z has velocity
+    source - G_j*(z . u_j), and its mean m_j = z . u_j follows from the
+    step's start y and four sums of lag terms:
+      m1 = y.u1,  m2 = y.u2 + h/2 (A2 - m1 B12),
+      m3 = y.u2 + h/2 (A2 - m2 theta),  m4 = y.u4 + h (A4 - m3 B24),
+      y' = y + h source - (h/6 G1 m1 + h/3 G2 (m2 + m3) + h/6 G4 m4),
+    A2 = sum source u2, A4 = sum source u4, B12 = sum G1 u2, B24 = sum G2 u4.
+    Each block builds the sums in two numpy passes, one for the A and one
+    for the B, each one column at a time, left to right (the bits of
+    model._running_total); one loop then runs the steps, each taking its
+    three dots in one float loop.  Delayed runs only: at zero delay the
+    lag is the stage state, not affine in it.
     """
+    weights = np.array(source)
+
     def kernel(dt):
         half, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
+        shift = [dt * v for v in source]
 
         def across(v):
             """Row sums of v, one column at a time, left to right."""
@@ -359,29 +366,25 @@ def _rank_one_rk4(terms: Callable) -> Callable:
 
         def block(times, lags, y, settle):
             u, g = terms(lags)
-            # Rows alternate start/end and mid: row r against u of row r+1
-            # gives A12, B12 at even r and A24, B24 at odd r; a mid row
-            # against its own u gives A22, B22.
-            gu, after, mid = g * u, u[1:], g[1::2] * u[1::2]
-            a_next, b_next = across(gu[:-1] * after), across(g[:-1] * after)
-            c = sixth * (gu[:-1:2] + 4.0 * mid + gu[2::2])
+            # Rows alternate start/end and mid: row r against u of row
+            # r+1 gives A2, B12 at even r and A4, B24 at odd r.
+            after = u[1:]
+            a, b = across(weights * after), across(g[:-1] * after)
             u, g, rows = u.tolist(), g.tolist(), []
-            for u1, u2, u4, g1, g2, g4, cs, a12, b12, a22, b22, a24, b24 in zip(
+            for u1, u2, u4, g1, g2, g4, a2, b12, a4, b24 in zip(
                     u[:-1:2], u[1::2], u[2::2], g[:-1:2], g[1::2], g[2::2],
-                    c.tolist(), a_next[::2], b_next[::2],
-                    across(mid * after[::2]), across(mid), a_next[1::2],
-                    b_next[1::2]):
+                    a[::2], b[::2], a[1::2], b[1::2]):
                 m1 = d2 = d4 = 0.0
                 for v, p, q, r in zip(y, u1, u2, u4):
                     m1 += v * p
                     d2 += v * q
                     d4 += v * r
-                m2 = d2 + half * (a12 - m1 * b12)
-                m3 = d2 + half * (a22 - m2 * b22)
-                m4 = d4 + dt * (a24 - m3 * b24)
+                m2 = d2 + half * (a2 - m1 * b12)
+                m3 = d2 + half * (a2 - m2 * theta)
+                m4 = d4 + dt * (a4 - m3 * b24)
                 w1, w2, w4 = sixth * m1, third * (m2 + m3), sixth * m4
                 nxt = []
-                for v, ck, p, q, r in zip(y, cs, g1, g2, g4):
+                for v, ck, p, q, r in zip(y, shift, g1, g2, g4):
                     nxt.append(v + ck - (w1 * p + w2 * q + w4 * r))
                 y = settle(nxt)
                 rows.append(y)
@@ -720,39 +723,38 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
                 dt: float) -> Trajectory:
     """Population run under a frozen allocation and zero cloud price.
 
-    Honors cfg.population_delay with constant prehistory x0; each RK4 step
-    is one precomputed map.  At zero delay the field is x' = delta*c -
-    Theta*x (see ReplicatorField), so the step is _affine_rk4's, the
-    sweep's step (_forward_map) under one allocation; delayed, the
-    rank-one map over the field's lag terms (_rank_one_rk4, _lag_terms).
-    These are the RK4 steps of a ReplicatorField's integrate_ode(field.rate,
-    .., simplex=True) or integrate_dde(field.delayed_rate, ..), summed in
+    Honors cfg.population_delay with constant prehistory x0.  The field is
+    x' = delta*c - Theta*x at zero delay (see ReplicatorField), so RK4's
+    step is _affine_rk4's map y -> R*y + S*delta*c, the sweep's step
+    (_forward_map) under one allocation, whose fixed point is delta*c/Theta
+    (S*Theta = 1 - R): step i lands on x0 + (1 - R**i)*(delta*c/Theta - x0)
+    in closed form, a convex combination of x0 and the equilibrium, so
+    every share stays positive and the sum at 1 with no projection.
+    Delayed, each step is the rank-one map over the field's lag terms
+    (_rank_one_rk4, _lag_terms), projected onto the simplex.  These are
+    the RK4 steps of a ReplicatorField's integrate_ode(field.rate, ..,
+    simplex=True) or integrate_dde(field.delayed_rate, ..), summed in
     another order: the shares agree to rounding, not bit for bit.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))
     supply = provider_power(cfg, alloc).tolist()  # checks the length of r0
     check_stability(cfg, dt)
     tau, delta = cfg.population_delay, cfg.learning_rate
-
-    def affine(dt):
-        c, theta = _uptake(cfg)(alloc.requests.tolist())
-        grow, shift = _affine_rk4(-theta, dt)
-        source = [shift * (delta * cs) for cs in c]
-
-        def block(times, lags, y, settle):
-            rows = []
-            for _ in range(len(times) - 1):
-                nxt = []
-                for v, src in zip(y, source):
-                    nxt.append(grow * v + src)
-                y = settle(nxt)
-                rows.append(y)
-            return rows
-        return block
-
-    kernel = _rank_one_rk4(_lag_terms(cfg, supply)) if tau else affine
-    traj = _method_of_steps(kernel, _initial_shares(cfg, x0), tau, t_span, dt,
-                            simplex=True)
+    c, theta = _uptake(cfg)(alloc.requests.tolist())
+    source = [delta * cs for cs in c]
+    x0 = _initial_shares(cfg, x0)
+    if tau:
+        traj = _method_of_steps(
+            _rank_one_rk4(_lag_terms(cfg, supply), source, theta), x0, tau,
+            t_span, dt, simplex=True)
+    else:
+        times = _make_grid(t_span, dt)
+        grow = _affine_rk4(-theta, dt)[0]
+        # Powers of a Python float (libm's pow): numpy's array power may
+        # take a SIMD path whose bits depend on the CPU.
+        decay = np.array([1.0 - grow ** i for i in range(times.shape[0])])
+        traj = Trajectory(times, x0 + decay[:, None] * (
+            np.array(source) / theta - x0))
     m = traj.times.shape[0]
     traj.requests = np.tile(alloc.requests, (m, 1))
     traj.prices = np.zeros(m)

@@ -15,6 +15,7 @@ from eccsim.model import (
     AllocationState,
     PopulationState,
     ZeroShare,
+    _uptake,
     provider_power,
     theta,
 )
@@ -261,6 +262,26 @@ class TestReplicatorField:
                 a * (v - mean) for a, v in zip(lag_g, lag_u)]
         with pytest.raises(ZeroShare, match="^ecp 1:"):
             terms(np.array([[0.0, 0.6, 0.4]]))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_lag_terms_product_is_the_uptake(self, n):
+        # G*u = delta*y * beta*w/(K*y*p) is delta*c of model._uptake in
+        # every row, whatever the lag: the identity the solver's rank-one
+        # map takes as a constant.  Both sides round a few operations
+        # apart: within 8 units in the last place (4 measured).
+        rng = np.random.default_rng(70 + n)
+        power = rng.uniform(0.5, 3.0, size=n)
+        cfg = make_config(n_ecps=n, ecp_power=power,
+                          ecp_access_price=rng.uniform(0.1, 1.0, size=n),
+                          cloud_power=float(power.max() * rng.uniform(1, 4)),
+                          learning_rate=float(rng.uniform(0.2, 3.0)))
+        r0 = rng.dirichlet(np.ones(n + 1))[:n]
+        c, _ = _uptake(cfg)(r0.tolist())
+        source = cfg.learning_rate * np.array(c)
+        supply = provider_power(cfg, AllocationState(r0)).tolist()
+        u, g = _lag_terms(cfg, supply)(rng.dirichlet(np.ones(n + 1),
+                                                     size=200))
+        assert np.all(np.abs(g * u - source) <= 8.0 * np.spacing(source))
 
     def test_field_binds_its_lag_terms_once(self, cfg, x0, monkeypatch):
         # Like the supply, the lag terms are fixed per field: many

@@ -14,8 +14,9 @@ from conftest import make_big_cloud_config, make_config, uptake_reference
 import eccsim.solver
 from eccsim.cli import _delay_verdict, load_scenario
 from eccsim.model import (AllocationState, PopulationState, _uptake_row,
-                          ccp_instant_utility, ecp_instant_utility)
-from eccsim.replicator import ReplicatorField, analytic_ess
+                          ccp_instant_utility, ecp_instant_utility,
+                          provider_power)
+from eccsim.replicator import ReplicatorField, _lag_terms, analytic_ess
 from eccsim.solver import (
     COSTATE_TOL,
     LAG_BLOCK,
@@ -59,6 +60,27 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def decay(t, y):
     return -y
+
+
+def random_market(seed, n, **overrides):
+    """(cfg, x0, r0): n edge providers with random power, prices and
+    learning rate, x0 kept off the simplex's faces, r0 a random split."""
+    rng = np.random.default_rng(seed)
+    power = rng.uniform(0.5, 3.0, size=n)
+    cfg = make_config(n_ecps=n, ecp_power=power,
+                      ecp_access_price=rng.uniform(0.1, 1.0, size=n),
+                      cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
+                      learning_rate=float(rng.uniform(0.2, 3.0)), **overrides)
+    x0 = 0.8 * rng.dirichlet(np.ones(n + 1)) + 0.2 / (n + 1)
+    return cfg, x0, rng.dirichlet(np.ones(n + 1))[:n]
+
+
+def population_kernel(cfg, r0):
+    """The rank-one kernel a delayed solve_fixed steps under allocation r0."""
+    c, theta = _uptake_row(cfg, list(r0))
+    supply = provider_power(cfg, AllocationState(r0)).tolist()
+    return _rank_one_rk4(_lag_terms(cfg, supply),
+                         [cfg.learning_rate * v for v in c], theta)
 
 
 
@@ -284,13 +306,17 @@ class TestIntegrateDde:
         # written it gets a value the finished trajectory does not hold.
         blocks = []
 
-        def terms(lags):
-            blocks.append(lags.tolist())
-            return smooth_terms(lags)
+        def kernel(dt, _inner=population_kernel(make_config(), [0.1, 0.2])):
+            block = _inner(dt)
 
-        x0 = [1.0, 0.5]
-        traj = _method_of_steps(_rank_one_rk4(terms), x0, tau, (0.0, t_end),
-                                dt, simplex=False)
+            def spied(times, lags, y, settle):
+                blocks.append(lags.tolist())
+                return block(times, lags, y, settle)
+            return spied
+
+        x0 = [0.3, 0.3, 0.4]
+        traj = _method_of_steps(kernel, x0, tau, (0.0, t_end), dt,
+                                simplex=False)
         shares = traj.shares.tolist()
         steps = len(shares) - 1
         window = {0.1: 1, 0.15: 1, 0.3: 2, 0.73: 7, 1.7: 169, 3.0: 299}[tau]
@@ -317,11 +343,12 @@ class TestIntegrateDde:
         assert np.array(rows).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("route,tau", [
-        ("fixed", 0.0), ("fixed", 0.7), ("fixed", 0.73), ("fixed", 1.7),
+        ("fixed", 0.7), ("fixed", 0.73), ("fixed", 1.7),
         ("ode", 0.0), ("dde", 0.0), ("dde", 0.7)])
     def test_block_width_does_not_show(self, route, tau, monkeypatch):
         # Blocks only group steps: one step per block and LAG_BLOCK-wide
-        # blocks give the same shares, byte for byte, on every route.
+        # blocks give the same shares, byte for byte, on every route that
+        # steps in blocks (a zero-delay solve_fixed is closed form).
         scn = load_scenario(str(SCENARIOS / "scenario_delay.json"))
         cfg = dataclasses.replace(scn.cfg, population_delay=tau)
         field = ReplicatorField(cfg, AllocationState(scn.r0))
@@ -542,29 +569,26 @@ def smooth_terms(lags):
     return 1.0 + np.sin(lags) ** 2, 0.5 + 0.25 * np.cos(lags)
 
 
-def rank_one_field(t, now, lag):
-    """smooth_terms as an array field: G*(u - now . u), the mean left to right."""
-    (u,), (g,) = smooth_terms(lag[None, :])
-    mean = 0.0
-    for a, v in zip(now.tolist(), u.tolist()):
-        mean += a * v
-    return g * (u - mean)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 10])
 @pytest.mark.parametrize("tau,dt", [(0.1, 0.1), (0.37, 0.05), (2.0, 0.01)])
 def test_rank_one_map_is_the_staged_step(n, tau, dt):
-    # RK4 on x' = G*(u - x . u) with (u, G) read from the lags: the
-    # precomputed map and the four staged field calls step the same
-    # trajectory, apart by rounding only (states of order 1; some cross 0).
-    x0 = np.random.default_rng(n).uniform(0.1, 1.0, size=n)
-    mapped = _method_of_steps(_rank_one_rk4(smooth_terms), x0, tau,
+    # RK4 on the delayed population field G*(u - x . u), with (u, G) read
+    # from the lag rows (_lag_terms) of a random market: the precomputed
+    # map, which takes G*u as the constant delta*c, and the four staged
+    # field calls of integrate_dde step the same trajectory, apart by
+    # rounding only (9.3e-15 at most).  Neither side projects, so no
+    # renormalisation hides a gap; at learning rate 0.5 every share stays
+    # above 0.015 (a faster unprojected delayed run can empty a group).
+    cfg, x0, r0 = random_market(n, n)
+    cfg = dataclasses.replace(cfg, learning_rate=0.5)
+    field = ReplicatorField(cfg, AllocationState(r0))
+    mapped = _method_of_steps(population_kernel(cfg, r0), x0, tau,
                               (0.0, 3.0), dt, simplex=False)
-    staged = _method_of_steps(_staged(rank_one_field), x0, tau, (0.0, 3.0),
-                              dt, simplex=False)
+    staged = integrate_dde(field.delayed_rate, x0, tau, (0.0, 3.0), dt,
+                           simplex=False)
     np.testing.assert_allclose(mapped.shares, staged.shares, rtol=0.0,
                                atol=1e-14)
-    assert np.ptp(mapped.shares[:, 0]) > 0.01  # the field moves the state
+    assert np.ptp(mapped.shares, axis=0).max() > 0.01  # the state moves
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -572,12 +596,16 @@ def test_rank_one_map_follows_its_formula(n):
     # The block's four steps, chained through the settle pass, each row
     # against the docstring's formula applied to the row before it, in
     # Python floats with every sum over components left to right from 0.0,
-    # bit for bit: numpy would add 8 or more entries pairwise.
+    # bit for bit: numpy would add 8 or more entries pairwise.  The kernel
+    # takes source and theta as given, so made-up ones check the formula.
     rng = np.random.default_rng(40 + n)
     dt = 0.01
     lags = rng.uniform(0.1, 1.0, size=(9, n))
     y = rng.uniform(0.1, 1.0, size=n).tolist()
-    rows = _rank_one_rk4(smooth_terms)(dt)([0.0] * 5, lags, y, _check_finite)
+    source = rng.uniform(0.1, 1.0, size=n).tolist()
+    theta = float(rng.uniform(0.5, 2.0))
+    rows = _rank_one_rk4(smooth_terms, source, theta)(dt)(
+        [0.0] * 5, lags, y, _check_finite)
     assert len(rows) == 4
     u, g = (a.tolist() for a in smooth_terms(lags))
 
@@ -590,22 +618,18 @@ def test_rank_one_map_follows_its_formula(n):
     for k, row in enumerate(rows):
         u1, u2, u4 = u[2 * k], u[2 * k + 1], u[2 * k + 2]
         g1, g2, g4 = g[2 * k], g[2 * k + 1], g[2 * k + 2]
-        a12 = total((a * b) * c for a, b, c in zip(g1, u1, u2))
+        a2 = total(a * b for a, b in zip(source, u2))
         b12 = total(a * b for a, b in zip(g1, u2))
-        a22 = total((a * b) * b for a, b in zip(g2, u2))
-        b22 = total(a * b for a, b in zip(g2, u2))
-        a24 = total((a * b) * c for a, b, c in zip(g2, u2, u4))
+        a4 = total(a * c for a, c in zip(source, u4))
         b24 = total(a * c for a, c in zip(g2, u4))
         m1 = total(a * b for a, b in zip(y, u1))
         d2 = total(a * b for a, b in zip(y, u2))
-        m2 = d2 + 0.5 * dt * (a12 - m1 * b12)
-        m3 = d2 + 0.5 * dt * (a22 - m2 * b22)
-        m4 = total(a * b for a, b in zip(y, u4)) + dt * (a24 - m3 * b24)
-        c = [(dt / 6.0) * ((p * q + 4.0 * (r * s)) + v * w)
-             for p, q, r, s, v, w in zip(g1, u1, g2, u2, g4, u4)]
-        want = [v + ck - ((dt / 6.0 * m1) * p + (dt / 3.0 * (m2 + m3)) * q
-                          + (dt / 6.0 * m4) * r)
-                for v, ck, p, q, r in zip(y, c, g1, g2, g4)]
+        m2 = d2 + 0.5 * dt * (a2 - m1 * b12)
+        m3 = d2 + 0.5 * dt * (a2 - m2 * theta)
+        m4 = total(a * b for a, b in zip(y, u4)) + dt * (a4 - m3 * b24)
+        want = [v + dt * s - ((dt / 6.0 * m1) * p + (dt / 3.0 * (m2 + m3)) * q
+                              + (dt / 6.0 * m4) * r)
+                for v, s, p, q, r in zip(y, source, g1, g2, g4)]
         assert row == want
         y = row
 
@@ -1007,25 +1031,44 @@ class TestMyopicAndFixed:
     @pytest.mark.parametrize("n", [1, 2, 6, 9])
     def test_fixed_steps_the_affine_map(self, n):
         # At zero delay a step is y -> grow*y + shift*(delta*c) with
-        # (grow, shift) = _affine_rk4(-Theta, dt), then the simplex
-        # projection: bit for bit, as a plain float loop.
-        rng = np.random.default_rng(n)
-        power = rng.uniform(0.5, 3.0, size=n)
-        cfg = make_config(n_ecps=n, ecp_power=power,
-                          ecp_access_price=rng.uniform(0.1, 1.0, size=n),
-                          cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
-                          learning_rate=float(rng.uniform(0.2, 3.0)))
-        x0 = rng.dirichlet(np.ones(n + 1))
-        r0 = rng.dirichlet(np.ones(n + 1))[:n]
+        # (grow, shift) = _affine_rk4(-Theta, dt), whose fixed point is
+        # delta*c/Theta: row i is x0 + (1 - grow**i)*(delta*c/Theta - x0),
+        # bit for bit as a plain float loop, and within 1e-13 of iterating
+        # the map 500 times.
+        cfg, x0, r0 = random_market(n, n)
         traj = solve_fixed(cfg, x0, r0, (0.0, 5.0), 0.01)
         c, theta = _uptake_row(cfg, r0.tolist())
+        source = [cfg.learning_rate * v for v in c]
         grow, shift = _affine_rk4(-theta, 0.01)
-        y, want = x0.tolist(), [x0.tolist()]
+        x0 = x0.tolist()
+        assert traj.shares.tolist() == [
+            [a + (1.0 - grow ** i) * (s / theta - a)
+             for a, s in zip(x0, source)] for i in range(501)]
+        y, stepped = x0, [x0]
         for _ in range(500):
-            y = _project_simplex([grow * v + shift * (cfg.learning_rate * cs)
-                                  for v, cs in zip(y, c)])
-            want.append(y)
-        assert traj.shares.tolist() == want
+            y = [grow * v + shift * s for v, s in zip(y, source)]
+            stepped.append(y)
+        np.testing.assert_allclose(traj.shares, stepped, rtol=0.0,
+                                   atol=1e-13)
+
+    def test_zero_delay_fixed_keeps_the_simplex_unprojected(self,
+                                                            monkeypatch):
+        # The closed form is a convex combination of x0 and delta*c/Theta,
+        # so scenario_a_fixed's 5 001 rows keep every share positive and
+        # the sum within 1e-14 of 1 (2.2e-16 measured; 1.4e-14 for the
+        # projected step loop it replaced) with no projection.
+        def project(y):
+            raise AssertionError("a zero-delay fixed run projects no state")
+
+        monkeypatch.setattr(eccsim.solver, "_project_simplex", project)
+        scn = load_scenario(str(SCENARIOS / "scenario_a_fixed.json"))
+        assert scn.cfg.population_delay == 0.0
+        traj = solve_fixed(scn.cfg, scn.x0, scn.r0, (0.0, scn.cfg.horizon),
+                           scn.dt)
+        assert traj.shares.shape[0] == 5001
+        assert traj.shares.min() > 0.0
+        assert max(abs(math.fsum(row) - 1.0)
+                   for row in traj.shares.tolist()) <= 1e-14
 
     def test_fixed_dispatches_to_dde(self, x0):
         cfg = make_config(population_delay=0.5)
@@ -1076,7 +1119,7 @@ class TestMyopicAndFixed:
     def test_delayed_pass_checks_last_component(self, x0, bad, monkeypatch):
         # The rank-one kernel hands a state with the bad value last to the
         # settle pass it was given, which must still see it.
-        def kernel(terms):
+        def kernel(terms, source, theta):
             def block(times, lags, y, settle):
                 return [settle([0.0, 0.0, bad])] * (len(lags) // 2)
             return lambda dt: block
