@@ -406,8 +406,9 @@ def _method_of_steps(kernel: Callable, x0, tau: float,
     2*(e - s) + 1 lag rows: the start row, then mid-step and end-of-step
     for each step.  Step i reads the lag at grid position i - tau/dt for
     k1, i + 1/2 - tau/dt for k2 and k3 and i + 1 - tau/dt for k4.
-    Position p reads row j = max(int(p), 0) if p - j <= 0, else
-    interpolates rows j and j+1.  With e - s < tau/dt a block's rows lie
+    Position p reads row j = max(floor(p), 0) plus (p - j) times the
+    step to row max(ceil(p), 0): row j itself when p - j <= 0, since that
+    step is then zero.  With e - s < tau/dt a block's rows lie
     at or before s, the last row stored, so one numpy pass reads them;
     e - s <= LAG_BLOCK bounds its memory.  Its start row is the previous
     block's end row, read again, so kernels keep no state.  At tau = 0 no
@@ -427,8 +428,7 @@ def _method_of_steps(kernel: Callable, x0, tau: float,
         lo = np.maximum(np.floor(pos), 0.0)
         hi = np.maximum(np.ceil(pos), 0.0)
         a = out[lo.astype(int)]
-        frac = (pos - lo)[:, None]
-        return np.where(frac > 0.0, a + frac * (out[hi.astype(int)] - a), a)
+        return a + (pos - lo)[:, None] * (out[hi.astype(int)] - a)
 
     grid = times.tolist()
     settle = _project_simplex if simplex else _check_finite
