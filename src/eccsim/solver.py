@@ -89,8 +89,6 @@ __all__ = [
 MAGNITUDE_LIMIT = 1e12
 # Interior floor for population shares.
 SHARE_FLOOR = 1e-12
-# Renormalize the simplex only when the sum drifts past this.
-DRIFT_TOL = 1e-12
 # Requests are kept strictly inside [0, 1) with this margin.
 CONTROL_CAP = 1.0 - 1e-6
 # Largest grid any integrator lays out; finer grids are rejected, not allocated.
@@ -256,9 +254,7 @@ def _project_simplex(y: list[float]) -> list[float]:
         v = v if v > SHARE_FLOOR else SHARE_FLOOR
         floored.append(v)
         total += v
-    if abs(total - 1.0) > DRIFT_TOL:
-        return [v / total for v in floored]
-    return floored
+    return [v / total for v in floored]
 
 
 def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
@@ -266,10 +262,10 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
                   *, simplex: bool = False) -> Trajectory:
     """Fixed-step RK4 integration of x' = field(t, x).
 
-    With simplex=True each step is renormalized onto the simplex when the
-    sum drifts past DRIFT_TOL and floored at SHARE_FLOOR to preserve
-    interiority; population runs use this, generic test problems must not
-    (a 1-d decay would be pinned to its initial value by renormalization).
+    With simplex=True each step is floored at SHARE_FLOOR to preserve
+    interiority and renormalized onto the simplex (_project_simplex);
+    population runs use this, generic test problems must not (a 1-d decay
+    would be pinned to its initial value by renormalization).
     The steps are the staged ones of _method_of_steps at zero delay, on
     floats.
 

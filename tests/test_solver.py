@@ -861,6 +861,17 @@ class TestSweep:
                 with pytest.raises(BlowUp):
                     _project_simplex(y)
 
+    @pytest.mark.parametrize("excess", [0.0, 1e-15, 1e-13, 1e-9])
+    def test_projection_renormalises_every_state(self, excess):
+        # No drift threshold decides whether a state is renormalised: a
+        # few ulps off the simplex or far off it, each share is divided by
+        # the floored sum, added left to right.
+        y = [0.3, 0.3, 0.4 + excess]
+        total = 0.0
+        for v in y:
+            total += v
+        assert _project_simplex(y) == [v / total for v in y]
+
     def test_rejects_boundary_start(self, cfg):
         with pytest.raises(ValueError, match="x0"):
             solve_open_loop(cfg, [0.5, 0.5, 0.0], dt=0.1)
