@@ -28,16 +28,16 @@ Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
 sets the speed.  The one population loop, _method_of_steps, hands a
 stateless kernel a block of lagged states read in one numpy pass, and the
-kernel runs the block's steps.  integrate_ode and integrate_dde take RK4
-stages of their array field (_staged).  A fixed-controls run (solve_fixed)
-steps one precomputed map per step instead: _affine_rk4's at zero delay,
-the rank-one _rank_one_rk4 when delayed.  The sweep's fields are affine
-too, so its RK4 step is one _affine_rk4 map per interval, and its forward
-pass is bound to (cfg, grid) once per solve (_forward_map).  That map
-keeps the simplex by construction (S*Theta = 1 - R, and R, S > 0 within
-check_stability's bound), so the sweep settles each step by the finite
-check alone; _project_simplex settles integrate_ode and integrate_dde with
-simplex=True and every fixed-controls run.  Step and
+kernel runs the block's steps: _staged, the RK4 stages of integrate_ode's
+and integrate_dde's array field, or _rank_one_rk4, one precomputed map
+per step of a delayed fixed-controls run (solve_fixed).  At zero delay
+that run is _affine_rk4's map in closed form.  The sweep's fields are
+affine too, so its RK4 step is one _affine_rk4 map per interval, and its
+forward pass is bound to (cfg, grid) once per solve (_forward_map).  That
+map keeps the simplex by construction (S*Theta = 1 - R, and R, S > 0
+within check_stability's bound), so the sweep settles each step by the
+finite check alone; _project_simplex settles only delayed fixed-controls
+runs and integrate_ode and integrate_dde with simplex=True.  Step and
 field loops append instead of using comprehensions, which only Python 3.12
 inlines (PEP 709).  Every sum over providers, the simplex sums of x0 and
 of each step included, runs left to right (model._left_sum).
@@ -246,7 +246,7 @@ def _check_finite(y: list[float]) -> list[float]:
 
 
 def _project_simplex(y: list[float]) -> list[float]:
-    """_check_finite, floor at SHARE_FLOOR and renormalise, in one pass."""
+    """_check_finite, floor at SHARE_FLOOR and renormalise always, in one pass."""
     floored, total = [], 0.0
     for v in y:
         if not abs(v) <= MAGNITUDE_LIMIT:  # checked before the floor
@@ -328,30 +328,26 @@ def _rank_one_rk4(terms: Callable, source: list[float],
     """Delayed _method_of_steps kernel of x' = G*(u - x . u) by RK4 maps.
 
     (u, G) = terms(lags) are read from the lag rows alone (for the
-    population, replicator._lag_terms), and G*u is the constant `source`
-    in every row, summing to `theta`: for the population, delta*c and
-    Theta of model._uptake, since the share in G cancels the one dividing
-    u (ReplicatorField).  Under a fixed lag row the field is affine in the
-    state with a rank-one slope, so, as for _affine_rk4, the RK4 step is a
-    map computed ahead.  With rows 1 (start: k1, the previous step's end
-    row), 2 (mid: k2, k3) and 4 (end: k4), a stage at state z has velocity
-    source - G_j*(z . u_j), and its mean m_j = z . u_j follows from the
-    step's start y and four sums of lag terms:
+    population, replicator._lag_terms), and G*u is the same vector
+    `source` in every row, summing to `theta` (for the population delta*c
+    and Theta: the share in G cancels the one in u, see ReplicatorField).
+    Under a fixed lag row the field is affine in the state with a rank-one
+    slope, so, as for _affine_rk4, the RK4 step is a map computed ahead.
+    With rows 1 (start: k1, the previous step's end row), 2 (mid: k2, k3)
+    and 4 (end: k4), a stage at state z has velocity source - G_j*(z . u_j),
+    and its mean m_j = z . u_j follows from the step's start y:
       m1 = y.u1,  m2 = y.u2 + h/2 (A2 - m1 B12),
       m3 = y.u2 + h/2 (A2 - m2 theta),  m4 = y.u4 + h (A4 - m3 B24),
       y' = y + h source - (h/6 G1 m1 + h/3 G2 (m2 + m3) + h/6 G4 m4),
     A2 = sum source u2, A4 = sum source u4, B12 = sum G1 u2, B24 = sum G2 u4.
-    Each block builds the sums in two numpy passes, one for the A and one
-    for the B, each one column at a time, left to right (the bits of
-    model._running_total); one loop then runs the steps, each taking its
-    three dots in one float loop.  Delayed runs only: at zero delay the
-    lag is the stage state, not affine in it.
+    Per block one numpy pass builds the A and one the B, adding a column
+    at a time, left to right (the bits of model._running_total); one loop
+    then runs the steps, each taking its three dots in one float loop.
+    Delayed runs only: at zero delay the lag is the stage state.
     """
-    weights = np.array(source)
-
     def kernel(dt):
         half, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
-        shift = [dt * v for v in source]
+        h_source, source_row = [dt * v for v in source], np.array(source)
 
         def across(v):
             """Row sums of v, one column at a time, left to right."""
@@ -365,7 +361,7 @@ def _rank_one_rk4(terms: Callable, source: list[float],
             # Rows alternate start/end and mid: row r against u of row
             # r+1 gives A2, B12 at even r and A4, B24 at odd r.
             after = u[1:]
-            a, b = across(weights * after), across(g[:-1] * after)
+            a, b = across(source_row * after), across(g[:-1] * after)
             u, g, rows = u.tolist(), g.tolist(), []
             for u1, u2, u4, g1, g2, g4, a2, b12, a4, b24 in zip(
                     u[:-1:2], u[1::2], u[2::2], g[:-1:2], g[1::2], g[2::2],
@@ -380,8 +376,8 @@ def _rank_one_rk4(terms: Callable, source: list[float],
                 m4 = d4 + dt * (a4 - m3 * b24)
                 w1, w2, w4 = sixth * m1, third * (m2 + m3), sixth * m4
                 nxt = []
-                for v, ck, p, q, r in zip(y, shift, g1, g2, g4):
-                    nxt.append(v + ck - (w1 * p + w2 * q + w4 * r))
+                for v, hs, p, q, r in zip(y, h_source, g1, g2, g4):
+                    nxt.append(v + hs - (w1 * p + w2 * q + w4 * r))
                 y = settle(nxt)
                 rows.append(y)
             return rows
@@ -402,14 +398,13 @@ def _method_of_steps(kernel: Callable, x0, tau: float,
     2*(e - s) + 1 lag rows: the start row, then mid-step and end-of-step
     for each step.  Step i reads the lag at grid position i - tau/dt for
     k1, i + 1/2 - tau/dt for k2 and k3 and i + 1 - tau/dt for k4.
-    Position p reads row j = max(floor(p), 0) plus (p - j) times the
-    step to row max(ceil(p), 0): row j itself when p - j <= 0, since that
-    step is then zero.  With e - s < tau/dt a block's rows lie
-    at or before s, the last row stored, so one numpy pass reads them;
-    e - s <= LAG_BLOCK bounds its memory.  Its start row is the previous
-    block's end row, read again, so kernels keep no state.  At tau = 0 no
-    row is read, block gets lags None, and blocks are LAG_BLOCK steps
-    wide.  Raises as integrate_dde.
+    Position p reads row j = max(floor(p), 0) plus (p - j) times the step
+    to row max(ceil(p), 0), a zero step if p - j <= 0.  With e - s <
+    tau/dt a block's rows lie at or before s, the last row stored, so one
+    numpy pass reads them; e - s <= LAG_BLOCK bounds its memory.  Its
+    start row is the previous block's end row, read again, so kernels keep
+    no state.  At tau = 0 no row is read, block gets lags None, and blocks
+    are LAG_BLOCK steps wide.  Raises as integrate_dde.
     """
     check_delay(tau, dt)
     times = _make_grid(t_span, dt)
@@ -719,17 +714,15 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
                 dt: float) -> Trajectory:
     """Population run under a frozen allocation and zero cloud price.
 
-    Honors cfg.population_delay with constant prehistory x0.  The field is
-    x' = delta*c - Theta*x at zero delay (see ReplicatorField), so RK4's
-    step is _affine_rk4's map y -> R*y + S*delta*c, the sweep's step
-    (_forward_map) under one allocation, whose fixed point is delta*c/Theta
-    (S*Theta = 1 - R): step i lands on x0 + (1 - R**i)*(delta*c/Theta - x0)
-    in closed form, a convex combination of x0 and the equilibrium, so
-    every share stays positive and the sum at 1 with no projection.
-    Delayed, each step is the rank-one map over the field's lag terms
-    (_rank_one_rk4, _lag_terms), projected onto the simplex.  These are
-    the RK4 steps of a ReplicatorField's integrate_ode(field.rate, ..,
-    simplex=True) or integrate_dde(field.delayed_rate, ..), summed in
+    Honors cfg.population_delay with constant prehistory x0.  At zero
+    delay the field is x' = delta*c - Theta*x (see ReplicatorField), and
+    RK4's step, the sweep's _affine_rk4 map y -> R*y + S*delta*c under one
+    allocation, has the fixed point delta*c/Theta (S*Theta = 1 - R): step
+    i is x0 + (1 - R**i)*(delta*c/Theta - x0), a convex combination that
+    keeps the simplex unprojected.  Delayed, each step is the projected
+    rank-one map over the field's lag terms (_rank_one_rk4, _lag_terms).
+    These are the RK4 steps of a ReplicatorField's integrate_ode(field.rate,
+    .., simplex=True) or integrate_dde(field.delayed_rate, ..), summed in
     another order: the shares agree to rounding, not bit for bit.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))

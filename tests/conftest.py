@@ -35,6 +35,19 @@ def make_big_cloud_config(**overrides) -> SystemConfig:
     return make_config(**kwargs)
 
 
+def random_market(seed, n, **overrides):
+    """(cfg, x0, r0): n edge providers with random power, prices and
+    learning rate, x0 kept off the simplex's faces, r0 a random split."""
+    rng = np.random.default_rng(seed)
+    power = rng.uniform(0.5, 3.0, size=n)
+    cfg = make_config(n_ecps=n, ecp_power=power,
+                      ecp_access_price=rng.uniform(0.1, 1.0, size=n),
+                      cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
+                      learning_rate=float(rng.uniform(0.2, 3.0)), **overrides)
+    x0 = 0.8 * rng.dirichlet(np.ones(n + 1)) + 0.2 / (n + 1)
+    return cfg, x0, rng.dirichlet(np.ones(n + 1))[:n]
+
+
 def uptake_reference(cfg: SystemConfig, requests: np.ndarray):
     """Uptake c_s = beta*w_s/(K p_s) and Theta = delta*sum_s c_s over arrays.
 

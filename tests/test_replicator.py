@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_config
+from conftest import make_config, random_market
 
 import eccsim.model
 import eccsim.replicator
@@ -269,18 +269,12 @@ class TestReplicatorField:
         # every row, whatever the lag: the identity the solver's rank-one
         # map takes as a constant.  Both sides round a few operations
         # apart: within 8 units in the last place (4 measured).
-        rng = np.random.default_rng(70 + n)
-        power = rng.uniform(0.5, 3.0, size=n)
-        cfg = make_config(n_ecps=n, ecp_power=power,
-                          ecp_access_price=rng.uniform(0.1, 1.0, size=n),
-                          cloud_power=float(power.max() * rng.uniform(1, 4)),
-                          learning_rate=float(rng.uniform(0.2, 3.0)))
-        r0 = rng.dirichlet(np.ones(n + 1))[:n]
+        cfg, _, r0 = random_market(70 + n, n)
         c, _ = _uptake(cfg)(r0.tolist())
         source = cfg.learning_rate * np.array(c)
         supply = provider_power(cfg, AllocationState(r0)).tolist()
-        u, g = _lag_terms(cfg, supply)(rng.dirichlet(np.ones(n + 1),
-                                                     size=200))
+        lags = np.random.default_rng(n).dirichlet(np.ones(n + 1), size=200)
+        u, g = _lag_terms(cfg, supply)(lags)
         assert np.all(np.abs(g * u - source) <= 8.0 * np.spacing(source))
 
     def test_field_binds_its_lag_terms_once(self, cfg, x0, monkeypatch):

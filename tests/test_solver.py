@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_big_cloud_config, make_config, uptake_reference
+from conftest import (make_big_cloud_config, make_config, random_market,
+                      uptake_reference)
 
 import eccsim.solver
 from eccsim.cli import _delay_verdict, load_scenario
@@ -60,19 +61,6 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def decay(t, y):
     return -y
-
-
-def random_market(seed, n, **overrides):
-    """(cfg, x0, r0): n edge providers with random power, prices and
-    learning rate, x0 kept off the simplex's faces, r0 a random split."""
-    rng = np.random.default_rng(seed)
-    power = rng.uniform(0.5, 3.0, size=n)
-    cfg = make_config(n_ecps=n, ecp_power=power,
-                      ecp_access_price=rng.uniform(0.1, 1.0, size=n),
-                      cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
-                      learning_rate=float(rng.uniform(0.2, 3.0)), **overrides)
-    x0 = 0.8 * rng.dirichlet(np.ones(n + 1)) + 0.2 / (n + 1)
-    return cfg, x0, rng.dirichlet(np.ones(n + 1))[:n]
 
 
 def population_kernel(cfg, r0):
@@ -1066,7 +1054,7 @@ class TestMyopicAndFixed:
                                                             monkeypatch):
         # The closed form is a convex combination of x0 and delta*c/Theta,
         # so scenario_a_fixed's 5 001 rows keep every share positive and
-        # the sum within 1e-14 of 1 (2.2e-16 measured; 1.4e-14 for the
+        # the sum within 1e-14 of 1 (1.1e-16 measured; 1.4e-14 for the
         # projected step loop it replaced) with no projection.
         def project(y):
             raise AssertionError("a zero-delay fixed run projects no state")
@@ -1099,15 +1087,7 @@ class TestMyopicAndFixed:
         # on the field, one lag row per call, to DDE_AGREEMENT (DDE_AT_FLOOR
         # once a share sinks to the floor), whether or not tau is a multiple
         # of dt.  Past the delay bound some runs blow up; then both must.
-        rng = np.random.default_rng(seed)
-        power = rng.uniform(0.5, 3.0, size=n)
-        cfg = make_config(n_ecps=n, ecp_power=power,
-                          ecp_access_price=rng.uniform(0.1, 1.0, size=n),
-                          cloud_power=float(power.max() * rng.uniform(1.0, 4.0)),
-                          learning_rate=float(rng.uniform(0.2, 3.0)),
-                          population_delay=tau)
-        x0 = 0.8 * rng.dirichlet(np.ones(n + 1)) + 0.2 / (n + 1)
-        r0 = rng.dirichlet(np.ones(n + 1))[:n]
+        cfg, x0, r0 = random_market(seed, n, population_delay=tau)
         field = ReplicatorField(cfg, AllocationState(r0))
 
         def shares(run):
@@ -1143,7 +1123,7 @@ class TestMyopicAndFixed:
     def test_delayed_pass_matches_dde_over_the_shipped_sweep(self, tau):
         # The delay sweep of scenario_delay over its whole horizon (3 000
         # steps): the map and the staged steps stay within 1e-13 of each
-        # other (7.6e-15 measured), and the CLI reads the same verdict.
+        # other (6.8e-15 measured), and the CLI reads the same verdict.
         scn = load_scenario(str(SCENARIOS / "scenario_delay.json"))
         cfg = dataclasses.replace(scn.cfg, population_delay=tau)
         fast = solve_fixed(cfg, scn.x0, scn.r0, (0.0, 30.0), 0.01)
