@@ -96,7 +96,7 @@ class ReplicatorField:
     public vector field.  The supply w is fixed per field and computed
     once (`supply`), and so are the lag terms the field reads (_lag_terms).
     Integrators take `rate` or `delayed_rate` (the time argument is
-    unused); `solve_fixed` steps the same terms itself.
+    unused); a delayed `solve_fixed` steps the same terms itself.
     """
 
     cfg: SystemConfig

@@ -650,9 +650,10 @@ def test_bench_tracer_hooks_bind(tmp_path):
     # by attribute from outside the package; a renamed hook crashes it, and
     # so does a cli.solve_open_loop that returns anything but the pair
     # (trajectory, report) the tracer unpacks, on compare and sweep alike.
-    # A fixed-controls run, delayed or not, steps a precomputed RK4 map
-    # per step in solver._method_of_steps and calls neither integrate_dde
-    # nor ReplicatorField.delayed_rate; the tracer must still run it.
+    # A fixed-controls run steps a precomputed RK4 map per step in
+    # solver._method_of_steps when delayed, and is closed form when not; it
+    # calls neither integrate_dde nor ReplicatorField.delayed_rate, and the
+    # tracer must still run it.
     # compare makes one solve per learning rate: its ssec rows come from
     # the olsec sweeps.
     root = Path(__file__).resolve().parent.parent

@@ -1016,8 +1016,8 @@ class TestMyopicAndFixed:
         assert abs(traj.prices[0] - myopic.prices[0]) > 0.01
 
     def test_fixed_matches_plain_integration(self, cfg, x0):
-        # The affine map and the staged field sum RK4 in another order:
-        # 9.9e-15 apart over these 500 steps.
+        # The closed form of the affine map and the staged field's RK4
+        # steps round apart: 2.8e-16 over these 500 steps.
         r0 = [0.1, 0.2]
         traj = solve_fixed(cfg, x0, r0, (0.0, 5.0), 0.01)
         field = ReplicatorField(cfg, AllocationState(r0))
