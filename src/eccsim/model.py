@@ -285,7 +285,8 @@ def _uptake(cfg: SystemConfig) -> Callable:
             c.append(u)
             sum_r += r
             sum_c += u
-        u = scale * (r_c * max(1.0 - sum_r, 0.0)) / p_c
+        rem = 1.0 - sum_r  # clamped as max would, NaN kept
+        u = scale * (r_c * (0.0 if rem < 0.0 else rem)) / p_c
         c.append(u)
         return c, delta * (sum_c + u)
     return uptake

@@ -27,10 +27,11 @@ kernel of `eccsim.stackelberg`, and supply, Theta and payoffs from
 Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
 sets the speed.  The one population loop, _method_of_steps, hands a
-stateless kernel a block of lagged states read in one numpy pass, and the
-kernel runs the block's steps: _staged, the RK4 stages of integrate_ode's
-and integrate_dde's array field, or _rank_one_rk4, one precomputed map
-per step of a delayed fixed-controls run (solve_fixed).  At zero delay
+stateless block function the lagged states of up to LAG_BLOCK steps, read
+in one numpy pass, and the block runs those steps: _staged, the RK4
+stages of integrate_ode's and integrate_dde's array field, or
+_rank_one_rk4, one map per step of a delayed fixed-controls run
+(solve_fixed), its sums taken in the step's own float loop.  At zero delay
 that run is _affine_rk4's map in closed form.  The sweep's fields are
 affine too, so its RK4 step is one _affine_rk4 map per interval, and its
 forward pass is bound to (cfg, grid) once per solve (_forward_map).  That
@@ -93,7 +94,7 @@ SHARE_FLOOR = 1e-12
 CONTROL_CAP = 1.0 - 1e-6
 # Largest grid any integrator lays out; finer grids are rejected, not allocated.
 MAX_GRID_STEPS = 10**6
-# Most steps in one kernel block, whose lag rows are read in one numpy pass.
+# Most steps in one _method_of_steps block, whose lag rows are read in one pass.
 LAG_BLOCK = 256
 # RK4 is stable on y' = a*y, a < 0, while -a*dt stays below this root of
 # R(z) = 1 (R: _affine_rk4's polynomial): its real stability interval.
@@ -273,12 +274,12 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
         BlowUp: a state magnitude exceeded MAGNITUDE_LIMIT or went non-finite.
         ValueError: `field` returned anything but a vector as long as the state.
     """
-    return _method_of_steps(_staged(lambda t, now, lag: field(t, now)),
+    return _method_of_steps(_staged(lambda t, now, lag: field(t, now), dt),
                             x0, 0.0, t_span, dt, simplex=simplex)
 
 
-def _staged(field: Callable[..., np.ndarray]) -> Callable:
-    """Array field f(t, now, lag) as a _method_of_steps kernel of RK4 stages.
+def _staged(field: Callable[..., np.ndarray], dt: float) -> Callable:
+    """Array field f(t, now, lag) as the _method_of_steps block of RK4 stages.
 
     Step j of a block runs from times[j] to t = times[j+1] over lag rows
     2j (start), 2j+1 (mid) and 2j+2 (end); the lag is the stage itself
@@ -286,46 +287,44 @@ def _staged(field: Callable[..., np.ndarray]) -> Callable:
     k2 and k3 at t - dt/2, row 2j+1 and the built stages y + dt/2*k1,
     y + dt/2*k2, and k4 at t, row 2j+2 and y + dt*k3: four field calls per
     step, each stage built as a list, then handed to `field` as an array.
-    The next step starts from the settled RK4 sum.  The only kernel that
+    The next step starts from the settled RK4 sum.  The only block that
     reads `times`.
 
     Raises:
         ValueError: `field` returned anything but a vector as long as the state.
     """
-    def kernel(dt):
-        half, sixth = 0.5 * dt, dt / 6.0
+    half, sixth = 0.5 * dt, dt / 6.0
 
-        def rate(t, lag, base, slope, h):
-            """Velocity at row (t, lag) of the state base + h*slope."""
-            now = np.array([a + h * k for a, k in zip(base, slope)])
-            out = np.asarray(field(t, now, now if lag is None else lag))
-            if out.shape != (len(base),):
-                raise ValueError(
-                    "field: must return a vector as long as the state")
-            return out.tolist()
+    def rate(t, lag, base, slope, h):
+        """Velocity at row (t, lag) of the state base + h*slope."""
+        now = np.array([a + h * k for a, k in zip(base, slope)])
+        out = np.asarray(field(t, now, now if lag is None else lag))
+        if out.shape != (len(base),):
+            raise ValueError(
+                "field: must return a vector as long as the state")
+        return out.tolist()
 
-        def block(times, lags, y, settle):
-            rows = []
-            lags = [None] * (2 * len(times) - 1) if lags is None else lags
-            for j, t in enumerate(times[1:]):
-                mid = lags[2 * j + 1]
-                k1 = rate(times[j], lags[2 * j], y, y, 0.0)
-                k2 = rate(t - half, mid, y, k1, half)
-                k3 = rate(t - half, mid, y, k2, half)
-                k4 = rate(t, lags[2 * j + 2], y, k3, dt)
-                nxt = []
-                for v, a, b, c, d in zip(y, k1, k2, k3, k4):
-                    nxt.append(v + sixth * (a + 2.0 * b + 2.0 * c + d))
-                y = settle(nxt)
-                rows.append(y)
-            return rows
-        return block
-    return kernel
+    def block(times, lags, y, settle):
+        rows = []
+        lags = [None] * (2 * len(times) - 1) if lags is None else lags
+        for j, t in enumerate(times[1:]):
+            mid = lags[2 * j + 1]
+            k1 = rate(times[j], lags[2 * j], y, y, 0.0)
+            k2 = rate(t - half, mid, y, k1, half)
+            k3 = rate(t - half, mid, y, k2, half)
+            k4 = rate(t, lags[2 * j + 2], y, k3, dt)
+            nxt = []
+            for v, a, b, c, d in zip(y, k1, k2, k3, k4):
+                nxt.append(v + sixth * (a + 2.0 * b + 2.0 * c + d))
+            y = settle(nxt)
+            rows.append(y)
+        return rows
+    return block
 
 
-def _rank_one_rk4(terms: Callable, source: list[float],
-                  theta: float) -> Callable:
-    """Delayed _method_of_steps kernel of x' = G*(u - x . u) by RK4 maps.
+def _rank_one_rk4(terms: Callable, source: list[float], theta: float,
+                  dt: float) -> Callable:
+    """Delayed _method_of_steps block of x' = G*(u - x . u) by RK4 maps.
 
     (u, G) = terms(lags) are read from the lag rows alone (for the
     population, replicator._lag_terms), and G*u is the same vector
@@ -340,76 +339,68 @@ def _rank_one_rk4(terms: Callable, source: list[float],
       m3 = y.u2 + h/2 (A2 - m2 theta),  m4 = y.u4 + h (A4 - m3 B24),
       y' = y + h source - (h/6 G1 m1 + h/3 G2 (m2 + m3) + h/6 G4 m4),
     A2 = sum source u2, A4 = sum source u4, B12 = sum G1 u2, B24 = sum G2 u4.
-    Per block one numpy pass builds the A and one the B, adding a column
-    at a time, left to right (the bits of model._running_total); one loop
-    then runs the steps, each taking its three dots in one float loop.
-    Delayed runs only: at zero delay the lag is the stage state.
+    Each step takes these four sums and its three dots in one float loop,
+    every sum from 0.0, left to right.  Delayed runs only: at zero delay
+    the lag is the stage state.
     """
-    def kernel(dt):
-        half, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
-        h_source, source_row = [dt * v for v in source], np.array(source)
+    half, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
+    h_source = [dt * v for v in source]
 
-        def across(v):
-            """Row sums of v, one column at a time, left to right."""
-            total = v[:, 0]
-            for k in range(1, v.shape[1]):
-                total = total + v[:, k]
-            return total.tolist()
-
-        def block(times, lags, y, settle):
-            u, g = terms(lags)
-            # Rows alternate start/end and mid: row r against u of row
-            # r+1 gives A2, B12 at even r and A4, B24 at odd r.
-            after = u[1:]
-            a, b = across(source_row * after), across(g[:-1] * after)
-            u, g, rows = u.tolist(), g.tolist(), []
-            for u1, u2, u4, g1, g2, g4, a2, b12, a4, b24 in zip(
-                    u[:-1:2], u[1::2], u[2::2], g[:-1:2], g[1::2], g[2::2],
-                    a[::2], b[::2], a[1::2], b[1::2]):
-                m1 = d2 = d4 = 0.0
-                for v, p, q, r in zip(y, u1, u2, u4):
-                    m1 += v * p
-                    d2 += v * q
-                    d4 += v * r
-                m2 = d2 + half * (a2 - m1 * b12)
-                m3 = d2 + half * (a2 - m2 * theta)
-                m4 = d4 + dt * (a4 - m3 * b24)
-                w1, w2, w4 = sixth * m1, third * (m2 + m3), sixth * m4
-                nxt = []
-                for v, hs, p, q, r in zip(y, h_source, g1, g2, g4):
-                    nxt.append(v + hs - (w1 * p + w2 * q + w4 * r))
-                y = settle(nxt)
-                rows.append(y)
-            return rows
-        return block
-    return kernel
+    def block(times, lags, y, settle):
+        u, g = terms(lags)
+        u, g, rows = u.tolist(), g.tolist(), []
+        for u1, u2, u4, g1, g2, g4 in zip(
+                u[:-1:2], u[1::2], u[2::2], g[:-1:2], g[1::2], g[2::2]):
+            m1 = d2 = d4 = a2 = b12 = a4 = b24 = 0.0
+            for v, s, p, q, r, e1, e2 in zip(y, source, u1, u2, u4, g1, g2):
+                m1 += v * p
+                d2 += v * q
+                d4 += v * r
+                a2 += s * q
+                b12 += e1 * q
+                a4 += s * r
+                b24 += e2 * r
+            m2 = d2 + half * (a2 - m1 * b12)
+            m3 = d2 + half * (a2 - m2 * theta)
+            m4 = d4 + dt * (a4 - m3 * b24)
+            w1, w2, w4 = sixth * m1, third * (m2 + m3), sixth * m4
+            nxt = []
+            for v, hs, p, q, r in zip(y, h_source, g1, g2, g4):
+                nxt.append(v + hs - (w1 * p + w2 * q + w4 * r))
+            y = settle(nxt)
+            rows.append(y)
+        return rows
+    return block
 
 
-def _method_of_steps(kernel: Callable, x0, tau: float,
+def _method_of_steps(block: Callable, x0, tau: float,
                      t_span: tuple[float, float], dt: float,
                      *, simplex: bool) -> Trajectory:
     """RK4 steps of x'(t) = f(t, x(t), x(t - tau)) over float lists.
 
-    kernel(dt) returns block(times, lags, y, settle), which runs steps
-    s..e-1 from y, the state at s, passing each new state through `settle`
-    (one pass that checks it and, with simplex, projects it) before the
-    next step starts from it, and returns the e - s settled states.
-    `times` holds the block's e - s + 1 grid times, `lags` their
-    2*(e - s) + 1 lag rows: the start row, then mid-step and end-of-step
-    for each step.  Step i reads the lag at grid position i - tau/dt for
-    k1, i + 1/2 - tau/dt for k2 and k3 and i + 1 - tau/dt for k4.
-    Position p reads row j = max(floor(p), 0) plus (p - j) times the step
-    to row max(ceil(p), 0), a zero step if p - j <= 0.  With e - s <
-    tau/dt a block's rows lie at or before s, the last row stored, so one
-    numpy pass reads them; e - s <= LAG_BLOCK bounds its memory.  Its
-    start row is the previous block's end row, read again, so kernels keep
-    no state.  At tau = 0 no row is read, block gets lags None, and blocks
-    are LAG_BLOCK steps wide.  Raises as integrate_dde.
+    block(times, lags, y, settle) runs steps s..e-1 from y, the state at
+    s, passing each new state through `settle` (one pass that checks it
+    and, with simplex, projects it) before the next step starts from it,
+    and returns the e - s settled states: _staged or _rank_one_rk4, built
+    for this run's dt.  `times` holds the block's e - s + 1 grid times,
+    `lags` their 2*(e - s) + 1 lag rows: the start row, then mid-step and
+    end-of-step for each step.  Step i reads the lag at grid position
+    i - tau/dt for k1, i + 1/2 - tau/dt for k2 and k3 and i + 1 - tau/dt
+    for k4.  Position p reads row j = max(floor(p), 0) plus (p - j) times
+    the step to row max(ceil(p), 0), a zero step if p - j <= 0.  A delay
+    past the run reads x0 everywhere, so tau/dt is capped at the step
+    count plus one, which keeps it finite.  With e - s < tau/dt a block's
+    rows lie at or before s, the last row stored, so one numpy pass reads
+    them; e - s <= LAG_BLOCK bounds its memory.  Its start row is the
+    previous block's end row, read again, so blocks keep no state.  At
+    tau = 0 no row is read, block gets lags None, and blocks are
+    LAG_BLOCK steps wide.  Raises as integrate_dde.
     """
     check_delay(tau, dt)
     times = _make_grid(t_span, dt)
     x0 = np.asarray(x0, dtype=float).tolist()
-    shift, steps = tau / dt, times.shape[0] - 1
+    steps = times.shape[0] - 1
+    shift = min(tau / dt, steps + 1.0)
     out = np.empty((steps + 1, len(x0)))
     out[0] = y = x0
 
@@ -424,7 +415,6 @@ def _method_of_steps(kernel: Callable, x0, tau: float,
     grid = times.tolist()
     settle = _project_simplex if simplex else _check_finite
     width = min(max(math.ceil(shift) - 1, 1), LAG_BLOCK) if shift else LAG_BLOCK
-    block = kernel(dt)
     for s in range(0, steps, width):
         e = min(s + width, steps)
         rows = block(grid[s:e + 1], read(s, e) if shift else None, y, settle)
@@ -450,7 +440,7 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
             would outrun the buffer); `field` as for integrate_ode.
         BlowUp: as for integrate_ode.
     """
-    return _method_of_steps(_staged(field), x0, tau, t_span, dt,
+    return _method_of_steps(_staged(field, dt), x0, tau, t_span, dt,
                             simplex=simplex)
 
 
@@ -734,8 +724,8 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
     x0 = _initial_shares(cfg, x0)
     if tau:
         traj = _method_of_steps(
-            _rank_one_rk4(_lag_terms(cfg, supply), source, theta), x0, tau,
-            t_span, dt, simplex=True)
+            _rank_one_rk4(_lag_terms(cfg, supply), source, theta, dt), x0,
+            tau, t_span, dt, simplex=True)
     else:
         times = _make_grid(t_span, dt)
         grow = _affine_rk4(-theta, dt)[0]

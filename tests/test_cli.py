@@ -558,6 +558,18 @@ class TestSweep:
         assert [line.split(",")[-1] for line in lines[1:]] == [
             "indeterminate", "indeterminate"]
 
+    def test_delay_past_float_range(self, tmp_path):
+        # tau/dt overflows at tau = 1e307; a delay past the run reads x0
+        # at every lag, so the row matches the one at tau = 2T.
+        scenario = write_scenario(tmp_path, population_delay=0.7,
+                                  horizon=3.0, r0=[0.1, 0.2])
+        out = tmp_path / "swp"
+        assert main(["sweep", scenario, "--param", "tau_x",
+                     "--values", "1e307,6", "--out", str(out)]) == 0
+        far, twice = [line.split(",")[1:]
+                      for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert far == twice
+
     def test_tau_requires_fixed_controls(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, scheme="ssec")
         code = main(["sweep", scenario, "--param", "tau_x",

@@ -337,6 +337,23 @@ def test_uptake_row_matches_uptake(n, seed):
         assert ess.shares.shares.tolist() == (c / common).tolist()
 
 
+@pytest.mark.parametrize("requests", [[np.nan, 0.2], [0.7, 0.6]],
+                         ids=["nan", "excess"])
+def test_uptake_clamp_keeps_nan_and_zeroes_excess(requests):
+    # The cloud remainder is clamped by comparison: a NaN request gives a
+    # NaN Theta, a request sum above 1 a zero cloud uptake, both bit for
+    # bit as the array formula's np.maximum.
+    cfg = make_config()
+    c_row, theta_row = _uptake_row(cfg, requests)
+    c, theta_arr = uptake_reference(cfg, np.array(requests))
+    assert np.array(c_row).tobytes() == c.tobytes()
+    assert np.float64(theta_row).tobytes() == theta_arr.tobytes()
+    if np.isnan(requests[0]):
+        assert np.isnan(theta_row)
+    else:
+        assert c_row[-1] == 0.0
+
+
 def uptake_row_comprehensions(cfg, requests):
     """model._uptake_row as it was spelled before its one-loop form."""
     power, prices = cfg.float_vectors

@@ -205,7 +205,7 @@ class TestReplicatorField:
         lags = rng.dirichlet(np.ones(n + 1), size=5)
         dt = 0.01
         y = rng.dirichlet(np.ones(n + 1)).tolist()
-        rows = _staged(field.delayed_rate)(dt)([0.0] * 3, lags, y,
+        rows = _staged(field.delayed_rate, dt)([0.0] * 3, lags, y,
                                                _check_finite)
         assert len(rows) == 2
 

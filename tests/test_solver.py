@@ -63,12 +63,12 @@ def decay(t, y):
     return -y
 
 
-def population_kernel(cfg, r0):
-    """The rank-one kernel a delayed solve_fixed steps under allocation r0."""
+def population_block(cfg, r0, dt):
+    """The rank-one block a delayed solve_fixed steps under allocation r0."""
     c, theta = _uptake_row(cfg, list(r0))
     supply = provider_power(cfg, AllocationState(r0)).tolist()
     return _rank_one_rk4(_lag_terms(cfg, supply),
-                         [cfg.learning_rate * v for v in c], theta)
+                         [cfg.learning_rate * v for v in c], theta, dt)
 
 
 
@@ -187,6 +187,20 @@ class TestIntegrateDde:
         with pytest.raises(ValueError, match="^tau: must be nonnegative$"):
             integrate_dde(lambda t, y, z: -z, [1.0], -0.5, (0.0, 1.0), 0.01)
 
+    def test_delay_past_the_run_reads_x0(self, x0):
+        # At tau = 1e308, tau/dt overflows to inf.  Any delay past the run
+        # reads x0 at every lag, as tau = 2T does: both give the same
+        # bytes, through integrate_dde and a delayed solve_fixed alike.
+        def run(tau):
+            cfg = make_config(population_delay=tau)
+            field = ReplicatorField(cfg, AllocationState([0.1, 0.2]))
+            return [integrate_dde(field.delayed_rate, x0, tau, (0.0, 3.0),
+                                  0.01).shares.tobytes(),
+                    solve_fixed(cfg, x0, [0.1, 0.2], (0.0, 3.0),
+                                0.01).shares.tobytes()]
+
+        assert run(1e308) == run(6.0)
+
     def test_zero_delay_reads_only_stored_rows(self):
         # At tau = 0 x(t - tau) is x(t): every RK4 stage hands the state its
         # field is called at as its lag, so no stored row is read and no lag
@@ -199,8 +213,8 @@ class TestIntegrateDde:
             calls.append((lag.tolist(), now.tolist()))
             return -0.1 * now
 
-        _method_of_steps(_staged(field), [0.3, 0.7], 0.0, (0.0, 30.0), 0.01,
-                         simplex=False)
+        _method_of_steps(_staged(field, 0.01), [0.3, 0.7], 0.0, (0.0, 30.0),
+                         0.01, simplex=False)
         assert len(calls) == 4 * 3000
         assert all(lag == now for lag, now in calls)
 
@@ -209,15 +223,13 @@ class TestIntegrateDde:
         # wide: 3000 steps make 11 full blocks and one of 184.
         widths = []
 
-        def kernel(dt, _inner=_staged(lambda t, now, lag: -0.1 * now)):
-            block = _inner(dt)
+        block = _staged(lambda t, now, lag: -0.1 * now, 0.01)
 
-            def counted(times, lags, y, settle):
-                widths.append(len(times) - 1)
-                return block(times, lags, y, settle)
-            return counted
+        def counted(times, lags, y, settle):
+            widths.append(len(times) - 1)
+            return block(times, lags, y, settle)
 
-        _method_of_steps(kernel, [0.3, 0.7], 0.0, (0.0, 30.0), 0.01,
+        _method_of_steps(counted, [0.3, 0.7], 0.0, (0.0, 30.0), 0.01,
                          simplex=False)
         assert widths == [LAG_BLOCK] * (3000 // LAG_BLOCK) + [
             3000 % LAG_BLOCK]
@@ -237,7 +249,7 @@ class TestIntegrateDde:
 
         dt, times, lags = 0.25, [0.5, 0.75], rng.normal(size=(3, n))
         y = rng.normal(size=n).tolist()
-        got, = _staged(field)(dt)(times, lags, y, _check_finite)
+        got, = _staged(field, dt)(times, lags, y, _check_finite)
 
         def at(t, lag, base, slope, h):
             now = [a + h * k for a, k in zip(base, slope)]
@@ -256,7 +268,7 @@ class TestIntegrateDde:
     def test_two_lag_reads_per_step(self, x0, tau, monkeypatch):
         # Stages k2 and k3 share the mid-step lag, and the end-of-step lag
         # of k4 is the next step's start lag: a delayed solve_fixed hands
-        # its rank-one kernel two lag rows per step plus one start row per
+        # its rank-one block two lag rows per step plus one start row per
         # block (2*steps + blocks), and stages no field.
         rows = []
 
@@ -268,7 +280,7 @@ class TestIntegrateDde:
                 return inner(lags)
             return terms
 
-        def staged(field):
+        def staged(field, dt):
             raise AssertionError("a delayed run stages no field")
 
         monkeypatch.setattr(eccsim.solver, "_lag_terms", counted)
@@ -287,23 +299,21 @@ class TestIntegrateDde:
         (3.0, 0.01, 6.0),      # tau/dt = 300: LAG_BLOCK steps bound the block
     ])
     def test_lag_rows_interpolate_the_trajectory(self, tau, dt, t_end):
-        # Every lag row handed to the kernel is the linear interpolation of
+        # Every lag row handed to the block is the linear interpolation of
         # the returned trajectory at its grid position, x0 at or below 0,
         # bit for bit; a block of steps s..e-1 gets the rows at s, s + 1/2,
         # .., e, less tau/dt.  A block that reads a row before the loop has
         # written it gets a value the finished trajectory does not hold.
         blocks = []
 
-        def kernel(dt, _inner=population_kernel(make_config(), [0.1, 0.2])):
-            block = _inner(dt)
+        block = population_block(make_config(), [0.1, 0.2], dt)
 
-            def spied(times, lags, y, settle):
-                blocks.append(lags.tolist())
-                return block(times, lags, y, settle)
-            return spied
+        def spied(times, lags, y, settle):
+            blocks.append(lags.tolist())
+            return block(times, lags, y, settle)
 
         x0 = [0.3, 0.3, 0.4]
-        traj = _method_of_steps(kernel, x0, tau, (0.0, t_end), dt,
+        traj = _method_of_steps(spied, x0, tau, (0.0, t_end), dt,
                                 simplex=False)
         shares = traj.shares.tolist()
         steps = len(shares) - 1
@@ -570,7 +580,7 @@ def test_rank_one_map_is_the_staged_step(n, tau, dt):
     cfg, x0, r0 = random_market(n, n)
     cfg = dataclasses.replace(cfg, learning_rate=0.5)
     field = ReplicatorField(cfg, AllocationState(r0))
-    mapped = _method_of_steps(population_kernel(cfg, r0), x0, tau,
+    mapped = _method_of_steps(population_block(cfg, r0, dt), x0, tau,
                               (0.0, 3.0), dt, simplex=False)
     staged = integrate_dde(field.delayed_rate, x0, tau, (0.0, 3.0), dt,
                            simplex=False)
@@ -584,7 +594,7 @@ def test_rank_one_map_follows_its_formula(n):
     # The block's four steps, chained through the settle pass, each row
     # against the docstring's formula applied to the row before it, in
     # Python floats with every sum over components left to right from 0.0,
-    # bit for bit: numpy would add 8 or more entries pairwise.  The kernel
+    # bit for bit: numpy would add 8 or more entries pairwise.  The block
     # takes source and theta as given, so made-up ones check the formula.
     rng = np.random.default_rng(40 + n)
     dt = 0.01
@@ -592,7 +602,7 @@ def test_rank_one_map_follows_its_formula(n):
     y = rng.uniform(0.1, 1.0, size=n).tolist()
     source = rng.uniform(0.1, 1.0, size=n).tolist()
     theta = float(rng.uniform(0.5, 2.0))
-    rows = _rank_one_rk4(smooth_terms, source, theta)(dt)(
+    rows = _rank_one_rk4(smooth_terms, source, theta, dt)(
         [0.0] * 5, lags, y, _check_finite)
     assert len(rows) == 4
     u, g = (a.tolist() for a in smooth_terms(lags))
@@ -1108,13 +1118,13 @@ class TestMyopicAndFixed:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_delayed_pass_checks_last_component(self, x0, bad, monkeypatch):
-        # The rank-one kernel hands a state with the bad value last to the
+        # The rank-one block hands a state with the bad value last to the
         # settle pass it was given, which must still see it.
-        def kernel(terms, source, theta):
+        def rank_one(terms, source, theta, dt):
             def block(times, lags, y, settle):
                 return [settle([0.0, 0.0, bad])] * (len(lags) // 2)
-            return lambda dt: block
-        monkeypatch.setattr(eccsim.solver, "_rank_one_rk4", kernel)
+            return block
+        monkeypatch.setattr(eccsim.solver, "_rank_one_rk4", rank_one)
         with pytest.raises(BlowUp):
             solve_fixed(make_config(population_delay=0.5), x0, [0.1, 0.2],
                         (0.0, 1.0), 0.1)
@@ -1134,6 +1144,21 @@ class TestMyopicAndFixed:
                                    atol=1e-13)
         assert (_delay_verdict(cfg, fast, scn.r0, scn.eps_convergence)
                 == _delay_verdict(cfg, staged, scn.r0, scn.eps_convergence))
+
+    def test_delayed_pass_with_a_computeless_cloud(self, x0):
+        # r0 hands all cloud compute to the edge (sum r0 = 1), so the
+        # cloud's uptake and utility enter the map's four sums as 0; the
+        # random draws of test_delayed_pass_matches_dde sum below 1.  The
+        # cloud's share sinks to 3.9e-4, off the floor; gap 5.2e-15.
+        cfg, r0 = make_config(population_delay=0.7), [0.6, 0.4]
+        assert _uptake_row(cfg, r0)[0][-1] == 0.0
+        fast = solve_fixed(cfg, x0, r0, (0.0, 30.0), 0.01)
+        field = ReplicatorField(cfg, AllocationState(r0))
+        staged = integrate_dde(field.delayed_rate, x0, 0.7, (0.0, 30.0),
+                               0.01)
+        assert fast.shares.min() > 1e-9
+        np.testing.assert_allclose(fast.shares, staged.shares, rtol=0.0,
+                                   atol=DDE_AGREEMENT)
 
     @pytest.mark.parametrize("x0,r0,field", [
         ([0.5, 0.5], [0.1, 0.2], "x0"),
