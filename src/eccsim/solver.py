@@ -26,22 +26,26 @@ kernel of `eccsim.stackelberg`, and supply, Theta and payoffs from
 
 Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
-sets the speed.  The one population loop, _method_of_steps, hands a
-stateless block function the lagged states of up to LAG_BLOCK steps, read
-in one numpy pass, and the block runs those steps: _staged, the RK4
-stages of integrate_ode's and integrate_dde's array field, or
-_rank_one_rk4, one map per step of a delayed fixed-controls run
-(solve_fixed), its sums taken in the step's own float loop.  At zero delay
-that run is _affine_rk4's map in closed form.  The sweep's fields are
-affine too, so its RK4 step is one _affine_rk4 map per interval, and its
-forward pass is bound to (cfg, grid) once per solve (_forward_map).  That
-map keeps the simplex by construction (S*Theta = 1 - R, and R, S > 0
-within check_stability's bound), so the sweep settles each step by the
-finite check alone; _project_simplex settles only delayed fixed-controls
-runs and integrate_ode and integrate_dde with simplex=True.  Step and
-field loops append instead of using comprehensions, which only Python 3.12
-inlines (PEP 709).  Every sum over providers, the simplex sums of x0 and
-of each step included, runs left to right (model._left_sum).
+sets the speed.  The one population loop, _method_of_steps, hands a block
+function the lagged states of up to LAG_BLOCK steps, read in one numpy
+pass, with the state the block before handed on; the block runs those
+steps and returns the states to store and the state to hand on: _staged,
+the RK4 stages of integrate_ode's and integrate_dde's array field, each
+state settled by the pass the integrator chose, or _rank_one_rk4, one
+projected map per step of a delayed fixed-controls run (solve_fixed), its
+sums taken in the step's own float loop.  That block carries its state
+unnormalised with its sum, folds the projection into the step and divides
+the stored states by their sums once per block.  At zero delay that run
+is _affine_rk4's map in closed form.  The sweep's fields are affine too,
+so its RK4 step is one _affine_rk4 map per interval, and its forward pass
+is bound to (cfg, grid) once per solve (_forward_map).  That map keeps the
+simplex by construction (S*Theta = 1 - R, and R, S > 0 within
+check_stability's bound), so the sweep settles each step by the finite
+check alone; _project_simplex settles only integrate_ode and
+integrate_dde with simplex=True.  Step and field loops append instead of
+using comprehensions, which only Python 3.12 inlines (PEP 709).  Every sum
+over providers, the simplex sums of x0 and of each step included, runs
+left to right (model._left_sum).
 """
 
 from __future__ import annotations
@@ -274,11 +278,14 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
         BlowUp: a state magnitude exceeded MAGNITUDE_LIMIT or went non-finite.
         ValueError: `field` returned anything but a vector as long as the state.
     """
-    return _method_of_steps(_staged(lambda t, now, lag: field(t, now), dt),
-                            x0, 0.0, t_span, dt, simplex=simplex)
+    return _method_of_steps(
+        _staged(lambda t, now, lag: field(t, now), dt,
+                _project_simplex if simplex else _check_finite),
+        x0, 0.0, t_span, dt)
 
 
-def _staged(field: Callable[..., np.ndarray], dt: float) -> Callable:
+def _staged(field: Callable[..., np.ndarray], dt: float,
+            settle: Callable[[list[float]], list[float]]) -> Callable:
     """Array field f(t, now, lag) as the _method_of_steps block of RK4 stages.
 
     Step j of a block runs from times[j] to t = times[j+1] over lag rows
@@ -287,8 +294,10 @@ def _staged(field: Callable[..., np.ndarray], dt: float) -> Callable:
     k2 and k3 at t - dt/2, row 2j+1 and the built stages y + dt/2*k1,
     y + dt/2*k2, and k4 at t, row 2j+2 and y + dt*k3: four field calls per
     step, each stage built as a list, then handed to `field` as an array.
-    The next step starts from the settled RK4 sum.  The only block that
-    reads `times`.
+    The next step starts from the RK4 sum passed through `settle`, the one
+    pass integrate_ode and integrate_dde choose (_check_finite, or
+    _project_simplex on the simplex); the block returns the settled states
+    and the last of them.  The only block that reads `times`.
 
     Raises:
         ValueError: `field` returned anything but a vector as long as the state.
@@ -304,7 +313,7 @@ def _staged(field: Callable[..., np.ndarray], dt: float) -> Callable:
                 "field: must return a vector as long as the state")
         return out.tolist()
 
-    def block(times, lags, y, settle):
+    def block(times, lags, y):
         rows = []
         lags = [None] * (2 * len(times) - 1) if lags is None else lags
         for j, t in enumerate(times[1:]):
@@ -318,13 +327,13 @@ def _staged(field: Callable[..., np.ndarray], dt: float) -> Callable:
                 nxt.append(v + sixth * (a + 2.0 * b + 2.0 * c + d))
             y = settle(nxt)
             rows.append(y)
-        return rows
+        return rows, y
     return block
 
 
 def _rank_one_rk4(terms: Callable, source: list[float], theta: float,
                   dt: float) -> Callable:
-    """Delayed _method_of_steps block of x' = G*(u - x . u) by RK4 maps.
+    """Delayed _method_of_steps block of x' = G*(u - x . u): projected RK4 maps.
 
     (u, G) = terms(lags) are read from the lag rows alone (for the
     population, replicator._lag_terms), and G*u is the same vector
@@ -334,21 +343,38 @@ def _rank_one_rk4(terms: Callable, source: list[float], theta: float,
     slope, so, as for _affine_rk4, the RK4 step is a map computed ahead.
     With rows 1 (start: k1, the previous step's end row), 2 (mid: k2, k3)
     and 4 (end: k4), a stage at state z has velocity source - G_j*(z . u_j),
-    and its mean m_j = z . u_j follows from the step's start y:
-      m1 = y.u1,  m2 = y.u2 + h/2 (A2 - m1 B12),
-      m3 = y.u2 + h/2 (A2 - m2 theta),  m4 = y.u4 + h (A4 - m3 B24),
-      y' = y + h source - (h/6 G1 m1 + h/3 G2 (m2 + m3) + h/6 G4 m4),
-    A2 = sum source u2, A4 = sum source u4, B12 = sum G1 u2, B24 = sum G2 u4.
-    Each step takes these four sums and its three dots in one float loop,
-    every sum from 0.0, left to right.  Delayed runs only: at zero delay
-    the lag is the stage state.
+    and its mean m_j = z . u_j follows from the step's start x:
+      m1 = x.u1,  m2 = x.u2 + h/2 (A2 - m1 B12),
+      m3 = x.u2 + h/2 (A2 - m2 theta),  m4 = x.u4 + h (A4 - m3 B24),
+      x' = x + h source - (h/6 G1 m1 + h/3 G2 (m2 + m3) + h/6 G4 m4),
+    A2 = sum source u2, A4 = sum source u4, B12 = sum G1 u2, B24 = sum G2 u4,
+    and x' is then projected as _project_simplex projects it.
+
+    The state is carried unnormalised, y with sigma its sum (x = y/sigma):
+    the map is affine in x, so sigma times the step of y/sigma is the same
+    recurrence on y with its constant terms (h*source, A2, A4) taken sigma
+    times, and the projection checks and floors against sigma*MAGNITUDE_LIMIT
+    and sigma*SHARE_FLOOR; the floored sum is the next sigma.  No step
+    divides: the block divides each stored state by its sigma in one numpy
+    pass and returns them with y, the last state unnormalised.  It first
+    scales y by the power of two that puts y's sum in [0.5, 1) (math.frexp):
+    that is exact, and every operation is of degree one in (y, sigma), so no
+    bit of a row depends on where blocks start, and sigma cannot under- or
+    overflow on a long run.  Each step takes its four sums and three dots in
+    one float loop and the new state and its sum in another, every sum from
+    0.0, left to right.  Delayed runs only: at zero delay the lag is the
+    stage state.
     """
     half, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
     h_source = [dt * v for v in source]
 
-    def block(times, lags, y, settle):
+    def block(times, lags, y):
         u, g = terms(lags)
-        u, g, rows = u.tolist(), g.tolist(), []
+        u, g, flat, sigmas, sigma = u.tolist(), g.tolist(), [], [], 0.0
+        for v in y:
+            sigma += v
+        scale = math.ldexp(1.0, -math.frexp(sigma)[1])
+        y, sigma = [v * scale for v in y], sigma * scale
         for u1, u2, u4, g1, g2, g4 in zip(
                 u[:-1:2], u[1::2], u[2::2], g[:-1:2], g[1::2], g[2::2]):
             m1 = d2 = d4 = a2 = b12 = a4 = b24 = 0.0
@@ -360,41 +386,48 @@ def _rank_one_rk4(terms: Callable, source: list[float], theta: float,
                 b12 += e1 * q
                 a4 += s * r
                 b24 += e2 * r
+            a2 *= sigma
             m2 = d2 + half * (a2 - m1 * b12)
             m3 = d2 + half * (a2 - m2 * theta)
-            m4 = d4 + dt * (a4 - m3 * b24)
+            m4 = d4 + dt * (sigma * a4 - m3 * b24)
             w1, w2, w4 = sixth * m1, third * (m2 + m3), sixth * m4
-            nxt = []
+            top, low = sigma * MAGNITUDE_LIMIT, sigma * SHARE_FLOOR
+            nxt, total = [], 0.0
             for v, hs, p, q, r in zip(y, h_source, g1, g2, g4):
-                nxt.append(v + hs - (w1 * p + w2 * q + w4 * r))
-            y = settle(nxt)
-            rows.append(y)
-        return rows
+                v = v + sigma * hs - (w1 * p + w2 * q + w4 * r)
+                if not abs(v) <= top:  # _project_simplex's checks, times sigma
+                    raise BlowUp("state magnitude left the finite range")
+                v = v if v > low else low
+                nxt.append(v)
+                total += v
+            flat += nxt
+            sigmas.append(total)
+            y, sigma = nxt, total
+        rows = np.array(flat).reshape(len(sigmas), -1)
+        return rows / np.array(sigmas)[:, None], y
     return block
 
 
 def _method_of_steps(block: Callable, x0, tau: float,
-                     t_span: tuple[float, float], dt: float,
-                     *, simplex: bool) -> Trajectory:
+                     t_span: tuple[float, float], dt: float) -> Trajectory:
     """RK4 steps of x'(t) = f(t, x(t), x(t - tau)) over float lists.
 
-    block(times, lags, y, settle) runs steps s..e-1 from y, the state at
-    s, passing each new state through `settle` (one pass that checks it
-    and, with simplex, projects it) before the next step starts from it,
-    and returns the e - s settled states: _staged or _rank_one_rk4, built
-    for this run's dt.  `times` holds the block's e - s + 1 grid times,
-    `lags` their 2*(e - s) + 1 lag rows: the start row, then mid-step and
-    end-of-step for each step.  Step i reads the lag at grid position
-    i - tau/dt for k1, i + 1/2 - tau/dt for k2 and k3 and i + 1 - tau/dt
-    for k4.  Position p reads row j = max(floor(p), 0) plus (p - j) times
-    the step to row max(ceil(p), 0), a zero step if p - j <= 0.  A delay
-    past the run reads x0 everywhere, so tau/dt is capped at the step
-    count plus one, which keeps it finite.  With e - s < tau/dt a block's
-    rows lie at or before s, the last row stored, so one numpy pass reads
-    them; e - s <= LAG_BLOCK bounds its memory.  Its start row is the
-    previous block's end row, read again, so blocks keep no state.  At
-    tau = 0 no row is read, block gets lags None, and blocks are
-    LAG_BLOCK steps wide.  Raises as integrate_dde.
+    rows, y = block(times, lags, y) runs steps s..e-1 from y, the state the
+    block before handed on (x0 first), and returns the e - s states to store
+    and the state to hand on: _staged, or _rank_one_rk4, which hands on its
+    state unnormalised, built for this run's dt.  `times` holds the block's
+    e - s + 1 grid times, `lags` their 2*(e - s) + 1 lag rows: the
+    start row, then mid-step and end-of-step for each step.  Step i reads
+    the lag at grid position i - tau/dt for k1, i + 1/2 - tau/dt for k2 and
+    k3 and i + 1 - tau/dt for k4.  Position p reads row j = max(floor(p), 0)
+    plus (p - j) times the step to row max(ceil(p), 0), a zero step if
+    p - j <= 0.  A delay past the run reads x0 everywhere, so tau/dt is
+    capped at the step count plus one, which keeps it finite.  With
+    e - s < tau/dt a block's rows lie at or before s, the last row stored,
+    so one numpy pass reads them; e - s <= LAG_BLOCK bounds its memory.
+    Its start row is the previous block's end row, read again.  At tau = 0
+    no row is read, block gets lags None, and blocks are LAG_BLOCK steps
+    wide.  Raises as integrate_dde.
     """
     check_delay(tau, dt)
     times = _make_grid(t_span, dt)
@@ -413,13 +446,11 @@ def _method_of_steps(block: Callable, x0, tau: float,
         return a + (pos - lo)[:, None] * (out[hi.astype(int)] - a)
 
     grid = times.tolist()
-    settle = _project_simplex if simplex else _check_finite
     width = min(max(math.ceil(shift) - 1, 1), LAG_BLOCK) if shift else LAG_BLOCK
     for s in range(0, steps, width):
         e = min(s + width, steps)
-        rows = block(grid[s:e + 1], read(s, e) if shift else None, y, settle)
+        rows, y = block(grid[s:e + 1], read(s, e) if shift else None, y)
         out[s + 1:e + 1] = rows
-        y = rows[-1]
     return Trajectory(times=times, shares=out)
 
 
@@ -440,8 +471,9 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
             would outrun the buffer); `field` as for integrate_ode.
         BlowUp: as for integrate_ode.
     """
-    return _method_of_steps(_staged(field, dt), x0, tau, t_span, dt,
-                            simplex=simplex)
+    return _method_of_steps(
+        _staged(field, dt, _project_simplex if simplex else _check_finite),
+        x0, tau, t_span, dt)
 
 
 def _affine_rk4(a: float, h: float) -> tuple[float, float]:
@@ -585,10 +617,16 @@ def _running_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
+def _discount(rho: float, times: np.ndarray) -> np.ndarray:
+    """Discount weights e^(-rho*t) at `times`, one libm exp (math.exp) each:
+    numpy's array exp may take a SIMD path whose last bits depend on the CPU."""
+    return np.array([math.exp(v) for v in (-rho * times).tolist()])
+
+
 def _attach_utilities(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
     """Fill the per-provider utility and discounted running-integral columns."""
     utilities = _payoffs(cfg, traj.shares, traj.requests, traj.prices)
-    weighted = np.exp(-cfg.discount_rate * traj.times)[:, None] * utilities
+    weighted = _discount(cfg.discount_rate, traj.times)[:, None] * utilities
     traj.utilities = utilities
     traj.integral_utilities = _running_trapezoid(weighted, traj.times)
     return traj
@@ -709,11 +747,13 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
     RK4's step, the sweep's _affine_rk4 map y -> R*y + S*delta*c under one
     allocation, has the fixed point delta*c/Theta (S*Theta = 1 - R): step
     i is x0 + (1 - R**i)*(delta*c/Theta - x0), a convex combination that
-    keeps the simplex unprojected.  Delayed, each step is the projected
-    rank-one map over the field's lag terms (_rank_one_rk4, _lag_terms).
-    These are the RK4 steps of a ReplicatorField's integrate_ode(field.rate,
-    .., simplex=True) or integrate_dde(field.delayed_rate, ..), summed in
-    another order: the shares agree to rounding, not bit for bit.
+    keeps the simplex unprojected.  Delayed, each step is the rank-one map
+    over the field's lag terms with the projection folded in, stepped on
+    the unnormalised state (_rank_one_rk4, _lag_terms); _project_simplex
+    is not called.  These are the RK4 steps of a ReplicatorField's
+    integrate_ode(field.rate, .., simplex=True) or
+    integrate_dde(field.delayed_rate, ..), summed in another order: the
+    shares agree to rounding, not bit for bit.
     """
     alloc = AllocationState(np.asarray(r0, dtype=float))
     supply = provider_power(cfg, alloc).tolist()  # checks the length of r0
@@ -725,7 +765,7 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
     if tau:
         traj = _method_of_steps(
             _rank_one_rk4(_lag_terms(cfg, supply), source, theta, dt), x0,
-            tau, t_span, dt, simplex=True)
+            tau, t_span, dt)
     else:
         times = _make_grid(t_span, dt)
         grow = _affine_rk4(-theta, dt)[0]
@@ -777,5 +817,5 @@ def integral_utility(traj: Trajectory, who, rho: float) -> float:
         raise ValueError(f"who: must be in 1..{n}")
     else:
         col = int(who) - 1
-    weighted = np.exp(-rho * traj.times) * traj.utilities[:, col]
+    weighted = _discount(rho, traj.times) * traj.utilities[:, col]
     return float(_running_trapezoid(weighted, traj.times)[-1])

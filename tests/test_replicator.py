@@ -205,9 +205,9 @@ class TestReplicatorField:
         lags = rng.dirichlet(np.ones(n + 1), size=5)
         dt = 0.01
         y = rng.dirichlet(np.ones(n + 1)).tolist()
-        rows = _staged(field.delayed_rate, dt)([0.0] * 3, lags, y,
-                                               _check_finite)
-        assert len(rows) == 2
+        rows, last = _staged(field.delayed_rate, dt, _check_finite)(
+            [0.0] * 3, lags, y)
+        assert len(rows) == 2 and last is rows[-1]
 
         def rate(lag, base, slope, h):
             now = np.array([a + h * k for a, k in zip(base, slope)])

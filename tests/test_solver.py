@@ -24,6 +24,7 @@ from eccsim.solver import (
     MAGNITUDE_LIMIT,
     MAX_GRID_STEPS,
     RK4_REAL_BOUND,
+    SHARE_FLOOR,
     SWEEP_TOL,
     BlowUp,
     Trajectory,
@@ -40,20 +41,22 @@ from eccsim.solver import (
     solve_ssec,
 )
 from eccsim.solver import (_adjoint_profile, _adjoint_scales, _affine_rk4,
-                           _attach_utilities, _check_finite, _forward_pass,
-                           _make_grid, _method_of_steps, _project_simplex,
-                           _rank_one_rk4, _staged)
+                           _attach_utilities, _check_finite, _discount,
+                           _forward_pass, _make_grid, _method_of_steps,
+                           _project_simplex, _rank_one_rk4,
+                           _running_trapezoid, _staged)
 from eccsim.stackelberg import (CcpCostate, EcpCostate, optimal_price,
                                 optimal_request)
 
 E_INV = 0.36787944117144233
 # Largest share gap allowed between a delayed solve_fixed (rank-one RK4 map)
 # and integrate_dde on the same field (staged RK4): the two sum the same
-# steps in another order.  Over 17 694 random draws of the
-# test_delayed_pass_matches_dde inputs that did not blow up, the gap reached
-# 2.8e-15 on the 14 256 runs whose shares all stayed above 1e-9.  Where a
-# share sinks to SHARE_FLOOR its per-user utility grows as 1/share, and the
-# gap reached 3.8e-13 on the other 3 438: those runs get DDE_AT_FLOOR.
+# steps in another order.  Over 20 000 random draws of the
+# test_delayed_pass_matches_dde inputs (2 292 blew up on both routes), the
+# gap reached 2.5e-15 on the 14 198 runs whose shares all stayed above 1e-9.
+# Where a share sinks to SHARE_FLOOR its per-user utility grows as 1/share,
+# and the gap reached 1.1e-12 on the other 3 510: those runs get
+# DDE_AT_FLOOR.  (When each step divided by its sum: 4.2e-15 and 4.4e-13.)
 DDE_AGREEMENT = 1e-14
 DDE_AT_FLOOR = 1e-11
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -213,8 +216,8 @@ class TestIntegrateDde:
             calls.append((lag.tolist(), now.tolist()))
             return -0.1 * now
 
-        _method_of_steps(_staged(field, 0.01), [0.3, 0.7], 0.0, (0.0, 30.0),
-                         0.01, simplex=False)
+        _method_of_steps(_staged(field, 0.01, _check_finite), [0.3, 0.7],
+                         0.0, (0.0, 30.0), 0.01)
         assert len(calls) == 4 * 3000
         assert all(lag == now for lag, now in calls)
 
@@ -223,14 +226,13 @@ class TestIntegrateDde:
         # wide: 3000 steps make 11 full blocks and one of 184.
         widths = []
 
-        block = _staged(lambda t, now, lag: -0.1 * now, 0.01)
+        block = _staged(lambda t, now, lag: -0.1 * now, 0.01, _check_finite)
 
-        def counted(times, lags, y, settle):
+        def counted(times, lags, y):
             widths.append(len(times) - 1)
-            return block(times, lags, y, settle)
+            return block(times, lags, y)
 
-        _method_of_steps(counted, [0.3, 0.7], 0.0, (0.0, 30.0), 0.01,
-                         simplex=False)
+        _method_of_steps(counted, [0.3, 0.7], 0.0, (0.0, 30.0), 0.01)
         assert widths == [LAG_BLOCK] * (3000 // LAG_BLOCK) + [
             3000 % LAG_BLOCK]
 
@@ -239,7 +241,8 @@ class TestIntegrateDde:
         # The array field staged by _staged sees each RK4 stage built bit
         # for bit as a list would be, at its row's time and lag: k1 at row
         # 0 and y, k2 and k3 at row 1 and y + dt/2*k, k4 at row 2 and
-        # y + dt*k3, and the step is RK4's sum of the four.
+        # y + dt*k3, and the step is RK4's sum of the four, which the block
+        # also hands on as the state the next block starts from.
         rng = np.random.default_rng(n)
         seen = []
 
@@ -249,7 +252,8 @@ class TestIntegrateDde:
 
         dt, times, lags = 0.25, [0.5, 0.75], rng.normal(size=(3, n))
         y = rng.normal(size=n).tolist()
-        got, = _staged(field, dt)(times, lags, y, _check_finite)
+        (got,), last = _staged(field, dt, _check_finite)(times, lags, y)
+        assert last is got
 
         def at(t, lag, base, slope, h):
             now = [a + h * k for a, k in zip(base, slope)]
@@ -280,7 +284,7 @@ class TestIntegrateDde:
                 return inner(lags)
             return terms
 
-        def staged(field, dt):
+        def staged(field, dt, settle):
             raise AssertionError("a delayed run stages no field")
 
         monkeypatch.setattr(eccsim.solver, "_lag_terms", counted)
@@ -308,13 +312,12 @@ class TestIntegrateDde:
 
         block = population_block(make_config(), [0.1, 0.2], dt)
 
-        def spied(times, lags, y, settle):
+        def spied(times, lags, y):
             blocks.append(lags.tolist())
-            return block(times, lags, y, settle)
+            return block(times, lags, y)
 
         x0 = [0.3, 0.3, 0.4]
-        traj = _method_of_steps(spied, x0, tau, (0.0, t_end), dt,
-                                simplex=False)
+        traj = _method_of_steps(spied, x0, tau, (0.0, t_end), dt)
         shares = traj.shares.tolist()
         steps = len(shares) - 1
         window = {0.1: 1, 0.15: 1, 0.3: 2, 0.73: 7, 1.7: 169, 3.0: 299}[tau]
@@ -572,64 +575,93 @@ def smooth_terms(lags):
 def test_rank_one_map_is_the_staged_step(n, tau, dt):
     # RK4 on the delayed population field G*(u - x . u), with (u, G) read
     # from the lag rows (_lag_terms) of a random market: the precomputed
-    # map, which takes G*u as the constant delta*c, and the four staged
-    # field calls of integrate_dde step the same trajectory, apart by
-    # rounding only (9.3e-15 at most).  Neither side projects, so no
-    # renormalisation hides a gap; at learning rate 0.5 every share stays
-    # above 0.015 (a faster unprojected delayed run can empty a group).
+    # map, which takes G*u as the constant delta*c and carries the state
+    # unnormalised, and the four staged field calls of integrate_dde step
+    # the same projected trajectory, apart by rounding only (1.0e-15 at
+    # most).  At learning rate 0.5 every share stays above 0.015, off the
+    # floor.
     cfg, x0, r0 = random_market(n, n)
     cfg = dataclasses.replace(cfg, learning_rate=0.5)
     field = ReplicatorField(cfg, AllocationState(r0))
     mapped = _method_of_steps(population_block(cfg, r0, dt), x0, tau,
-                              (0.0, 3.0), dt, simplex=False)
+                              (0.0, 3.0), dt)
     staged = integrate_dde(field.delayed_rate, x0, tau, (0.0, 3.0), dt,
-                           simplex=False)
+                           simplex=True)
     np.testing.assert_allclose(mapped.shares, staged.shares, rtol=0.0,
                                atol=1e-14)
     assert np.ptp(mapped.shares, axis=0).max() > 0.01  # the state moves
 
 
+def left_total(values):
+    """Sum from 0.0, left to right, as the float loops add."""
+    out = 0.0
+    for v in values:
+        out += v
+    return out
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rank_one_map_follows_its_formula(n):
-    # The block's four steps, chained through the settle pass, each row
-    # against the docstring's formula applied to the row before it, in
-    # Python floats with every sum over components left to right from 0.0,
-    # bit for bit: numpy would add 8 or more entries pairwise.  The block
-    # takes source and theta as given, so made-up ones check the formula.
+    # The block's four steps, each row against the docstring's formula on
+    # the carried state: y scaled by the power of two that puts its sum
+    # sigma in [0.5, 1), then per step the map with its constant terms
+    # times sigma, the floor at sigma*SHARE_FLOOR, the new sum, and the row
+    # y/sigma.  In Python floats with every sum over components left to
+    # right from 0.0, bit for bit: numpy would add 8 or more entries
+    # pairwise.  The block takes source and theta as given, so made-up
+    # ones check the formula.
     rng = np.random.default_rng(40 + n)
     dt = 0.01
     lags = rng.uniform(0.1, 1.0, size=(9, n))
     y = rng.uniform(0.1, 1.0, size=n).tolist()
     source = rng.uniform(0.1, 1.0, size=n).tolist()
     theta = float(rng.uniform(0.5, 2.0))
-    rows = _rank_one_rk4(smooth_terms, source, theta, dt)(
-        [0.0] * 5, lags, y, _check_finite)
-    assert len(rows) == 4
+    rows, last = _rank_one_rk4(smooth_terms, source, theta, dt)(
+        [0.0] * 5, lags, y)
+    assert rows.shape == (4, n)
     u, g = (a.tolist() for a in smooth_terms(lags))
-
-    def total(values):
-        out = 0.0
-        for v in values:
-            out += v
-        return out
-
-    for k, row in enumerate(rows):
+    sigma = left_total(y)
+    scale = 2.0 ** -math.frexp(sigma)[1]
+    y, sigma = [v * scale for v in y], sigma * scale
+    assert 0.5 <= sigma < 1.0
+    for k, row in enumerate(rows.tolist()):
         u1, u2, u4 = u[2 * k], u[2 * k + 1], u[2 * k + 2]
         g1, g2, g4 = g[2 * k], g[2 * k + 1], g[2 * k + 2]
-        a2 = total(a * b for a, b in zip(source, u2))
-        b12 = total(a * b for a, b in zip(g1, u2))
-        a4 = total(a * c for a, c in zip(source, u4))
-        b24 = total(a * c for a, c in zip(g2, u4))
-        m1 = total(a * b for a, b in zip(y, u1))
-        d2 = total(a * b for a, b in zip(y, u2))
+        a2 = sigma * left_total(a * b for a, b in zip(source, u2))
+        b12 = left_total(a * b for a, b in zip(g1, u2))
+        a4 = sigma * left_total(a * c for a, c in zip(source, u4))
+        b24 = left_total(a * c for a, c in zip(g2, u4))
+        m1 = left_total(a * b for a, b in zip(y, u1))
+        d2 = left_total(a * b for a, b in zip(y, u2))
         m2 = d2 + 0.5 * dt * (a2 - m1 * b12)
         m3 = d2 + 0.5 * dt * (a2 - m2 * theta)
-        m4 = total(a * b for a, b in zip(y, u4)) + dt * (a4 - m3 * b24)
-        want = [v + dt * s - ((dt / 6.0 * m1) * p + (dt / 3.0 * (m2 + m3)) * q
-                              + (dt / 6.0 * m4) * r)
+        m4 = left_total(a * b for a, b in zip(y, u4)) + dt * (a4 - m3 * b24)
+        step = [v + sigma * (dt * s) - (
+                    (dt / 6.0 * m1) * p + (dt / 3.0 * (m2 + m3)) * q
+                    + (dt / 6.0 * m4) * r)
                 for v, s, p, q, r in zip(y, source, g1, g2, g4)]
-        assert row == want
-        y = row
+        assert max(abs(v) for v in step) <= sigma * MAGNITUDE_LIMIT
+        y = [max(v, sigma * SHARE_FLOOR) for v in step]
+        sigma = left_total(y)
+        assert row == [v / sigma for v in y]
+    assert last == y
+
+
+@pytest.mark.parametrize("k", [-40, 40])
+def test_rank_one_block_ignores_the_carried_scale(k):
+    # A block started from 2**k * y returns the rows of one started from
+    # y, bit for bit, and hands on the same state: it rescales by the
+    # power of two of its start sum, which is exact.
+    cfg, _, r0 = random_market(3, 3)
+    rng = np.random.default_rng(5)
+    lags = rng.dirichlet(np.ones(4), size=9)
+    y = rng.uniform(0.1, 1.0, size=4).tolist()
+    block = population_block(cfg, r0, 0.01)
+    rows, last = block([0.0] * 5, lags, y)
+    scaled_rows, scaled_last = block([0.0] * 5, lags,
+                                     [math.ldexp(v, k) for v in y])
+    assert scaled_rows.tobytes() == rows.tobytes()
+    assert scaled_last == last
 
 
 @pytest.fixture(scope="module")
@@ -1079,6 +1111,46 @@ class TestMyopicAndFixed:
         assert max(abs(math.fsum(row) - 1.0)
                    for row in traj.shares.tolist()) <= 1e-14
 
+    @pytest.mark.parametrize("tau", [0.7, 1.7])
+    def test_delayed_fixed_calls_no_projection(self, tau, monkeypatch):
+        # The rank-one block projects its carried state itself: over the
+        # shipped sweep's 3 001 rows every share stays positive and each
+        # row sums to 1 within 1e-15 (2.2e-16 measured) with
+        # _project_simplex patched to fail.
+        def project(y):
+            raise AssertionError("a delayed fixed run calls no projection")
+
+        monkeypatch.setattr(eccsim.solver, "_project_simplex", project)
+        scn = load_scenario(str(SCENARIOS / "scenario_delay.json"))
+        cfg = dataclasses.replace(scn.cfg, population_delay=tau)
+        traj = solve_fixed(cfg, scn.x0, scn.r0, (0.0, 30.0), scn.dt)
+        assert traj.shares.shape[0] == 3001
+        assert traj.shares.min() > 0.0
+        assert max(abs(math.fsum(row) - 1.0)
+                   for row in traj.shares.tolist()) <= 1e-15
+
+    @pytest.mark.parametrize("tau", [10.0, 12.0])
+    def test_long_delay_has_the_outcome_of_dde(self, tau):
+        # Past the delay bound, over T = 50 (5 000 steps): at tau = 12 both
+        # routes blow up; at tau = 10 a share sits on the floor and the
+        # two agree within DDE_AT_FLOOR (2.7e-14 measured).  Unrescaled,
+        # the carried sum drifts to 0.069 over the tau = 12 run.
+        scn = load_scenario(str(SCENARIOS / "scenario_delay.json"))
+        cfg = dataclasses.replace(scn.cfg, population_delay=tau)
+        field = ReplicatorField(cfg, AllocationState(scn.r0))
+        runs = [lambda: solve_fixed(cfg, scn.x0, scn.r0, (0.0, 50.0), 0.01),
+                lambda: integrate_dde(field.delayed_rate, scn.x0, tau,
+                                      (0.0, 50.0), 0.01)]
+        if tau == 12.0:
+            for run in runs:
+                with pytest.raises(BlowUp):
+                    run()
+        else:
+            fast, staged = (run().shares for run in runs)
+            assert min(fast.min(), staged.min()) <= 1e-9
+            np.testing.assert_allclose(fast, staged, rtol=0.0,
+                                       atol=DDE_AT_FLOOR)
+
     def test_fixed_dispatches_to_dde(self, x0):
         cfg = make_config(population_delay=0.5)
         traj = solve_fixed(cfg, x0, [0.0, 0.0], (0.0, 5.0), 0.01)
@@ -1118,12 +1190,16 @@ class TestMyopicAndFixed:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_delayed_pass_checks_last_component(self, x0, bad, monkeypatch):
-        # The rank-one block hands a state with the bad value last to the
-        # settle pass it was given, which must still see it.
-        def rank_one(terms, source, theta, dt):
-            def block(times, lags, y, settle):
-                return [settle([0.0, 0.0, bad])] * (len(lags) // 2)
-            return block
+        # A bad growth factor in the last column of the end-of-step rows
+        # reaches only the last component of the new state (no sum reads
+        # G4), and the rank-one block's own check must still see it.
+        def rank_one(terms, source, theta, dt,
+                     _orig=eccsim.solver._rank_one_rk4):
+            def spoiled(lags):
+                u, g = terms(lags)
+                g[2::2, -1] = bad
+                return u, g
+            return _orig(spoiled, source, theta, dt)
         monkeypatch.setattr(eccsim.solver, "_rank_one_rk4", rank_one)
         with pytest.raises(BlowUp):
             solve_fixed(make_config(population_delay=0.5), x0, [0.1, 0.2],
@@ -1133,7 +1209,8 @@ class TestMyopicAndFixed:
     def test_delayed_pass_matches_dde_over_the_shipped_sweep(self, tau):
         # The delay sweep of scenario_delay over its whole horizon (3 000
         # steps): the map and the staged steps stay within 1e-13 of each
-        # other (6.8e-15 measured), and the CLI reads the same verdict.
+        # other (1.2e-15 measured; 6.8e-15 when each step divided by its
+        # sum), and the CLI reads the same verdict.
         scn = load_scenario(str(SCENARIOS / "scenario_delay.json"))
         cfg = dataclasses.replace(scn.cfg, population_delay=tau)
         fast = solve_fixed(cfg, scn.x0, scn.r0, (0.0, 30.0), 0.01)
@@ -1149,7 +1226,7 @@ class TestMyopicAndFixed:
         # r0 hands all cloud compute to the edge (sum r0 = 1), so the
         # cloud's uptake and utility enter the map's four sums as 0; the
         # random draws of test_delayed_pass_matches_dde sum below 1.  The
-        # cloud's share sinks to 3.9e-4, off the floor; gap 5.2e-15.
+        # cloud's share sinks to 3.9e-4, off the floor; gap 1.8e-15.
         cfg, r0 = make_config(population_delay=0.7), [0.6, 0.4]
         assert _uptake_row(cfg, r0)[0][-1] == 0.0
         fast = solve_fixed(cfg, x0, r0, (0.0, 30.0), 0.01)
@@ -1267,6 +1344,23 @@ class TestMeasures:
             total = integral_utility(traj, who, cfg.discount_rate)
             assert traj.integral_utilities[-1, col] == pytest.approx(
                 total, rel=1e-12)
+
+    def test_discount_weights_are_libm_exp(self):
+        # e^(-rho*t) comes from math.exp at every node, bit for bit, in the
+        # stored integral columns and in integral_utility alike: numpy's
+        # array exp, on a SIMD path, differed from it on 220 of these
+        # 5 001 nodes on an AVX-512 CPU.
+        scn = load_scenario(str(SCENARIOS / "scenario_a_fixed.json"))
+        rho = scn.cfg.discount_rate
+        traj = solve_fixed(scn.cfg, scn.x0, scn.r0, (0.0, scn.cfg.horizon),
+                           scn.dt)
+        assert traj.times.shape == (5001,)
+        weights = np.array([math.exp(-rho * t) for t in traj.times.tolist()])
+        assert _discount(rho, traj.times).tobytes() == weights.tobytes()
+        want = _running_trapezoid(weights[:, None] * traj.utilities,
+                                  traj.times)
+        assert traj.integral_utilities.tobytes() == want.tobytes()
+        assert integral_utility(traj, "ccp", rho) == want[-1, -1]
 
     def test_price_cap_default(self, cfg):
         assert default_price_cap(cfg) == pytest.approx(3.0)
