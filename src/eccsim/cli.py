@@ -41,6 +41,7 @@ from .solver import (
     SweepReport,
     Trajectory,
     _attach_utilities,
+    _check_undelayed,
     check_delay,
     check_stability,
     convergence_time,
@@ -126,9 +127,8 @@ def _derive(scn: Scenario, cfg_changes: dict | None = None,
         if cfg_changes:
             changes["cfg"] = dataclasses.replace(scn.cfg, **cfg_changes)
         scn = dataclasses.replace(scn, **changes)
-        if scn.cfg.population_delay > 0.0 and scn.scheme != "fixed-controls":
-            raise InvalidScenario(
-                "population_delay: only the fixed-controls scheme models delay")
+        if scn.scheme != "fixed-controls":
+            _check_undelayed(scn.cfg)
         grid_steps((0.0, scn.cfg.horizon), scn.dt)
         check_delay(scn.cfg.population_delay, scn.dt, "population_delay")
         check_stability(scn.cfg, scn.dt)
@@ -238,13 +238,11 @@ def _override(scn: Scenario, args: argparse.Namespace) -> Scenario:
 
 
 def _run_scheme(scn: Scenario) -> tuple[Trajectory, SweepReport | None]:
-    cfg = scn.cfg
-    span = (0.0, cfg.horizon)
     if scn.scheme == "olsec":
-        return solve_open_loop(cfg, scn.x0, dt=scn.dt, t_span=span)
+        return solve_open_loop(scn.cfg, scn.x0, dt=scn.dt)
     if scn.scheme == "ssec":
-        return solve_ssec(cfg, scn.x0, span, scn.dt), None
-    return solve_fixed(cfg, scn.x0, scn.r0, span, scn.dt), None
+        return solve_ssec(scn.cfg, scn.x0, scn.dt), None
+    return solve_fixed(scn.cfg, scn.x0, scn.r0, scn.dt), None
 
 
 def _summary(scn: Scenario, traj: Trajectory,

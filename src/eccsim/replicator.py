@@ -80,7 +80,7 @@ def delayed_replicator_rhs(cfg: SystemConfig, pop_now: PopulationState,
     """
     _check_sizes(cfg, pop_now, alloc)
     _check_sizes(cfg, pop_delayed)
-    return ReplicatorField(cfg, alloc).delayed_rate(0.0, pop_now.shares,
+    return ReplicatorField(cfg, alloc).delayed_rate(pop_now.shares,
                                                     pop_delayed.shares)
 
 
@@ -95,8 +95,8 @@ class ReplicatorField:
     utility-difference form so the error behavior (ZeroShare) matches the
     public vector field.  The supply w is fixed per field and computed
     once (`supply`), and so are the lag terms the field reads (_lag_terms).
-    Integrators take `rate` or `delayed_rate` (the time argument is
-    unused); a delayed `solve_fixed` steps the same terms itself.
+    Integrators take `rate` or `delayed_rate` (no time argument: the field
+    is autonomous); a delayed `solve_fixed` steps the same terms itself.
     """
 
     cfg: SystemConfig
@@ -109,16 +109,16 @@ class ReplicatorField:
         supply.flags.writeable = False
         return supply
 
-    def rate(self, t: float, shares: np.ndarray) -> np.ndarray:
+    def rate(self, shares: np.ndarray) -> np.ndarray:
         """Undelayed velocities at raw state `shares`."""
-        return self.delayed_rate(t, shares, shares)
+        return self.delayed_rate(shares, shares)
 
     @cached_property
     def _terms(self):
         """_lag_terms of `supply`, bound once per field."""
         return _lag_terms(self.cfg, self.supply.tolist())
 
-    def delayed_rate(self, t: float, shares_now: np.ndarray,
+    def delayed_rate(self, shares_now: np.ndarray,
                      shares_delayed: np.ndarray) -> np.ndarray:
         """Velocities G*(u - now . u), with (u, G) read from `shares_delayed`.
 

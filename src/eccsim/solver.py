@@ -4,10 +4,12 @@ Everything runs on a fixed uniform grid with Runge-Kutta stages.  Fixed
 stepping keeps runs deterministic and lines the grid up with the delay
 buffer, which matters more here than raw speed.  The order of each scheme
 in dt: integrate_ode is classical RK4, fourth order; a delayed run reads
-its lagged states by linear interpolation, which makes it second order
-despite its RK4 stages; the equilibrium sweep holds each node's controls
-over the step, which makes it first order (U_ccp errors fall by 2.07-2.34
-per halving of dt on scenario_a).
+its lagged states by linear interpolation: second order on a smooth
+field, but on the projected population field (solve_fixed, scenario_delay,
+tau = 0.7, T = 7) final-share errors fall by 3.12, 2.80, 2.55 and 2.42 per
+halving of dt; the equilibrium sweep holds each node's controls over the
+step, which makes it first order (U_ccp errors fall by 2.07-2.34 per
+halving of dt on scenario_a).
 
 The open-loop equilibrium is found by forward-backward sweeping.  The
 adjoints depend on the state only through Theta(r(t)) and vanish at T, so
@@ -222,6 +224,13 @@ def check_delay(tau: float, dt: float, name: str = "tau") -> None:
         raise ValueError(f"{name}: delay shorter than dt is not resolvable")
 
 
+def _check_undelayed(cfg: SystemConfig) -> None:
+    """Reject a population delay, which only solve_fixed models."""
+    if cfg.population_delay:
+        raise ValueError(
+            "population_delay: only the fixed-controls scheme models delay")
+
+
 def check_stability(cfg: SystemConfig, dt: float) -> None:
     """Reject a dt past RK4's real stability bound on rho + Theta_max, the
     fastest rate a solver steps; Theta is linear in the requests r, so its
@@ -262,10 +271,10 @@ def _project_simplex(y: list[float]) -> list[float]:
     return [v / total for v in floored]
 
 
-def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
+def integrate_ode(field: Callable[[np.ndarray], np.ndarray],
                   x0, t_span: tuple[float, float], dt: float,
                   *, simplex: bool = False) -> Trajectory:
-    """Fixed-step RK4 integration of x' = field(t, x).
+    """Fixed-step RK4 integration of the autonomous x' = field(x).
 
     With simplex=True each step is floored at SHARE_FLOOR to preserve
     interiority and renormalized onto the simplex (_project_simplex);
@@ -279,49 +288,48 @@ def integrate_ode(field: Callable[[float, np.ndarray], np.ndarray],
         ValueError: `field` returned anything but a vector as long as the state.
     """
     return _method_of_steps(
-        _staged(lambda t, now, lag: field(t, now), dt,
+        _staged(lambda now, lag: field(now), dt,
                 _project_simplex if simplex else _check_finite),
-        x0, 0.0, t_span, dt)
+        x0, 0.0, _make_grid(t_span, dt), dt)
 
 
 def _staged(field: Callable[..., np.ndarray], dt: float,
             settle: Callable[[list[float]], list[float]]) -> Callable:
-    """Array field f(t, now, lag) as the _method_of_steps block of RK4 stages.
+    """Array field f(now, lag) as the _method_of_steps block of RK4 stages.
 
-    Step j of a block runs from times[j] to t = times[j+1] over lag rows
-    2j (start), 2j+1 (mid) and 2j+2 (end); the lag is the stage itself
-    when `lags` is None.  It calls the field at k1 = f(times[j], y, row 2j),
-    k2 and k3 at t - dt/2, row 2j+1 and the built stages y + dt/2*k1,
-    y + dt/2*k2, and k4 at t, row 2j+2 and y + dt*k3: four field calls per
-    step, each stage built as a list, then handed to `field` as an array.
-    The next step starts from the RK4 sum passed through `settle`, the one
-    pass integrate_ode and integrate_dde choose (_check_finite, or
-    _project_simplex on the simplex); the block returns the settled states
-    and the last of them.  The only block that reads `times`.
+    Step j of a block reads lag rows 2j (start), 2j+1 (mid) and 2j+2 (end);
+    the lag is the stage itself when `lags` is None.  It calls the field at
+    k1 = f(y, row 2j), k2 and k3 at row 2j+1 and the built stages
+    y + dt/2*k1, y + dt/2*k2, and k4 at row 2j+2 and y + dt*k3: four field
+    calls per step, each stage built as a list, then handed to `field` as
+    an array.  The next step starts from the RK4 sum passed through
+    `settle`, the one pass integrate_ode and integrate_dde choose
+    (_check_finite, or _project_simplex on the simplex); the block returns
+    the settled states and the last of them.
 
     Raises:
         ValueError: `field` returned anything but a vector as long as the state.
     """
     half, sixth = 0.5 * dt, dt / 6.0
 
-    def rate(t, lag, base, slope, h):
-        """Velocity at row (t, lag) of the state base + h*slope."""
+    def rate(lag, base, slope, h):
+        """Velocity at lag row `lag` of the state base + h*slope."""
         now = np.array([a + h * k for a, k in zip(base, slope)])
-        out = np.asarray(field(t, now, now if lag is None else lag))
+        out = np.asarray(field(now, now if lag is None else lag))
         if out.shape != (len(base),):
             raise ValueError(
                 "field: must return a vector as long as the state")
         return out.tolist()
 
-    def block(times, lags, y):
+    def block(steps, lags, y):
         rows = []
-        lags = [None] * (2 * len(times) - 1) if lags is None else lags
-        for j, t in enumerate(times[1:]):
+        lags = [None] * (2 * steps + 1) if lags is None else lags
+        for j in range(steps):
             mid = lags[2 * j + 1]
-            k1 = rate(times[j], lags[2 * j], y, y, 0.0)
-            k2 = rate(t - half, mid, y, k1, half)
-            k3 = rate(t - half, mid, y, k2, half)
-            k4 = rate(t, lags[2 * j + 2], y, k3, dt)
+            k1 = rate(lags[2 * j], y, y, 0.0)
+            k2 = rate(mid, y, k1, half)
+            k3 = rate(mid, y, k2, half)
+            k4 = rate(lags[2 * j + 2], y, k3, dt)
             nxt = []
             for v, a, b, c, d in zip(y, k1, k2, k3, k4):
                 nxt.append(v + sixth * (a + 2.0 * b + 2.0 * c + d))
@@ -362,13 +370,13 @@ def _rank_one_rk4(terms: Callable, source: list[float], theta: float,
     bit of a row depends on where blocks start, and sigma cannot under- or
     overflow on a long run.  Each step takes its four sums and three dots in
     one float loop and the new state and its sum in another, every sum from
-    0.0, left to right.  Delayed runs only: at zero delay the lag is the
-    stage state.
+    0.0, left to right.  Delayed runs only, so the lag rows give the step
+    count; at zero delay the lag is the stage state.
     """
     half, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
     h_source = [dt * v for v in source]
 
-    def block(times, lags, y):
+    def block(steps, lags, y):
         u, g = terms(lags)
         u, g, flat, sigmas, sigma = u.tolist(), g.tolist(), [], [], 0.0
         for v in y:
@@ -408,29 +416,27 @@ def _rank_one_rk4(terms: Callable, source: list[float], theta: float,
     return block
 
 
-def _method_of_steps(block: Callable, x0, tau: float,
-                     t_span: tuple[float, float], dt: float) -> Trajectory:
-    """RK4 steps of x'(t) = f(t, x(t), x(t - tau)) over float lists.
+def _method_of_steps(block: Callable, x0, tau: float, times: np.ndarray,
+                     dt: float) -> Trajectory:
+    """RK4 steps of x'(t) = f(x(t), x(t - tau)) on `times` over float lists.
 
-    rows, y = block(times, lags, y) runs steps s..e-1 from y, the state the
-    block before handed on (x0 first), and returns the e - s states to store
-    and the state to hand on: _staged, or _rank_one_rk4, which hands on its
-    state unnormalised, built for this run's dt.  `times` holds the block's
-    e - s + 1 grid times, `lags` their 2*(e - s) + 1 lag rows: the
-    start row, then mid-step and end-of-step for each step.  Step i reads
-    the lag at grid position i - tau/dt for k1, i + 1/2 - tau/dt for k2 and
-    k3 and i + 1 - tau/dt for k4.  Position p reads row j = max(floor(p), 0)
-    plus (p - j) times the step to row max(ceil(p), 0), a zero step if
-    p - j <= 0.  A delay past the run reads x0 everywhere, so tau/dt is
-    capped at the step count plus one, which keeps it finite.  With
-    e - s < tau/dt a block's rows lie at or before s, the last row stored,
-    so one numpy pass reads them; e - s <= LAG_BLOCK bounds its memory.
-    Its start row is the previous block's end row, read again.  At tau = 0
-    no row is read, block gets lags None, and blocks are LAG_BLOCK steps
-    wide.  Raises as integrate_dde.
+    rows, y = block(steps, lags, y) runs steps s..e-1 (steps = e - s) from
+    y, the state the block before handed on (x0 first), and returns the
+    states to store and the state to hand on: _staged, or _rank_one_rk4,
+    which hands on its state unnormalised, built for this run's dt.  `lags`
+    holds their 2*steps + 1 lag rows: the start row, then mid-step and
+    end-of-step for each step.  Step i reads the lag at grid position
+    i - tau/dt for k1, i + 1/2 - tau/dt for k2 and k3 and i + 1 - tau/dt
+    for k4.  Position p reads row j = max(floor(p), 0) plus (p - j) times
+    the step to row max(ceil(p), 0), a zero step if p - j <= 0.  A delay
+    past the run reads x0 everywhere, so tau/dt is capped at the step count
+    plus one, which keeps it finite.  With e - s < tau/dt a block's rows lie
+    at or before s, the last row stored, so one numpy pass reads them;
+    e - s <= LAG_BLOCK bounds its memory.  Its start row is the previous
+    block's end row, read again.  At tau = 0 no row is read, block gets
+    lags None, and blocks are LAG_BLOCK steps wide.  Raises as integrate_dde.
     """
     check_delay(tau, dt)
-    times = _make_grid(t_span, dt)
     x0 = np.asarray(x0, dtype=float).tolist()
     steps = times.shape[0] - 1
     shift = min(tau / dt, steps + 1.0)
@@ -445,26 +451,26 @@ def _method_of_steps(block: Callable, x0, tau: float,
         a = out[lo.astype(int)]
         return a + (pos - lo)[:, None] * (out[hi.astype(int)] - a)
 
-    grid = times.tolist()
     width = min(max(math.ceil(shift) - 1, 1), LAG_BLOCK) if shift else LAG_BLOCK
     for s in range(0, steps, width):
         e = min(s + width, steps)
-        rows, y = block(grid[s:e + 1], read(s, e) if shift else None, y)
+        rows, y = block(e - s, read(s, e) if shift else None, y)
         out[s + 1:e + 1] = rows
     return Trajectory(times=times, shares=out)
 
 
-def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
+def integrate_dde(field: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   x0, tau: float, t_span: tuple[float, float], dt: float,
                   *, simplex: bool = True) -> Trajectory:
-    """Method of steps for x'(t) = field(t, x(t), x(t - tau)).
+    """Method of steps for the autonomous x'(t) = field(x(t), x(t - tau)).
 
     Each step takes RK4 stages, but the delayed state is read from the
-    already-integrated grid by linear interpolation, so the method is
-    second order: the error falls by 4 per halving of dt.  Before the start
-    the delayed state is the constant x0; at tau = 0 it is each stage's
-    own state.  `field` is called once per RK4 stage; the steps are the
-    staged ones of _method_of_steps (_staged).
+    already-integrated grid by linear interpolation: second order on a
+    smooth field (the error falls by 4 per halving of dt), less on the
+    projected population field (see the module docstring).  Before the
+    start the delayed state is the constant x0; at tau = 0 it is each
+    stage's own state.  `field` is called once per RK4 stage; the steps
+    are the staged ones of _method_of_steps (_staged).
 
     Raises:
         ValueError: tau not finite, negative, or 0 < tau < dt (one step
@@ -473,7 +479,7 @@ def integrate_dde(field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     """
     return _method_of_steps(
         _staged(field, dt, _project_simplex if simplex else _check_finite),
-        x0, tau, t_span, dt)
+        x0, tau, _make_grid(t_span, dt), dt)
 
 
 def _affine_rk4(a: float, h: float) -> tuple[float, float]:
@@ -551,8 +557,9 @@ def _forward_map(cfg: SystemConfig, times: np.ndarray) -> Callable:
     uptake kernels too, is bound once.
     run(x0, g), with M values of g, returns lists: shares, requests and
     prices per node, and the M-1 per-interval Theta that the backward pass
-    (_adjoint_profile) must read.
+    (_adjoint_profile) must read; it refuses a population delay.
     """
+    _check_undelayed(cfg)
     n, m = cfg.n_ecps, times.shape[0]
     dt = float(times[1] - times[0]) if m > 1 else 0.0
     inv_p, gap, inv_p_sum, mix = _price_gaps(cfg)
@@ -598,15 +605,15 @@ def _forward_map(cfg: SystemConfig, times: np.ndarray) -> Callable:
     return run
 
 
-def _forward_pass(cfg: SystemConfig, x0: np.ndarray, times: np.ndarray,
-                  g: np.ndarray | None) -> tuple[Trajectory, list[float]]:
-    """A _forward_map pass as a Trajectory stored with g (None: zeros, stored
-    as None) and without utilities, and its Theta values."""
-    shares, requests, prices, thetas = _forward_map(cfg, times)(
-        np.asarray(x0, dtype=float).tolist(),
-        [0.0] * times.shape[0] if g is None else g.tolist())
-    return Trajectory(times, np.array(shares), np.array(requests),
-                      np.array(prices), g), thetas
+def _forward_pass(cfg: SystemConfig, x0, times: np.ndarray,
+                  g: np.ndarray | None) -> Trajectory:
+    """A _forward_map pass from x0 (checked: _initial_shares) as a Trajectory
+    stored with g (None: zeros, stored as None) and its utilities."""
+    x0 = _initial_shares(cfg, x0).tolist()
+    shares, requests, prices, _ = _forward_map(cfg, times)(
+        x0, [0.0] * times.shape[0] if g is None else g.tolist())
+    return _attach_utilities(cfg, Trajectory(
+        times, np.array(shares), np.array(requests), np.array(prices), g))
 
 
 def _running_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -661,9 +668,8 @@ def _anderson(image: np.ndarray, res: np.ndarray, last) -> np.ndarray:
 
 
 def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
-                    t_span: tuple[float, float] | None = None,
                     max_iter: int = 500) -> tuple[Trajectory, SweepReport]:
-    """Open-loop equilibrium of the full hierarchical game.
+    """Open-loop equilibrium of the full hierarchical game over [0, horizon].
 
     Iterates the map g -> forward pass -> backward pass -> g from g = 0,
     so the first forward pass runs the myopic controls (solve_ssec's run;
@@ -677,14 +683,15 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
 
     Raises:
         BlowUp: integration left the finite range.
-        ValueError: malformed grid or parameters, max_iter included.
+        ValueError: malformed grid or parameters, max_iter and a nonzero
+            population_delay included.
     """
     if (isinstance(max_iter, bool)
             or not isinstance(max_iter, (int, np.integer)) or max_iter < 1):
         raise ValueError("max_iter: must be a positive integer")
     check_stability(cfg, dt)
     x0 = _initial_shares(cfg, x0).tolist()
-    times = _make_grid((0.0, cfg.horizon) if t_span is None else t_span, dt)
+    times = _make_grid((0.0, cfg.horizon), dt)
     lam_diag, mu_scale = _adjoint_scales(cfg)
     adjoint_unit = max(float(np.max(np.abs(lam_diag))), abs(mu_scale))
     forward = _forward_map(cfg, times)
@@ -721,26 +728,22 @@ def replay_forward(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
         raise ValueError("trajectory stores no adjoints to replay")
     if traj.g.shape != traj.times.shape:
         raise ValueError("g: length inconsistent with times")
-    return _attach_utilities(cfg, _forward_pass(
-        cfg, _initial_shares(cfg, traj.shares[0]), traj.times, traj.g)[0])
+    return _forward_pass(cfg, traj.shares[0], traj.times, traj.g)
 
 
-def solve_ssec(cfg: SystemConfig, x0, t_span: tuple[float, float],
-               dt: float) -> Trajectory:
+def solve_ssec(cfg: SystemConfig, x0, dt: float) -> Trajectory:
     """Myopic baseline: each instant's static game, then one population step.
 
-    Identical to the sweep's forward pass with g pinned to zero, i.e.
-    providers optimize instantaneous payoff only: the first pass of
-    solve_open_loop, which its report keeps (SweepReport.first_pass).
+    Identical to the sweep's forward pass over [0, horizon] with g pinned
+    to zero, i.e. providers optimize instantaneous payoff only: the first
+    pass of solve_open_loop (SweepReport.first_pass), raising as it does.
     """
     check_stability(cfg, dt)
-    return _attach_utilities(cfg, _forward_pass(
-        cfg, _initial_shares(cfg, x0), _make_grid(t_span, dt), None)[0])
+    return _forward_pass(cfg, x0, _make_grid((0.0, cfg.horizon), dt), None)
 
 
-def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
-                dt: float) -> Trajectory:
-    """Population run under a frozen allocation and zero cloud price.
+def solve_fixed(cfg: SystemConfig, x0, r0, dt: float) -> Trajectory:
+    """Population run over [0, horizon], frozen allocation, zero cloud price.
 
     Honors cfg.population_delay with constant prehistory x0.  At zero
     delay the field is x' = delta*c - Theta*x (see ReplicatorField), and
@@ -761,13 +764,12 @@ def solve_fixed(cfg: SystemConfig, x0, r0, t_span: tuple[float, float],
     tau, delta = cfg.population_delay, cfg.learning_rate
     c, theta = _uptake(cfg)(alloc.requests.tolist())
     source = [delta * cs for cs in c]
-    x0 = _initial_shares(cfg, x0)
+    x0, times = _initial_shares(cfg, x0), _make_grid((0.0, cfg.horizon), dt)
     if tau:
         traj = _method_of_steps(
             _rank_one_rk4(_lag_terms(cfg, supply), source, theta, dt), x0,
-            tau, t_span, dt)
+            tau, times, dt)
     else:
-        times = _make_grid(t_span, dt)
         grow = _affine_rk4(-theta, dt)[0]
         # Powers of a Python float (libm's pow): numpy's array power may
         # take a SIMD path whose bits depend on the CPU.

@@ -102,8 +102,8 @@ def test_stability_spectrum(capsys):
         for j in range(3):
             step = np.zeros(3)
             step[j] = h
-            jac[:, j] = (field.rate(0.0, x_star + step)
-                         - field.rate(0.0, x_star - step)) / (2.0 * h)
+            jac[:, j] = (field.rate(x_star + step)
+                         - field.rate(x_star - step)) / (2.0 * h)
         fd_eig = np.linalg.eigvals(jac)
         worst_real = max(worst_real, float(np.max(fd_eig.real)))
         worst_gap = max(worst_gap, float(np.max(np.abs(fd_eig - (-th)))))
@@ -335,7 +335,7 @@ def test_olsec_vs_ssec_trends(capsys):
         cfg = make_big_cloud_config(horizon=100.0, learning_rate=delta)
         solved, rep = solve_open_loop(cfg, X0, dt=0.02)
         all_converged &= rep.converged
-        myopic = solve_ssec(cfg, X0, (0.0, 100.0), 0.02)
+        myopic = solve_ssec(cfg, X0, 0.02)
         for name, tr in (("olsec", solved), ("ssec", myopic)):
             i_eq = tr.index_at(70.0)
             target = analytic_ess(cfg, tr.allocation(i_eq)).shares
@@ -425,7 +425,7 @@ def test_numerical_hygiene(capsys, tmp_path):
     # Order-4 convergence on a known flow, no simplex drift without the
     # projection, and bit-identical artifacts for identical inputs.
     e_inv = float(np.exp(-1.0))
-    errs = [abs(integrate_ode(lambda t, y: -y, [1.0], (0.0, 1.0),
+    errs = [abs(integrate_ode(lambda y: -y, [1.0], (0.0, 1.0),
                               dt).shares[-1, 0] - e_inv)
             for dt in (0.1, 0.05)]
     ratio = errs[0] / errs[1]

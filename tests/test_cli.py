@@ -459,11 +459,9 @@ class TestCompare:
                         argparse.Namespace(dt=1.0, horizon=None))
         for delta, row in zip(deltas, rows):
             sub = _derive(scn, {"learning_rate": delta}, scheme="ssec")
-            span = (0.0, sub.cfg.horizon)
-            _, report = solve_open_loop(sub.cfg, sub.x0, dt=sub.dt,
-                                        t_span=span)
+            _, report = solve_open_loop(sub.cfg, sub.x0, dt=sub.dt)
             shared = _attach_utilities(sub.cfg, report.first_pass)
-            alone = solve_ssec(sub.cfg, sub.x0, span, sub.dt)
+            alone = solve_ssec(sub.cfg, sub.x0, sub.dt)
             for field in dataclasses.fields(Trajectory):
                 got, want = (getattr(t, field.name) for t in (shared, alone))
                 if want is None:

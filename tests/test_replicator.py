@@ -114,7 +114,7 @@ class TestReplicatorField:
     def test_matches_public_rhs(self, cfg, x0):
         alloc = AllocationState([0.1, 0.3])
         field = ReplicatorField(cfg, alloc)
-        got = field.rate(0.0, np.asarray(x0))
+        got = field.rate(np.asarray(x0))
         want = replicator_rhs(cfg, PopulationState(x0), alloc)
         np.testing.assert_array_equal(got, want)
 
@@ -122,8 +122,8 @@ class TestReplicatorField:
         alloc = AllocationState([0.1, 0.2])
         field = ReplicatorField(cfg, alloc)
         x = np.asarray(x0)
-        np.testing.assert_array_equal(field.delayed_rate(0.0, x, x),
-                                      field.rate(0.0, x))
+        np.testing.assert_array_equal(field.delayed_rate(x, x),
+                                      field.rate(x))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -142,9 +142,9 @@ class TestReplicatorField:
         delayed = PopulationState(rng.dirichlet(np.ones(n + 1)))
         field = ReplicatorField(cfg, alloc)
         np.testing.assert_array_equal(
-            field.delayed_rate(0.0, now.shares, delayed.shares),
+            field.delayed_rate(now.shares, delayed.shares),
             delayed_replicator_rhs(cfg, now, delayed, alloc))
-        np.testing.assert_array_equal(field.rate(0.0, now.shares),
+        np.testing.assert_array_equal(field.rate(now.shares),
                                       replicator_rhs(cfg, now, alloc))
         np.testing.assert_array_equal(field.supply, provider_power(cfg, alloc))
         assert not field.supply.flags.writeable
@@ -153,7 +153,7 @@ class TestReplicatorField:
         field = ReplicatorField(cfg, AllocationState([0.0, 0.0]))
         now = np.array([0.3, 0.3, 0.4])
         with pytest.raises(ZeroShare, match="cloud"):
-            field.delayed_rate(0.0, now, np.array([0.5, 0.5, 0.0]))
+            field.delayed_rate(now, np.array([0.5, 0.5, 0.0]))
 
     @given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -183,7 +183,7 @@ class TestReplicatorField:
             mean += x * u
         want = [(cfg.learning_rate * y) * (u - mean)
                 for y, u in zip(delayed.tolist(), utils)]
-        assert field.delayed_rate(0.0, now, delayed).tolist() == want
+        assert field.delayed_rate(now, delayed).tolist() == want
         assert delayed_replicator_rhs(
             cfg, PopulationState(now), PopulationState(delayed),
             field.alloc).tolist() == want
@@ -206,12 +206,12 @@ class TestReplicatorField:
         dt = 0.01
         y = rng.dirichlet(np.ones(n + 1)).tolist()
         rows, last = _staged(field.delayed_rate, dt, _check_finite)(
-            [0.0] * 3, lags, y)
+            2, lags, y)
         assert len(rows) == 2 and last is rows[-1]
 
         def rate(lag, base, slope, h):
             now = np.array([a + h * k for a, k in zip(base, slope)])
-            return field.delayed_rate(0.0, now, lag).tolist()
+            return field.delayed_rate(now, lag).tolist()
 
         for j, row in enumerate(rows):
             first, mid, end = lags[2 * j:2 * j + 3]
@@ -258,7 +258,7 @@ class TestReplicatorField:
             mean = 0.0
             for x, v in zip(now, lag_u):
                 mean += x * v
-            assert field.delayed_rate(0.0, np.array(now), lag).tolist() == [
+            assert field.delayed_rate(np.array(now), lag).tolist() == [
                 a * (v - mean) for a, v in zip(lag_g, lag_u)]
         with pytest.raises(ZeroShare, match="^ecp 1:"):
             terms(np.array([[0.0, 0.6, 0.4]]))
@@ -289,8 +289,8 @@ class TestReplicatorField:
         monkeypatch.setattr(eccsim.replicator, "_lag_terms", counted)
         field = ReplicatorField(cfg, AllocationState([0.1, 0.2]))
         for k in range(50):
-            field.delayed_rate(0.0, x0, np.roll(x0, k))
-            field.rate(0.0, x0)
+            field.delayed_rate(x0, np.roll(x0, k))
+            field.rate(x0)
         assert len(binds) == 1
 
     def test_float_kernel_empty_group_without_supply(self, cfg):
@@ -300,13 +300,13 @@ class TestReplicatorField:
         now, delayed = [0.5, 0.4, 0.1], [0.6, 0.4, 0.0]
         u, g = _lag_terms(cfg, field.supply.tolist())(np.array([delayed]))
         assert u[0, 2] == 0.0 and g[0, 2] == 0.0
-        got = field.delayed_rate(0.0, np.array(now), np.array(delayed))
+        got = field.delayed_rate(np.array(now), np.array(delayed))
         assert got[2] == 0.0
 
     def test_empty_group_without_supply_through_field(self, cfg):
         # All compute moved to the ECPs: the empty cloud group is inert.
         field = ReplicatorField(cfg, AllocationState([0.55, 0.45]))
-        rate = field.delayed_rate(0.0, np.array([0.5, 0.4, 0.1]),
+        rate = field.delayed_rate(np.array([0.5, 0.4, 0.1]),
                                   np.array([0.6, 0.4, 0.0]))
         assert rate[2] == 0.0
 
@@ -325,8 +325,8 @@ class TestReplicatorField:
             with monkeypatch.context() as patch:
                 patch.setattr(eccsim.model, "_supply", counted)
                 patch.setattr(eccsim.replicator, "_supply", counted)
-                solve_fixed(make_config(population_delay=0.3), x0,
-                            [0.1, 0.2], (0.0, horizon), 0.01)
+                solve_fixed(make_config(population_delay=0.3,
+                                        horizon=horizon), x0, [0.1, 0.2], 0.01)
             counts.append(calls[0])
         assert counts == [2, 2]
 

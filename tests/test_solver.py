@@ -62,7 +62,7 @@ DDE_AT_FLOOR = 1e-11
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def decay(t, y):
+def decay(y):
     return -y
 
 
@@ -123,25 +123,25 @@ class TestIntegrateOde:
         assert 12.0 < ratio < 20.0
 
     def test_constant_field_is_exact(self):
-        traj = integrate_ode(lambda t, y: np.array([2.0]), [0.0],
+        traj = integrate_ode(lambda y: np.array([2.0]), [0.0],
                              (0.0, 3.0), 0.5)
         assert traj.shares[-1, 0] == pytest.approx(6.0, abs=1e-12)
 
     def test_blowup_raises(self):
         # y' = y^2 from y(0)=2 blows up at t = 0.5.
         with pytest.raises(BlowUp):
-            integrate_ode(lambda t, y: y * y, [2.0], (0.0, 1.0), 0.01)
+            integrate_ode(lambda y: y * y, [2.0], (0.0, 1.0), 0.01)
 
     def test_non_finite_raises(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(BlowUp):
-                integrate_ode(lambda t, y: np.array([bad]), [1.0],
+                integrate_ode(lambda y: np.array([bad]), [1.0],
                               (0.0, 1.0), 0.1)
 
     @pytest.mark.parametrize("field", [
-        lambda t, y, z: -y[:1],
-        lambda t, y, z: np.append(-y, 0.0),
-        lambda t, y, z: float(-y[0]),
+        lambda y, z: -y[:1],
+        lambda y, z: np.append(-y, 0.0),
+        lambda y, z: float(-y[0]),
     ], ids=["shorter", "longer", "scalar"])
     def test_rejects_field_of_wrong_length(self, field):
         # A shorter vector used to leave unwritten rows in the trajectory,
@@ -149,7 +149,7 @@ class TestIntegrateOde:
         # inside the step loop.  Checked undelayed and delayed.
         match = "^field: must return a vector as long as the state$"
         with pytest.raises(ValueError, match=match):
-            integrate_ode(lambda t, y: field(t, y, y), [1.0, 2.0],
+            integrate_ode(lambda y: field(y, y), [1.0, 2.0],
                           (0.0, 1.0), 0.1)
         with pytest.raises(ValueError, match=match):
             integrate_dde(field, [1.0, 2.0], 0.5, (0.0, 1.0), 0.1,
@@ -157,7 +157,7 @@ class TestIntegrateOde:
 
     def test_simplex_projection_keeps_interior(self):
         drift = np.array([-10.0, 10.0, 0.0])
-        traj = integrate_ode(lambda t, y: drift, [0.3, 0.3, 0.4],
+        traj = integrate_ode(lambda y: drift, [0.3, 0.3, 0.4],
                              (0.0, 1.0), 0.01, simplex=True)
         assert np.all(traj.shares > 0.0)
         np.testing.assert_allclose(traj.shares.sum(axis=1), 1.0, atol=1e-12)
@@ -178,17 +178,17 @@ class TestIntegrateDde:
 
     def test_rejects_sub_step_delay(self):
         with pytest.raises(ValueError, match="tau"):
-            integrate_dde(lambda t, y, z: -z, [1.0], 0.005, (0.0, 1.0), 0.01)
+            integrate_dde(lambda y, z: -z, [1.0], 0.005, (0.0, 1.0), 0.01)
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_rejects_non_finite_delay(self, tau):
         with pytest.raises(ValueError, match="^tau: must be finite"):
-            integrate_dde(lambda t, y, z: -z, [1.0], tau, (0.0, 1.0), 0.01)
+            integrate_dde(lambda y, z: -z, [1.0], tau, (0.0, 1.0), 0.01)
 
     def test_rejects_negative_delay(self):
         # A negative shift would read rows the loop has not written yet.
         with pytest.raises(ValueError, match="^tau: must be nonnegative$"):
-            integrate_dde(lambda t, y, z: -z, [1.0], -0.5, (0.0, 1.0), 0.01)
+            integrate_dde(lambda y, z: -z, [1.0], -0.5, (0.0, 1.0), 0.01)
 
     def test_delay_past_the_run_reads_x0(self, x0):
         # At tau = 1e308, tau/dt overflows to inf.  Any delay past the run
@@ -199,8 +199,8 @@ class TestIntegrateDde:
             field = ReplicatorField(cfg, AllocationState([0.1, 0.2]))
             return [integrate_dde(field.delayed_rate, x0, tau, (0.0, 3.0),
                                   0.01).shares.tobytes(),
-                    solve_fixed(cfg, x0, [0.1, 0.2], (0.0, 3.0),
-                                0.01).shares.tobytes()]
+                    solve_fixed(dataclasses.replace(cfg, horizon=3.0), x0,
+                                [0.1, 0.2], 0.01).shares.tobytes()]
 
         assert run(1e308) == run(6.0)
 
@@ -212,12 +212,12 @@ class TestIntegrateDde:
         assert _make_grid((0.0, 30.0), 0.01).shape == (3001,)
         calls = []
 
-        def field(t, now, lag):
+        def field(now, lag):
             calls.append((lag.tolist(), now.tolist()))
             return -0.1 * now
 
         _method_of_steps(_staged(field, 0.01, _check_finite), [0.3, 0.7],
-                         0.0, (0.0, 30.0), 0.01)
+                         0.0, _make_grid((0.0, 30.0), 0.01), 0.01)
         assert len(calls) == 4 * 3000
         assert all(lag == now for lag, now in calls)
 
@@ -226,44 +226,45 @@ class TestIntegrateDde:
         # wide: 3000 steps make 11 full blocks and one of 184.
         widths = []
 
-        block = _staged(lambda t, now, lag: -0.1 * now, 0.01, _check_finite)
+        block = _staged(lambda now, lag: -0.1 * now, 0.01, _check_finite)
 
-        def counted(times, lags, y):
-            widths.append(len(times) - 1)
-            return block(times, lags, y)
+        def counted(steps, lags, y):
+            widths.append(steps)
+            return block(steps, lags, y)
 
-        _method_of_steps(counted, [0.3, 0.7], 0.0, (0.0, 30.0), 0.01)
+        _method_of_steps(counted, [0.3, 0.7], 0.0,
+                         _make_grid((0.0, 30.0), 0.01), 0.01)
         assert widths == [LAG_BLOCK] * (3000 // LAG_BLOCK) + [
             3000 % LAG_BLOCK]
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_curried_kernel_builds_the_stage(self, n):
         # The array field staged by _staged sees each RK4 stage built bit
-        # for bit as a list would be, at its row's time and lag: k1 at row
+        # for bit as a list would be, at its row's lag: k1 at row
         # 0 and y, k2 and k3 at row 1 and y + dt/2*k, k4 at row 2 and
         # y + dt*k3, and the step is RK4's sum of the four, which the block
         # also hands on as the state the next block starts from.
         rng = np.random.default_rng(n)
         seen = []
 
-        def field(t, now, lag):
-            seen.append((t, now.tolist(), lag.tolist()))
+        def field(now, lag):
+            seen.append((now.tolist(), lag.tolist()))
             return np.sin(now) * lag
 
-        dt, times, lags = 0.25, [0.5, 0.75], rng.normal(size=(3, n))
+        dt, lags = 0.25, rng.normal(size=(3, n))
         y = rng.normal(size=n).tolist()
-        (got,), last = _staged(field, dt, _check_finite)(times, lags, y)
+        (got,), last = _staged(field, dt, _check_finite)(1, lags, y)
         assert last is got
 
-        def at(t, lag, base, slope, h):
+        def at(lag, base, slope, h):
             now = [a + h * k for a, k in zip(base, slope)]
-            assert seen.pop(0) == (t, now, lag.tolist())
+            assert seen.pop(0) == (now, lag.tolist())
             return (np.sin(now) * lag).tolist()
 
-        k1 = at(0.5, lags[0], y, y, 0.0)
-        k2 = at(0.625, lags[1], y, k1, 0.5 * dt)
-        k3 = at(0.625, lags[1], y, k2, 0.5 * dt)
-        k4 = at(0.75, lags[2], y, k3, dt)
+        k1 = at(lags[0], y, y, 0.0)
+        k2 = at(lags[1], y, k1, 0.5 * dt)
+        k3 = at(lags[1], y, k2, 0.5 * dt)
+        k4 = at(lags[2], y, k3, dt)
         assert not seen
         assert got == [v + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                        for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
@@ -289,8 +290,8 @@ class TestIntegrateDde:
 
         monkeypatch.setattr(eccsim.solver, "_lag_terms", counted)
         monkeypatch.setattr(eccsim.solver, "_staged", staged)
-        solve_fixed(make_config(population_delay=tau), x0, [0.1, 0.2],
-                    (0.0, 1.0), 0.1)
+        solve_fixed(make_config(population_delay=tau, horizon=1.0), x0,
+                    [0.1, 0.2], 0.1)
         assert all(r % 2 == 1 for r in rows)
         assert sum(rows) == 2 * 10 + len(rows)
 
@@ -312,12 +313,13 @@ class TestIntegrateDde:
 
         block = population_block(make_config(), [0.1, 0.2], dt)
 
-        def spied(times, lags, y):
+        def spied(steps, lags, y):
             blocks.append(lags.tolist())
-            return block(times, lags, y)
+            return block(steps, lags, y)
 
         x0 = [0.3, 0.3, 0.4]
-        traj = _method_of_steps(spied, x0, tau, (0.0, t_end), dt)
+        traj = _method_of_steps(spied, x0, tau, _make_grid((0.0, t_end), dt),
+                                dt)
         shares = traj.shares.tolist()
         steps = len(shares) - 1
         window = {0.1: 1, 0.15: 1, 0.3: 2, 0.73: 7, 1.7: 169, 3.0: 299}[tau]
@@ -354,8 +356,7 @@ class TestIntegrateDde:
         cfg = dataclasses.replace(scn.cfg, population_delay=tau)
         field = ReplicatorField(cfg, AllocationState(scn.r0))
         run = {
-            "fixed": lambda: solve_fixed(cfg, scn.x0, scn.r0, (0.0, 30.0),
-                                         scn.dt),
+            "fixed": lambda: solve_fixed(cfg, scn.x0, scn.r0, scn.dt),
             "ode": lambda: integrate_ode(field.rate, scn.x0, (0.0, 5.0),
                                          scn.dt, simplex=True),
             "dde": lambda: integrate_dde(field.delayed_rate, scn.x0, tau,
@@ -369,7 +370,7 @@ class TestIntegrateDde:
 
     def test_constant_prehistory_linear_segment(self):
         # y' = -y(t - 0.5) with y == 1 before t=0: y(t) = 1 - t on [0, 0.5].
-        traj = integrate_dde(lambda t, y, z: -z, [1.0], 0.5,
+        traj = integrate_dde(lambda y, z: -z, [1.0], 0.5,
                              (0.0, 0.5), 0.05, simplex=False)
         np.testing.assert_allclose(traj.shares[:, 0], 1.0 - traj.times,
                                    atol=1e-12)
@@ -378,7 +379,7 @@ class TestIntegrateDde:
         # x' = -x(t - 1) with x == 1 before t=0 has x(3) = -1/6 exactly.
         errs = []
         for dt in (0.1, 0.05, 0.025, 0.0125):
-            traj = integrate_dde(lambda t, y, z: -z, [1.0], 1.0,
+            traj = integrate_dde(lambda y, z: -z, [1.0], 1.0,
                                  (0.0, 3.0), dt, simplex=False)
             errs.append(abs(traj.shares[-1, 0] + 1.0 / 6.0))
         for coarse, fine in zip(errs, errs[1:]):
@@ -392,7 +393,7 @@ class TestIntegrateDde:
         exact = 1.0 - 2.0 + (2.0 - tau) ** 2 / 2.0 - (2.0 - 2.0 * tau) ** 3 / 6.0
         errs = []
         for dt in (0.1, 0.05, 0.025, 0.0125, 0.00625):
-            traj = integrate_dde(lambda t, y, z: -z, [1.0], tau,
+            traj = integrate_dde(lambda y, z: -z, [1.0], tau,
                                  (0.0, 2.0), dt, simplex=False)
             errs.append(abs(traj.shares[-1, 0] - exact))
         for coarse, fine in zip(errs, errs[1:]):
@@ -409,7 +410,8 @@ class TestIntegrateDde:
 
 class TestTrajectory:
     def test_accessors(self, cfg, x0):
-        traj = solve_fixed(cfg, x0, [0.1, 0.2], (0.0, 1.0), 0.1)
+        traj = solve_fixed(dataclasses.replace(cfg, horizon=1.0), x0,
+                           [0.1, 0.2], 0.1)
         assert traj.n_ecps == 2
         assert isinstance(traj.state(0), PopulationState)
         snap = traj.snapshot(3)
@@ -477,7 +479,7 @@ class TestCostateBackward:
         # Along a moving request schedule every adjoint is a fixed multiple
         # of the one profile g; the homogeneous components are exactly 0.
         cfg = make_big_cloud_config(horizon=10.0)
-        traj = solve_ssec(cfg, [0.3, 0.3, 0.4], (0.0, 10.0), 0.01)
+        traj = solve_ssec(cfg, [0.3, 0.3, 0.4], 0.01)
         lam, mu, theta_mat = costate_backward_grid(cfg, traj.times,
                                                    traj.requests)
         g = _adjoint_profile(cfg, traj.times,
@@ -554,15 +556,53 @@ def test_library_dt_past_rk4_bound_raises(scheme):
     vertices = np.vstack([np.zeros(cfg.n_ecps), np.eye(cfg.n_ecps)])
     limit = RK4_REAL_BOUND / (
         cfg.discount_rate + float(uptake_reference(cfg, vertices)[1].max()))
+    def short(dt):
+        return dataclasses.replace(cfg, horizon=10.0 * dt)
+
     run = {
-        "olsec": lambda dt: solve_open_loop(cfg, x0, dt=dt,
-                                            t_span=(0.0, 10.0 * dt)),
-        "ssec": lambda dt: solve_ssec(cfg, x0, (0.0, 10.0 * dt), dt),
-        "fixed": lambda dt: solve_fixed(cfg, x0, r0, (0.0, 10.0 * dt), dt),
+        "olsec": lambda dt: solve_open_loop(short(dt), x0, dt=dt),
+        "ssec": lambda dt: solve_ssec(short(dt), x0, dt),
+        "fixed": lambda dt: solve_fixed(short(dt), x0, r0, dt),
     }[scheme]
     with pytest.raises(ValueError, match="^dt: above 8.79566, RK4's"):
         run(limit * (1.0 + 1e-6))
     run(limit * (1.0 - 1e-6))
+
+
+@pytest.mark.parametrize("scheme", ["olsec", "ssec", "fixed", "delayed"])
+def test_solvers_run_over_the_configured_horizon(scheme):
+    # The solvers take no span: each lays its grid over [0, cfg.horizon],
+    # and a configuration with another horizon, the route --horizon takes,
+    # moves the grid's end with it.
+    cfg = make_config(population_delay=0.5 if scheme == "delayed" else 0.0)
+    x0, r0 = [0.3, 0.3, 0.4], [0.1, 0.2]
+    run = {
+        "olsec": lambda cfg: solve_open_loop(cfg, x0, dt=0.1)[0],
+        "ssec": lambda cfg: solve_ssec(cfg, x0, 0.1),
+        "fixed": lambda cfg: solve_fixed(cfg, x0, r0, 0.1),
+        "delayed": lambda cfg: solve_fixed(cfg, x0, r0, 0.1),
+    }[scheme]
+    for horizon, steps in ((2.0, 20), (3.5, 35)):
+        traj = run(dataclasses.replace(cfg, horizon=horizon))
+        assert traj.times.shape == (steps + 1,)
+        assert traj.times[0] == 0.0 and traj.times[-1] == horizon
+
+
+@pytest.mark.parametrize("solver", ["olsec", "ssec", "replay"])
+def test_undelayed_solvers_reject_a_population_delay(solver, solved):
+    # Only solve_fixed models a reaction delay; the sweep's forward pass
+    # would return the undelayed shares, so the other routes refuse it
+    # with the CLI's message.
+    cfg, traj, _ = solved
+    delayed = dataclasses.replace(cfg, population_delay=5.0)
+    run = {
+        "olsec": lambda: solve_open_loop(delayed, [0.3, 0.3, 0.4], dt=0.1),
+        "ssec": lambda: solve_ssec(delayed, [0.3, 0.3, 0.4], 0.1),
+        "replay": lambda: replay_forward(delayed, traj),
+    }[solver]
+    with pytest.raises(ValueError, match="^population_delay: only the "
+                                         "fixed-controls scheme models delay$"):
+        run()
 
 
 def smooth_terms(lags):
@@ -584,7 +624,7 @@ def test_rank_one_map_is_the_staged_step(n, tau, dt):
     cfg = dataclasses.replace(cfg, learning_rate=0.5)
     field = ReplicatorField(cfg, AllocationState(r0))
     mapped = _method_of_steps(population_block(cfg, r0, dt), x0, tau,
-                              (0.0, 3.0), dt)
+                              _make_grid((0.0, 3.0), dt), dt)
     staged = integrate_dde(field.delayed_rate, x0, tau, (0.0, 3.0), dt,
                            simplex=True)
     np.testing.assert_allclose(mapped.shares, staged.shares, rtol=0.0,
@@ -616,8 +656,7 @@ def test_rank_one_map_follows_its_formula(n):
     y = rng.uniform(0.1, 1.0, size=n).tolist()
     source = rng.uniform(0.1, 1.0, size=n).tolist()
     theta = float(rng.uniform(0.5, 2.0))
-    rows, last = _rank_one_rk4(smooth_terms, source, theta, dt)(
-        [0.0] * 5, lags, y)
+    rows, last = _rank_one_rk4(smooth_terms, source, theta, dt)(4, lags, y)
     assert rows.shape == (4, n)
     u, g = (a.tolist() for a in smooth_terms(lags))
     sigma = left_total(y)
@@ -657,9 +696,8 @@ def test_rank_one_block_ignores_the_carried_scale(k):
     lags = rng.dirichlet(np.ones(4), size=9)
     y = rng.uniform(0.1, 1.0, size=4).tolist()
     block = population_block(cfg, r0, 0.01)
-    rows, last = block([0.0] * 5, lags, y)
-    scaled_rows, scaled_last = block([0.0] * 5, lags,
-                                     [math.ldexp(v, k) for v in y])
+    rows, last = block(4, lags, y)
+    scaled_rows, scaled_last = block(4, lags, [math.ldexp(v, k) for v in y])
     assert scaled_rows.tobytes() == rows.tobytes()
     assert scaled_last == last
 
@@ -739,8 +777,10 @@ class TestSweep:
             unit = max(float(np.max(np.abs(lam_diag))), abs(mu_scale))
             g, prev = np.zeros(times.shape[0]), None
             for maps in range(1, 100):
-                traj, thetas = _forward_pass(cfg, x0, times, g)
-                g = _adjoint_profile(cfg, times, thetas)
+                traj = _forward_pass(cfg, x0, times, g)
+                g = _adjoint_profile(cfg, times, [
+                    _uptake_row(cfg, r)[1]
+                    for r in traj.requests[:-1].tolist()])
                 if (prev is not None
                         and np.max(np.abs(traj.shares - prev.shares))
                         < SWEEP_TOL
@@ -907,11 +947,12 @@ class TestSweep:
             solve_open_loop(cfg, [0.5, 0.5, 0.0], dt=0.1)
 
     @pytest.mark.parametrize("solve", [
-        lambda cfg, x0: solve_open_loop(cfg, x0, dt=0.1, t_span=(0.0, 1.0)),
-        lambda cfg, x0: solve_ssec(cfg, x0, (0.0, 1.0), 0.1),
-        lambda cfg, x0: solve_fixed(cfg, x0, [0.1, 0.2], (0.0, 1.0), 0.1),
+        lambda cfg, x0: solve_open_loop(cfg, x0, dt=0.1),
+        lambda cfg, x0: solve_ssec(cfg, x0, 0.1),
+        lambda cfg, x0: solve_fixed(cfg, x0, [0.1, 0.2], 0.1),
     ], ids=["olsec", "ssec", "fixed"])
     def test_rejects_nan_share(self, cfg, solve):
+        cfg = dataclasses.replace(cfg, horizon=1.0)
         for x0, match in (([0.5, np.nan, 0.5], "be interior"),
                           ([1.0, 1.0, 1.0], "sum to 1")):
             with pytest.raises(ValueError,
@@ -919,8 +960,8 @@ class TestSweep:
                 solve(cfg, x0)
 
     def test_nonconvergence_reported_not_raised(self, cfg):
-        _, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.1,
-                                    t_span=(0.0, 5.0), max_iter=2)
+        _, report = solve_open_loop(dataclasses.replace(cfg, horizon=5.0),
+                                    [0.3, 0.3, 0.4], dt=0.1, max_iter=2)
         assert not report.converged
         assert report.iterations == 2
 
@@ -928,13 +969,13 @@ class TestSweep:
     def test_rejects_bad_max_iter(self, cfg, max_iter):
         with pytest.raises(ValueError,
                            match="^max_iter: must be a positive integer$"):
-            solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.1, t_span=(0.0, 1.0),
-                            max_iter=max_iter)
+            solve_open_loop(dataclasses.replace(cfg, horizon=1.0),
+                            [0.3, 0.3, 0.4], dt=0.1, max_iter=max_iter)
 
     def test_one_map_is_unconverged(self, cfg):
         # A single forward pass has no predecessor to compare shares with.
-        _, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.1,
-                                    t_span=(0.0, 5.0), max_iter=1)
+        _, report = solve_open_loop(dataclasses.replace(cfg, horizon=5.0),
+                                    [0.3, 0.3, 0.4], dt=0.1, max_iter=1)
         assert not report.converged
         assert report.iterations == 1
         assert report.state_residual == np.inf
@@ -1044,8 +1085,8 @@ class TestMyopicAndFixed:
     def test_ssec_matches_static_oracle(self, x0):
         # Zero adjoints at t=0 reproduce the static game p*=0.45,
         # r*=[0.035, 0.235] for the big-cloud duopoly.
-        cfg = make_big_cloud_config()
-        traj = solve_ssec(cfg, x0, (0.0, 1.0), 0.01)
+        cfg = make_big_cloud_config(horizon=1.0)
+        traj = solve_ssec(cfg, x0, 0.01)
         assert traj.prices[0] == pytest.approx(0.45, abs=1e-14)
         np.testing.assert_allclose(traj.requests[0], [0.035, 0.235],
                                    atol=1e-14)
@@ -1054,14 +1095,15 @@ class TestMyopicAndFixed:
     def test_open_loop_price_departs_from_myopic(self):
         cfg = make_big_cloud_config(horizon=10.0)
         traj, _ = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.01)
-        myopic = solve_ssec(cfg, [0.3, 0.3, 0.4], (0.0, 10.0), 0.01)
+        myopic = solve_ssec(cfg, [0.3, 0.3, 0.4], 0.01)
         assert abs(traj.prices[0] - myopic.prices[0]) > 0.01
 
     def test_fixed_matches_plain_integration(self, cfg, x0):
         # The closed form of the affine map and the staged field's RK4
         # steps round apart: 2.8e-16 over these 500 steps.
         r0 = [0.1, 0.2]
-        traj = solve_fixed(cfg, x0, r0, (0.0, 5.0), 0.01)
+        traj = solve_fixed(dataclasses.replace(cfg, horizon=5.0), x0, r0,
+                           0.01)
         field = ReplicatorField(cfg, AllocationState(r0))
         plain = integrate_ode(field.rate, x0, (0.0, 5.0), 0.01, simplex=True)
         np.testing.assert_allclose(traj.shares, plain.shares, rtol=0.0,
@@ -1076,8 +1118,8 @@ class TestMyopicAndFixed:
         # delta*c/Theta: row i is x0 + (1 - grow**i)*(delta*c/Theta - x0),
         # bit for bit as a plain float loop, and within 1e-13 of iterating
         # the map 500 times.
-        cfg, x0, r0 = random_market(n, n)
-        traj = solve_fixed(cfg, x0, r0, (0.0, 5.0), 0.01)
+        cfg, x0, r0 = random_market(n, n, horizon=5.0)
+        traj = solve_fixed(cfg, x0, r0, 0.01)
         c, theta = _uptake_row(cfg, r0.tolist())
         source = [cfg.learning_rate * v for v in c]
         grow, shift = _affine_rk4(-theta, 0.01)
@@ -1104,8 +1146,7 @@ class TestMyopicAndFixed:
         monkeypatch.setattr(eccsim.solver, "_project_simplex", project)
         scn = load_scenario(str(SCENARIOS / "scenario_a_fixed.json"))
         assert scn.cfg.population_delay == 0.0
-        traj = solve_fixed(scn.cfg, scn.x0, scn.r0, (0.0, scn.cfg.horizon),
-                           scn.dt)
+        traj = solve_fixed(scn.cfg, scn.x0, scn.r0, scn.dt)
         assert traj.shares.shape[0] == 5001
         assert traj.shares.min() > 0.0
         assert max(abs(math.fsum(row) - 1.0)
@@ -1123,7 +1164,7 @@ class TestMyopicAndFixed:
         monkeypatch.setattr(eccsim.solver, "_project_simplex", project)
         scn = load_scenario(str(SCENARIOS / "scenario_delay.json"))
         cfg = dataclasses.replace(scn.cfg, population_delay=tau)
-        traj = solve_fixed(cfg, scn.x0, scn.r0, (0.0, 30.0), scn.dt)
+        traj = solve_fixed(cfg, scn.x0, scn.r0, scn.dt)
         assert traj.shares.shape[0] == 3001
         assert traj.shares.min() > 0.0
         assert max(abs(math.fsum(row) - 1.0)
@@ -1136,9 +1177,9 @@ class TestMyopicAndFixed:
         # two agree within DDE_AT_FLOOR (2.7e-14 measured).  Unrescaled,
         # the carried sum drifts to 0.069 over the tau = 12 run.
         scn = load_scenario(str(SCENARIOS / "scenario_delay.json"))
-        cfg = dataclasses.replace(scn.cfg, population_delay=tau)
+        cfg = dataclasses.replace(scn.cfg, population_delay=tau, horizon=50.0)
         field = ReplicatorField(cfg, AllocationState(scn.r0))
-        runs = [lambda: solve_fixed(cfg, scn.x0, scn.r0, (0.0, 50.0), 0.01),
+        runs = [lambda: solve_fixed(cfg, scn.x0, scn.r0, 0.01),
                 lambda: integrate_dde(field.delayed_rate, scn.x0, tau,
                                       (0.0, 50.0), 0.01)]
         if tau == 12.0:
@@ -1152,8 +1193,8 @@ class TestMyopicAndFixed:
                                        atol=DDE_AT_FLOOR)
 
     def test_fixed_dispatches_to_dde(self, x0):
-        cfg = make_config(population_delay=0.5)
-        traj = solve_fixed(cfg, x0, [0.0, 0.0], (0.0, 5.0), 0.01)
+        cfg = make_config(population_delay=0.5, horizon=5.0)
+        traj = solve_fixed(cfg, x0, [0.0, 0.0], 0.01)
         field = ReplicatorField(cfg, AllocationState([0.0, 0.0]))
         manual = integrate_dde(field.delayed_rate, x0, 0.5, (0.0, 5.0), 0.01)
         np.testing.assert_allclose(traj.shares, manual.shares, rtol=0.0,
@@ -1169,7 +1210,8 @@ class TestMyopicAndFixed:
         # on the field, one lag row per call, to DDE_AGREEMENT (DDE_AT_FLOOR
         # once a share sinks to the floor), whether or not tau is a multiple
         # of dt.  Past the delay bound some runs blow up; then both must.
-        cfg, x0, r0 = random_market(seed, n, population_delay=tau)
+        cfg, x0, r0 = random_market(seed, n, population_delay=tau,
+                                    horizon=2.0)
         field = ReplicatorField(cfg, AllocationState(r0))
 
         def shares(run):
@@ -1178,7 +1220,7 @@ class TestMyopicAndFixed:
             except BlowUp:
                 return None
 
-        fast = shares(lambda: solve_fixed(cfg, x0, r0, (0.0, 2.0), 0.05))
+        fast = shares(lambda: solve_fixed(cfg, x0, r0, 0.05))
         staged = shares(lambda: integrate_dde(
             field.delayed_rate, x0, tau, (0.0, 2.0), 0.05))
         assert (fast is None) == (staged is None)
@@ -1202,8 +1244,8 @@ class TestMyopicAndFixed:
             return _orig(spoiled, source, theta, dt)
         monkeypatch.setattr(eccsim.solver, "_rank_one_rk4", rank_one)
         with pytest.raises(BlowUp):
-            solve_fixed(make_config(population_delay=0.5), x0, [0.1, 0.2],
-                        (0.0, 1.0), 0.1)
+            solve_fixed(make_config(population_delay=0.5, horizon=1.0), x0,
+                        [0.1, 0.2], 0.1)
 
     @pytest.mark.parametrize("tau", [0.7, 1.7])
     def test_delayed_pass_matches_dde_over_the_shipped_sweep(self, tau):
@@ -1213,7 +1255,7 @@ class TestMyopicAndFixed:
         # sum), and the CLI reads the same verdict.
         scn = load_scenario(str(SCENARIOS / "scenario_delay.json"))
         cfg = dataclasses.replace(scn.cfg, population_delay=tau)
-        fast = solve_fixed(cfg, scn.x0, scn.r0, (0.0, 30.0), 0.01)
+        fast = solve_fixed(cfg, scn.x0, scn.r0, 0.01)
         field = ReplicatorField(cfg, AllocationState(scn.r0))
         staged = integrate_dde(field.delayed_rate, scn.x0, tau, (0.0, 30.0),
                                0.01)
@@ -1227,9 +1269,9 @@ class TestMyopicAndFixed:
         # cloud's uptake and utility enter the map's four sums as 0; the
         # random draws of test_delayed_pass_matches_dde sum below 1.  The
         # cloud's share sinks to 3.9e-4, off the floor; gap 1.8e-15.
-        cfg, r0 = make_config(population_delay=0.7), [0.6, 0.4]
+        cfg, r0 = make_config(population_delay=0.7, horizon=30.0), [0.6, 0.4]
         assert _uptake_row(cfg, r0)[0][-1] == 0.0
-        fast = solve_fixed(cfg, x0, r0, (0.0, 30.0), 0.01)
+        fast = solve_fixed(cfg, x0, r0, 0.01)
         field = ReplicatorField(cfg, AllocationState(r0))
         staged = integrate_dde(field.delayed_rate, x0, 0.7, (0.0, 30.0),
                                0.01)
@@ -1245,19 +1287,19 @@ class TestMyopicAndFixed:
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     def test_fixed_rejects_wrong_lengths(self, x0, r0, field, tau):
         # The other solvers take no allocation: only the x0 cases apply.
-        cfg = make_config(population_delay=tau)
-        solves = [lambda: solve_fixed(cfg, x0, r0, (0.0, 1.0), 0.1)]
+        cfg = make_config(population_delay=tau, horizon=1.0)
+        solves = [lambda: solve_fixed(cfg, x0, r0, 0.1)]
         if field == "x0":
-            solves += [
-                lambda: solve_open_loop(cfg, x0, dt=0.1, t_span=(0.0, 1.0)),
-                lambda: solve_ssec(cfg, x0, (0.0, 1.0), 0.1)]
+            solves += [lambda: solve_open_loop(cfg, x0, dt=0.1),
+                       lambda: solve_ssec(cfg, x0, 0.1)]
         for solve in solves:
             with pytest.raises(ValueError, match=f"^{field}: length"):
                 solve()
 
     def test_fixed_utility_start_oracle(self, cfg, x0):
         # At r=0 and zero price: u = [8.75, 5.75, 8.0] for the duopoly start.
-        traj = solve_fixed(cfg, x0, [0.0, 0.0], (0.0, 1.0), 0.1)
+        traj = solve_fixed(dataclasses.replace(cfg, horizon=1.0), x0,
+                           [0.0, 0.0], 0.1)
         np.testing.assert_allclose(traj.utilities[0], [8.75, 5.75, 8.0],
                                    rtol=1e-14)
         assert not traj.integral_utilities[0].any()
@@ -1339,7 +1381,8 @@ class TestMeasures:
             integral_utility(traj, 1, 0.0)
 
     def test_running_integral_consistent(self, cfg, x0):
-        traj = solve_fixed(cfg, x0, [0.1, 0.1], (0.0, 5.0), 0.01)
+        traj = solve_fixed(dataclasses.replace(cfg, horizon=5.0), x0,
+                           [0.1, 0.1], 0.01)
         for who, col in ((1, 0), (2, 1), ("ccp", 2)):
             total = integral_utility(traj, who, cfg.discount_rate)
             assert traj.integral_utilities[-1, col] == pytest.approx(
@@ -1352,8 +1395,7 @@ class TestMeasures:
         # 5 001 nodes on an AVX-512 CPU.
         scn = load_scenario(str(SCENARIOS / "scenario_a_fixed.json"))
         rho = scn.cfg.discount_rate
-        traj = solve_fixed(scn.cfg, scn.x0, scn.r0, (0.0, scn.cfg.horizon),
-                           scn.dt)
+        traj = solve_fixed(scn.cfg, scn.x0, scn.r0, scn.dt)
         assert traj.times.shape == (5001,)
         weights = np.array([math.exp(-rho * t) for t in traj.times.tolist()])
         assert _discount(rho, traj.times).tobytes() == weights.tobytes()
