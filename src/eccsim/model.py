@@ -255,7 +255,7 @@ def _running_total(values: np.ndarray) -> np.ndarray:
 
 
 def _cloud_remainder(requests: np.ndarray) -> np.ndarray:
-    """r_c = max(1 - sum r_n, 0) along the last axis; floats: _uptake_row."""
+    """r_c = max(1 - sum r_n, 0) along the last axis; floats: _uptake."""
     return np.maximum(1.0 - _running_total(requests), 0.0)
 
 
@@ -290,12 +290,6 @@ def _uptake(cfg: SystemConfig) -> Callable:
         c.append(u)
         return c, delta * (sum_c + u)
     return uptake
-
-
-def _uptake_row(cfg: SystemConfig, requests: list[float]
-                ) -> tuple[list[float], float]:
-    """(c, Theta) of one node: the _uptake kernel called once."""
-    return _uptake(cfg)(requests)
 
 
 def provider_power(cfg: SystemConfig, alloc: AllocationState) -> np.ndarray:
@@ -340,10 +334,18 @@ def per_user_power(cfg: SystemConfig, snap: MarketSnapshot) -> np.ndarray:
                            _supply(cfg, snap.allocation.requests))
 
 
+def _utilities(cfg: SystemConfig, shares: np.ndarray,
+               supply: np.ndarray) -> np.ndarray:
+    """beta*omega_s/p_s, omega from _per_user_power (its shapes, ZeroShare)."""
+    return (cfg.mapping_factor * _per_user_power(cfg, shares, supply)
+            / cfg.all_access_prices)
+
+
 def user_utility(cfg: SystemConfig, snap: MarketSnapshot) -> np.ndarray:
     """Per-user utility beta*omega_s/p_s for each provider choice s."""
-    omega = per_user_power(cfg, snap)
-    return cfg.mapping_factor * omega / cfg.all_access_prices
+    _check_sizes(cfg, snap.population, snap.allocation)
+    return _utilities(cfg, snap.population.shares,
+                      _supply(cfg, snap.allocation.requests))
 
 
 def mean_utility(pop: PopulationState, utils: np.ndarray) -> float:
@@ -366,7 +368,14 @@ def theta(cfg: SystemConfig, alloc: AllocationState) -> float:
     allocation because each R_n is.
     """
     _check_sizes(cfg, alloc=alloc)
-    return _uptake_row(cfg, alloc.requests.tolist())[1]
+    return _uptake(cfg)(alloc.requests.tolist())[1]
+
+
+def _check_provider(cfg: SystemConfig, n) -> None:
+    """Reject n unless it is an integer provider index 1..N (not a bool)."""
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or not 1 <= n <= cfg.n_ecps):
+        raise ValueError(f"n: must be in 1..{cfg.n_ecps}")
 
 
 def _payoffs(cfg: SystemConfig, shares: np.ndarray, requests: np.ndarray,
@@ -395,8 +404,7 @@ def _payoffs(cfg: SystemConfig, shares: np.ndarray, requests: np.ndarray,
 def ecp_instant_utility(cfg: SystemConfig, snap: MarketSnapshot, n: int) -> float:
     """Instantaneous payoff of edge provider n (1-based); see _payoffs."""
     _check_sizes(cfg, snap.population, snap.allocation)
-    if not 1 <= n <= cfg.n_ecps:
-        raise ValueError(f"n: must be in 1..{cfg.n_ecps}")
+    _check_provider(cfg, n)
     return float(_payoffs(cfg, snap.population.shares,
                           snap.allocation.requests, snap.price)[n - 1])
 

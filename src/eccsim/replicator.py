@@ -22,9 +22,9 @@ from .model import (
     SystemConfig,
     _check_sizes,
     _left_sum,
-    _per_user_power,
-    _supply,
-    _uptake_row,
+    _uptake,
+    _utilities,
+    provider_power,
     theta,
 )
 
@@ -37,24 +37,6 @@ __all__ = [
     "ess_jacobian_eigen",
     "delay_stability_bound",
 ]
-
-
-def _lag_terms(cfg: SystemConfig, supply: list[float]):
-    """terms(lags) -> (u, G): what the delayed field reads of its lag rows alone.
-
-    For each row y of the 2-D array `lags`, u = beta*w/(K*y*p) the per-user
-    utilities and G = delta*y the growth factors, in one numpy pass for the
-    block; the per-user compute comes from model._per_user_power, which owns
-    the ZeroShare check and the empty-group rule.  The delayed field is
-    G*(u - now . u); ReplicatorField.delayed_rate and the solver's rank-one
-    RK4 map both read these terms, so the field has one spelling.
-    """
-    beta, delta = cfg.mapping_factor, cfg.learning_rate
-    w, prices = np.array(supply), cfg.all_access_prices
-
-    def terms(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return beta * _per_user_power(cfg, lags, w) / prices, delta * lags
-    return terms
 
 
 def replicator_rhs(cfg: SystemConfig, pop: PopulationState,
@@ -93,10 +75,11 @@ class ReplicatorField:
     share into its own utility cancels the division, which is why the flow
     is exactly linear in x for a fixed allocation.  The methods keep the
     utility-difference form so the error behavior (ZeroShare) matches the
-    public vector field.  The supply w is fixed per field and computed
-    once (`supply`), and so are the lag terms the field reads (_lag_terms).
+    public vector field.  The field is the one binding of an allocation's
+    population field: its supply w is checked against cfg and computed once
+    (`supply`), and _lag_terms reads a block of lag rows against it.
     Integrators take `rate` or `delayed_rate` (no time argument: the field
-    is autonomous); a delayed `solve_fixed` steps the same terms itself.
+    is autonomous); a delayed `solve_fixed` steps the same _lag_terms itself.
     """
 
     cfg: SystemConfig
@@ -105,7 +88,7 @@ class ReplicatorField:
     @cached_property
     def supply(self) -> np.ndarray:
         """Compute per provider w of `alloc` (read-only)."""
-        supply = _supply(self.cfg, self.alloc.requests)
+        supply = provider_power(self.cfg, self.alloc)
         supply.flags.writeable = False
         return supply
 
@@ -113,10 +96,13 @@ class ReplicatorField:
         """Undelayed velocities at raw state `shares`."""
         return self.delayed_rate(shares, shares)
 
-    @cached_property
-    def _terms(self):
-        """_lag_terms of `supply`, bound once per field."""
-        return _lag_terms(self.cfg, self.supply.tolist())
+    def _lag_terms(self, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, G) of each row y of the 2-D `lags`, in one numpy pass: the
+        utilities u = beta*w/(K*y*p) (model._utilities) and G = delta*y.
+        The delayed field G*(u - now . u) of delayed_rate and the solver's
+        rank-one RK4 map both read these terms."""
+        return (_utilities(self.cfg, lags, self.supply),
+                self.cfg.learning_rate * lags)
 
     def delayed_rate(self, shares_now: np.ndarray,
                      shares_delayed: np.ndarray) -> np.ndarray:
@@ -124,7 +110,7 @@ class ReplicatorField:
 
         The mean now . u adds left to right (model._left_sum).
         """
-        (u,), (g,) = (a.tolist() for a in self._terms(
+        (u,), (g,) = (a.tolist() for a in self._lag_terms(
             np.array(shares_delayed, dtype=float, ndmin=2)))
         now = np.asarray(shares_now, dtype=float).tolist()
         mean = _left_sum([x * v for x, v in zip(now, u)])
@@ -147,7 +133,7 @@ def analytic_ess(cfg: SystemConfig, alloc: AllocationState) -> EssResult:
     common utility is then the total uptake sum_s c_s, i.e. Theta/delta.
     """
     _check_sizes(cfg, alloc=alloc)
-    c, _ = _uptake_row(cfg, alloc.requests.tolist())
+    c, _ = _uptake(cfg)(alloc.requests.tolist())
     common = _left_sum(c)
     return EssResult(shares=PopulationState(np.array(c) / common),
                      common_utility=common)

@@ -34,20 +34,18 @@ pass, with the state the block before handed on; the block runs those
 steps and returns the states to store and the state to hand on: _staged,
 the RK4 stages of integrate_ode's and integrate_dde's array field, each
 state settled by the pass the integrator chose, or _rank_one_rk4, one
-projected map per step of a delayed fixed-controls run (solve_fixed), its
-sums taken in the step's own float loop.  That block carries its state
-unnormalised with its sum, folds the projection into the step and divides
-the stored states by their sums once per block.  At zero delay that run
-is _affine_rk4's map in closed form.  The sweep's fields are affine too,
-so its RK4 step is one _affine_rk4 map per interval, and its forward pass
-is bound to (cfg, grid) once per solve (_forward_map).  That map keeps the
-simplex by construction (S*Theta = 1 - R, and R, S > 0 within
-check_stability's bound), so the sweep settles each step by the finite
-check alone; _project_simplex settles only integrate_ode and
-integrate_dde with simplex=True.  Step and field loops append instead of
-using comprehensions, which only Python 3.12 inlines (PEP 709).  Every sum
-over providers, the simplex sums of x0 and of each step included, runs
-left to right (model._left_sum).
+projected map per step of a delayed fixed-controls run (solve_fixed) over
+the lag terms of its one ReplicatorField, on a state carried unnormalised.
+At zero delay that run is _affine_rk4's map in closed form.  The sweep's
+fields are affine too, so its RK4 step is one _affine_rk4 map per
+interval, and its forward pass is bound to (cfg, grid) once per solve
+(_forward_map).  That map keeps the simplex by construction (S*Theta =
+1 - R, and R, S > 0 within check_stability's bound), so the sweep settles
+each step by the finite check alone; _project_simplex settles only
+integrate_ode and integrate_dde with simplex=True.  Step and field loops
+append instead of using comprehensions, which only Python 3.12 inlines
+(PEP 709).  Every sum over providers, the simplex sums of x0 and of each
+step included, runs left to right (model._left_sum).
 """
 
 from __future__ import annotations
@@ -68,9 +66,8 @@ from .model import (
     _left_sum,
     _payoffs,
     _uptake,
-    provider_power,
 )
-from .replicator import _lag_terms
+from .replicator import ReplicatorField
 from .stackelberg import _price_gaps, _stationary_controls
 
 __all__ = [
@@ -276,10 +273,10 @@ def integrate_ode(field: Callable[[np.ndarray], np.ndarray],
                   *, simplex: bool = False) -> Trajectory:
     """Fixed-step RK4 integration of the autonomous x' = field(x).
 
-    With simplex=True each step is floored at SHARE_FLOOR to preserve
-    interiority and renormalized onto the simplex (_project_simplex);
-    population runs use this, generic test problems must not (a 1-d decay
-    would be pinned to its initial value by renormalization).
+    With simplex=True (default False, as for integrate_dde) each step is
+    floored at SHARE_FLOOR to preserve interiority and renormalized onto
+    the simplex (_project_simplex); population runs pass it, generic test
+    problems must not (a 1-d decay would be pinned to its initial value).
     The steps are the staged ones of _method_of_steps at zero delay, on
     floats.
 
@@ -344,7 +341,7 @@ def _rank_one_rk4(terms: Callable, source: list[float], theta: float,
     """Delayed _method_of_steps block of x' = G*(u - x . u): projected RK4 maps.
 
     (u, G) = terms(lags) are read from the lag rows alone (for the
-    population, replicator._lag_terms), and G*u is the same vector
+    population, ReplicatorField._lag_terms), and G*u is the same vector
     `source` in every row, summing to `theta` (for the population delta*c
     and Theta: the share in G cancels the one in u, see ReplicatorField).
     Under a fixed lag row the field is affine in the state with a rank-one
@@ -461,7 +458,7 @@ def _method_of_steps(block: Callable, x0, tau: float, times: np.ndarray,
 
 def integrate_dde(field: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   x0, tau: float, t_span: tuple[float, float], dt: float,
-                  *, simplex: bool = True) -> Trajectory:
+                  *, simplex: bool = False) -> Trajectory:
     """Method of steps for the autonomous x'(t) = field(x(t), x(t - tau)).
 
     Each step takes RK4 stages, but the delayed state is read from the
@@ -469,8 +466,8 @@ def integrate_dde(field: Callable[[np.ndarray, np.ndarray], np.ndarray],
     smooth field (the error falls by 4 per halving of dt), less on the
     projected population field (see the module docstring).  Before the
     start the delayed state is the constant x0; at tau = 0 it is each
-    stage's own state.  `field` is called once per RK4 stage; the steps
-    are the staged ones of _method_of_steps (_staged).
+    stage's own state.  `field` is called once per RK4 stage (_staged);
+    simplex as for integrate_ode, off by default (plain method of steps).
 
     Raises:
         ValueError: tau not finite, negative, or 0 < tau < dt (one step
@@ -751,24 +748,24 @@ def solve_fixed(cfg: SystemConfig, x0, r0, dt: float) -> Trajectory:
     allocation, has the fixed point delta*c/Theta (S*Theta = 1 - R): step
     i is x0 + (1 - R**i)*(delta*c/Theta - x0), a convex combination that
     keeps the simplex unprojected.  Delayed, each step is the rank-one map
-    over the field's lag terms with the projection folded in, stepped on
-    the unnormalised state (_rank_one_rk4, _lag_terms); _project_simplex
-    is not called.  These are the RK4 steps of a ReplicatorField's
-    integrate_ode(field.rate, .., simplex=True) or
-    integrate_dde(field.delayed_rate, ..), summed in another order: the
-    shares agree to rounding, not bit for bit.
+    over the lag terms of the run's one ReplicatorField with the projection
+    folded in, stepped on the unnormalised state (_rank_one_rk4);
+    _project_simplex is not called.  These are the RK4 steps of that
+    field's integrate_ode(field.rate, ..) or
+    integrate_dde(field.delayed_rate, ..) with simplex=True, summed in
+    another order: the shares agree to rounding, not bit for bit.
     """
-    alloc = AllocationState(np.asarray(r0, dtype=float))
-    supply = provider_power(cfg, alloc).tolist()  # checks the length of r0
+    field = ReplicatorField(cfg, AllocationState(np.asarray(r0, dtype=float)))
+    field.supply  # checks the length of r0, before check_stability
     check_stability(cfg, dt)
     tau, delta = cfg.population_delay, cfg.learning_rate
-    c, theta = _uptake(cfg)(alloc.requests.tolist())
+    c, theta = _uptake(cfg)(field.alloc.requests.tolist())
     source = [delta * cs for cs in c]
     x0, times = _initial_shares(cfg, x0), _make_grid((0.0, cfg.horizon), dt)
     if tau:
         traj = _method_of_steps(
-            _rank_one_rk4(_lag_terms(cfg, supply), source, theta, dt), x0,
-            tau, times, dt)
+            _rank_one_rk4(field._lag_terms, source, theta, dt), x0, tau,
+            times, dt)
     else:
         grow = _affine_rk4(-theta, dt)[0]
         # Powers of a Python float (libm's pow): numpy's array power may
@@ -777,7 +774,7 @@ def solve_fixed(cfg: SystemConfig, x0, r0, dt: float) -> Trajectory:
         traj = Trajectory(times, x0 + decay[:, None] * (
             np.array(source) / theta - x0))
     m = traj.times.shape[0]
-    traj.requests = np.tile(alloc.requests, (m, 1))
+    traj.requests = np.tile(field.alloc.requests, (m, 1))
     traj.prices = np.zeros(m)
     return _attach_utilities(cfg, traj)
 

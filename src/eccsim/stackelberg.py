@@ -30,6 +30,7 @@ from .model import (
     MarketSnapshot,
     PopulationState,
     SystemConfig,
+    _check_provider,
     _check_sizes,
     _left_sum,
     _running_total,
@@ -121,8 +122,7 @@ def q_vector(cfg: SystemConfig, pop: PopulationState, n: int) -> np.ndarray:
     factor delta*beta*R_c/K.
     """
     _check_sizes(cfg, pop)
-    if not 1 <= n <= cfg.n_ecps:
-        raise ValueError(f"n: must be in 1..{cfg.n_ecps}")
+    _check_provider(cfg, n)
     inv_p, gap, _, _ = _price_gaps(cfg)
     out = -gap[n - 1] * pop.ecp
     out[n - 1] += inv_p[n - 1]
@@ -194,8 +194,7 @@ def decompose_request(cfg: SystemConfig, pop: PopulationState,
     leader can substitute the followers' reaction before optimizing.
     """
     _check_sizes(cfg, pop)
-    if not 1 <= n <= cfg.n_ecps:
-        raise ValueError(f"n: must be in 1..{cfg.n_ecps}")
+    _check_provider(cfg, n)
     # A_n does not depend on the leader's adjoints.
     a_vec, b_slope, _ = _general_controls(cfg, pop, costate,
                                           CcpCostate.zero(cfg.n_ecps))
@@ -222,8 +221,7 @@ def optimal_price(cfg: SystemConfig, pop: PopulationState,
 def ecp_hamiltonian(cfg: SystemConfig, snap: MarketSnapshot,
                     costate: EcpCostate, n: int) -> float:
     """Provider n's Hamiltonian: payoff plus adjoint-weighted share flow."""
-    if not 1 <= n <= cfg.n_ecps:
-        raise ValueError(f"n: must be in 1..{cfg.n_ecps}")
+    _check_provider(cfg, n)
     flow = replicator_rhs(cfg, snap.population, snap.allocation)[: cfg.n_ecps]
     return (ecp_instant_utility(cfg, snap, n)
             + float(_running_total(costate.lam[n - 1] * flow)))
@@ -237,8 +235,7 @@ def ecp_costate_rhs(cfg: SystemConfig, snap: MarketSnapshot,
     eta1*p_n*K on the diagonal entry.  The off-diagonal equations are
     homogeneous, so rows started at zero stay diagonal.
     """
-    if not 1 <= n <= cfg.n_ecps:
-        raise ValueError(f"n: must be in 1..{cfg.n_ecps}")
+    _check_provider(cfg, n)
     eta1 = cfg.ecp_weights[0]
     decay = cfg.discount_rate + theta(cfg, snap.allocation)
     out = costate.lam[n - 1] * decay

@@ -51,7 +51,7 @@ def random_market(seed, n, **overrides):
 def uptake_reference(cfg: SystemConfig, requests: np.ndarray):
     """Uptake c_s = beta*w_s/(K p_s) and Theta = delta*sum_s c_s over arrays.
 
-    The array spelling of model._uptake_row, along the last axis.  Theta
+    The array spelling of the model._uptake kernel, along the last axis.  Theta
     adds the N+1 uptakes left to right, as the last entry of their running
     sum (numpy's sum adds 8 or more entries pairwise), so the uptakes and
     Theta match the float kernel bit for bit at every N.

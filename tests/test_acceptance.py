@@ -403,7 +403,8 @@ def test_delay_threshold(capsys):
     field = ReplicatorField(cfg, alloc)
 
     def run(tau):
-        return integrate_dde(field.delayed_rate, X0, tau, (0.0, 30.0), 0.01)
+        return integrate_dde(field.delayed_rate, X0, tau, (0.0, 30.0), 0.01,
+                             simplex=True)
 
     sub = run(0.1 * bound)
     sub_err = float(np.max(np.abs(sub.shares[-1] - ess)))

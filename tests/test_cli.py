@@ -93,6 +93,20 @@ class TestLoadScenario:
         with pytest.raises(InvalidScenario, match="dt: expected a number"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("power", [[], 2.0], ids=["empty", "number"])
+    def test_ecp_power_must_be_a_list(self, tmp_path, power):
+        path = write_scenario(tmp_path, ecp_power=power)
+        with pytest.raises(InvalidScenario, match="^ecp_power: expected a"
+                           " non-empty list of numbers$"):
+            load_scenario(path)
+
+    def test_top_level_array(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([BASE]), encoding="utf-8")
+        with pytest.raises(InvalidScenario,
+                           match="^scenario: top level must be an object$"):
+            load_scenario(str(path))
+
     def test_config_error_names_field(self, tmp_path):
         path = write_scenario(tmp_path, ecp_power=[2.0, 1.0, 1.0])
         with pytest.raises(InvalidScenario, match="^ecp_power"):
@@ -543,6 +557,16 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[1].endswith("converged")
 
+    def test_delay_past_the_bound_oscillates(self, tmp_path):
+        # tau = 9 is past delay_stability_bound = pi/(2*Theta) = 7.25 of
+        # the shipped delay scenario, where the equilibrium loses stability.
+        out = tmp_path / "swp"
+        assert main(["sweep", str(SCENARIOS / "scenario_delay.json"),
+                     "--param", "tau_x", "--values", "9",
+                     "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[1].split(",")[-1] == "oscillating"
+
     @pytest.mark.filterwarnings("error")
     def test_delay_verdict_skips_zero_target(self, tmp_path):
         # r0 hands all cloud compute to the ECPs, so the cloud's target share
@@ -602,6 +626,14 @@ class TestSweep:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "error: values: --param and --values" in capsys.readouterr().err
+
+    def test_non_numeric_value(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path)
+        code = main(["sweep", scenario, "--param", "tau_x", "--values", "a",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: values: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_empty_values(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)

@@ -19,7 +19,7 @@ from eccsim import (
     theta,
     user_utility,
 )
-from eccsim.model import ALLOC_TOL, _left_sum, _payoffs, _uptake_row
+from eccsim.model import ALLOC_TOL, _left_sum, _payoffs, _uptake
 from eccsim.replicator import ReplicatorField, analytic_ess
 from eccsim.stackelberg import _price_gaps
 
@@ -60,6 +60,8 @@ class TestSystemConfig:
         ("population_delay", dict(population_delay=-0.5)),
         ("n_ecps", dict(n_ecps=True)),
         ("n_users", dict(n_users=True)),
+        ("ecp_power", dict(ecp_power=[[2.0, 1.0]])),
+        ("ecp_power", dict(ecp_power=[2.0, np.inf])),
     ])
     def test_rejections_name_the_field(self, field, overrides):
         with pytest.raises(ValueError, match=f"^{field}"):
@@ -97,6 +99,7 @@ class TestStates:
         [-0.1, 0.2],
         [1.0, 0.0],
         [0.7, 0.7],
+        [],
     ])
     def test_allocation_rejections(self, requests):
         with pytest.raises(ValueError, match="^requests"):
@@ -167,7 +170,7 @@ class TestUtilities:
     @pytest.mark.parametrize("n", [7, 8, 9])
     def test_supply_sums_requests_in_provider_order(self, n):
         # numpy sums 8 or more entries pairwise; every sum over providers
-        # adds them left to right, as _uptake_row does: the cloud's
+        # adds them left to right, as _uptake does: the cloud's
         # remainder max(1 - sum r, 0) in provider_power,
         # ReplicatorField.supply and AllocationState.cloud_remainder, the
         # compute sales sum r in the cloud's payoff along a grid, and
@@ -181,7 +184,7 @@ class TestUtilities:
         requests = rng.dirichlet(np.ones(n + 1), size=200)[:, :n]
         for r in requests:
             alloc = AllocationState(r)
-            c, _ = _uptake_row(cfg, r.tolist())
+            c, _ = _uptake(cfg)(r.tolist())
             for supply in (provider_power(cfg, alloc),
                            ReplicatorField(cfg, alloc).supply):
                 assert (scale * supply / prices).tolist() == c
@@ -325,7 +328,7 @@ def test_uptake_row_matches_uptake(n, seed):
     else:
         alloc = AllocationState(requests)
         ess = analytic_ess(cfg, alloc)
-    c_row, theta_row = _uptake_row(cfg, requests.tolist())
+    c_row, theta_row = _uptake(cfg)(requests.tolist())
     if ess is not None:
         assert theta(cfg, alloc) == theta_row
     c, theta_arr = uptake_reference(cfg, requests)
@@ -344,7 +347,7 @@ def test_uptake_clamp_keeps_nan_and_zeroes_excess(requests):
     # NaN Theta, a request sum above 1 a zero cloud uptake, both bit for
     # bit as the array formula's np.maximum.
     cfg = make_config()
-    c_row, theta_row = _uptake_row(cfg, requests)
+    c_row, theta_row = _uptake(cfg)(requests)
     c, theta_arr = uptake_reference(cfg, np.array(requests))
     assert np.array(c_row).tobytes() == c.tobytes()
     assert np.float64(theta_row).tobytes() == theta_arr.tobytes()
@@ -355,7 +358,7 @@ def test_uptake_clamp_keeps_nan_and_zeroes_excess(requests):
 
 
 def uptake_row_comprehensions(cfg, requests):
-    """model._uptake_row as it was spelled before its one-loop form."""
+    """model._uptake's kernel as it was spelled before its one-loop form."""
     power, prices = cfg.float_vectors
     r_c = cfg.cloud_power
     remainder = max(1.0 - _left_sum(requests), 0.0)
@@ -385,4 +388,4 @@ def test_uptake_row_loop_matches_comprehensions(n):
         if rng.random() < 0.25:
             requests = rng.dirichlet(np.ones(n)) * (1.0 + ALLOC_TOL)
         row = requests.tolist()
-        assert _uptake_row(cfg, row) == uptake_row_comprehensions(cfg, row)
+        assert _uptake(cfg)(row) == uptake_row_comprehensions(cfg, row)

@@ -21,7 +21,6 @@ from eccsim.model import (
 )
 from eccsim.replicator import (
     ReplicatorField,
-    _lag_terms,
     analytic_ess,
     delay_stability_bound,
     delayed_replicator_rhs,
@@ -32,6 +31,12 @@ from eccsim.solver import _check_finite, _staged, solve_fixed
 
 
 class TestRhs:
+    def test_rejects_a_population_of_the_wrong_length(self, cfg):
+        with pytest.raises(ValueError,
+                           match="^shares: length inconsistent with n_ecps$"):
+            replicator_rhs(cfg, PopulationState([0.5, 0.5]),
+                           AllocationState([0.1, 0.2]))
+
     def test_duopoly_oracle(self, cfg, x0):
         # pi = [2/9, 1/6, 1/4], mean = 13/60, rhs_s = x_s*(pi_s - mean).
         rhs = replicator_rhs(cfg, PopulationState(x0), AllocationState([0.0, 0.0]))
@@ -111,6 +116,16 @@ class TestLinearForm:
 
 
 class TestReplicatorField:
+    def test_rejects_an_allocation_of_the_wrong_length(self, cfg, x0):
+        # One request on a duopoly is not spread over both edge providers:
+        # the field's supply checks the allocation against cfg.
+        field = ReplicatorField(cfg, AllocationState([0.1]))
+        match = "^requests: length inconsistent with n_ecps$"
+        with pytest.raises(ValueError, match=match):
+            field.rate(np.asarray(x0))
+        with pytest.raises(ValueError, match=match):
+            field.supply
+
     def test_matches_public_rhs(self, cfg, x0):
         alloc = AllocationState([0.1, 0.3])
         field = ReplicatorField(cfg, alloc)
@@ -224,17 +239,16 @@ class TestReplicatorField:
             y = row
 
     def test_zero_share_raises_through_float_kernel(self, cfg):
-        supply = ReplicatorField(cfg, AllocationState([0.0, 0.0])).supply
+        field = ReplicatorField(cfg, AllocationState([0.0, 0.0]))
         with pytest.raises(ZeroShare, match="cloud"):
-            _lag_terms(cfg, supply.tolist())(np.array([[0.5, 0.5, 0.0]]))
+            field._lag_terms(np.array([[0.5, 0.5, 0.0]]))
 
     def test_zero_share_check_covers_every_row_of_a_block(self, cfg):
         # One zero share in the last row of a block raises when the block
         # is read, naming the provider.  A check on the first row alone
         # would divide by the zero share instead.  The earlier rows, as a
         # block of their own, give the terms of one-row blocks.
-        supply = ReplicatorField(cfg, AllocationState([0.1, 0.2])).supply
-        terms = _lag_terms(cfg, supply.tolist())
+        terms = ReplicatorField(cfg, AllocationState([0.1, 0.2]))._lag_terms
         lags = np.array([[0.3, 0.3, 0.4], [0.2, 0.5, 0.3], [0.6, 0.0, 0.4]])
         with pytest.raises(ZeroShare, match="^ecp 2:"):
             terms(lags)
@@ -249,7 +263,7 @@ class TestReplicatorField:
         # the one spelling the solver's rank-one map reads too; a zero
         # share with compute on offer raises there, naming the provider.
         field = ReplicatorField(cfg, AllocationState([0.1, 0.2]))
-        terms = _lag_terms(cfg, field.supply.tolist())
+        terms = field._lag_terms
         lags = np.array([[0.3, 0.3, 0.4], [0.2, 0.5, 0.3]])
         u, g = terms(lags)
         np.testing.assert_array_equal(g, cfg.learning_rate * lags)
@@ -272,21 +286,21 @@ class TestReplicatorField:
         cfg, _, r0 = random_market(70 + n, n)
         c, _ = _uptake(cfg)(r0.tolist())
         source = cfg.learning_rate * np.array(c)
-        supply = provider_power(cfg, AllocationState(r0)).tolist()
+        field = ReplicatorField(cfg, AllocationState(r0))
         lags = np.random.default_rng(n).dirichlet(np.ones(n + 1), size=200)
-        u, g = _lag_terms(cfg, supply)(lags)
+        u, g = field._lag_terms(lags)
         assert np.all(np.abs(g * u - source) <= 8.0 * np.spacing(source))
 
     def test_field_binds_its_lag_terms_once(self, cfg, x0, monkeypatch):
-        # Like the supply, the lag terms are fixed per field: many
-        # delayed_rate calls bind _lag_terms once.
+        # The supply is fixed per field: many delayed_rate calls, which
+        # read their lag terms against it, compute it once.
         binds = []
 
-        def counted(*args, _orig=eccsim.replicator._lag_terms):
+        def counted(*args, _orig=eccsim.replicator.provider_power):
             binds.append(args)
             return _orig(*args)
 
-        monkeypatch.setattr(eccsim.replicator, "_lag_terms", counted)
+        monkeypatch.setattr(eccsim.replicator, "provider_power", counted)
         field = ReplicatorField(cfg, AllocationState([0.1, 0.2]))
         for k in range(50):
             field.delayed_rate(x0, np.roll(x0, k))
@@ -298,7 +312,7 @@ class TestReplicatorField:
         # term is 0, and so is its velocity.
         field = ReplicatorField(cfg, AllocationState([0.55, 0.45]))
         now, delayed = [0.5, 0.4, 0.1], [0.6, 0.4, 0.0]
-        u, g = _lag_terms(cfg, field.supply.tolist())(np.array([delayed]))
+        u, g = field._lag_terms(np.array([delayed]))
         assert u[0, 2] == 0.0 and g[0, 2] == 0.0
         got = field.delayed_rate(np.array(now), np.array(delayed))
         assert got[2] == 0.0
@@ -324,7 +338,6 @@ class TestReplicatorField:
 
             with monkeypatch.context() as patch:
                 patch.setattr(eccsim.model, "_supply", counted)
-                patch.setattr(eccsim.replicator, "_supply", counted)
                 solve_fixed(make_config(population_delay=0.3,
                                         horizon=horizon), x0, [0.1, 0.2], 0.01)
             counts.append(calls[0])

@@ -14,10 +14,9 @@ from conftest import (make_big_cloud_config, make_config, random_market,
 
 import eccsim.solver
 from eccsim.cli import _delay_verdict, load_scenario
-from eccsim.model import (AllocationState, PopulationState, _uptake_row,
-                          ccp_instant_utility, ecp_instant_utility,
-                          provider_power)
-from eccsim.replicator import ReplicatorField, _lag_terms, analytic_ess
+from eccsim.model import (AllocationState, PopulationState, _uptake,
+                          ccp_instant_utility, ecp_instant_utility)
+from eccsim.replicator import ReplicatorField, analytic_ess
 from eccsim.solver import (
     COSTATE_TOL,
     LAG_BLOCK,
@@ -68,9 +67,9 @@ def decay(y):
 
 def population_block(cfg, r0, dt):
     """The rank-one block a delayed solve_fixed steps under allocation r0."""
-    c, theta = _uptake_row(cfg, list(r0))
-    supply = provider_power(cfg, AllocationState(r0)).tolist()
-    return _rank_one_rk4(_lag_terms(cfg, supply),
+    c, theta = _uptake(cfg)(list(r0))
+    field = ReplicatorField(cfg, AllocationState(r0))
+    return _rank_one_rk4(field._lag_terms,
                          [cfg.learning_rate * v for v in c], theta, dt)
 
 
@@ -173,7 +172,8 @@ class TestIntegrateDde:
     def test_zero_delay_matches_ode_bitwise(self, cfg, x0):
         field = ReplicatorField(cfg, AllocationState([0.1, 0.2]))
         ode = integrate_ode(field.rate, x0, (0.0, 5.0), 0.01, simplex=True)
-        dde = integrate_dde(field.delayed_rate, x0, 0.0, (0.0, 5.0), 0.01)
+        dde = integrate_dde(field.delayed_rate, x0, 0.0, (0.0, 5.0), 0.01,
+                            simplex=True)
         np.testing.assert_array_equal(ode.shares, dde.shares)
 
     def test_rejects_sub_step_delay(self):
@@ -198,7 +198,7 @@ class TestIntegrateDde:
             cfg = make_config(population_delay=tau)
             field = ReplicatorField(cfg, AllocationState([0.1, 0.2]))
             return [integrate_dde(field.delayed_rate, x0, tau, (0.0, 3.0),
-                                  0.01).shares.tobytes(),
+                                  0.01, simplex=True).shares.tobytes(),
                     solve_fixed(dataclasses.replace(cfg, horizon=3.0), x0,
                                 [0.1, 0.2], 0.01).shares.tobytes()]
 
@@ -277,18 +277,14 @@ class TestIntegrateDde:
         # block (2*steps + blocks), and stages no field.
         rows = []
 
-        def counted(cfg, supply, _orig=eccsim.solver._lag_terms):
-            inner = _orig(cfg, supply)
-
-            def terms(lags):
-                rows.append(len(lags))
-                return inner(lags)
-            return terms
+        def counted(field, lags, _orig=ReplicatorField._lag_terms):
+            rows.append(len(lags))
+            return _orig(field, lags)
 
         def staged(field, dt, settle):
             raise AssertionError("a delayed run stages no field")
 
-        monkeypatch.setattr(eccsim.solver, "_lag_terms", counted)
+        monkeypatch.setattr(ReplicatorField, "_lag_terms", counted)
         monkeypatch.setattr(eccsim.solver, "_staged", staged)
         solve_fixed(make_config(population_delay=tau, horizon=1.0), x0,
                     [0.1, 0.2], 0.1)
@@ -360,13 +356,22 @@ class TestIntegrateDde:
             "ode": lambda: integrate_ode(field.rate, scn.x0, (0.0, 5.0),
                                          scn.dt, simplex=True),
             "dde": lambda: integrate_dde(field.delayed_rate, scn.x0, tau,
-                                         (0.0, 5.0), scn.dt),
+                                         (0.0, 5.0), scn.dt, simplex=True),
         }[route]
         shares = []
         for width in (1, LAG_BLOCK):
             monkeypatch.setattr(eccsim.solver, "LAG_BLOCK", width)
             shares.append(run().shares.tobytes())
         assert shares[0] == shares[1]
+
+    def test_default_is_plain_method_of_steps(self):
+        # No flag: y' = -y(t - 1) from y == 1, whose exact y(3) is -1/6;
+        # a projection would pin the 1-d state at 1.
+        traj = integrate_dde(lambda y, z: -z, [1.0], 1.0, (0.0, 3.0), 0.1)
+        plain = integrate_dde(lambda y, z: -z, [1.0], 1.0, (0.0, 3.0), 0.1,
+                              simplex=False)
+        assert traj.shares.tobytes() == plain.shares.tobytes()
+        assert abs(traj.shares[-1, 0] + 1.0 / 6.0) < 1e-3
 
     def test_constant_prehistory_linear_segment(self):
         # y' = -y(t - 0.5) with y == 1 before t=0: y(t) = 1 - t on [0, 0.5].
@@ -402,7 +407,8 @@ class TestIntegrateDde:
     def test_subcritical_delay_converges(self, cfg, x0):
         alloc = AllocationState([0.0, 0.0])
         field = ReplicatorField(cfg, alloc)
-        traj = integrate_dde(field.delayed_rate, x0, 0.7, (0.0, 30.0), 0.01)
+        traj = integrate_dde(field.delayed_rate, x0, 0.7, (0.0, 30.0), 0.01,
+                             simplex=True)
         ess = analytic_ess(cfg, alloc).shares.shares
         assert np.max(np.abs(traj.shares[-1] - ess)) < 1e-3
         np.testing.assert_allclose(traj.shares.sum(axis=1), 1.0, atol=1e-9)
@@ -483,7 +489,7 @@ class TestCostateBackward:
         lam, mu, theta_mat = costate_backward_grid(cfg, traj.times,
                                                    traj.requests)
         g = _adjoint_profile(cfg, traj.times,
-                             [_uptake_row(cfg, r)[1]
+                             [_uptake(cfg)(r)[1]
                               for r in traj.requests[:-1].tolist()])
         assert g[-1] == 0.0 and g[0] > 0.0
         eta1, xi1, users = cfg.ecp_weights[0], cfg.ccp_weights[0], cfg.n_users
@@ -614,12 +620,12 @@ def smooth_terms(lags):
 @pytest.mark.parametrize("tau,dt", [(0.1, 0.1), (0.37, 0.05), (2.0, 0.01)])
 def test_rank_one_map_is_the_staged_step(n, tau, dt):
     # RK4 on the delayed population field G*(u - x . u), with (u, G) read
-    # from the lag rows (_lag_terms) of a random market: the precomputed
-    # map, which takes G*u as the constant delta*c and carries the state
-    # unnormalised, and the four staged field calls of integrate_dde step
-    # the same projected trajectory, apart by rounding only (1.0e-15 at
-    # most).  At learning rate 0.5 every share stays above 0.015, off the
-    # floor.
+    # from the lag rows (ReplicatorField._lag_terms) of a random market: the
+    # precomputed map, which takes G*u as the constant delta*c and carries
+    # the state unnormalised, and the four staged field calls of
+    # integrate_dde step the same projected trajectory, apart by rounding
+    # only (1.0e-15 at most).  At learning rate 0.5 every share stays above
+    # 0.015, off the floor.
     cfg, x0, r0 = random_market(n, n)
     cfg = dataclasses.replace(cfg, learning_rate=0.5)
     field = ReplicatorField(cfg, AllocationState(r0))
@@ -779,7 +785,7 @@ class TestSweep:
             for maps in range(1, 100):
                 traj = _forward_pass(cfg, x0, times, g)
                 g = _adjoint_profile(cfg, times, [
-                    _uptake_row(cfg, r)[1]
+                    _uptake(cfg)(r)[1]
                     for r in traj.requests[:-1].tolist()])
                 if (prev is not None
                         and np.max(np.abs(traj.shares - prev.shares))
@@ -991,7 +997,7 @@ class TestSweep:
                                        max_iter=max_iter)
         assert report.converged == (max_iter == 500)
         g_next = _adjoint_profile(cfg, traj.times,
-                                  [_uptake_row(cfg, r)[1]
+                                  [_uptake(cfg)(r)[1]
                                    for r in traj.requests[:-1].tolist()])
         lam_diag, mu_scale = _adjoint_scales(cfg)
         unit = max(float(np.max(np.abs(lam_diag))), abs(mu_scale))
@@ -1002,6 +1008,11 @@ class TestSweep:
                      "integral_utilities"):
             np.testing.assert_array_equal(getattr(traj, name),
                                           getattr(again, name))
+
+    def test_replay_rejects_a_run_without_adjoints(self, cfg):
+        traj = solve_ssec(cfg, [0.3, 0.3, 0.4], 0.1)
+        with pytest.raises(ValueError, match="^trajectory stores no adjoints"):
+            replay_forward(cfg, traj)
 
     @pytest.mark.parametrize("resize", [lambda g: g[:10],
                                         lambda g: np.append(g, 0.0)],
@@ -1120,7 +1131,7 @@ class TestMyopicAndFixed:
         # the map 500 times.
         cfg, x0, r0 = random_market(n, n, horizon=5.0)
         traj = solve_fixed(cfg, x0, r0, 0.01)
-        c, theta = _uptake_row(cfg, r0.tolist())
+        c, theta = _uptake(cfg)(r0.tolist())
         source = [cfg.learning_rate * v for v in c]
         grow, shift = _affine_rk4(-theta, 0.01)
         x0 = x0.tolist()
@@ -1181,7 +1192,7 @@ class TestMyopicAndFixed:
         field = ReplicatorField(cfg, AllocationState(scn.r0))
         runs = [lambda: solve_fixed(cfg, scn.x0, scn.r0, 0.01),
                 lambda: integrate_dde(field.delayed_rate, scn.x0, tau,
-                                      (0.0, 50.0), 0.01)]
+                                      (0.0, 50.0), 0.01, simplex=True)]
         if tau == 12.0:
             for run in runs:
                 with pytest.raises(BlowUp):
@@ -1196,7 +1207,8 @@ class TestMyopicAndFixed:
         cfg = make_config(population_delay=0.5, horizon=5.0)
         traj = solve_fixed(cfg, x0, [0.0, 0.0], 0.01)
         field = ReplicatorField(cfg, AllocationState([0.0, 0.0]))
-        manual = integrate_dde(field.delayed_rate, x0, 0.5, (0.0, 5.0), 0.01)
+        manual = integrate_dde(field.delayed_rate, x0, 0.5, (0.0, 5.0), 0.01,
+                               simplex=True)
         np.testing.assert_allclose(traj.shares, manual.shares, rtol=0.0,
                                    atol=DDE_AGREEMENT)
 
@@ -1222,7 +1234,7 @@ class TestMyopicAndFixed:
 
         fast = shares(lambda: solve_fixed(cfg, x0, r0, 0.05))
         staged = shares(lambda: integrate_dde(
-            field.delayed_rate, x0, tau, (0.0, 2.0), 0.05))
+            field.delayed_rate, x0, tau, (0.0, 2.0), 0.05, simplex=True))
         assert (fast is None) == (staged is None)
         if fast is not None:
             floored = min(fast.min(), staged.min()) <= 1e-9
@@ -1258,7 +1270,7 @@ class TestMyopicAndFixed:
         fast = solve_fixed(cfg, scn.x0, scn.r0, 0.01)
         field = ReplicatorField(cfg, AllocationState(scn.r0))
         staged = integrate_dde(field.delayed_rate, scn.x0, tau, (0.0, 30.0),
-                               0.01)
+                               0.01, simplex=True)
         np.testing.assert_allclose(fast.shares, staged.shares, rtol=0.0,
                                    atol=1e-13)
         assert (_delay_verdict(cfg, fast, scn.r0, scn.eps_convergence)
@@ -1270,11 +1282,11 @@ class TestMyopicAndFixed:
         # random draws of test_delayed_pass_matches_dde sum below 1.  The
         # cloud's share sinks to 3.9e-4, off the floor; gap 1.8e-15.
         cfg, r0 = make_config(population_delay=0.7, horizon=30.0), [0.6, 0.4]
-        assert _uptake_row(cfg, r0)[0][-1] == 0.0
+        assert _uptake(cfg)(r0)[0][-1] == 0.0
         fast = solve_fixed(cfg, x0, r0, 0.01)
         field = ReplicatorField(cfg, AllocationState(r0))
         staged = integrate_dde(field.delayed_rate, x0, 0.7, (0.0, 30.0),
-                               0.01)
+                               0.01, simplex=True)
         assert fast.shares.min() > 1e-9
         np.testing.assert_allclose(fast.shares, staged.shares, rtol=0.0,
                                    atol=DDE_AGREEMENT)

@@ -254,6 +254,38 @@ class TestCostateFields:
             ecp_costate_rhs(cfg, snap, EcpCostate.zero(2), 3)
 
 
+# Every function of one edge provider n, called on the default duopoly.
+PROVIDER_CALLS = {
+    "ecp_instant_utility": lambda cfg, x, n: ecp_instant_utility(
+        cfg, snapshot(x, [0.1, 0.2]), n),
+    "q_vector": lambda cfg, x, n: q_vector(cfg, PopulationState(x), n),
+    "decompose_request": lambda cfg, x, n: decompose_request(
+        cfg, PopulationState(x), EcpCostate.zero(2), n),
+    "ecp_hamiltonian": lambda cfg, x, n: ecp_hamiltonian(
+        cfg, snapshot(x, [0.1, 0.2]), EcpCostate.zero(2), n),
+    "ecp_costate_rhs": lambda cfg, x, n: ecp_costate_rhs(
+        cfg, snapshot(x, [0.1, 0.2]), EcpCostate.zero(2), n),
+}
+
+
+@pytest.mark.parametrize("n", [0, 3, True, 1.5],
+                         ids=["zero", "past_n", "bool", "float"])
+@pytest.mark.parametrize("name", sorted(PROVIDER_CALLS))
+def test_provider_index_is_checked(cfg, x0, name, n):
+    # One check (model._check_provider) behind every per-provider function:
+    # an index out of range, a bool (True would serve provider 1) or a
+    # float (1.5 would reach numpy's indexing) gets the same ValueError.
+    with pytest.raises(ValueError, match=r"^n: must be in 1\.\.2$"):
+        PROVIDER_CALLS[name](cfg, x0, n)
+
+
+@pytest.mark.parametrize("name", sorted(PROVIDER_CALLS))
+def test_provider_index_may_be_a_numpy_integer(cfg, x0, name):
+    want = PROVIDER_CALLS[name](cfg, x0, 2)
+    np.testing.assert_array_equal(
+        PROVIDER_CALLS[name](cfg, x0, np.int64(2)), want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
 def test_stationary_controls_match_array_spelling(n, seed):
