@@ -8,102 +8,19 @@ system.  The package exposes the model layer (states, utilities), the
 population field and its closed-form rest point, the stationarity and
 adjoint formulas of the provider game, fixed-step integrators including a
 delayed variant, and the forward-backward sweep that ties them together.
+Its public names are those of the four modules' `__all__` lists.
 """
 
-from .model import (
-    AllocationState,
-    MarketSnapshot,
-    PopulationState,
-    SystemConfig,
-    ZeroShare,
-    ccp_instant_utility,
-    ecp_instant_utility,
-    mean_utility,
-    per_user_power,
-    provider_power,
-    theta,
-    user_utility,
-)
-from .replicator import (
-    EssResult,
-    ReplicatorField,
-    analytic_ess,
-    delay_stability_bound,
-    delayed_replicator_rhs,
-    ess_jacobian_eigen,
-    replicator_rhs,
-)
-from .stackelberg import (
-    CcpCostate,
-    EcpCostate,
-    ccp_costate_rhs,
-    ccp_hamiltonian,
-    decompose_request,
-    ecp_costate_rhs,
-    ecp_hamiltonian,
-    optimal_price,
-    optimal_request,
-    q_vector,
-)
-from .solver import (
-    BlowUp,
-    SweepReport,
-    Trajectory,
-    convergence_time,
-    costate_backward_grid,
-    default_price_cap,
-    integral_utility,
-    integrate_dde,
-    integrate_ode,
-    replay_forward,
-    solve_fixed,
-    solve_open_loop,
-    solve_ssec,
-)
+from . import model, replicator, solver, stackelberg
+from .model import *
+from .replicator import *
+from .stackelberg import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllocationState",
-    "BlowUp",
-    "CcpCostate",
-    "EcpCostate",
-    "EssResult",
-    "MarketSnapshot",
-    "PopulationState",
-    "ReplicatorField",
-    "SweepReport",
-    "SystemConfig",
-    "Trajectory",
-    "ZeroShare",
-    "analytic_ess",
-    "ccp_costate_rhs",
-    "ccp_hamiltonian",
-    "ccp_instant_utility",
-    "convergence_time",
-    "costate_backward_grid",
-    "decompose_request",
-    "default_price_cap",
-    "delay_stability_bound",
-    "delayed_replicator_rhs",
-    "ecp_costate_rhs",
-    "ecp_hamiltonian",
-    "ecp_instant_utility",
-    "ess_jacobian_eigen",
-    "integral_utility",
-    "integrate_dde",
-    "integrate_ode",
-    "mean_utility",
-    "optimal_price",
-    "optimal_request",
-    "per_user_power",
-    "provider_power",
-    "q_vector",
-    "replay_forward",
-    "replicator_rhs",
-    "solve_fixed",
-    "solve_open_loop",
-    "solve_ssec",
-    "theta",
-    "user_utility",
-]
+__all__ = []
+__all__ += model.__all__
+__all__ += replicator.__all__
+__all__ += stackelberg.__all__
+__all__ += solver.__all__

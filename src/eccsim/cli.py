@@ -6,10 +6,13 @@ Commands:
     compare   run olsec and ssec across learning rates, tabulate
     sweep     re-solve across one parameter (R_c, p_c, tau_x)
 
-Scenario files are strict JSON: every field of the system configuration by
-its own name, plus x0, r0, dt, eps_convergence, scheme, and an optional
-sweep block.  Unknown or missing fields are rejected with the field named,
-exit code 2; a diverging integration exits 3.
+Scenario files are strict JSON: every field of SystemConfig and of
+Scenario (x0, r0, dt, eps_convergence, scheme, an optional sweep block) by
+its own name, read by its declared type; the two dataclasses check the
+values whenever one is built.  main loads the file, applies the overrides
+and hands the Scenario to the command.  Unknown or missing fields and
+broken rules are rejected with the field named, exit code 2; a diverging
+integration exits 3.
 
 Measurement conventions for summaries: equilibrium shares are read at the
 final grid time; equilibrium price and requests are sampled at 70% of the
@@ -33,23 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (AllocationState, SystemConfig, _cloud_remainder,
-                    _running_total)
+from .model import (AllocationState, SystemConfig, _as_float_vector,
+                    _cloud_remainder, _running_total)
 from .replicator import analytic_ess, delay_stability_bound, ess_jacobian_eigen
-from .solver import (
-    BlowUp,
-    SweepReport,
-    Trajectory,
-    _attach_utilities,
-    _check_undelayed,
-    check_delay,
-    check_stability,
-    convergence_time,
-    grid_steps,
-    solve_fixed,
-    solve_open_loop,
-    solve_ssec,
-)
+from .solver import (BlowUp, SweepReport, Trajectory, _attach_utilities,
+                     _check_undelayed, check_delay, check_stability,
+                     convergence_time, grid_steps, solve_fixed,
+                     solve_open_loop, solve_ssec)
 
 __all__ = ["InvalidScenario", "Scenario", "load_scenario", "main"]
 
@@ -65,19 +58,6 @@ SWEEP_PARAMS = {
 SAMPLE_FRACTION = 0.7
 CONVERGENCE_FRACTION = 0.8
 
-_SCALAR_FIELDS = {
-    "n_ecps": int,
-    "n_users": int,
-    "cloud_power": float,
-    "cloud_access_price": float,
-    "learning_rate": float,
-    "mapping_factor": float,
-    "discount_rate": float,
-    "nominal_rate": float,
-    "horizon": float,
-}
-_VECTOR_FIELDS = ("ecp_power", "ecp_access_price", "ecp_weights", "ccp_weights")
-
 
 class InvalidScenario(RuntimeError):
     """A scenario file violates the schema; the message names the field."""
@@ -85,7 +65,12 @@ class InvalidScenario(RuntimeError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A loaded, validated scenario ready to run."""
+    """A scenario ready to run, checked whenever one is built (a
+    `dataclasses.replace` too); a broken rule raises ValueError naming the
+    field.  x0 (N+1 positive shares summing to 1 within 1e-9) and r0 (a
+    feasible allocation) are coerced to float arrays; then eps_convergence,
+    scheme, the rule that only fixed-controls models a population delay,
+    the solvers' grid rules for horizon, dt and delay, and RK4's bound."""
 
     cfg: SystemConfig
     x0: np.ndarray
@@ -94,6 +79,34 @@ class Scenario:
     eps_convergence: float
     scheme: str
     sweep: tuple[str, tuple[float, ...]] | None = None
+
+    def __post_init__(self) -> None:
+        cfg, n = self.cfg, self.cfg.n_ecps
+        x0 = _as_float_vector(self.x0, "x0")
+        if x0.shape[0] != n + 1:
+            raise ValueError(f"x0: expected {n + 1} entries")
+        if not np.all(x0 > 0.0):
+            raise ValueError("x0: shares must be strictly positive")
+        if abs(_running_total(x0) - 1.0) > 1e-9:
+            raise ValueError("x0: shares must sum to 1")
+        r0 = _as_float_vector(self.r0, "r0")
+        if r0.shape[0] != n:
+            raise ValueError(f"r0: expected {n} entries")
+        try:
+            AllocationState(r0)
+        except ValueError as exc:
+            raise ValueError(f"r0: {exc}") from None
+        if not self.eps_convergence > 0.0:
+            raise ValueError("eps_convergence: must be positive")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme: expected one of {', '.join(SCHEMES)}")
+        if self.scheme != "fixed-controls":
+            _check_undelayed(cfg)
+        grid_steps((0.0, cfg.horizon), self.dt)
+        check_delay(cfg.population_delay, self.dt, "population_delay")
+        check_stability(cfg, self.dt)
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "r0", r0)
 
 
 def _number(raw, name: str) -> float:
@@ -108,37 +121,65 @@ def _number(raw, name: str) -> float:
     return value
 
 
+def _integer(raw, name: str) -> int:
+    value = _number(raw, name)
+    if value != int(value):
+        raise InvalidScenario(f"{name}: expected an integer")
+    return int(value)
+
+
 def _number_list(raw, name: str) -> list[float]:
     if not isinstance(raw, list) or not raw:
         raise InvalidScenario(f"{name}: expected a non-empty list of numbers")
     return [_number(v, name) for v in raw]
 
 
+def _sweep_block(block, name: str) -> tuple[str, tuple[float, ...]]:
+    if not isinstance(block, dict) or set(block) != {"param", "values"}:
+        raise InvalidScenario(f"{name}: expected an object with param and values")
+    param = block["param"]
+    if not isinstance(param, str) or param not in SWEEP_PARAMS:
+        raise InvalidScenario(
+            f"{name}: param must be one of {', '.join(SWEEP_PARAMS)}")
+    return param, tuple(_number_list(block["values"], name))
+
+
+# Reader of a scenario file's value by its field's annotation (a string:
+# annotations are postponed); SystemConfig and Scenario check the value.
+_READERS = {
+    "int": _integer,
+    "float": _number,
+    "np.ndarray": _number_list,
+    "tuple[float, float, float]": _number_list,
+    "str": lambda raw, name: raw,
+    "tuple[str, tuple[float, ...]] | None": _sweep_block,
+}
+# Scenario-file field (SystemConfig's, then Scenario's) -> has no default.
+_FIELDS = {f.name: f.default is dataclasses.MISSING
+           for cls in (SystemConfig, Scenario) for f in dataclasses.fields(cls)
+           if f.name != "cfg"}
+
+
+def _read(raw: dict, cls) -> dict:
+    """The fields of dataclass `cls` that `raw` holds, each read by kind."""
+    return {f.name: _READERS[f.type](raw[f.name], f.name)
+            for f in dataclasses.fields(cls) if f.name in raw}
+
+
 def _derive(scn: Scenario, cfg_changes: dict | None = None,
             **changes) -> Scenario:
-    """`scn` with configuration and scenario fields replaced, re-validated.
-
-    Every scenario a command runs passes through here: the configuration
-    checks, the rule that only fixed-controls models a population delay,
-    the solvers' grid rules (`grid_steps`, `check_delay`) for the horizon,
-    dt and delay, and RK4's stability bound on dt (`check_stability`).
-    """
+    """`scn` with configuration and scenario fields replaced, re-validated
+    by SystemConfig and Scenario; every scenario a command runs is one."""
     try:
         if cfg_changes:
             changes["cfg"] = dataclasses.replace(scn.cfg, **cfg_changes)
-        scn = dataclasses.replace(scn, **changes)
-        if scn.scheme != "fixed-controls":
-            _check_undelayed(scn.cfg)
-        grid_steps((0.0, scn.cfg.horizon), scn.dt)
-        check_delay(scn.cfg.population_delay, scn.dt, "population_delay")
-        check_stability(scn.cfg, scn.dt)
+        return dataclasses.replace(scn, **changes)
     except ValueError as exc:
         raise InvalidScenario(str(exc)) from exc
-    return scn
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read and validate a scenario file.
+    """Read and validate a scenario file; x0 is renormalised to sum to 1.
 
     Raises:
         InvalidScenario: unreadable file, unknown/missing fields, or any
@@ -154,76 +195,18 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(raw, dict):
         raise InvalidScenario("scenario: top level must be an object")
 
-    known = (set(_SCALAR_FIELDS) | set(_VECTOR_FIELDS)
-             | {"population_delay", "x0", "r0", "dt", "eps_convergence",
-                "scheme", "sweep"})
     for key in raw:
-        if key not in known:
+        if key not in _FIELDS:
             raise InvalidScenario(f"{key}: unknown field")
-    required = (set(_SCALAR_FIELDS) | set(_VECTOR_FIELDS)
-                | {"x0", "r0", "dt", "eps_convergence", "scheme"})
-    for key in sorted(required):
-        if key not in raw:
+    for key in sorted(_FIELDS):
+        if _FIELDS[key] and key not in raw:
             raise InvalidScenario(f"{key}: missing field")
-
-    kwargs = {}
-    for name, cast in _SCALAR_FIELDS.items():
-        value = _number(raw[name], name)
-        if cast is int:
-            if value != int(value):
-                raise InvalidScenario(f"{name}: expected an integer")
-            value = int(value)
-        kwargs[name] = value
-    for name in _VECTOR_FIELDS:
-        kwargs[name] = _number_list(raw[name], name)
-    kwargs["population_delay"] = _number(raw.get("population_delay", 0.0),
-                                         "population_delay")
     try:
-        cfg = SystemConfig(**kwargs)
+        scn = Scenario(cfg=SystemConfig(**_read(raw, SystemConfig)),
+                       **_read(raw, Scenario))
+        return dataclasses.replace(scn, x0=scn.x0 / _running_total(scn.x0))
     except ValueError as exc:
         raise InvalidScenario(str(exc)) from exc
-
-    n = cfg.n_ecps
-    x0 = np.asarray(_number_list(raw["x0"], "x0"), dtype=float)
-    if x0.shape[0] != n + 1:
-        raise InvalidScenario(f"x0: expected {n + 1} entries")
-    if np.any(x0 <= 0.0):
-        raise InvalidScenario("x0: shares must be strictly positive")
-    if abs(_running_total(x0) - 1.0) > 1e-9:
-        raise InvalidScenario("x0: shares must sum to 1")
-    x0 = x0 / _running_total(x0)
-
-    r0 = np.asarray(_number_list(raw["r0"], "r0"), dtype=float)
-    if r0.shape[0] != n:
-        raise InvalidScenario(f"r0: expected {n} entries")
-    try:
-        AllocationState(r0)
-    except ValueError as exc:
-        raise InvalidScenario(f"r0: {exc}") from exc
-
-    dt = _number(raw["dt"], "dt")
-    eps = _number(raw["eps_convergence"], "eps_convergence")
-    if not eps > 0.0:
-        raise InvalidScenario("eps_convergence: must be positive")
-    scheme = raw["scheme"]
-    if scheme not in SCHEMES:
-        raise InvalidScenario(
-            f"scheme: expected one of {', '.join(SCHEMES)}")
-
-    sweep = None
-    if "sweep" in raw:
-        block = raw["sweep"]
-        if not isinstance(block, dict) or set(block) != {"param", "values"}:
-            raise InvalidScenario("sweep: expected an object with param and values")
-        param = block["param"]
-        if not isinstance(param, str) or param not in SWEEP_PARAMS:
-            raise InvalidScenario(
-                f"sweep: param must be one of {', '.join(SWEEP_PARAMS)}")
-        values = tuple(_number_list(block["values"], "sweep"))
-        sweep = (param, values)
-
-    return _derive(Scenario(cfg=cfg, x0=x0, r0=r0, dt=dt,
-                            eps_convergence=eps, scheme=scheme, sweep=sweep))
 
 
 def _override(scn: Scenario, args: argparse.Namespace) -> Scenario:
@@ -302,6 +285,14 @@ def _write(out: str, name: str, lines) -> None:
         raise InvalidScenario(f"out: {exc.strerror}: {path}") from None
 
 
+def _floats(text: str, name: str) -> list[float]:
+    """The numbers of a comma-separated option; empty items are skipped."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise InvalidScenario(f"{name}: {exc}") from exc
+
+
 def _ensure_out(args: argparse.Namespace) -> str:
     out = args.out or "."
     try:
@@ -311,8 +302,7 @@ def _ensure_out(args: argparse.Namespace) -> str:
     return out
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    scn = _override(load_scenario(args.scenario), args)
+def cmd_simulate(scn: Scenario, args: argparse.Namespace) -> int:
     out = _ensure_out(args)
     traj, report = _run_scheme(scn)
     n = scn.cfg.n_ecps
@@ -331,8 +321,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_ess(args: argparse.Namespace) -> int:
-    scn = load_scenario(args.scenario)
+def cmd_ess(scn: Scenario, args: argparse.Namespace) -> int:
     cfg = scn.cfg
     alloc = AllocationState(scn.r0)
     result = analytic_ess(cfg, alloc)
@@ -348,18 +337,14 @@ def cmd_ess(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(scn: Scenario, args: argparse.Namespace) -> int:
     """olsec and ssec rows per learning rate: one sweep per rate.
 
     The ssec row is the sweep's first forward pass (SweepReport.first_pass),
     the run solve_ssec would repeat bit for bit.  Each row is summarised as
     it is produced, so no more than one rate's trajectories are held.
     """
-    scn = _override(load_scenario(args.scenario), args)
-    try:
-        deltas = [float(v) for v in args.deltas.split(",") if v.strip()]
-    except ValueError as exc:
-        raise InvalidScenario(f"deltas: {exc}") from exc
+    deltas = _floats(args.deltas, "deltas")
     if not deltas or any(not d > 0.0 for d in deltas):
         raise InvalidScenario("deltas: expected a non-empty list of positive numbers")
     runs = [_derive(scn, {"learning_rate": delta}, scheme="olsec")
@@ -409,16 +394,11 @@ def _delay_verdict(cfg: SystemConfig, traj: Trajectory, r0: np.ndarray,
     return "indeterminate"
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    scn = _override(load_scenario(args.scenario), args)
+def cmd_sweep(scn: Scenario, args: argparse.Namespace) -> int:
     if (args.param is None) != (args.values is None):
         raise InvalidScenario("values: --param and --values go together")
     if args.param is not None:
-        param = args.param
-        try:
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-        except ValueError as exc:
-            raise InvalidScenario(f"values: {exc}") from exc
+        param, values = args.param, _floats(args.values, "values")
     elif scn.sweep is not None:
         param, values = scn.sweep
     else:
@@ -455,20 +435,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "the providers' hierarchical differential game.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    overrides = {
+    options = {
         "--dt": {"type": float, "help": "override the scenario step size"},
         "--horizon": {"type": float, "help": "override the scenario horizon"},
         "--scheme": {"choices": SCHEMES, "help": "override the scenario scheme"},
+        "--out": {"help": "output directory"},
     }
 
     def common(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument("scenario", help="path to a scenario JSON file")
         for flag in flags:
-            p.add_argument(flag, default=None, **overrides[flag])
+            p.add_argument(flag, default=None, **options[flag])
 
     p_sim = sub.add_parser("simulate", help="run one scheme, write CSV + summary")
-    common(p_sim, "--dt", "--horizon", "--scheme")
-    p_sim.add_argument("--out", default=None, help="output directory")
+    common(p_sim, "--dt", "--horizon", "--scheme", "--out")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ess = sub.add_parser("ess", help="print the closed-form rest point")
@@ -476,19 +456,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ess.set_defaults(func=cmd_ess)
 
     p_cmp = sub.add_parser("compare", help="olsec vs ssec across learning rates")
-    common(p_cmp, "--dt", "--horizon")
+    common(p_cmp, "--dt", "--horizon", "--out")
     p_cmp.add_argument("--deltas", default="0.5,1,1.5,2",
                        help="comma-separated learning rates")
-    p_cmp.add_argument("--out", default=None, help="output directory")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_swp = sub.add_parser("sweep", help="re-solve across one parameter")
-    common(p_swp, "--dt", "--horizon", "--scheme")
+    common(p_swp, "--dt", "--horizon", "--scheme", "--out")
     p_swp.add_argument("--param", default=None, choices=sorted(SWEEP_PARAMS),
                        help="parameter to sweep (default: scenario sweep block)")
     p_swp.add_argument("--values", default=None,
                        help="comma-separated parameter values")
-    p_swp.add_argument("--out", default=None, help="output directory")
     p_swp.set_defaults(func=cmd_sweep)
     return parser
 
@@ -496,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_override(load_scenario(args.scenario), args), args)
     except InvalidScenario as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ __all__ = [
     "PopulationState",
     "AllocationState",
     "MarketSnapshot",
+    "provider_power",
     "per_user_power",
     "user_utility",
     "mean_utility",
@@ -49,8 +50,19 @@ class ZeroShare(RuntimeError):
     """
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """value as an array of reals (bools too); else ValueError naming `name`."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name}: must be numeric")
+    return arr
+
+
 def _as_float_vector(value, name: str, length: int | None = None) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _real_array(value, name).astype(float, copy=False)
     if arr.ndim != 1:
         raise ValueError(f"{name}: expected a 1-d vector, got shape {arr.shape}")
     if length is not None and arr.shape[0] != length:
@@ -101,25 +113,22 @@ class SystemConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name}: must be a positive integer")
-        power = _as_float_vector(self.ecp_power, "ecp_power", self.n_ecps)
-        if np.any(power <= 0.0):
-            raise ValueError("ecp_power: every entry must be positive")
-        object.__setattr__(self, "ecp_power", power)
-        price = _as_float_vector(self.ecp_access_price, "ecp_access_price", self.n_ecps)
-        if np.any(price <= 0.0):
-            raise ValueError("ecp_access_price: every entry must be positive")
-        object.__setattr__(self, "ecp_access_price", price)
+        for name in ("ecp_power", "ecp_access_price"):
+            vec = _as_float_vector(getattr(self, name), name, self.n_ecps)
+            if np.any(vec <= 0.0):
+                raise ValueError(f"{name}: every entry must be positive")
+            object.__setattr__(self, name, vec)
         positive = ("cloud_power", "cloud_access_price", "learning_rate",
                     "mapping_factor", "discount_rate", "nominal_rate", "horizon")
         for name in positive + ("population_delay", "ecp_weights", "ccp_weights"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.all(np.isfinite(_real_array(getattr(self, name), name))):
                 raise ValueError(f"{name}: must be finite")
         for name in positive:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name}: must be positive")
         # The model assumes the cloud dwarfs each edge provider; unit test
         # scenarios legitimately use equality, so only R_c < R_n is rejected.
-        if self.cloud_power < float(np.max(power)):
+        if self.cloud_power < float(np.max(self.ecp_power)):
             raise ValueError("cloud_power: must be at least max(ecp_power)")
         for name in ("ecp_weights", "ccp_weights"):
             w = tuple(float(v) for v in getattr(self, name))

@@ -191,15 +191,17 @@ def grid_steps(t_span: tuple[float, float], dt: float) -> int:
     """Step count of the uniform grid every integrator lays over t_span.
 
     Raises:
-        ValueError: dt not finite or not positive, an empty span, a span
-            that is not an integer number of steps, or more than
-            MAX_GRID_STEPS steps; the message names dt or t_span.
+        ValueError: dt not finite or not positive, a span with an infinite
+            end or empty, a span that is not an integer number of steps, or
+            more than MAX_GRID_STEPS steps; the message names dt or t_span.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not math.isfinite(dt):
         raise ValueError("dt: must be finite")
     if not dt > 0.0:
         raise ValueError("dt: must be positive")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t_span: must be finite")
     if not t1 > t0:
         raise ValueError("t_span: end must exceed start")
     steps_exact = (t1 - t0) / dt
@@ -808,13 +810,17 @@ def integral_utility(traj: Trajectory, who, rho: float) -> float:
     if traj.utilities is None:
         raise ValueError("trajectory stores no utilities")
     n = traj.n_ecps
+    try:  # a string, bool, non-number or huge integer is no index
+        index = math.nan if isinstance(who, (str, bool, np.bool_)) else float(who)
+    except (TypeError, ValueError, OverflowError):
+        index = math.nan
     if isinstance(who, str) and who.lower() == "ccp":
         col = n
-    elif isinstance(who, (str, bool, np.bool_)) or not float(who).is_integer():
+    elif not index.is_integer():
         raise ValueError('who: expected an index in 1..N or "ccp"')
-    elif not 1 <= int(who) <= n:
+    elif not 1 <= index <= n:
         raise ValueError(f"who: must be in 1..{n}")
     else:
-        col = int(who) - 1
+        col = int(index) - 1
     weighted = _discount(rho, traj.times) * traj.utilities[:, col]
     return float(_running_trapezoid(weighted, traj.times)[-1])

@@ -66,12 +66,24 @@ class TestLoadScenario:
         with pytest.raises(InvalidScenario, match="bogus: unknown field"):
             load_scenario(path)
 
-    @pytest.mark.parametrize("field", ["dt", "x0", "scheme", "ecp_power",
-                                       "eps_convergence"])
+    # Every field of SystemConfig and Scenario but population_delay and
+    # sweep, which have defaults.
+    @pytest.mark.parametrize("field", sorted(BASE))
     def test_missing_field(self, tmp_path, field):
         path = write_scenario(tmp_path, drop=(field,))
         with pytest.raises(InvalidScenario, match=f"{field}: missing field"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_shipped_scenarios_load(self, path):
+        assert load_scenario(str(path)).x0.sum() == pytest.approx(1.0)
+
+    def test_replace_is_checked(self):
+        # The rules live in Scenario itself, not only in the loader.
+        scn = load_scenario(str(SCENARIOS / "scenario_a.json"))
+        with pytest.raises(ValueError, match="^dt: span must be an integer"):
+            dataclasses.replace(scn, dt=0.3)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -62,6 +62,10 @@ class TestSystemConfig:
         ("n_users", dict(n_users=True)),
         ("ecp_power", dict(ecp_power=[[2.0, 1.0]])),
         ("ecp_power", dict(ecp_power=[2.0, np.inf])),
+        ("ecp_power", dict(ecp_power="abc")),
+        ("horizon", dict(horizon="5")),
+        ("population_delay", dict(population_delay=None)),
+        ("ecp_weights", dict(ecp_weights="abc")),
     ])
     def test_rejections_name_the_field(self, field, overrides):
         with pytest.raises(ValueError, match=f"^{field}"):

@@ -90,6 +90,12 @@ class TestGrid:
         with pytest.raises(ValueError, match="t_span"):
             integrate_ode(decay, [1.0], (1.0, 0.0), 0.1)
 
+    def test_rejects_non_finite_span(self):
+        # Not blamed on dt, whose grid an infinite span would overflow.
+        for span in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="^t_span: must be finite$"):
+                integrate_ode(decay, [1.0], span, 0.1)
+
     def test_rejects_indivisible_span(self):
         with pytest.raises(ValueError, match="integer number of steps"):
             integrate_ode(decay, [1.0], (0.0, 1.0), 0.3)
@@ -1382,10 +1388,11 @@ class TestMeasures:
             integral_utility(traj, 2, 0.0)
         with pytest.raises(ValueError, match="who"):
             integral_utility(traj, "leader", 0.0)
-        for who in (1.5, True, np.True_, np.nan):
+        for who in (1.5, True, np.True_, np.nan, None, [1], 1 + 0j, 10**400):
             with pytest.raises(ValueError, match="^who: expected an index"):
                 integral_utility(traj, who, 0.0)
-        assert integral_utility(traj, np.int64(1), 0.0) == pytest.approx(1.0)
+        for who in (np.int64(1), 1.0):
+            assert integral_utility(traj, who, 0.0) == pytest.approx(1.0)
 
     def test_integral_utility_requires_utilities(self):
         traj = integrate_ode(decay, [1.0], (0.0, 1.0), 0.1)

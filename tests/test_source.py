@@ -1,4 +1,5 @@
-"""Source guards: the summation rule, and no private helper without a caller.
+"""Source guards: the summation rule, no private helper without a caller,
+and the package exports declared once, in the modules' __all__ lists.
 
 Every sum over providers runs left to right (model._left_sum over floats,
 model._running_total along an array's last axis), so identical inputs give
@@ -106,3 +107,18 @@ def test_caller_guard_ignores_the_helper_itself():
     }
     assert uncalled(sources) == ["a._recursive", "a._only_in_docs",
                                  "c._Orphan"]
+
+
+def test_package_exports_the_modules_lists():
+    # eccsim's public names are declared once, in the modules' __all__.
+    from eccsim import model, replicator, solver, stackelberg
+
+    lists = [m.__all__ for m in (model, replicator, stackelberg, solver)]
+    assert sorted(eccsim.__all__) == sorted(name for names in lists
+                                            for name in names)
+    assert len(set(eccsim.__all__)) == len(eccsim.__all__)
+    for name in eccsim.__all__:
+        assert getattr(eccsim, name) is not None
+    for name in ("provider_power", "grid_steps", "check_delay",
+                 "check_stability"):
+        assert name in eccsim.__all__
