@@ -302,7 +302,7 @@ def _ensure_out(args: argparse.Namespace) -> str:
     return out
 
 
-def cmd_simulate(scn: Scenario, args: argparse.Namespace) -> int:
+def cmd_simulate(scn: Scenario, args: argparse.Namespace) -> None:
     out = _ensure_out(args)
     traj, report = _run_scheme(scn)
     n = scn.cfg.n_ecps
@@ -318,10 +318,9 @@ def cmd_simulate(scn: Scenario, args: argparse.Namespace) -> int:
     text = json.dumps(_summary(scn, traj, report), indent=2, sort_keys=True)
     _write(out, "summary.json", [text])
     print(text)
-    return 0
 
 
-def cmd_ess(scn: Scenario, args: argparse.Namespace) -> int:
+def cmd_ess(scn: Scenario, args: argparse.Namespace) -> None:
     cfg = scn.cfg
     alloc = AllocationState(scn.r0)
     result = analytic_ess(cfg, alloc)
@@ -334,10 +333,9 @@ def cmd_ess(scn: Scenario, args: argparse.Namespace) -> int:
         "delay_bound": float(delay_stability_bound(cfg, alloc)),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
 
 
-def cmd_compare(scn: Scenario, args: argparse.Namespace) -> int:
+def cmd_compare(scn: Scenario, args: argparse.Namespace) -> None:
     """olsec and ssec rows per learning rate: one sweep per rate.
 
     The ssec row is the sweep's first forward pass (SweepReport.first_pass),
@@ -377,7 +375,6 @@ def cmd_compare(scn: Scenario, args: argparse.Namespace) -> int:
                       sort_keys=True)
     _write(out, "compare_summary.json", [text])
     print(text)
-    return 0
 
 
 def _delay_verdict(cfg: SystemConfig, traj: Trajectory, r0: np.ndarray,
@@ -394,7 +391,7 @@ def _delay_verdict(cfg: SystemConfig, traj: Trajectory, r0: np.ndarray,
     return "indeterminate"
 
 
-def cmd_sweep(scn: Scenario, args: argparse.Namespace) -> int:
+def cmd_sweep(scn: Scenario, args: argparse.Namespace) -> None:
     if (args.param is None) != (args.values is None):
         raise InvalidScenario("values: --param and --values go together")
     if args.param is not None:
@@ -425,7 +422,6 @@ def cmd_sweep(scn: Scenario, args: argparse.Namespace) -> int:
     _write(out, "sweep.csv", _csv(
         ["value"] + _cols("x", scn.cfg.n_ecps) + ["p_star", "r_c", "verdict"],
         rows))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,13 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(_override(load_scenario(args.scenario), args), args)
-    except InvalidScenario as exc:
+        args.func(_override(load_scenario(args.scenario), args), args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except (InvalidScenario, BlowUp) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BlowUp as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, BlowUp) else 2
+    except BrokenPipeError:  # the reader left; every artifact is written
+        # fd 1 to devnull, so the flush at exit cannot raise again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable
 
@@ -51,18 +51,26 @@ class ZeroShare(RuntimeError):
 
 
 def _real_array(value, name: str) -> np.ndarray:
-    """value as an array of reals (bools too); else ValueError naming `name`."""
+    """value as a float array of reals (bools too); else ValueError naming
+    `name`."""
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nesting
         arr = None
     if arr is None or arr.dtype.kind not in "biuf":
         raise ValueError(f"{name}: must be numeric")
-    return arr
+    return arr.astype(float, copy=False)
+
+
+def _check_count(value, name: str) -> None:
+    """Reject value unless it is a positive integer (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{name}: must be a positive integer")
 
 
 def _as_float_vector(value, name: str, length: int | None = None) -> np.ndarray:
-    arr = _real_array(value, name).astype(float, copy=False)
+    arr = _real_array(value, name)
     if arr.ndim != 1:
         raise ValueError(f"{name}: expected a 1-d vector, got shape {arr.shape}")
     if length is not None and arr.shape[0] != length:
@@ -109,36 +117,39 @@ class SystemConfig:
     population_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("n_ecps", "n_users"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"{name}: must be a positive integer")
-        for name in ("ecp_power", "ecp_access_price"):
-            vec = _as_float_vector(getattr(self, name), name, self.n_ecps)
-            if np.any(vec <= 0.0):
-                raise ValueError(f"{name}: every entry must be positive")
-            object.__setattr__(self, name, vec)
-        positive = ("cloud_power", "cloud_access_price", "learning_rate",
-                    "mapping_factor", "discount_rate", "nominal_rate", "horizon")
-        for name in positive + ("population_delay", "ecp_weights", "ccp_weights"):
-            if not np.all(np.isfinite(_real_array(getattr(self, name), name))):
-                raise ValueError(f"{name}: must be finite")
-        for name in positive:
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name}: must be positive")
+        # By declared kind (cli._READERS's strings), n_ecps first.
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if f.type == "int":
+                _check_count(value, name)
+            elif f.type == "np.ndarray":
+                vec = _as_float_vector(value, name, self.n_ecps)
+                if np.any(vec <= 0.0):
+                    raise ValueError(f"{name}: every entry must be positive")
+                object.__setattr__(self, name, vec)
+            else:
+                arr = _real_array(value, name)
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError(f"{name}: must be finite")
+                if f.type == "float":
+                    if arr.ndim != 0:
+                        raise ValueError(f"{name}: must be a number")
+                    if arr < 0.0 and name == "population_delay":
+                        raise ValueError(f"{name}: must be nonnegative")
+                    if arr <= 0.0 and name != "population_delay":
+                        raise ValueError(f"{name}: must be positive")
+                else:  # a weight triple
+                    if arr.ndim != 1:
+                        raise ValueError(f"{name}: must be a list of 3 weights")
+                    if arr.shape[0] != 3:
+                        raise ValueError(f"{name}: expected exactly 3 weights")
+                    if np.any(arr <= 0.0):
+                        raise ValueError(f"{name}: weights must be positive")
+                    object.__setattr__(self, name, tuple(arr.tolist()))
         # The model assumes the cloud dwarfs each edge provider; unit test
         # scenarios legitimately use equality, so only R_c < R_n is rejected.
         if self.cloud_power < float(np.max(self.ecp_power)):
             raise ValueError("cloud_power: must be at least max(ecp_power)")
-        for name in ("ecp_weights", "ccp_weights"):
-            w = tuple(float(v) for v in getattr(self, name))
-            if len(w) != 3:
-                raise ValueError(f"{name}: expected exactly 3 weights")
-            if any(v <= 0.0 for v in w):
-                raise ValueError(f"{name}: weights must be positive")
-            object.__setattr__(self, name, w)
-        if self.population_delay < 0.0:
-            raise ValueError("population_delay: must be nonnegative")
 
     @cached_property
     def all_access_prices(self) -> np.ndarray:
@@ -146,14 +157,6 @@ class SystemConfig:
         prices = np.append(self.ecp_access_price, self.cloud_access_price)
         prices.flags.writeable = False
         return prices
-
-    @cached_property
-    def float_vectors(self) -> tuple[list[float], list[float]]:
-        """(ecp_power, all_access_prices) as lists of Python floats.
-
-        Read by the per-node float kernels, which must not call numpy.
-        """
-        return self.ecp_power.tolist(), self.all_access_prices.tolist()
 
 
 @dataclass(frozen=True)
@@ -283,7 +286,7 @@ def _uptake(cfg: SystemConfig) -> Callable:
     it out.  Takes and returns Python floats.  One loop builds c and the
     running sums of r and c, left to right.
     """
-    power, prices = cfg.float_vectors
+    power, prices = cfg.ecp_power.tolist(), cfg.all_access_prices.tolist()
     r_c, scale = cfg.cloud_power, cfg.mapping_factor / cfg.n_users
     p_c, delta = prices[-1], cfg.learning_rate
 

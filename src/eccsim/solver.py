@@ -14,17 +14,16 @@ halving of dt on scenario_a).
 The open-loop equilibrium is found by forward-backward sweeping.  The
 adjoints depend on the state only through Theta(r(t)) and vanish at T, so
 they collapse to one scalar profile g with g' = (rho+Theta) g - 1, g(T) = 0:
-the follower adjoints are lam_nn = eta1*p_n*K*g (off-diagonal entries 0),
-the leader's are mu_n = xi1*p_c*K*g (its theta_mat is 0).  One sweep
-integrates the population forward under the stationary controls for the
-current g, integrates g backward from zero (backward is the stable
-direction, since it grows at rate rho+Theta forward in time), and mixes
-the new g with the last (depth-1 Anderson): the map settles in 5-8 sweeps
-on the shipped scenarios; the last forward pass, stored with the g it ran
-under, is the answer.  The first pass, at g = 0, is the myopic baseline
-(solve_ssec), and the sweep's report keeps it.  Controls come from the
-kernel of `eccsim.stackelberg`, and supply, Theta and payoffs from
-`eccsim.model`.
+lam_nn and mu_n are g times their sources (stackelberg._adjoint_scales),
+every other entry 0.  One sweep integrates the population forward under the
+stationary controls for the current g, integrates g backward from zero
+(backward is the stable direction, since it grows at rate rho+Theta forward
+in time), and mixes the new g with the last (depth-1 Anderson): the map
+settles in 5-8 sweeps on the shipped scenarios; the last forward pass,
+stored with the g it ran under, is the answer.  The first pass, at g = 0,
+is the myopic baseline (solve_ssec), and the sweep's report keeps it.
+Controls come from the kernel of `eccsim.stackelberg`, and supply, Theta
+and payoffs from `eccsim.model`.
 
 Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
@@ -63,12 +62,13 @@ from .model import (
     MarketSnapshot,
     PopulationState,
     SystemConfig,
+    _check_count,
     _left_sum,
     _payoffs,
     _uptake,
 )
 from .replicator import ReplicatorField
-from .stackelberg import _price_gaps, _stationary_controls
+from .stackelberg import _adjoint_scales, _price_gaps, _stationary_controls
 
 __all__ = [
     "BlowUp",
@@ -165,9 +165,9 @@ class SweepReport:
     state_residual is the largest change in any share between the last two
     sweeps; costate_terminal_residual the largest change in the adjoint
     paths (pinned to zero at T, so path change is the residual that
-    matters), max(eta1*max p_n, xi1*p_c)*K times the largest change in g.
-    Converged: the two fell below SWEEP_TOL and COSTATE_TOL.
-    Non-convergence is reported here, not raised.
+    matters), the largest adjoint source (stackelberg._adjoint_scales)
+    times the largest change in g.  Converged: the two fell below
+    SWEEP_TOL and COSTATE_TOL.  Non-convergence is reported here, not raised.
 
     first_pass is the sweep's first forward pass, at g = 0: bit for bit
     the trajectory solve_ssec returns, before its utilities are attached
@@ -509,22 +509,16 @@ def _adjoint_profile(cfg: SystemConfig, times: np.ndarray,
     return np.array(_check_finite(g))
 
 
-def _adjoint_scales(cfg: SystemConfig) -> tuple[np.ndarray, float]:
-    """Adjoints per unit of g: (eta1*p_n*K for each follower, xi1*p_c*K)."""
-    return (cfg.ecp_weights[0] * cfg.ecp_access_price * cfg.n_users,
-            cfg.ccp_weights[0] * cfg.cloud_access_price * cfg.n_users)
-
-
 def costate_backward_grid(cfg: SystemConfig, times: np.ndarray,
                           requests: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward-integrate all adjoints from zero terminal conditions.
 
     Expands the scalar profile g into the general adjoint layout of
-    `eccsim.stackelberg`: lam (M, N, N) with diagonal eta1*p_n*K*g and zero
-    off-diagonal entries, mu (M, N) = xi1*p_c*K*g, theta_mat (M, N, N) = 0.
-    The sweep itself carries only g.  Raises ValueError unless requests
-    holds one row per time of one request per edge provider.
+    `eccsim.stackelberg`, g times the sources of its _adjoint_scales: lam
+    (M, N, N) diagonal, mu (M, N), theta_mat (M, N, N) = 0.  The sweep
+    itself carries only g.  Raises ValueError unless requests holds one
+    row per time of one request per edge provider.
     """
     if requests.shape[:1] != times.shape:
         raise ValueError("requests: length inconsistent with times")
@@ -542,8 +536,8 @@ def costate_backward_grid(cfg: SystemConfig, times: np.ndarray,
 def _forward_map(cfg: SystemConfig, times: np.ndarray) -> Callable:
     """The sweep's forward pass bound to (cfg, times): run(x0, g) on floats.
 
-    At each node the adjoints lam_nn = eta1*p_n*K*g, mu_n = xi1*p_c*K*g
-    (theta_mat = 0) give the two adjoint terms of the control kernel of
+    At each node the adjoints, g times the sources of _adjoint_scales
+    (theta_mat = 0), give the two adjoint terms of the control kernel of
     `eccsim.stackelberg` (the loop that builds them adds the edge shares
     once, for the leader term and the kernel alike); its price and
     requests, projected onto the feasible box (price cap:
@@ -685,9 +679,7 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
         ValueError: malformed grid or parameters, max_iter and a nonzero
             population_delay included.
     """
-    if (isinstance(max_iter, bool)
-            or not isinstance(max_iter, (int, np.integer)) or max_iter < 1):
-        raise ValueError("max_iter: must be a positive integer")
+    _check_count(max_iter, "max_iter")
     check_stability(cfg, dt)
     x0 = _initial_shares(cfg, x0).tolist()
     times = _make_grid((0.0, cfg.horizon), dt)

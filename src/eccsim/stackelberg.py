@@ -12,6 +12,8 @@ The stationary controls have one implementation, the float kernel that
 `_stationary_controls(cfg)` binds to a configuration.  It sees the adjoints
 only through two aggregate terms, which the public functions here evaluate
 at general costates and the solver's forward pass at its scalar profile.
+The adjoint sources eta1*p_n*K and xi1*p_c*K have one home as well,
+`_adjoint_scales`, read by the costate fields here and by the solver.
 
 Controls returned here are unprojected stationary points; clamping to the
 feasible box is the caller's job, because feasibility is a property of the
@@ -33,6 +35,7 @@ from .model import (
     _check_provider,
     _check_sizes,
     _left_sum,
+    _real_array,
     _running_total,
     ccp_instant_utility,
     ecp_instant_utility,
@@ -65,7 +68,7 @@ class EcpCostate:
     lam: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.lam, dtype=float)
+        arr = _real_array(self.lam, "lam")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("lam: expected a square N x N matrix")
         object.__setattr__(self, "lam", arr)
@@ -88,8 +91,8 @@ class CcpCostate:
     theta_mat: np.ndarray
 
     def __post_init__(self) -> None:
-        mu = np.asarray(self.mu, dtype=float)
-        th = np.asarray(self.theta_mat, dtype=float)
+        mu = _real_array(self.mu, "mu")
+        th = _real_array(self.theta_mat, "theta_mat")
         if mu.ndim != 1:
             raise ValueError("mu: expected an N-vector")
         if th.shape != (mu.shape[0], mu.shape[0]):
@@ -100,6 +103,12 @@ class CcpCostate:
     @classmethod
     def zero(cls, n_ecps: int) -> "CcpCostate":
         return cls(np.zeros(n_ecps), np.zeros((n_ecps, n_ecps)))
+
+
+def _adjoint_scales(cfg: SystemConfig) -> tuple[np.ndarray, float]:
+    """The adjoint sources: (eta1*p_n*K for each follower, xi1*p_c*K)."""
+    return (cfg.ecp_weights[0] * cfg.ecp_access_price * cfg.n_users,
+            cfg.ccp_weights[0] * cfg.cloud_access_price * cfg.n_users)
 
 
 def _price_gaps(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -147,7 +156,7 @@ def _stationary_controls(cfg: SystemConfig) -> Callable:
     """
     eta2, eta3 = cfg.ecp_weights[1:]
     xi2, xi3 = cfg.ccp_weights[1:]
-    power_c, power = cfg.cloud_power, cfg.float_vectors[0]
+    power_c, power = cfg.cloud_power, cfg.ecp_power.tolist()
     kphi = cfg.n_users * cfg.nominal_rate
     gain = cfg.learning_rate * cfg.mapping_factor / cfg.n_users
     b_slope = eta2 / (2.0 * eta3 * power_c)
@@ -193,8 +202,7 @@ def decompose_request(cfg: SystemConfig, pop: PopulationState,
     The stationary request is exactly A_n - B*p for every price, so the
     leader can substitute the followers' reaction before optimizing.
     """
-    _check_sizes(cfg, pop)
-    _check_provider(cfg, n)
+    _check_provider(cfg, n)  # _general_controls checks the sizes
     # A_n does not depend on the leader's adjoints.
     a_vec, b_slope, _ = _general_controls(cfg, pop, costate,
                                           CcpCostate.zero(cfg.n_ecps))
@@ -236,10 +244,8 @@ def ecp_costate_rhs(cfg: SystemConfig, snap: MarketSnapshot,
     homogeneous, so rows started at zero stay diagonal.
     """
     _check_provider(cfg, n)
-    eta1 = cfg.ecp_weights[0]
-    decay = cfg.discount_rate + theta(cfg, snap.allocation)
-    out = costate.lam[n - 1] * decay
-    out[n - 1] -= eta1 * float(cfg.ecp_access_price[n - 1]) * cfg.n_users
+    out = costate.lam[n - 1] * (cfg.discount_rate + theta(cfg, snap.allocation))
+    out[n - 1] -= _adjoint_scales(cfg)[0][n - 1]
     return out
 
 
@@ -267,7 +273,5 @@ def ccp_costate_rhs(cfg: SystemConfig, snap: MarketSnapshot,
     the follower adjoints they track).
     """
     th = theta(cfg, snap.allocation)
-    xi1 = cfg.ccp_weights[0]
-    decay = cfg.discount_rate + th
-    mu_dot = ccp_costate.mu * decay - xi1 * cfg.cloud_access_price * cfg.n_users
+    mu_dot = ccp_costate.mu * (cfg.discount_rate + th) - _adjoint_scales(cfg)[1]
     return mu_dot, ccp_costate.theta_mat * th

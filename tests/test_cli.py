@@ -699,6 +699,30 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["ess", "simulate"])
+def test_closed_stdout_ends_quietly(tmp_path, command, unbuffered):
+    # A reader that has gone (`eccsim ess ... | head -0`): unbuffered, the
+    # command's print meets the closed pipe; buffered, the flush does.
+    root = Path(__file__).resolve().parent.parent
+    argv = ([command, str(SCENARIOS / "scenario_a.json")] if command == "ess"
+            else [command, write_scenario(tmp_path),
+                  "--out", str(tmp_path / "run")])
+    env = {**os.environ, "PYTHONPATH": str(root / "src"),
+           "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "eccsim.cli", *argv],
+                             stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (0, b"")
+    if command == "simulate":
+        assert (tmp_path / "run" / "summary.json").is_file()
+
+
 def test_bench_tracer_hooks_bind(tmp_path):
     # The benchmark's tracer wraps cli, solver, replicator and model names
     # by attribute from outside the package; a renamed hook crashes it, and

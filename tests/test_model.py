@@ -66,6 +66,11 @@ class TestSystemConfig:
         ("horizon", dict(horizon="5")),
         ("population_delay", dict(population_delay=None)),
         ("ecp_weights", dict(ecp_weights="abc")),
+        ("horizon", dict(horizon=[5.0])),
+        ("horizon", dict(horizon=np.array([5.0, 6.0]))),
+        ("learning_rate", dict(learning_rate=np.array([1.0]))),
+        ("population_delay", dict(population_delay=[0.1])),
+        ("ecp_weights", dict(ecp_weights=5.0)),
     ])
     def test_rejections_name_the_field(self, field, overrides):
         with pytest.raises(ValueError, match=f"^{field}"):
@@ -363,7 +368,7 @@ def test_uptake_clamp_keeps_nan_and_zeroes_excess(requests):
 
 def uptake_row_comprehensions(cfg, requests):
     """model._uptake's kernel as it was spelled before its one-loop form."""
-    power, prices = cfg.float_vectors
+    power, prices = cfg.ecp_power.tolist(), cfg.all_access_prices.tolist()
     r_c = cfg.cloud_power
     remainder = max(1.0 - _left_sum(requests), 0.0)
     supply = [w + r_c * r for w, r in zip(power, requests)]

@@ -53,6 +53,16 @@ class TestCostateContainers:
         with pytest.raises(ValueError, match="theta_mat"):
             CcpCostate(np.zeros(2), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("field,build", [
+        ("lam", lambda: EcpCostate("abc")),
+        ("lam", lambda: EcpCostate([[1.0, "a"], [0.0, 0.0]])),
+        ("mu", lambda: CcpCostate(["x", 1.0], np.eye(2))),
+        ("theta_mat", lambda: CcpCostate([1.0, 2.0], [[1, 2], [3]])),
+    ])
+    def test_non_numeric_input_names_the_field(self, field, build):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            build()
+
 
 class TestQVector:
     def test_hand_case(self):
@@ -387,7 +397,7 @@ def controls_comprehensions(cfg):
     """The control kernel as it was spelled before its one-loop form."""
     eta2, eta3 = cfg.ecp_weights[1:]
     xi2, xi3 = cfg.ccp_weights[1:]
-    power_c, power = cfg.cloud_power, cfg.float_vectors[0]
+    power_c, power = cfg.cloud_power, cfg.ecp_power.tolist()
     kphi = cfg.n_users * cfg.nominal_rate
     gain = cfg.learning_rate * cfg.mapping_factor / cfg.n_users
     b_slope = eta2 / (2.0 * eta3 * power_c)
