@@ -39,10 +39,9 @@ import numpy as np
 from .model import (AllocationState, SystemConfig, _as_float_vector,
                     _cloud_remainder, _running_total)
 from .replicator import analytic_ess, delay_stability_bound, ess_jacobian_eigen
-from .solver import (BlowUp, SweepReport, Trajectory, _attach_utilities,
-                     _check_undelayed, check_delay, check_stability,
-                     convergence_time, grid_steps, solve_fixed,
-                     solve_open_loop, solve_ssec)
+from .solver import (BlowUp, SweepReport, Trajectory, _check_undelayed,
+                     check_delay, check_stability, convergence_time,
+                     grid_steps, solve_fixed, solve_open_loop, solve_ssec)
 
 __all__ = ["InvalidScenario", "Scenario", "load_scenario", "main"]
 
@@ -363,8 +362,7 @@ def cmd_compare(scn: Scenario, args: argparse.Namespace) -> None:
     for sub in runs:
         traj, report = _run_scheme(sub)
         rows.append(row(sub, "olsec", traj, report))
-        rows.append(row(sub, "ssec",
-                        _attach_utilities(sub.cfg, report.first_pass), None))
+        rows.append(row(sub, "ssec", report.first_pass, None))
     _write(out, "compare.csv", _csv(
         ["delta", "scheme", "convergence_time"] + _cols("U", scn.cfg.n_ecps),
         ([row["delta"], row["scheme"],

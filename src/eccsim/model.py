@@ -365,7 +365,7 @@ def mean_utility(pop: PopulationState, utils: np.ndarray) -> float:
 
     Not np.dot: its rounding depends on which BLAS kernel the machine runs.
     """
-    utils = np.asarray(utils, dtype=float)
+    utils = _real_array(utils, "utils")
     if utils.shape != pop.shares.shape:
         raise ValueError("utils: length inconsistent with population")
     return _left_sum((pop.shares * utils).tolist())

@@ -23,7 +23,7 @@ settles in 5-8 sweeps on the shipped scenarios; the last forward pass,
 stored with the g it ran under, is the answer.  The first pass, at g = 0,
 is the myopic baseline (solve_ssec), and the sweep's report keeps it.
 Controls come from the kernel of `eccsim.stackelberg`, and supply, Theta
-and payoffs from `eccsim.model`.
+and payoffs from `eccsim.model`; each record derives its payoffs from cfg.
 
 Every step loop runs on Python floats, not numpy arrays: at a handful of
 shares per node the interpreter's cost per numpy call, not the arithmetic,
@@ -52,6 +52,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -65,6 +66,7 @@ from .model import (
     _check_count,
     _left_sum,
     _payoffs,
+    _real_array,
     _uptake,
 )
 from .replicator import ReplicatorField
@@ -115,11 +117,10 @@ class BlowUp(RuntimeError):
 class Trajectory:
     """Time-gridded run record.
 
-    Only `times` and `shares` are always present; control, adjoint, and
-    utility columns are filled by the solvers that produce them.  Shapes:
-    times (M,), shares (M, N+1), requests (M, N), prices (M,), g (M,) the
-    scalar adjoint profile (see the module docstring), utilities (M, N+1)
-    ordered [u_1..u_N, u_c], integral_utilities ditto.
+    Only `times` and `shares` are always present; the solvers fill in the
+    control and adjoint columns they produce, and cfg.  Shapes: times (M,),
+    shares (M, N+1), requests (M, N), prices (M,), g (M,) the scalar
+    adjoint profile (see the module docstring).
     """
 
     times: np.ndarray
@@ -127,8 +128,23 @@ class Trajectory:
     requests: np.ndarray | None = None
     prices: np.ndarray | None = None
     g: np.ndarray | None = None
-    utilities: np.ndarray | None = None
-    integral_utilities: np.ndarray | None = None
+    cfg: SystemConfig | None = dataclasses.field(
+        default=None, compare=False, repr=False)
+
+    @cached_property
+    def utilities(self) -> np.ndarray | None:
+        """Payoffs [u_1..u_N, u_c] per node (model._payoffs); None without cfg."""
+        if self.cfg is None:
+            return None
+        return _payoffs(self.cfg, self.shares, self.requests, self.prices)
+
+    @cached_property
+    def integral_utilities(self) -> np.ndarray | None:
+        """Their discounted running integrals from 0; None without cfg."""
+        if self.cfg is None:
+            return None
+        rate = _discount(self.cfg.discount_rate, self.times)[:, None]
+        return _running_trapezoid(rate * self.utilities, self.times)
 
     @property
     def n_ecps(self) -> int:
@@ -152,10 +168,11 @@ class Trajectory:
         return int(np.argmin(np.abs(self.times - t)))
 
     def upto(self, t_end: float) -> "Trajectory":
-        """View of the trajectory restricted to times <= t_end."""
+        """View of the trajectory restricted to times <= t_end, same cfg."""
         m = int(np.searchsorted(self.times, t_end + 1e-12, side="right"))
-        return Trajectory(*[None if a is None else a[:m]
-                            for a in vars(self).values()])
+        return dataclasses.replace(self, **{
+            f.name: a[:m] for f in dataclasses.fields(self)
+            if isinstance(a := getattr(self, f.name), np.ndarray)})
 
 
 @dataclass(frozen=True)
@@ -170,8 +187,7 @@ class SweepReport:
     SWEEP_TOL and COSTATE_TOL.  Non-convergence is reported here, not raised.
 
     first_pass is the sweep's first forward pass, at g = 0: bit for bit
-    the trajectory solve_ssec returns, before its utilities are attached
-    (_attach_utilities).  It takes no part in comparison or repr.
+    the trajectory solve_ssec returns.  It is left out of eq and repr.
     """
 
     iterations: int
@@ -436,7 +452,7 @@ def _method_of_steps(block: Callable, x0, tau: float, times: np.ndarray,
     lags None, and blocks are LAG_BLOCK steps wide.  Raises as integrate_dde.
     """
     check_delay(tau, dt)
-    x0 = np.asarray(x0, dtype=float).tolist()
+    x0 = _real_array(x0, "x0").tolist()
     steps = times.shape[0] - 1
     shift = min(tau / dt, steps + 1.0)
     out = np.empty((steps + 1, len(x0)))
@@ -601,12 +617,12 @@ def _forward_map(cfg: SystemConfig, times: np.ndarray) -> Callable:
 def _forward_pass(cfg: SystemConfig, x0, times: np.ndarray,
                   g: np.ndarray | None) -> Trajectory:
     """A _forward_map pass from x0 (checked: _initial_shares) as a Trajectory
-    stored with g (None: zeros, stored as None) and its utilities."""
+    stored with g (None: zeros, stored as None) and cfg."""
     x0 = _initial_shares(cfg, x0).tolist()
     shares, requests, prices, _ = _forward_map(cfg, times)(
         x0, [0.0] * times.shape[0] if g is None else g.tolist())
-    return _attach_utilities(cfg, Trajectory(
-        times, np.array(shares), np.array(requests), np.array(prices), g))
+    return Trajectory(times, np.array(shares), np.array(requests),
+                      np.array(prices), g, cfg=cfg)
 
 
 def _running_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -623,18 +639,9 @@ def _discount(rho: float, times: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in (-rho * times).tolist()])
 
 
-def _attach_utilities(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
-    """Fill the per-provider utility and discounted running-integral columns."""
-    utilities = _payoffs(cfg, traj.shares, traj.requests, traj.prices)
-    weighted = _discount(cfg.discount_rate, traj.times)[:, None] * utilities
-    traj.utilities = utilities
-    traj.integral_utilities = _running_trapezoid(weighted, traj.times)
-    return traj
-
-
 def _initial_shares(cfg: SystemConfig, x0) -> np.ndarray:
     """x0 as an array, checked: one interior share per provider, summing to 1."""
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _real_array(x0, "x0")
     if x0.shape != (cfg.n_ecps + 1,):
         raise ValueError("x0: length inconsistent with n_ecps")
     if not np.all(x0 > 0.0):
@@ -694,7 +701,7 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
         shares = np.array(rows)
         if prev is None:
             first = Trajectory(times, shares, np.array(requests),
-                               np.array(prices))
+                               np.array(prices), cfg=cfg)
         else:
             state_res = float(np.max(np.abs(shares - prev)))
         image = _adjoint_profile(cfg, times, thetas)
@@ -704,9 +711,9 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
         if converged:
             break
         g, last = _anderson(image, res, last), (image, res)
-    traj = Trajectory(times, shares, np.array(requests), np.array(prices), ran)
-    return _attach_utilities(cfg, traj), SweepReport(
-        iterations, state_res, costate_res, converged, first)
+    report = SweepReport(iterations, state_res, costate_res, converged, first)
+    return Trajectory(times, shares, np.array(requests), np.array(prices),
+                      ran, cfg=cfg), report
 
 
 def replay_forward(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
@@ -749,7 +756,7 @@ def solve_fixed(cfg: SystemConfig, x0, r0, dt: float) -> Trajectory:
     integrate_dde(field.delayed_rate, ..) with simplex=True, summed in
     another order: the shares agree to rounding, not bit for bit.
     """
-    field = ReplicatorField(cfg, AllocationState(np.asarray(r0, dtype=float)))
+    field = ReplicatorField(cfg, AllocationState(r0))
     field.supply  # checks the length of r0, before check_stability
     check_stability(cfg, dt)
     tau, delta = cfg.population_delay, cfg.learning_rate
@@ -757,20 +764,17 @@ def solve_fixed(cfg: SystemConfig, x0, r0, dt: float) -> Trajectory:
     source = [delta * cs for cs in c]
     x0, times = _initial_shares(cfg, x0), _make_grid((0.0, cfg.horizon), dt)
     if tau:
-        traj = _method_of_steps(
+        shares = _method_of_steps(
             _rank_one_rk4(field._lag_terms, source, theta, dt), x0, tau,
-            times, dt)
+            times, dt).shares
     else:
         grow = _affine_rk4(-theta, dt)[0]
         # Powers of a Python float (libm's pow): numpy's array power may
         # take a SIMD path whose bits depend on the CPU.
         decay = np.array([1.0 - grow ** i for i in range(times.shape[0])])
-        traj = Trajectory(times, x0 + decay[:, None] * (
-            np.array(source) / theta - x0))
-    m = traj.times.shape[0]
-    traj.requests = np.tile(field.alloc.requests, (m, 1))
-    traj.prices = np.zeros(m)
-    return _attach_utilities(cfg, traj)
+        shares = x0 + decay[:, None] * (np.array(source) / theta - x0)
+    requests = np.tile(field.alloc.requests, (times.shape[0], 1))
+    return Trajectory(times, shares, requests, np.zeros_like(times), cfg=cfg)
 
 
 def convergence_time(traj: Trajectory, target, eps: float) -> float | None:
@@ -782,7 +786,8 @@ def convergence_time(traj: Trajectory, target, eps: float) -> float | None:
     """
     if not eps > 0.0:
         raise ValueError("eps: must be positive")
-    tgt = target.shares if isinstance(target, PopulationState) else np.asarray(target, float)
+    tgt = (target.shares if isinstance(target, PopulationState)
+           else _real_array(target, "target"))
     if tgt.shape != traj.shares.shape[1:]:
         raise ValueError("target: length inconsistent with trajectory")
     err = np.max(np.abs(traj.shares - tgt[None, :]), axis=1)

@@ -105,6 +105,16 @@ class CcpCostate:
         return cls(np.zeros(n_ecps), np.zeros((n_ecps, n_ecps)))
 
 
+def _check_costates(cfg: SystemConfig, ecp: EcpCostate | None = None,
+                    ccp: CcpCostate | None = None) -> None:
+    """Reject adjoints sized for another N: lam must be N x N, mu of length N
+    (CcpCostate ties theta_mat to mu)."""
+    if ecp is not None and ecp.lam.shape[0] != cfg.n_ecps:
+        raise ValueError("lam: size inconsistent with n_ecps")
+    if ccp is not None and ccp.mu.shape[0] != cfg.n_ecps:
+        raise ValueError("mu: length inconsistent with n_ecps")
+
+
 def _adjoint_scales(cfg: SystemConfig) -> tuple[np.ndarray, float]:
     """The adjoint sources: (eta1*p_n*K for each follower, xi1*p_c*K)."""
     return (cfg.ecp_weights[0] * cfg.ecp_access_price * cfg.n_users,
@@ -184,6 +194,7 @@ def _general_controls(cfg: SystemConfig, pop: PopulationState,
                       ) -> tuple[list[float], float, float]:
     """_stationary_controls at general costates, summed left to right."""
     _check_sizes(cfg, pop)
+    _check_costates(cfg, ecp_costates, ccp_costate)
     x_ecp = pop.ecp
     x_list = x_ecp.tolist()
     lam = ecp_costates.lam
@@ -230,6 +241,7 @@ def ecp_hamiltonian(cfg: SystemConfig, snap: MarketSnapshot,
                     costate: EcpCostate, n: int) -> float:
     """Provider n's Hamiltonian: payoff plus adjoint-weighted share flow."""
     _check_provider(cfg, n)
+    _check_costates(cfg, costate)
     flow = replicator_rhs(cfg, snap.population, snap.allocation)[: cfg.n_ecps]
     return (ecp_instant_utility(cfg, snap, n)
             + float(_running_total(costate.lam[n - 1] * flow)))
@@ -244,6 +256,7 @@ def ecp_costate_rhs(cfg: SystemConfig, snap: MarketSnapshot,
     homogeneous, so rows started at zero stay diagonal.
     """
     _check_provider(cfg, n)
+    _check_costates(cfg, costate)
     out = costate.lam[n - 1] * (cfg.discount_rate + theta(cfg, snap.allocation))
     out[n - 1] -= _adjoint_scales(cfg)[0][n - 1]
     return out
@@ -256,6 +269,7 @@ def ccp_hamiltonian(cfg: SystemConfig, snap: MarketSnapshot,
     The controlled system seen by the leader is the share flow plus the
     followers' adjoint flow, hence the theta_mat-weighted lam velocities.
     """
+    _check_costates(cfg, ecp_costates, ccp_costate)
     flow = replicator_rhs(cfg, snap.population, snap.allocation)[: cfg.n_ecps]
     lam_flow = np.stack([ecp_costate_rhs(cfg, snap, ecp_costates, n)
                          for n in range(1, cfg.n_ecps + 1)])
@@ -272,6 +286,7 @@ def ccp_costate_rhs(cfg: SystemConfig, snap: MarketSnapshot,
     homogeneous with rate Theta (the discount cancels against the growth of
     the follower adjoints they track).
     """
+    _check_costates(cfg, ccp=ccp_costate)
     th = theta(cfg, snap.allocation)
     mu_dot = ccp_costate.mu * (cfg.discount_rate + th) - _adjoint_scales(cfg)[1]
     return mu_dot, ccp_costate.theta_mat * th

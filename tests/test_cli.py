@@ -13,11 +13,11 @@ import pytest
 
 from conftest import uptake_reference
 
+import eccsim.solver
 from eccsim import AllocationState
 from eccsim.cli import (SCHEMES, InvalidScenario, _csv, _derive, _override,
                         _summary, load_scenario, main)
-from eccsim.solver import (RK4_REAL_BOUND, Trajectory, _attach_utilities,
-                           solve_open_loop, solve_ssec)
+from eccsim.solver import RK4_REAL_BOUND, solve_open_loop, solve_ssec
 
 BASE = {
     "n_ecps": 2,
@@ -486,15 +486,16 @@ class TestCompare:
         for delta, row in zip(deltas, rows):
             sub = _derive(scn, {"learning_rate": delta}, scheme="ssec")
             _, report = solve_open_loop(sub.cfg, sub.x0, dt=sub.dt)
-            shared = _attach_utilities(sub.cfg, report.first_pass)
+            shared = report.first_pass
             alone = solve_ssec(sub.cfg, sub.x0, sub.dt)
-            for field in dataclasses.fields(Trajectory):
-                got, want = (getattr(t, field.name) for t in (shared, alone))
+            for name in ("times", "shares", "requests", "prices", "g",
+                         "utilities", "integral_utilities"):
+                got, want = (getattr(t, name) for t in (shared, alone))
                 if want is None:
-                    assert got is None, field.name
+                    assert got is None, name
                 else:
-                    assert got.shape == want.shape, field.name
-                    assert got.tobytes() == want.tobytes(), field.name
+                    assert got.shape == want.shape, name
+                    assert got.tobytes() == want.tobytes(), name
             summary = _summary(sub, alone, None)
             assert row == {
                 "delta": delta,
@@ -568,6 +569,20 @@ class TestSweep:
                      "--values", "0.7", "--out", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[1].endswith("converged")
+
+    def test_delay_sweep_computes_no_payoffs(self, tmp_path, monkeypatch):
+        # sweep.csv reads no payoff column, so a delay sweep never derives
+        # one: with the payoff formula broken it writes the same bytes.
+        argv = ["sweep", str(SCENARIOS / "scenario_delay.json"), "--out"]
+        assert main(argv + [str(tmp_path / "plain")]) == 0
+
+        def broken(*args):
+            raise AssertionError("payoffs computed")
+
+        monkeypatch.setattr(eccsim.solver, "_payoffs", broken)
+        assert main(argv + [str(tmp_path / "patched")]) == 0
+        assert ((tmp_path / "patched" / "sweep.csv").read_bytes()
+                == (tmp_path / "plain" / "sweep.csv").read_bytes())
 
     def test_delay_past_the_bound_oscillates(self, tmp_path):
         # tau = 9 is past delay_stability_bound = pi/(2*Theta) = 7.25 of

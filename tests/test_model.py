@@ -226,6 +226,11 @@ class TestUtilities:
         with pytest.raises(ValueError, match="^utils"):
             mean_utility(pop, [1.0, 2.0, 3.0])
 
+    def test_mean_utility_names_non_numeric_input(self):
+        pop = PopulationState([0.5, 0.5])
+        with pytest.raises(ValueError, match="^utils: must be numeric$"):
+            mean_utility(pop, "ab")
+
     def test_theta_values(self, cfg, cfg_big_cloud):
         alloc = AllocationState([0.0, 0.0])
         assert theta(cfg, alloc) == pytest.approx(13 / 60, abs=1e-15)

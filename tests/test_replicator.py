@@ -339,7 +339,8 @@ class TestReplicatorField:
             with monkeypatch.context() as patch:
                 patch.setattr(eccsim.model, "_supply", counted)
                 solve_fixed(make_config(population_delay=0.3,
-                                        horizon=horizon), x0, [0.1, 0.2], 0.01)
+                                        horizon=horizon), x0, [0.1, 0.2],
+                            0.01).utilities
             counts.append(calls[0])
         assert counts == [2, 2]
 

@@ -40,10 +40,9 @@ from eccsim.solver import (
     solve_ssec,
 )
 from eccsim.solver import (_adjoint_profile, _adjoint_scales, _affine_rk4,
-                           _attach_utilities, _check_finite, _discount,
-                           _forward_pass, _make_grid, _method_of_steps,
-                           _project_simplex, _rank_one_rk4,
-                           _running_trapezoid, _staged)
+                           _check_finite, _discount, _forward_pass,
+                           _make_grid, _method_of_steps, _project_simplex,
+                           _rank_one_rk4, _running_trapezoid, _staged)
 from eccsim.stackelberg import (CcpCostate, EcpCostate, optimal_price,
                                 optimal_request)
 
@@ -448,6 +447,48 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="no control schedule"):
             traj.allocation(0)
 
+    def test_fields(self):
+        # The payoff columns are derived, not stored.
+        assert [f.name for f in dataclasses.fields(Trajectory)] == [
+            "times", "shares", "requests", "prices", "g", "cfg"]
+
+    def test_integrator_record_has_no_payoffs(self):
+        traj = integrate_ode(decay, [1.0], (0.0, 1.0), 0.1)
+        assert traj.cfg is None
+        assert traj.utilities is None
+        assert traj.integral_utilities is None
+
+    def test_payoffs_computed_once_on_first_read(self, cfg, x0, monkeypatch):
+        calls = []
+
+        def counted(*args, _orig=eccsim.solver._payoffs):
+            calls.append(args)
+            return _orig(*args)
+
+        monkeypatch.setattr(eccsim.solver, "_payoffs", counted)
+        traj = solve_fixed(dataclasses.replace(cfg, horizon=1.0), x0,
+                           [0.1, 0.2], 0.1)
+        assert calls == []
+        first = traj.utilities, traj.integral_utilities
+        again = traj.utilities, traj.integral_utilities
+        assert len(calls) == 1
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_upto_keeps_cfg_and_prefixes_the_payoffs(self, solved):
+        # The shorter record derives its own columns from the same cfg;
+        # they are the full ones' first rows, bit for bit.
+        scn = load_scenario(str(SCENARIOS / "scenario_a_fixed.json"))
+        fixed = solve_fixed(scn.cfg, scn.x0, scn.r0, scn.dt)
+        for full in (fixed, solved[1]):
+            head = full.upto(0.8 * float(full.times[-1]))
+            m = head.times.shape[0]
+            assert 1 < m < full.times.shape[0]
+            assert head.cfg is full.cfg
+            for name in ("utilities", "integral_utilities"):
+                got, want = getattr(head, name), getattr(full, name)[:m]
+                assert got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+
 
 @pytest.fixture(scope="module")
 def grids():
@@ -797,7 +838,7 @@ class TestSweep:
                         and np.max(np.abs(traj.shares - prev.shares))
                         < SWEEP_TOL
                         and unit * np.max(np.abs(g - traj.g)) < COSTATE_TOL):
-                    return _attach_utilities(cfg, traj), maps
+                    return traj, maps
                 prev = traj
             raise AssertionError("plain map did not converge")
 
@@ -1313,6 +1354,18 @@ class TestMyopicAndFixed:
         for solve in solves:
             with pytest.raises(ValueError, match=f"^{field}: length"):
                 solve()
+
+    @pytest.mark.parametrize("field,call", [
+        ("x0", lambda cfg, x0: solve_open_loop(cfg, "abc", dt=0.1)),
+        ("x0", lambda cfg, x0: solve_ssec(cfg, "abc", 0.1)),
+        ("requests", lambda cfg, x0: solve_fixed(cfg, x0, "ab", 0.1)),
+        ("x0", lambda cfg, x0: integrate_ode(decay, "ab", (0.0, 1.0), 0.1)),
+        ("target", lambda cfg, x0: convergence_time(
+            integrate_ode(decay, [1.0, 2.0], (0.0, 1.0), 0.1), "ab", 0.1)),
+    ], ids=["open_loop", "ssec", "fixed", "ode", "convergence_time"])
+    def test_non_numeric_input_names_itself(self, cfg, x0, field, call):
+        with pytest.raises(ValueError, match=f"^{field}: must be numeric$"):
+            call(dataclasses.replace(cfg, horizon=1.0), x0)
 
     def test_fixed_utility_start_oracle(self, cfg, x0):
         # At r=0 and zero price: u = [8.75, 5.75, 8.0] for the duopoly start.

@@ -296,6 +296,41 @@ def test_provider_index_may_be_a_numpy_integer(cfg, x0, name):
         PROVIDER_CALLS[name](cfg, x0, np.int64(2)), want)
 
 
+# Every public function that takes costates, on the duopoly, given costates
+# sized for N = k (1 or 3) in the argument the key names.
+COSTATE_CALLS = {
+    "decompose_request/lam": lambda cfg, x, k: decompose_request(
+        cfg, PopulationState(x), EcpCostate.zero(k), 1),
+    "optimal_request/lam": lambda cfg, x, k: optimal_request(
+        cfg, PopulationState(x), 0.5, EcpCostate.zero(k), 1),
+    "optimal_price/lam": lambda cfg, x, k: optimal_price(
+        cfg, PopulationState(x), EcpCostate.zero(k), CcpCostate.zero(2)),
+    "optimal_price/mu": lambda cfg, x, k: optimal_price(
+        cfg, PopulationState(x), EcpCostate.zero(2), CcpCostate.zero(k)),
+    "ecp_hamiltonian/lam": lambda cfg, x, k: ecp_hamiltonian(
+        cfg, snapshot(x, [0.1, 0.2]), EcpCostate.zero(k), 1),
+    "ecp_costate_rhs/lam": lambda cfg, x, k: ecp_costate_rhs(
+        cfg, snapshot(x, [0.1, 0.2]), EcpCostate.zero(k), 1),
+    "ccp_hamiltonian/lam": lambda cfg, x, k: ccp_hamiltonian(
+        cfg, snapshot(x, [0.1, 0.2]), EcpCostate.zero(k), CcpCostate.zero(2)),
+    "ccp_hamiltonian/mu": lambda cfg, x, k: ccp_hamiltonian(
+        cfg, snapshot(x, [0.1, 0.2]), EcpCostate.zero(2), CcpCostate.zero(k)),
+    "ccp_costate_rhs/mu": lambda cfg, x, k: ccp_costate_rhs(
+        cfg, snapshot(x, [0.1, 0.2]), CcpCostate.zero(k)),
+}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("name", sorted(COSTATE_CALLS))
+def test_costates_are_checked_against_the_configuration(cfg, x0, name, k):
+    # A costate sized for another N would broadcast silently or fail
+    # inside numpy; each is rejected by name.
+    field = name.split("/")[1]
+    with pytest.raises(ValueError,
+                       match=f"^{field}: .* inconsistent with n_ecps$"):
+        COSTATE_CALLS[name](cfg, x0, k)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
 def test_stationary_controls_match_array_spelling(n, seed):
