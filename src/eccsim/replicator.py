@@ -22,6 +22,7 @@ from .model import (
     SystemConfig,
     _check_sizes,
     _left_sum,
+    _real_array,
     _uptake,
     _utilities,
     provider_power,
@@ -108,12 +109,16 @@ class ReplicatorField:
                      shares_delayed: np.ndarray) -> np.ndarray:
         """Velocities G*(u - now . u), with (u, G) read from `shares_delayed`.
 
-        The mean now . u adds left to right (model._left_sum).
+        The mean now . u adds left to right (model._left_sum).  Raises
+        ValueError unless both states hold one share per provider.
         """
-        (u,), (g,) = (a.tolist() for a in self._lag_terms(
-            np.array(shares_delayed, dtype=float, ndmin=2)))
-        now = np.asarray(shares_now, dtype=float).tolist()
-        mean = _left_sum([x * v for x, v in zip(now, u)])
+        now, lag = (_real_array(shares_now, "shares"),
+                    _real_array(shares_delayed, "shares_delayed"))
+        for arr, name in ((now, "shares"), (lag, "shares_delayed")):
+            if arr.shape != (self.cfg.n_ecps + 1,):
+                raise ValueError(f"{name}: length inconsistent with n_ecps")
+        (u,), (g,) = (a.tolist() for a in self._lag_terms(lag[None, :]))
+        mean = _left_sum([x * v for x, v in zip(now.tolist(), u)])
         return np.array([a * (v - mean) for a, v in zip(g, u)])
 
 

@@ -87,7 +87,6 @@ __all__ = [
     "grid_steps",
     "check_delay",
     "check_stability",
-    "integral_utility",
     "default_price_cap",
 ]
 
@@ -203,15 +202,28 @@ def default_price_cap(cfg: SystemConfig) -> float:
     return 10.0 * float(max(np.max(cfg.ecp_access_price), cfg.cloud_access_price))
 
 
+def _real_number(value, name: str) -> float:
+    """value as a float (model._real_array, 0-d); else ValueError naming it."""
+    arr = _real_array(value, name)
+    if arr.ndim != 0:
+        raise ValueError(f"{name}: must be a number")
+    return float(arr)
+
+
 def grid_steps(t_span: tuple[float, float], dt: float) -> int:
     """Step count of the uniform grid every integrator lays over t_span.
 
     Raises:
-        ValueError: dt not finite or not positive, a span with an infinite
-            end or empty, a span that is not an integer number of steps, or
-            more than MAX_GRID_STEPS steps; the message names dt or t_span.
+        ValueError: dt not a finite positive number, t_span not a finite
+            (start, end) pair or empty, a span that is not an integer number
+            of steps, or more than MAX_GRID_STEPS steps; the message names
+            dt or t_span.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    span = _real_array(t_span, "t_span")
+    if span.shape != (2,):
+        raise ValueError("t_span: expected a (start, end) pair")
+    t0, t1 = span.tolist()
+    dt = _real_number(dt, "dt")
     if not math.isfinite(dt):
         raise ValueError("dt: must be finite")
     if not dt > 0.0:
@@ -231,6 +243,7 @@ def grid_steps(t_span: tuple[float, float], dt: float) -> int:
 
 def check_delay(tau: float, dt: float, name: str = "tau") -> None:
     """Reject a non-finite or negative delay, or a nonzero one shorter than a step."""
+    tau = _real_number(tau, name)
     if not math.isfinite(tau):
         raise ValueError(f"{name}: must be finite")
     if tau < 0.0:
@@ -250,6 +263,7 @@ def check_stability(cfg: SystemConfig, dt: float) -> None:
     """Reject a dt past RK4's real stability bound on rho + Theta_max, the
     fastest rate a solver steps; Theta is linear in the requests r, so its
     largest value sits at a vertex, r = e_j or r = 0.  Names dt."""
+    dt = _real_number(dt, "dt")
     n, uptake = cfg.n_ecps, _uptake(cfg)
     theta_max = max(uptake([float(k == j) for k in range(n)])[1]
                     for j in range(n + 1))  # j = n: r = 0
@@ -302,10 +316,11 @@ def integrate_ode(field: Callable[[np.ndarray], np.ndarray],
         BlowUp: a state magnitude exceeded MAGNITUDE_LIMIT or went non-finite.
         ValueError: `field` returned anything but a vector as long as the state.
     """
+    times = _make_grid(t_span, dt)  # checks dt before _staged reads it
     return _method_of_steps(
         _staged(lambda now, lag: field(now), dt,
                 _project_simplex if simplex else _check_finite),
-        x0, 0.0, _make_grid(t_span, dt), dt)
+        x0, 0.0, times, dt)
 
 
 def _staged(field: Callable[..., np.ndarray], dt: float,
@@ -492,9 +507,10 @@ def integrate_dde(field: Callable[[np.ndarray, np.ndarray], np.ndarray],
             would outrun the buffer); `field` as for integrate_ode.
         BlowUp: as for integrate_ode.
     """
+    times = _make_grid(t_span, dt)  # checks dt before _staged reads it
     return _method_of_steps(
         _staged(field, dt, _project_simplex if simplex else _check_finite),
-        x0, tau, _make_grid(t_span, dt), dt)
+        x0, tau, times, dt)
 
 
 def _affine_rk4(a: float, h: float) -> tuple[float, float]:
@@ -533,9 +549,12 @@ def costate_backward_grid(cfg: SystemConfig, times: np.ndarray,
     Expands the scalar profile g into the general adjoint layout of
     `eccsim.stackelberg`, g times the sources of its _adjoint_scales: lam
     (M, N, N) diagonal, mu (M, N), theta_mat (M, N, N) = 0.  The sweep
-    itself carries only g.  Raises ValueError unless requests holds one
-    row per time of one request per edge provider.
+    itself carries only g.  Raises ValueError unless times and requests
+    are numeric and requests holds one row per time of one request per edge
+    provider.
     """
+    times = _real_array(times, "times")
+    requests = _real_array(requests, "requests")
     if requests.shape[:1] != times.shape:
         raise ValueError("requests: length inconsistent with times")
     if requests.shape[1:] != (cfg.n_ecps,):
@@ -716,17 +735,19 @@ def solve_open_loop(cfg: SystemConfig, x0, *, dt: float,
                       ran, cfg=cfg), report
 
 
-def replay_forward(cfg: SystemConfig, traj: Trajectory) -> Trajectory:
-    """Re-run the forward pass under a trajectory's frozen adjoint profile g.
+def replay_forward(traj: Trajectory) -> Trajectory:
+    """Re-run the forward pass under a record's frozen g and its own cfg.
 
     The result of solve_open_loop, converged or not, replays bit for bit;
     used to certify that the stored schedule is self-consistent.
     """
+    if traj.cfg is None:
+        raise ValueError("trajectory stores no configuration to replay under")
     if traj.g is None:
         raise ValueError("trajectory stores no adjoints to replay")
     if traj.g.shape != traj.times.shape:
         raise ValueError("g: length inconsistent with times")
-    return _forward_pass(cfg, traj.shares[0], traj.times, traj.g)
+    return _forward_pass(traj.cfg, traj.shares[0], traj.times, traj.g)
 
 
 def solve_ssec(cfg: SystemConfig, x0, dt: float) -> Trajectory:
@@ -796,28 +817,3 @@ def convergence_time(traj: Trajectory, target, eps: float) -> float | None:
         return float(traj.times[0])
     after = int(bad[-1]) + 1
     return float(traj.times[after]) if after < traj.times.shape[0] else None
-
-
-def integral_utility(traj: Trajectory, who, rho: float) -> float:
-    """Discounted integral payoff over the stored horizon.
-
-    `who` is an edge provider index 1..N or the string "ccp"; trapezoidal
-    quadrature of exp(-rho*t) times the stored utility column.
-    """
-    if traj.utilities is None:
-        raise ValueError("trajectory stores no utilities")
-    n = traj.n_ecps
-    try:  # a string, bool, non-number or huge integer is no index
-        index = math.nan if isinstance(who, (str, bool, np.bool_)) else float(who)
-    except (TypeError, ValueError, OverflowError):
-        index = math.nan
-    if isinstance(who, str) and who.lower() == "ccp":
-        col = n
-    elif not index.is_integer():
-        raise ValueError('who: expected an index in 1..N or "ccp"')
-    elif not 1 <= index <= n:
-        raise ValueError(f"who: must be in 1..{n}")
-    else:
-        col = int(index) - 1
-    weighted = _discount(rho, traj.times) * traj.utilities[:, col]
-    return float(_running_trapezoid(weighted, traj.times)[-1])

@@ -10,8 +10,9 @@ Hamiltonians, the closed-form stationary controls, and the adjoint
 
 The stationary controls have one implementation, the float kernel that
 `_stationary_controls(cfg)` binds to a configuration.  It sees the adjoints
-only through two aggregate terms, which the public functions here evaluate
-at general costates and the solver's forward pass at its scalar profile.
+only through two aggregate terms, which one public function,
+`optimal_controls`, evaluates at general costates, and the solver's
+forward pass at its scalar profile.
 The adjoint sources eta1*p_n*K and xi1*p_c*K have one home as well,
 `_adjoint_scales`, read by the costate fields here and by the solver.
 
@@ -28,7 +29,6 @@ from typing import Callable
 import numpy as np
 
 from .model import (
-    AllocationState,
     MarketSnapshot,
     PopulationState,
     SystemConfig,
@@ -46,10 +46,7 @@ from .replicator import replicator_rhs
 __all__ = [
     "EcpCostate",
     "CcpCostate",
-    "q_vector",
-    "decompose_request",
-    "optimal_request",
-    "optimal_price",
+    "optimal_controls",
     "ecp_hamiltonian",
     "ecp_costate_rhs",
     "ccp_hamiltonian",
@@ -133,21 +130,6 @@ def _price_gaps(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, float, float
     return inv_p, inv_p - 1.0 / cfg.cloud_access_price, inv_sum, mix
 
 
-def q_vector(cfg: SystemConfig, pop: PopulationState, n: int) -> np.ndarray:
-    """Sensitivity direction of provider n's own-share velocity to r_n.
-
-    q_n = (1/p_n) e_n - (1/p_n - 1/p_c) [x_1..x_N]; the derivative of the
-    population flow with respect to provider n's request, up to the common
-    factor delta*beta*R_c/K.
-    """
-    _check_sizes(cfg, pop)
-    _check_provider(cfg, n)
-    inv_p, gap, _, _ = _price_gaps(cfg)
-    out = -gap[n - 1] * pop.ecp
-    out[n - 1] += inv_p[n - 1]
-    return out
-
-
 def _stationary_controls(cfg: SystemConfig) -> Callable:
     """Kernel controls(x_ecp, sum_x, lam_dot_q, leader_flow) -> (A, B, p) for cfg.
 
@@ -189,52 +171,28 @@ def _stationary_controls(cfg: SystemConfig) -> Callable:
     return controls
 
 
-def _general_controls(cfg: SystemConfig, pop: PopulationState,
-                      ecp_costates: EcpCostate, ccp_costate: CcpCostate
-                      ) -> tuple[list[float], float, float]:
-    """_stationary_controls at general costates, summed left to right."""
+def optimal_controls(cfg: SystemConfig, pop: PopulationState,
+                     ecp_costates: EcpCostate, ccp_costate: CcpCostate
+                     ) -> tuple[np.ndarray, float, float]:
+    """Stationary controls (A, B, p) at general costates, unprojected.
+
+    Follower n's reaction to a price p is the request A_n - B*p (A, shape
+    (N,), is free of the leader's adjoints); p maximizes the leader's
+    Hamiltonian with those reactions substituted.  The kernel's adjoint
+    terms add left to right: lam_dot_q[n] = lam_n . q_n, where
+    q_n = (1/p_n) e_n - (1/p_n - 1/p_c) x_ecp is how r_n moves the flow.
+    """
     _check_sizes(cfg, pop)
     _check_costates(cfg, ecp_costates, ccp_costate)
-    x_ecp = pop.ecp
+    x_ecp, lam = pop.ecp, ecp_costates.lam
     x_list = x_ecp.tolist()
-    lam = ecp_costates.lam
     inv_p, gap, _, mix = _price_gaps(cfg)
     lam_dot_q = np.diagonal(lam) * inv_p - gap * _running_total(lam * x_ecp)
     flow = (float(_running_total(ccp_costate.mu * (-inv_p - x_ecp * mix)))
             + float(_running_total((ccp_costate.theta_mat * lam).ravel())) * mix)
-    return _stationary_controls(cfg)(x_list, _left_sum(x_list),
-                                     lam_dot_q.tolist(), flow)
-
-
-def decompose_request(cfg: SystemConfig, pop: PopulationState,
-                      costate: EcpCostate, n: int) -> tuple[float, float]:
-    """Provider n's stationary request as intercept/slope (A_n, B) in price.
-
-    The stationary request is exactly A_n - B*p for every price, so the
-    leader can substitute the followers' reaction before optimizing.
-    """
-    _check_provider(cfg, n)  # _general_controls checks the sizes
-    # A_n does not depend on the leader's adjoints.
-    a_vec, b_slope, _ = _general_controls(cfg, pop, costate,
-                                          CcpCostate.zero(cfg.n_ecps))
-    return float(a_vec[n - 1]), b_slope
-
-
-def optimal_request(cfg: SystemConfig, pop: PopulationState, price: float,
-                    costate: EcpCostate, n: int) -> float:
-    """Stationary point of provider n's Hamiltonian in r_n (unprojected)."""
-    a_n, b_slope = decompose_request(cfg, pop, costate, n)
-    return a_n - b_slope * price
-
-
-def optimal_price(cfg: SystemConfig, pop: PopulationState,
-                  ecp_costates: EcpCostate, ccp_costate: CcpCostate) -> float:
-    """Stationary point of the leader's Hamiltonian in p (unprojected).
-
-    Evaluated after substituting every follower's reaction r_n = A_n - B p,
-    which makes the Hamiltonian strictly concave in p.
-    """
-    return float(_general_controls(cfg, pop, ecp_costates, ccp_costate)[2])
+    a_vec, b_slope, price = _stationary_controls(cfg)(
+        x_list, _left_sum(x_list), lam_dot_q.tolist(), flow)
+    return np.array(a_vec), b_slope, price
 
 
 def ecp_hamiltonian(cfg: SystemConfig, snap: MarketSnapshot,

@@ -29,7 +29,6 @@ from eccsim.replicator import (
 )
 from eccsim.solver import (
     convergence_time,
-    integral_utility,
     integrate_dde,
     integrate_ode,
     replay_forward,
@@ -41,10 +40,8 @@ from eccsim.stackelberg import (
     CcpCostate,
     EcpCostate,
     ccp_hamiltonian,
-    decompose_request,
     ecp_hamiltonian,
-    optimal_price,
-    optimal_request,
+    optimal_controls,
 )
 
 SEED = 20260822
@@ -152,8 +149,9 @@ def test_follower_stationarity(capsys):
         price = float(rng.uniform(0.2, 2.0))
         pop = PopulationState(x)
         ec = EcpCostate(lam)
-        r_star = np.array([optimal_request(cfg, pop, price, ec, n)
-                           for n in (1, 2)])
+        # A does not depend on the leader's adjoints.
+        a_vec, b, _ = optimal_controls(cfg, pop, ec, CcpCostate.zero(2))
+        r_star = a_vec - b * price
         if not (np.all(r_star > 0.02) and np.all(r_star < 0.5)
                 and r_star.sum() <= 0.8):
             continue
@@ -232,12 +230,9 @@ def test_leader_stationarity(capsys):
         pop = PopulationState(x)
         ec = EcpCostate(lam)
         cc = CcpCostate(mu, theta_mat)
-        p_star = optimal_price(cfg, pop, ec, cc)
+        a_vec, b, p_star = optimal_controls(cfg, pop, ec, cc)
         if not 0.4 <= p_star <= 2.2:
             continue
-        a1, b = decompose_request(cfg, pop, ec, 1)
-        a2, _ = decompose_request(cfg, pop, ec, 2)
-        a_vec = np.array([a1, a2])
         edges = a_vec[None, :] - b * np.array([[p_star - 0.3],
                                                [p_star + 0.3]])
         if not (np.all(edges > 0.01) and np.all(edges < 0.6)
@@ -304,7 +299,7 @@ def test_sweep_convergence_and_replay(capsys):
     # where zero terminal conditions pull controls toward myopic values).
     cfg = make_big_cloud_config(horizon=150.0)
     traj, rep = solve_open_loop(cfg, X0, dt=0.01)
-    again = replay_forward(cfg, traj)
+    again = replay_forward(traj)
     replay_gap = float(np.max(np.abs(traj.shares - again.shares)))
     lo, hi = traj.index_at(105.0), traj.index_at(135.0) + 1
     worst_ratio = 0.0
@@ -340,7 +335,7 @@ def test_olsec_vs_ssec_trends(capsys):
             i_eq = tr.index_at(70.0)
             target = analytic_ess(cfg, tr.allocation(i_eq)).shares
             times[name].append(convergence_time(tr.upto(80.0), target, 1e-3))
-            utils[name].append(integral_utility(tr, "ccp", cfg.discount_rate))
+            utils[name].append(tr.integral_utilities[-1, -1])
     finite = all(v is not None for v in times["olsec"] + times["ssec"])
     dec_o = all(a > b for a, b in zip(times["olsec"], times["olsec"][1:]))
     dec_s = all(a > b for a, b in zip(times["ssec"], times["ssec"][1:]))

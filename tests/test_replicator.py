@@ -126,6 +126,20 @@ class TestReplicatorField:
         with pytest.raises(ValueError, match=match):
             field.supply
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_rejects_a_state_of_the_wrong_length(self, cfg, x0, size):
+        # Named as replicator_rhs names it, not left to numpy's broadcast
+        # (or to zip, which cut a long current state short).
+        field = ReplicatorField(cfg, AllocationState([0.1, 0.2]))
+        bad = np.full(size, 1.0 / size)
+        for name, call in (("shares", lambda: field.rate(bad)),
+                           ("shares", lambda: field.delayed_rate(bad, x0)),
+                           ("shares_delayed",
+                            lambda: field.delayed_rate(x0, bad))):
+            with pytest.raises(ValueError, match=f"^{name}: length "
+                                                 "inconsistent with n_ecps$"):
+                call()
+
     def test_matches_public_rhs(self, cfg, x0):
         alloc = AllocationState([0.1, 0.3])
         field = ReplicatorField(cfg, alloc)

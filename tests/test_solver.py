@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,12 @@ from eccsim.solver import (
     SWEEP_TOL,
     BlowUp,
     Trajectory,
+    check_delay,
+    check_stability,
     convergence_time,
     costate_backward_grid,
     default_price_cap,
     grid_steps,
-    integral_utility,
     integrate_dde,
     integrate_ode,
     replay_forward,
@@ -43,8 +45,7 @@ from eccsim.solver import (_adjoint_profile, _adjoint_scales, _affine_rk4,
                            _check_finite, _discount, _forward_pass,
                            _make_grid, _method_of_steps, _project_simplex,
                            _rank_one_rk4, _running_trapezoid, _staged)
-from eccsim.stackelberg import (CcpCostate, EcpCostate, optimal_price,
-                                optimal_request)
+from eccsim.stackelberg import CcpCostate, EcpCostate, optimal_controls
 
 E_INV = 0.36787944117144233
 # Largest share gap allowed between a delayed solve_fixed (rank-one RK4 map)
@@ -105,6 +106,30 @@ class TestGrid:
         for dt in (1e-7, 1e-320):
             with pytest.raises(ValueError, match="^dt: grid would exceed"):
                 grid_steps((0.0, 1.0), dt)
+
+    @pytest.mark.parametrize("field,call", [
+        ("t_span", lambda: grid_steps(("a", 1.0), 0.1)),
+        ("dt", lambda: grid_steps((0.0, 1.0), "0.1")),
+        ("dt", lambda: integrate_ode(decay, [1.0], (0.0, 1.0), "0.1")),
+        ("dt", lambda: integrate_dde(lambda now, lag: -lag, [1.0], 0.5,
+                                     (0.0, 1.0), "0.1")),
+        ("dt", lambda: check_stability(make_config(), "0.1")),
+        ("tau", lambda: check_delay("0.5", 0.1)),
+    ], ids=["span", "dt", "ode", "dde", "stability", "delay"])
+    def test_non_numeric_input_names_itself(self, field, call):
+        # Named before any arithmetic reads it (integrate_ode and
+        # integrate_dde build their RK4 stages from dt).
+        with pytest.raises(ValueError, match=f"^{field}: must be numeric$"):
+            call()
+
+    @pytest.mark.parametrize("span,dt,message", [
+        ((0.0,), 0.1, "t_span: expected a (start, end) pair"),
+        ((0.0, 1.0, 2.0), 0.1, "t_span: expected a (start, end) pair"),
+        ((0.0, 1.0), [0.1], "dt: must be a number"),
+    ], ids=["short_span", "long_span", "dt_vector"])
+    def test_grid_inputs_of_the_wrong_shape(self, span, dt, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid_steps(span, dt)
 
     def test_grid_is_uniform_and_exact(self):
         traj = integrate_ode(decay, [1.0], (0.0, 2.0), 0.1)
@@ -559,6 +584,21 @@ class TestCostateBackward:
                                              f"inconsistent with {match}$"):
             costate_backward_grid(cfg, times, np.zeros((rows, cols)))
 
+    def test_reads_lists_and_names_non_numeric_input(self):
+        # Lists are read as arrays; a string is named, not met with a
+        # missing `shape`.
+        cfg = make_config()
+        times = np.linspace(0.0, 1.0, 11)
+        requests = np.full((11, 2), 0.1)
+        want = costate_backward_grid(cfg, times, requests)
+        got = costate_backward_grid(cfg, times.tolist(), requests.tolist())
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        for field, args in (("times", ("abc", requests)),
+                            ("requests", (times, "abc"))):
+            with pytest.raises(ValueError, match=f"^{field}: must be numeric$"):
+                costate_backward_grid(cfg, *args)
+
     def test_rows_scale_with_access_price(self, grids):
         # Source eta1*p_n*K makes lam22 = (p_2/p_1) * lam11 pointwise.
         _, _, (lam, _, _) = grids
@@ -651,7 +691,8 @@ def test_undelayed_solvers_reject_a_population_delay(solver, solved):
     run = {
         "olsec": lambda: solve_open_loop(delayed, [0.3, 0.3, 0.4], dt=0.1),
         "ssec": lambda: solve_ssec(delayed, [0.3, 0.3, 0.4], 0.1),
-        "replay": lambda: replay_forward(delayed, traj),
+        "replay": lambda: replay_forward(
+            dataclasses.replace(traj, cfg=delayed)),
     }[solver]
     with pytest.raises(ValueError, match="^population_delay: only the "
                                          "fixed-controls scheme models delay$"):
@@ -778,7 +819,7 @@ class TestSweep:
 
     def test_replay_is_bit_identical(self, solved):
         cfg, traj, _ = solved
-        again = replay_forward(cfg, traj)
+        again = replay_forward(traj)
         np.testing.assert_array_equal(traj.shares, again.shares)
         np.testing.assert_array_equal(traj.requests, again.requests)
         np.testing.assert_array_equal(traj.prices, again.prices)
@@ -873,10 +914,9 @@ class TestSweep:
             ecp = EcpCostate(np.diag(lam_diag * traj.g[i]))
             ccp = CcpCostate(np.full(n, mu_scale * traj.g[i]),
                              np.zeros((n, n)))
-            price = optimal_price(cfg, pop, ecp, ccp)
+            a_vec, b_slope, price = optimal_controls(cfg, pop, ecp, ccp)
             assert traj.prices[i] == pytest.approx(price, rel=1e-12)
-            want = [max(optimal_request(cfg, pop, price, ecp, k), 0.0)
-                    for k in range(1, n + 1)]
+            want = np.maximum(a_vec - b_slope * price, 0.0)
             np.testing.assert_allclose(traj.requests[i], want, rtol=1e-12,
                                        atol=1e-14)
 
@@ -902,15 +942,14 @@ class TestSweep:
             ecp = EcpCostate(np.diag(lam_diag * traj.g[i]))
             ccp = CcpCostate(np.full(n, mu_scale * traj.g[i]),
                              np.zeros((n, n)))
-            price = optimal_price(cfg, pop, ecp, ccp)
+            a_vec, b_slope, price = optimal_controls(cfg, pop, ecp, ccp)
             assert traj.prices[i] == pytest.approx(price, rel=1e-12)
-            want = [max(optimal_request(cfg, pop, price, ecp, k), 0.0)
-                    for k in range(1, n + 1)]
+            want = np.maximum(a_vec - b_slope * price, 0.0)
             np.testing.assert_allclose(traj.requests[i], want, rtol=1e-12,
                                        atol=1e-14)
             interior += int(np.count_nonzero(traj.requests[i]))
         assert interior > 0
-        again = replay_forward(cfg, traj)
+        again = replay_forward(traj)
         np.testing.assert_array_equal(traj.shares, again.shares)
         np.testing.assert_array_equal(traj.requests, again.requests)
         np.testing.assert_array_equal(traj.prices, again.prices)
@@ -1050,16 +1089,23 @@ class TestSweep:
         unit = max(float(np.max(np.abs(lam_diag))), abs(mu_scale))
         assert (unit * float(np.max(np.abs(g_next - traj.g)))
                 == report.costate_terminal_residual)
-        again = replay_forward(cfg, traj)
+        again = replay_forward(traj)
         for name in ("shares", "requests", "prices", "utilities",
                      "integral_utilities"):
             np.testing.assert_array_equal(getattr(traj, name),
                                           getattr(again, name))
 
+    def test_replay_rejects_a_run_without_configuration(self, solved):
+        _, traj, _ = solved
+        bare = dataclasses.replace(traj, cfg=None)
+        with pytest.raises(ValueError, match="^trajectory stores no "
+                                             "configuration to replay under$"):
+            replay_forward(bare)
+
     def test_replay_rejects_a_run_without_adjoints(self, cfg):
         traj = solve_ssec(cfg, [0.3, 0.3, 0.4], 0.1)
         with pytest.raises(ValueError, match="^trajectory stores no adjoints"):
-            replay_forward(cfg, traj)
+            replay_forward(traj)
 
     @pytest.mark.parametrize("resize", [lambda g: g[:10],
                                         lambda g: np.append(g, 0.0)],
@@ -1067,10 +1113,10 @@ class TestSweep:
     def test_replay_rejects_g_of_wrong_length(self, solved, resize):
         cfg, traj, _ = solved
         bad = Trajectory(times=traj.times, shares=traj.shares,
-                         g=resize(traj.g))
+                         g=resize(traj.g), cfg=cfg)
         with pytest.raises(ValueError,
                            match="^g: length inconsistent with times$"):
-            replay_forward(cfg, bad)
+            replay_forward(bad)
 
     @pytest.mark.parametrize("spoil,match", [
         (lambda x: x * 1.5, "initial shares must sum to 1"),
@@ -1080,9 +1126,9 @@ class TestSweep:
         # The start row passes the x0 checks of every other solver.
         cfg, traj, _ = solved
         bad = Trajectory(times=traj.times, shares=spoil(traj.shares),
-                         g=traj.g)
+                         g=traj.g, cfg=cfg)
         with pytest.raises(ValueError, match=f"^x0: {match}$"):
-            replay_forward(cfg, bad)
+            replay_forward(bad)
 
     def test_solve_binds_the_control_kernel_once(self, monkeypatch):
         # What depends on (cfg, grid) alone is bound once per solve, not
@@ -1417,52 +1463,43 @@ class TestMeasures:
                                                  " with trajectory$"):
                 convergence_time(traj, target, 0.1)
 
-    def flat_utility_traj(self, value, t_end, dt):
+    def flat_utility_traj(self, value, t_end, dt, cfg=None):
         times = np.round(np.arange(0.0, t_end + 1e-12, dt), 12)
         shares = np.tile([0.5, 0.5], (times.shape[0], 1))
-        traj = Trajectory(times=times, shares=shares)
+        traj = Trajectory(times=times, shares=shares, cfg=cfg)
         traj.utilities = np.full((times.shape[0], 2), value)
         return traj
 
     def test_integral_utility_undiscounted(self):
         traj = self.flat_utility_traj(3.0, 2.0, 0.01)
-        assert integral_utility(traj, 1, 0.0) == pytest.approx(6.0, rel=1e-12)
+        total = _running_trapezoid(traj.utilities, traj.times)[-1, 0]
+        assert total == pytest.approx(6.0, rel=1e-12)
 
     def test_integral_utility_discounted_oracle(self):
         # integral of e^{-t} over [0,1] = 1 - 1/e.
-        traj = self.flat_utility_traj(1.0, 1.0, 0.001)
+        cfg = make_config(n_ecps=1, ecp_power=[1.0], ecp_access_price=[0.3],
+                          discount_rate=1.0)
+        traj = self.flat_utility_traj(1.0, 1.0, 0.001, cfg)
         want = 1.0 - E_INV
-        assert integral_utility(traj, "ccp", 1.0) == pytest.approx(want,
-                                                                   abs=1e-6)
-
-    def test_integral_utility_validates_who(self):
-        traj = self.flat_utility_traj(1.0, 1.0, 0.1)
-        with pytest.raises(ValueError, match="who"):
-            integral_utility(traj, 2, 0.0)
-        with pytest.raises(ValueError, match="who"):
-            integral_utility(traj, "leader", 0.0)
-        for who in (1.5, True, np.True_, np.nan, None, [1], 1 + 0j, 10**400):
-            with pytest.raises(ValueError, match="^who: expected an index"):
-                integral_utility(traj, who, 0.0)
-        for who in (np.int64(1), 1.0):
-            assert integral_utility(traj, who, 0.0) == pytest.approx(1.0)
-
-    def test_integral_utility_requires_utilities(self):
-        traj = integrate_ode(decay, [1.0], (0.0, 1.0), 0.1)
-        with pytest.raises(ValueError, match="no utilities"):
-            integral_utility(traj, 1, 0.0)
+        assert traj.integral_utilities[-1, -1] == pytest.approx(want,
+                                                                abs=1e-6)
 
     def test_running_integral_consistent(self, cfg, x0):
+        # The stored columns against a trapezoid written out here, with
+        # numpy's exp for the discount.
         traj = solve_fixed(dataclasses.replace(cfg, horizon=5.0), x0,
                            [0.1, 0.1], 0.01)
-        for who, col in ((1, 0), (2, 1), ("ccp", 2)):
-            total = integral_utility(traj, who, cfg.discount_rate)
+        t, u = traj.times, traj.utilities
+        weighted = np.exp(-cfg.discount_rate * t)[:, None] * u
+        total = (np.diff(t)[:, None] * (weighted[1:] + weighted[:-1])
+                 / 2.0).sum(axis=0)
+        for col in range(3):
             assert traj.integral_utilities[-1, col] == pytest.approx(
-                total, rel=1e-12)
+                total[col], rel=1e-12)
 
     def test_discount_weights_are_libm_exp(self):
         # e^(-rho*t) comes from math.exp at every node, bit for bit, in the
-        # stored integral columns and in integral_utility alike: numpy's
+        # stored integral columns: numpy's
         # array exp, on a SIMD path, differed from it on 220 of these
         # 5 001 nodes on an AVX-512 CPU.
         scn = load_scenario(str(SCENARIOS / "scenario_a_fixed.json"))
@@ -1474,7 +1511,6 @@ class TestMeasures:
         want = _running_trapezoid(weights[:, None] * traj.utilities,
                                   traj.times)
         assert traj.integral_utilities.tobytes() == want.tobytes()
-        assert integral_utility(traj, "ccp", rho) == want[-1, -1]
 
     def test_price_cap_default(self, cfg):
         assert default_price_cap(cfg) == pytest.approx(3.0)

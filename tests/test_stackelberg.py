@@ -20,12 +20,9 @@ from eccsim.stackelberg import (
     EcpCostate,
     ccp_costate_rhs,
     ccp_hamiltonian,
-    decompose_request,
     ecp_costate_rhs,
     ecp_hamiltonian,
-    optimal_price,
-    optimal_request,
-    q_vector,
+    optimal_controls,
 )
 from eccsim.stackelberg import _stationary_controls
 
@@ -64,22 +61,35 @@ class TestCostateContainers:
             build()
 
 
+def request_shift(cfg, pop, n, m):
+    """A_n at lam = e_n e_m^T minus A_n at lam = 0, over its factor
+    delta*beta/(K*2*eta3*R_c): q_n[m], the direction in which r_n moves
+    x_m's flow."""
+    lam = np.zeros((cfg.n_ecps, cfg.n_ecps))
+    lam[n - 1, m - 1] = 1.0
+    zero = CcpCostate.zero(cfg.n_ecps)
+    moved = optimal_controls(cfg, pop, EcpCostate(lam), zero)[0][n - 1]
+    base = optimal_controls(cfg, pop, EcpCostate.zero(cfg.n_ecps), zero)[0]
+    factor = (cfg.learning_rate * cfg.mapping_factor
+              / (cfg.n_users * 2.0 * cfg.ecp_weights[2] * cfg.cloud_power))
+    return moved - base[n - 1], factor
+
+
 class TestQVector:
     def test_hand_case(self):
         # p1=0.5, pc=0.25, x=[0.2,0.3]: q1 = [2,0] + 2*[0.2,0.3] = [2.4,0.6].
         cfg = make_config(ecp_access_price=[0.5, 0.2], cloud_access_price=0.25)
-        q1 = q_vector(cfg, PopulationState([0.2, 0.3, 0.5]), 1)
-        np.testing.assert_allclose(q1, [2.4, 0.6], rtol=0, atol=1e-15)
+        pop = PopulationState([0.2, 0.3, 0.5])
+        for m, q in ((1, 2.4), (2, 0.6)):
+            shift, factor = request_shift(cfg, pop, 1, m)
+            assert shift == pytest.approx(q * factor, rel=1e-12)
 
     def test_equal_prices_is_basis_vector(self):
         cfg = make_config(ecp_access_price=[0.2, 0.2], cloud_access_price=0.2)
-        q2 = q_vector(cfg, PopulationState([0.3, 0.3, 0.4]), 2)
-        np.testing.assert_allclose(q2, [0.0, 5.0], rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("n", [0, 3])
-    def test_rejects_out_of_range(self, cfg, x0, n):
-        with pytest.raises(ValueError, match="n: must be in 1..2"):
-            q_vector(cfg, PopulationState(x0), n)
+        pop = PopulationState([0.3, 0.3, 0.4])
+        assert request_shift(cfg, pop, 2, 1)[0] == 0.0
+        shift, factor = request_shift(cfg, pop, 2, 2)
+        assert shift == pytest.approx(5.0 * factor, rel=1e-12)
 
 
 class TestOptimalRequest:
@@ -97,53 +107,56 @@ class TestOptimalRequest:
             ecp_weights=[1.0, 2.0, 1.0],
         )
         pop = PopulationState([0.4, 0.6])
-        r = optimal_request(cfg, pop, 1.0, EcpCostate.zero(1), 1)
-        assert r == pytest.approx(0.0, abs=1e-15)
+        a_vec, b, _ = optimal_controls(cfg, pop, EcpCostate.zero(1),
+                                       CcpCostate.zero(1))
+        assert a_vec - b * 1.0 == pytest.approx([0.0], abs=1e-15)
 
     def test_zero_costate_duopoly(self, cfg_big_cloud, x0):
         # A = [0.08, 0.28], B = 0.1 at x0 for the big-cloud scenario.
         pop = PopulationState(x0)
-        ec = EcpCostate.zero(2)
-        a1, b = decompose_request(cfg_big_cloud, pop, ec, 1)
-        a2, b2 = decompose_request(cfg_big_cloud, pop, ec, 2)
-        assert (a1, a2) == (pytest.approx(0.08), pytest.approx(0.28))
-        assert b == b2 == pytest.approx(0.1, abs=1e-15)
+        a_vec, b, _ = optimal_controls(cfg_big_cloud, pop, EcpCostate.zero(2),
+                                       CcpCostate.zero(2))
+        assert isinstance(a_vec, np.ndarray) and a_vec.shape == (2,)
+        assert a_vec.tolist() == [pytest.approx(0.08), pytest.approx(0.28)]
+        assert b == pytest.approx(0.1, abs=1e-15)
 
     def test_matches_decomposition(self, cfg_big_cloud, x0):
+        # A_n does not depend on the leader's adjoints, and B on no adjoint.
         pop = PopulationState(x0)
-        lam = np.array([[3.0, -1.0], [0.5, 2.0]])
-        ec = EcpCostate(lam)
-        for n in (1, 2):
-            a, b = decompose_request(cfg_big_cloud, pop, ec, n)
-            for price in (0.2, 0.45, 1.3):
-                got = optimal_request(cfg_big_cloud, pop, price, ec, n)
-                assert got == pytest.approx(a - b * price, rel=1e-15)
+        ec = EcpCostate(np.array([[3.0, -1.0], [0.5, 2.0]]))
+        a_vec, b, _ = optimal_controls(cfg_big_cloud, pop, ec,
+                                       CcpCostate.zero(2))
+        leader = CcpCostate(np.array([5.0, -3.0]), np.eye(2))
+        a_led, b_led, _ = optimal_controls(cfg_big_cloud, pop, ec, leader)
+        assert a_led.tolist() == a_vec.tolist() and b_led == b
 
     def test_costate_shifts_intercept_not_slope(self, cfg_big_cloud, x0):
         pop = PopulationState(x0)
-        _, b0 = decompose_request(cfg_big_cloud, pop, EcpCostate.zero(2), 1)
+        a0, b0, _ = optimal_controls(cfg_big_cloud, pop, EcpCostate.zero(2),
+                                     CcpCostate.zero(2))
         lam = np.array([[10.0, 4.0], [-2.0, 6.0]])
-        _, b1 = decompose_request(cfg_big_cloud, pop, EcpCostate(lam), 1)
-        assert b0 == b1
+        a1, b1, _ = optimal_controls(cfg_big_cloud, pop, EcpCostate(lam),
+                                     CcpCostate.zero(2))
+        assert b0 == b1 and a0[0] != a1[0]
 
 
 class TestOptimalPrice:
     def test_zero_costate_oracle(self, cfg_big_cloud, x0):
         pop = PopulationState(x0)
-        p = optimal_price(cfg_big_cloud, pop, EcpCostate.zero(2),
-                          CcpCostate.zero(2))
+        a_vec, b, p = optimal_controls(cfg_big_cloud, pop, EcpCostate.zero(2),
+                                       CcpCostate.zero(2))
         assert p == pytest.approx(0.45, abs=1e-14)
-        for n, want in ((1, 0.035), (2, 0.235)):
-            r = optimal_request(cfg_big_cloud, pop, p, EcpCostate.zero(2), n)
-            assert r == pytest.approx(want, abs=1e-14)
+        np.testing.assert_allclose(a_vec - b * p, [0.035, 0.235], rtol=0,
+                                   atol=1e-14)
 
     def test_follower_stationarity_fd(self, cfg_big_cloud, x0):
         # Central difference of H_n in r_n vanishes at the stationary request.
         pop = PopulationState(x0)
         ec = EcpCostate.zero(2)
         price = 0.45
-        r_star = [optimal_request(cfg_big_cloud, pop, price, ec, n)
-                  for n in (1, 2)]
+        a_vec, b, _ = optimal_controls(cfg_big_cloud, pop, ec,
+                                       CcpCostate.zero(2))
+        r_star = (a_vec - b * price).tolist()
         h = 1e-5
         for n in (1, 2):
             def ham(rn):
@@ -159,10 +172,10 @@ class TestOptimalPrice:
         pop = PopulationState(x0)
         ec = EcpCostate.zero(2)
         cc = CcpCostate.zero(2)
-        p_star = optimal_price(cfg_big_cloud, pop, ec, cc)
+        a_vec, b, p_star = optimal_controls(cfg_big_cloud, pop, ec, cc)
 
         def ham(p):
-            r = [optimal_request(cfg_big_cloud, pop, p, ec, n) for n in (1, 2)]
+            r = a_vec - b * p
             return ccp_hamiltonian(cfg_big_cloud, snapshot(x0, r, p), ec, cc)
 
         h = 1e-5
@@ -173,11 +186,11 @@ class TestOptimalPrice:
 
     def test_nonzero_costates_move_price(self, cfg_big_cloud, x0):
         pop = PopulationState(x0)
-        base = optimal_price(cfg_big_cloud, pop, EcpCostate.zero(2),
-                             CcpCostate.zero(2))
+        base = optimal_controls(cfg_big_cloud, pop, EcpCostate.zero(2),
+                                CcpCostate.zero(2))[2]
         cc = CcpCostate(np.array([5.0, -3.0]), np.eye(2))
-        moved = optimal_price(cfg_big_cloud, pop,
-                              EcpCostate(np.ones((2, 2))), cc)
+        moved = optimal_controls(cfg_big_cloud, pop,
+                                 EcpCostate(np.ones((2, 2))), cc)[2]
         assert moved != base
 
 
@@ -268,9 +281,6 @@ class TestCostateFields:
 PROVIDER_CALLS = {
     "ecp_instant_utility": lambda cfg, x, n: ecp_instant_utility(
         cfg, snapshot(x, [0.1, 0.2]), n),
-    "q_vector": lambda cfg, x, n: q_vector(cfg, PopulationState(x), n),
-    "decompose_request": lambda cfg, x, n: decompose_request(
-        cfg, PopulationState(x), EcpCostate.zero(2), n),
     "ecp_hamiltonian": lambda cfg, x, n: ecp_hamiltonian(
         cfg, snapshot(x, [0.1, 0.2]), EcpCostate.zero(2), n),
     "ecp_costate_rhs": lambda cfg, x, n: ecp_costate_rhs(
@@ -299,13 +309,9 @@ def test_provider_index_may_be_a_numpy_integer(cfg, x0, name):
 # Every public function that takes costates, on the duopoly, given costates
 # sized for N = k (1 or 3) in the argument the key names.
 COSTATE_CALLS = {
-    "decompose_request/lam": lambda cfg, x, k: decompose_request(
-        cfg, PopulationState(x), EcpCostate.zero(k), 1),
-    "optimal_request/lam": lambda cfg, x, k: optimal_request(
-        cfg, PopulationState(x), 0.5, EcpCostate.zero(k), 1),
-    "optimal_price/lam": lambda cfg, x, k: optimal_price(
+    "optimal_controls/lam": lambda cfg, x, k: optimal_controls(
         cfg, PopulationState(x), EcpCostate.zero(k), CcpCostate.zero(2)),
-    "optimal_price/mu": lambda cfg, x, k: optimal_price(
+    "optimal_controls/mu": lambda cfg, x, k: optimal_controls(
         cfg, PopulationState(x), EcpCostate.zero(2), CcpCostate.zero(k)),
     "ecp_hamiltonian/lam": lambda cfg, x, k: ecp_hamiltonian(
         cfg, snapshot(x, [0.1, 0.2]), EcpCostate.zero(k), 1),
@@ -408,10 +414,8 @@ def test_general_costate_sums_run_left_to_right(n):
                                 for a, b in zip(ta, la)) * mix)
         a_vec, b_slope, price = _stationary_controls(cfg)(
             xe, left_to_right(xe), lam_dot_q, flow)
-        assert optimal_price(cfg, pop, costate, leader) == price
-        for k in range(1, n + 1):
-            assert decompose_request(cfg, pop, costate, k) == (a_vec[k - 1],
-                                                               b_slope)
+        got_a, got_b, got_price = optimal_controls(cfg, pop, costate, leader)
+        assert (got_a.tolist(), got_b, got_price) == (a_vec, b_slope, price)
 
         snap = snapshot(x, r, price=abs(price))
         x_dot = replicator_rhs(cfg, pop, snap.allocation)[:n].tolist()
