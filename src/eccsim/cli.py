@@ -62,7 +62,7 @@ class InvalidScenario(RuntimeError):
     """A scenario file violates the schema; the message names the field."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A scenario ready to run, checked whenever one is built (a
     `dataclasses.replace` too); a broken rule raises ValueError naming the
@@ -233,7 +233,7 @@ def _summary(scn: Scenario, traj: Trajectory,
     t_end = float(traj.times[-1])
     i_eq = traj.index_at(SAMPLE_FRACTION * t_end)
     alloc_eq = AllocationState(traj.requests[i_eq])
-    target = analytic_ess(cfg, alloc_eq).shares
+    target = analytic_ess(cfg, alloc_eq).shares.shares
     t_conv = convergence_time(traj.upto(CONVERGENCE_FRACTION * t_end),
                               target, scn.eps_convergence)
     n = cfg.n_ecps

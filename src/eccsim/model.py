@@ -80,7 +80,7 @@ def _as_float_vector(value, name: str, length: int | None = None) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemConfig:
     """Static parameters of the market.
 
@@ -159,7 +159,7 @@ class SystemConfig:
         return prices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationState:
     """User distribution over providers, ordered [x_1..x_N, x_c].
 
@@ -189,16 +189,8 @@ class PopulationState:
         """Edge-provider shares [x_1..x_N]."""
         return self.shares[:-1]
 
-    @property
-    def cloud(self) -> float:
-        """Cloud share x_c."""
-        return float(self.shares[-1])
 
-    def is_interior(self) -> bool:
-        return bool(np.all(self.shares > 0.0))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationState:
     """Cloud-compute request fractions r_n of the edge providers.
 
@@ -224,14 +216,13 @@ class AllocationState:
         return float(_cloud_remainder(self.requests))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketSnapshot:
-    """One instant of the market: population, allocation, cloud price, time."""
+    """One instant of the market: population, allocation, cloud price."""
 
     population: PopulationState
     allocation: AllocationState
     price: float = 0.0
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         if self.population.n_ecps != self.allocation.requests.shape[0]:

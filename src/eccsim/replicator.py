@@ -67,7 +67,7 @@ def delayed_replicator_rhs(cfg: SystemConfig, pop_now: PopulationState,
                                                     pop_delayed.shares)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplicatorField:
     """Population vector field under one fixed allocation.
 
@@ -122,7 +122,7 @@ class ReplicatorField:
         return np.array([a * (v - mean) for a, v in zip(g, u)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EssResult:
     """Evolutionary equilibrium: shares plus the equalized per-user utility."""
 

@@ -112,7 +112,7 @@ class BlowUp(RuntimeError):
     """An integrated state left the finite range the model is meant for."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Time-gridded run record.
 
@@ -127,8 +127,7 @@ class Trajectory:
     requests: np.ndarray | None = None
     prices: np.ndarray | None = None
     g: np.ndarray | None = None
-    cfg: SystemConfig | None = dataclasses.field(
-        default=None, compare=False, repr=False)
+    cfg: SystemConfig | None = dataclasses.field(default=None, repr=False)
 
     @cached_property
     def utilities(self) -> np.ndarray | None:
@@ -145,10 +144,6 @@ class Trajectory:
         rate = _discount(self.cfg.discount_rate, self.times)[:, None]
         return _running_trapezoid(rate * self.utilities, self.times)
 
-    @property
-    def n_ecps(self) -> int:
-        return self.shares.shape[1] - 1
-
     def state(self, i: int) -> PopulationState:
         return PopulationState(self.shares[i])
 
@@ -159,8 +154,7 @@ class Trajectory:
 
     def snapshot(self, i: int) -> MarketSnapshot:
         price = 0.0 if self.prices is None else float(self.prices[i])
-        return MarketSnapshot(self.state(i), self.allocation(i),
-                              price=price, time=float(self.times[i]))
+        return MarketSnapshot(self.state(i), self.allocation(i), price=price)
 
     def index_at(self, t: float) -> int:
         """Grid index nearest to time t."""
@@ -174,7 +168,7 @@ class Trajectory:
             if isinstance(a := getattr(self, f.name), np.ndarray)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepReport:
     """Outcome of the forward-backward sweep.
 
@@ -186,15 +180,14 @@ class SweepReport:
     SWEEP_TOL and COSTATE_TOL.  Non-convergence is reported here, not raised.
 
     first_pass is the sweep's first forward pass, at g = 0: bit for bit
-    the trajectory solve_ssec returns.  It is left out of eq and repr.
+    the trajectory solve_ssec returns.  It is left out of repr.
     """
 
     iterations: int
     state_residual: float
     costate_terminal_residual: float
     converged: bool
-    first_pass: Trajectory | None = dataclasses.field(
-        default=None, compare=False, repr=False)
+    first_pass: Trajectory | None = dataclasses.field(default=None, repr=False)
 
 
 def default_price_cap(cfg: SystemConfig) -> float:
@@ -801,14 +794,13 @@ def solve_fixed(cfg: SystemConfig, x0, r0, dt: float) -> Trajectory:
 def convergence_time(traj: Trajectory, target, eps: float) -> float | None:
     """First grid time after which the shares stay eps-close to target.
 
-    Closeness is the max-norm against the target shares, required to hold
-    from that time through the end of the stored horizon; None if the
-    trajectory never locks on.
+    target is a numeric vector of shares, one per provider.  Closeness is
+    the max-norm against it, required to hold from that time through the
+    end of the stored horizon; None if the trajectory never locks on.
     """
     if not eps > 0.0:
         raise ValueError("eps: must be positive")
-    tgt = (target.shares if isinstance(target, PopulationState)
-           else _real_array(target, "target"))
+    tgt = _real_array(target, "target")
     if tgt.shape != traj.shares.shape[1:]:
         raise ValueError("target: length inconsistent with trajectory")
     err = np.max(np.abs(traj.shares - tgt[None, :]), axis=1)

@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EcpCostate:
     """Edge-provider adjoints: lam[n, m] prices x_m in provider n's problem.
 
@@ -75,7 +75,7 @@ class EcpCostate:
         return cls(np.zeros((n_ecps, n_ecps)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CcpCostate:
     """Cloud-provider adjoints.
 

@@ -333,7 +333,7 @@ def test_olsec_vs_ssec_trends(capsys):
         myopic = solve_ssec(cfg, X0, 0.02)
         for name, tr in (("olsec", solved), ("ssec", myopic)):
             i_eq = tr.index_at(70.0)
-            target = analytic_ess(cfg, tr.allocation(i_eq)).shares
+            target = analytic_ess(cfg, tr.allocation(i_eq)).shares.shares
             times[name].append(convergence_time(tr.upto(80.0), target, 1e-3))
             utils[name].append(tr.integral_utilities[-1, -1])
     finite = all(v is not None for v in times["olsec"] + times["ssec"])

@@ -1,5 +1,7 @@
 """Market primitives: containers, validation, and instantaneous quantities."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,13 @@ from hypothesis import strategies as st
 
 from eccsim import (
     AllocationState,
+    CcpCostate,
+    EcpCostate,
     MarketSnapshot,
     PopulationState,
+    SweepReport,
     SystemConfig,
+    Trajectory,
     ZeroShare,
     ccp_instant_utility,
     ecp_instant_utility,
@@ -19,6 +25,7 @@ from eccsim import (
     theta,
     user_utility,
 )
+from eccsim.cli import load_scenario
 from eccsim.model import ALLOC_TOL, _left_sum, _payoffs, _uptake
 from eccsim.replicator import ReplicatorField, analytic_ess
 from eccsim.stackelberg import _price_gaps
@@ -82,12 +89,10 @@ class TestStates:
         pop = PopulationState([0.3, 0.3, 0.4])
         assert pop.n_ecps == 2
         np.testing.assert_allclose(pop.ecp, [0.3, 0.3])
-        assert pop.cloud == 0.4
-        assert pop.is_interior()
 
     def test_population_boundary_allowed(self):
         pop = PopulationState([0.6, 0.4, 0.0])
-        assert not pop.is_interior()
+        np.testing.assert_array_equal(pop.shares, [0.6, 0.4, 0.0])
 
     @pytest.mark.parametrize("shares", [
         [0.5, 0.6, -0.1],
@@ -120,6 +125,39 @@ class TestStates:
             MarketSnapshot(pop, AllocationState([0.1]))
         with pytest.raises(ValueError, match="^price"):
             MarketSnapshot(pop, AllocationState([0.1, 0.1]), price=-1.0)
+
+
+# Each builds one record of the package afresh from the same inputs.
+RECORDS = {
+    "SystemConfig": make_config,
+    "PopulationState": lambda: PopulationState([0.3, 0.3, 0.4]),
+    "AllocationState": lambda: AllocationState([0.1, 0.2]),
+    "MarketSnapshot": lambda: snap_of(make_config(), [0.3, 0.3, 0.4],
+                                      [0.1, 0.2], 0.5),
+    "ReplicatorField": lambda: ReplicatorField(make_config(),
+                                               AllocationState([0.1, 0.2])),
+    "EssResult": lambda: analytic_ess(make_config(),
+                                      AllocationState([0.1, 0.2])),
+    "EcpCostate": lambda: EcpCostate.zero(2),
+    "CcpCostate": lambda: CcpCostate.zero(2),
+    "Trajectory": lambda: Trajectory(np.arange(3.0),
+                                     np.tile([0.5, 0.5], (3, 1))),
+    "SweepReport": lambda: SweepReport(3, 1e-9, 1e-7, True),
+    "Scenario": lambda: load_scenario(str(
+        Path(__file__).resolve().parent.parent / "scenarios"
+        / "scenario_a.json")),
+}
+
+
+@pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS.keys())
+def test_records_compare_by_identity(build):
+    # No generated __eq__ or __hash__: the arrays records hold cannot be
+    # compared as one truth value, so equality is identity.
+    a, b = build(), build()
+    assert a == a
+    assert (a == b) is False
+    hash(a)
+    assert {a: 1}[a] == 1
 
 
 class TestPerUserPower:

@@ -1,11 +1,15 @@
 """Source guards: the summation rule, no private helper without a caller,
-and the package exports declared once, in the modules' __all__ lists.
+the package exports declared once, in the modules' __all__ lists, and
+records that compare by identity.
 
 Every sum over providers runs left to right (model._left_sum over floats,
 model._running_total along an array's last axis), so identical inputs give
 byte-identical artifacts whatever BLAS kernel the CPU selects.  Every
 module-level private def or class is used by some other top-level
 statement of the package, so a helper whose callers are gone is noticed.
+Every dataclass passes eq=False: a generated __eq__ cannot compare the
+arrays a record holds, and a frozen one's generated __hash__ cannot hash
+them.
 """
 
 import ast
@@ -122,3 +126,38 @@ def test_package_exports_the_modules_lists():
     for name in ("provider_power", "grid_steps", "check_delay",
                  "check_stability"):
         assert name in eccsim.__all__
+
+
+def generated_equality(source: str) -> list[str]:
+    """Name of each class of `source` whose @dataclass decorator does not
+    pass eq=False."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = dec.func if call else dec
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if name == "dataclass" and not (call and any(
+                    k.arg == "eq" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in call.keywords)):
+                found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_record_compares_by_identity(path):
+    assert generated_equality(path.read_text(encoding="utf-8")) == []
+
+
+def test_equality_guard_sees_every_form():
+    code = ("@dataclass\nclass A:\n    x: int\n\n"
+            "@dataclass(frozen=True)\nclass B:\n    x: int\n\n"
+            "@dataclasses.dataclass(eq=True)\nclass C:\n    x: int\n\n"
+            "@dataclass(eq=False)\nclass D:\n    x: int\n\n"
+            "@dataclasses.dataclass(frozen=True, eq=False)\n"
+            "class E:\n    x: int\n\n"
+            "@register\nclass F:\n    pass\n")
+    assert generated_equality(code) == ["A", "B", "C"]

@@ -27,8 +27,8 @@ from eccsim.stackelberg import (
 from eccsim.stackelberg import _stationary_controls
 
 
-def snapshot(x, r, price=0.0, time=0.0):
-    return MarketSnapshot(PopulationState(x), AllocationState(r), price, time)
+def snapshot(x, r, price=0.0):
+    return MarketSnapshot(PopulationState(x), AllocationState(r), price)
 
 
 class TestCostateContainers:
