@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (AllocationState, SystemConfig, _as_float_vector,
-                    _cloud_remainder, _running_total)
-from .replicator import analytic_ess, delay_stability_bound, ess_jacobian_eigen
+                    _cloud_remainder, _real_number, _running_total, theta)
+from .replicator import analytic_ess, delay_stability_bound
 from .solver import (BlowUp, SweepReport, Trajectory, _check_undelayed,
                      check_delay, check_stability, convergence_time,
                      grid_steps, solve_fixed, solve_open_loop, solve_ssec)
@@ -95,7 +95,7 @@ class Scenario:
             AllocationState(r0)
         except ValueError as exc:
             raise ValueError(f"r0: {exc}") from None
-        if not self.eps_convergence > 0.0:
+        if not _real_number(self.eps_convergence, "eps_convergence") > 0.0:
             raise ValueError("eps_convergence: must be positive")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme: expected one of {', '.join(SCHEMES)}")
@@ -320,15 +320,13 @@ def cmd_simulate(scn: Scenario, args: argparse.Namespace) -> None:
 
 
 def cmd_ess(scn: Scenario, args: argparse.Namespace) -> None:
-    cfg = scn.cfg
-    alloc = AllocationState(scn.r0)
-    result = analytic_ess(cfg, alloc)
-    eig = ess_jacobian_eigen(cfg, alloc)
+    cfg, alloc = scn.cfg, AllocationState(scn.r0)
+    result, th = analytic_ess(cfg, alloc), theta(cfg, alloc)
     payload = {
         "ess_shares": [float(v) for v in result.shares.shares],
         "common_utility": float(result.common_utility),
-        "theta": float(-eig[0]),
-        "eigenvalues": [float(v) for v in eig],
+        "theta": th,
+        "eigenvalues": [-th] * (cfg.n_ecps + 1),
         "delay_bound": float(delay_stability_bound(cfg, alloc)),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))

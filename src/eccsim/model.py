@@ -14,6 +14,7 @@ All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable
@@ -60,6 +61,14 @@ def _real_array(value, name: str) -> np.ndarray:
     if arr is None or arr.dtype.kind not in "biuf":
         raise ValueError(f"{name}: must be numeric")
     return arr.astype(float, copy=False)
+
+
+def _real_number(value, name: str) -> float:
+    """value as a float (_real_array, 0-d); else ValueError naming `name`."""
+    arr = _real_array(value, name)
+    if arr.ndim != 0:
+        raise ValueError(f"{name}: must be a number")
+    return float(arr)
 
 
 def _check_count(value, name: str) -> None:
@@ -128,12 +137,11 @@ class SystemConfig:
                     raise ValueError(f"{name}: every entry must be positive")
                 object.__setattr__(self, name, vec)
             else:
-                arr = _real_array(value, name)
+                arr = (_real_number if f.type == "float" else _real_array)(
+                    value, name)
                 if not np.all(np.isfinite(arr)):
                     raise ValueError(f"{name}: must be finite")
                 if f.type == "float":
-                    if arr.ndim != 0:
-                        raise ValueError(f"{name}: must be a number")
                     if arr < 0.0 and name == "population_delay":
                         raise ValueError(f"{name}: must be nonnegative")
                     if arr <= 0.0 and name != "population_delay":
@@ -150,6 +158,12 @@ class SystemConfig:
         # scenarios legitimately use equality, so only R_c < R_n is rejected.
         if self.cloud_power < float(np.max(self.ecp_power)):
             raise ValueError("cloud_power: must be at least max(ecp_power)")
+        # A Theta that under- or overflows leaves the rest point c/sum c
+        # at 0/0 and the delay bound pi/(2*Theta) infinite.
+        for th in _vertex_thetas(self):
+            if not sys.float_info.min <= th <= sys.float_info.max:
+                raise ValueError("learning_rate, mapping_factor: Theta must"
+                                 f" be a positive normal float, got {th!r}")
 
     @cached_property
     def all_access_prices(self) -> np.ndarray:
@@ -227,8 +241,10 @@ class MarketSnapshot:
     def __post_init__(self) -> None:
         if self.population.n_ecps != self.allocation.requests.shape[0]:
             raise ValueError("allocation: length inconsistent with population")
-        if not np.isfinite(self.price) or self.price < 0.0:
+        price = _real_number(self.price, "price")
+        if not np.isfinite(price) or price < 0.0:
             raise ValueError("price: must be nonnegative")
+        object.__setattr__(self, "price", price)
 
 
 def _check_sizes(cfg: SystemConfig, pop: PopulationState | None = None,
@@ -293,6 +309,13 @@ def _uptake(cfg: SystemConfig) -> Callable:
         c.append(u)
         return c, delta * (sum_c + u)
     return uptake
+
+
+def _vertex_thetas(cfg: SystemConfig) -> list[float]:
+    """Theta at r = e_1..e_N, 0: linear in r, it is extreme there."""
+    n, uptake = cfg.n_ecps, _uptake(cfg)
+    return [uptake([float(k == j) for k in range(n)])[1]
+            for j in range(n + 1)]
 
 
 def provider_power(cfg: SystemConfig, alloc: AllocationState) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Users imitate better-performing peers: a group's share grows in proportion
 to its utility advantage over the population mean (replicator dynamics).
-This module provides the vector field, its delayed variant, the closed-form
-evolutionary equilibrium, and the two stability readings used downstream:
-the uniform spectrum -Theta of the linearized flow and the reaction-delay
-bound pi/(2*Theta).
+This module spells that field, x'_s = delta*x_s*(pi_s - x . pi), once, as
+ReplicatorField(cfg, alloc) (`delayed_rate` for stale observations), with
+the closed-form evolutionary equilibrium and the reaction-delay bound
+pi/(2*Theta); the linearized flow's one eigenvalue is -Theta (model.theta).
 """
 
 from __future__ import annotations
@@ -32,39 +32,9 @@ from .model import (
 __all__ = [
     "ReplicatorField",
     "EssResult",
-    "replicator_rhs",
-    "delayed_replicator_rhs",
     "analytic_ess",
-    "ess_jacobian_eigen",
     "delay_stability_bound",
 ]
-
-
-def replicator_rhs(cfg: SystemConfig, pop: PopulationState,
-                   alloc: AllocationState) -> np.ndarray:
-    """Share velocities x_dot_s = delta * x_s * (pi_s - mean pi).
-
-    The components sum to zero, so the flow preserves the simplex.
-
-    Raises:
-        ZeroShare: a provider with compute on offer has an empty group.
-    """
-    return delayed_replicator_rhs(cfg, pop, pop, alloc)
-
-
-def delayed_replicator_rhs(cfg: SystemConfig, pop_now: PopulationState,
-                           pop_delayed: PopulationState,
-                           alloc: AllocationState) -> np.ndarray:
-    """Share velocities when users react to stale observations.
-
-    x_dot_s = delta * x_s(t-tau) * (pi_s(t-tau) - mean), where the mean
-    mixes the delayed utilities with the current shares.  With both
-    populations equal this is replicator_rhs, which calls it.
-    """
-    _check_sizes(cfg, pop_now, alloc)
-    _check_sizes(cfg, pop_delayed)
-    return ReplicatorField(cfg, alloc).delayed_rate(pop_now.shares,
-                                                    pop_delayed.shares)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,13 +44,12 @@ class ReplicatorField:
     For interior states the field equals delta*c_s - Theta*x_s with
     c_s = beta*w_s/(K p_s) and w the per-provider compute: multiplying the
     share into its own utility cancels the division, which is why the flow
-    is exactly linear in x for a fixed allocation.  The methods keep the
-    utility-difference form so the error behavior (ZeroShare) matches the
-    public vector field.  The field is the one binding of an allocation's
-    population field: its supply w is checked against cfg and computed once
-    (`supply`), and _lag_terms reads a block of lag rows against it.
-    Integrators take `rate` or `delayed_rate` (no time argument: the field
-    is autonomous); a delayed `solve_fixed` steps the same _lag_terms itself.
+    is exactly linear in x for a fixed allocation, with spectrum -Theta.
+    The methods keep the utility-difference form, so an empty group with
+    compute on offer raises ZeroShare.  Its supply w is checked against cfg
+    and computed once (`supply`); _lag_terms reads a block of lag rows
+    against it.  Integrators take the autonomous `rate` or `delayed_rate`
+    (no time argument); a delayed `solve_fixed` steps the same _lag_terms.
     """
 
     cfg: SystemConfig
@@ -142,15 +111,6 @@ def analytic_ess(cfg: SystemConfig, alloc: AllocationState) -> EssResult:
     common = _left_sum(c)
     return EssResult(shares=PopulationState(np.array(c) / common),
                      common_utility=common)
-
-
-def ess_jacobian_eigen(cfg: SystemConfig, alloc: AllocationState) -> np.ndarray:
-    """Spectrum of the linearized population flow at fixed allocation.
-
-    Because x_s * pi_s is state-independent, the flow is affine with matrix
-    -Theta * I; all N+1 eigenvalues equal -Theta regardless of the state.
-    """
-    return np.full(cfg.n_ecps + 1, -theta(cfg, alloc))
 
 
 def delay_stability_bound(cfg: SystemConfig, alloc: AllocationState) -> float:

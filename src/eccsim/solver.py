@@ -60,14 +60,14 @@ import numpy as np
 from .model import (
     SIMPLEX_TOL,
     AllocationState,
-    MarketSnapshot,
-    PopulationState,
     SystemConfig,
     _check_count,
     _left_sum,
     _payoffs,
     _real_array,
+    _real_number,
     _uptake,
+    _vertex_thetas,
 )
 from .replicator import ReplicatorField
 from .stackelberg import _adjoint_scales, _price_gaps, _stationary_controls
@@ -144,18 +144,6 @@ class Trajectory:
         rate = _discount(self.cfg.discount_rate, self.times)[:, None]
         return _running_trapezoid(rate * self.utilities, self.times)
 
-    def state(self, i: int) -> PopulationState:
-        return PopulationState(self.shares[i])
-
-    def allocation(self, i: int) -> AllocationState:
-        if self.requests is None:
-            raise ValueError("trajectory stores no control schedule")
-        return AllocationState(self.requests[i])
-
-    def snapshot(self, i: int) -> MarketSnapshot:
-        price = 0.0 if self.prices is None else float(self.prices[i])
-        return MarketSnapshot(self.state(i), self.allocation(i), price=price)
-
     def index_at(self, t: float) -> int:
         """Grid index nearest to time t."""
         return int(np.argmin(np.abs(self.times - t)))
@@ -193,14 +181,6 @@ class SweepReport:
 def default_price_cap(cfg: SystemConfig) -> float:
     """Projection ceiling for the cloud price: ten times the dearest access price."""
     return 10.0 * float(max(np.max(cfg.ecp_access_price), cfg.cloud_access_price))
-
-
-def _real_number(value, name: str) -> float:
-    """value as a float (model._real_array, 0-d); else ValueError naming it."""
-    arr = _real_array(value, name)
-    if arr.ndim != 0:
-        raise ValueError(f"{name}: must be a number")
-    return float(arr)
 
 
 def grid_steps(t_span: tuple[float, float], dt: float) -> int:
@@ -254,13 +234,9 @@ def _check_undelayed(cfg: SystemConfig) -> None:
 
 def check_stability(cfg: SystemConfig, dt: float) -> None:
     """Reject a dt past RK4's real stability bound on rho + Theta_max, the
-    fastest rate a solver steps; Theta is linear in the requests r, so its
-    largest value sits at a vertex, r = e_j or r = 0.  Names dt."""
+    fastest rate a solver steps (model._vertex_thetas).  Names dt."""
     dt = _real_number(dt, "dt")
-    n, uptake = cfg.n_ecps, _uptake(cfg)
-    theta_max = max(uptake([float(k == j) for k in range(n)])[1]
-                    for j in range(n + 1))  # j = n: r = 0
-    limit = RK4_REAL_BOUND / (cfg.discount_rate + theta_max)
+    limit = RK4_REAL_BOUND / (cfg.discount_rate + max(_vertex_thetas(cfg)))
     if dt > limit:
         raise ValueError(f"dt: above {limit:.6g}, RK4's stability limit"
                          " for this configuration")
@@ -798,6 +774,7 @@ def convergence_time(traj: Trajectory, target, eps: float) -> float | None:
     the max-norm against it, required to hold from that time through the
     end of the stored horizon; None if the trajectory never locks on.
     """
+    eps = _real_number(eps, "eps")
     if not eps > 0.0:
         raise ValueError("eps: must be positive")
     tgt = _real_array(target, "target")

@@ -15,6 +15,8 @@ only through two aggregate terms, which one public function,
 forward pass at its scalar profile.
 The adjoint sources eta1*p_n*K and xi1*p_c*K have one home as well,
 `_adjoint_scales`, read by the costate fields here and by the solver.
+The Hamiltonians read the share flow from `ReplicatorField.rate`, not
+the control kernel, so they check the stationarity conditions independently.
 
 Controls returned here are unprojected stationary points; clamping to the
 feasible box is the caller's job, because feasibility is a property of the
@@ -41,7 +43,7 @@ from .model import (
     ecp_instant_utility,
     theta,
 )
-from .replicator import replicator_rhs
+from .replicator import ReplicatorField
 
 __all__ = [
     "EcpCostate",
@@ -200,9 +202,9 @@ def ecp_hamiltonian(cfg: SystemConfig, snap: MarketSnapshot,
     """Provider n's Hamiltonian: payoff plus adjoint-weighted share flow."""
     _check_provider(cfg, n)
     _check_costates(cfg, costate)
-    flow = replicator_rhs(cfg, snap.population, snap.allocation)[: cfg.n_ecps]
+    flow = ReplicatorField(cfg, snap.allocation).rate(snap.population.shares)
     return (ecp_instant_utility(cfg, snap, n)
-            + float(_running_total(costate.lam[n - 1] * flow)))
+            + float(_running_total(costate.lam[n - 1] * flow[:-1])))
 
 
 def ecp_costate_rhs(cfg: SystemConfig, snap: MarketSnapshot,
@@ -228,11 +230,11 @@ def ccp_hamiltonian(cfg: SystemConfig, snap: MarketSnapshot,
     followers' adjoint flow, hence the theta_mat-weighted lam velocities.
     """
     _check_costates(cfg, ecp_costates, ccp_costate)
-    flow = replicator_rhs(cfg, snap.population, snap.allocation)[: cfg.n_ecps]
+    flow = ReplicatorField(cfg, snap.allocation).rate(snap.population.shares)
     lam_flow = np.stack([ecp_costate_rhs(cfg, snap, ecp_costates, n)
                          for n in range(1, cfg.n_ecps + 1)])
     return (ccp_instant_utility(cfg, snap)
-            + float(_running_total(ccp_costate.mu * flow))
+            + float(_running_total(ccp_costate.mu * flow[:-1]))
             + float(_running_total((ccp_costate.theta_mat * lam_flow).ravel())))
 
 

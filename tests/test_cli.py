@@ -84,6 +84,9 @@ class TestLoadScenario:
         scn = load_scenario(str(SCENARIOS / "scenario_a.json"))
         with pytest.raises(ValueError, match="^dt: span must be an integer"):
             dataclasses.replace(scn, dt=0.3)
+        with pytest.raises(ValueError,
+                           match="^eps_convergence: must be numeric$"):
+            dataclasses.replace(scn, eps_convergence="x")
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -181,6 +184,25 @@ class TestLoadScenario:
         path = write_scenario(tmp_path, **{field: value})
         with pytest.raises(InvalidScenario, match=f"^{field}: expected a finite"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-310])
+    @pytest.mark.parametrize("field", ["learning_rate", "mapping_factor"])
+    def test_theta_underflow_names_the_field(self, tmp_path, capsys, field,
+                                             value):
+        # Each value passes its own rule, but Theta underflows, which would
+        # leave the rest point at 0/0 (5e-324) or print a delay bound of
+        # Infinity, not JSON (1e-310).
+        path = write_scenario(tmp_path, **{field: value})
+        message = "learning_rate, mapping_factor: Theta"
+        with pytest.raises(InvalidScenario, match=f"^{message}"):
+            load_scenario(path)
+        out = tmp_path / "x"
+        for command in (["ess", path], ["simulate", path, "--out", str(out)]):
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {message}")
+            assert field in captured.err and not captured.out
+        assert not out.exists()
 
     def test_grid_size_cap(self, tmp_path):
         # 5e8 steps; rejected before anything is allocated.

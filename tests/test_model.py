@@ -83,6 +83,22 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=f"^{field}"):
             make_config(**overrides)
 
+    @pytest.mark.parametrize("value", [5e-324, 1e-310])
+    @pytest.mark.parametrize("field", ["learning_rate", "mapping_factor"])
+    def test_theta_must_be_a_normal_float(self, field, value):
+        # Each value passes its own rule, but Theta = delta*beta/K*sum(w/p)
+        # underflows: to 0 at 5e-324 (0/0 in the rest point, 1/0 in the
+        # delay bound), to a subnormal at 1e-310 (an infinite delay bound).
+        with pytest.raises(ValueError, match="^learning_rate, mapping_factor:"
+                                             " Theta .* positive normal"):
+            make_config(**{field: value})
+        assert theta(make_config(**{field: 1e-300}),
+                     AllocationState([0.0, 0.0])) > 1e-308
+
+    def test_theta_must_not_overflow(self):
+        with pytest.raises(ValueError, match=", got inf$"):
+            make_config(learning_rate=1e300, mapping_factor=1e300)
+
 
 class TestStates:
     def test_population_properties(self):
@@ -125,6 +141,8 @@ class TestStates:
             MarketSnapshot(pop, AllocationState([0.1]))
         with pytest.raises(ValueError, match="^price"):
             MarketSnapshot(pop, AllocationState([0.1, 0.1]), price=-1.0)
+        with pytest.raises(ValueError, match="^price: must be a number$"):
+            MarketSnapshot(pop, AllocationState([0.1, 0.1]), price=[0.5])
 
 
 # Each builds one record of the package afresh from the same inputs.

@@ -13,19 +13,19 @@ import eccsim.model
 import eccsim.replicator
 from eccsim.model import (
     AllocationState,
+    MarketSnapshot,
     PopulationState,
     ZeroShare,
     _uptake,
+    mean_utility,
     provider_power,
     theta,
+    user_utility,
 )
 from eccsim.replicator import (
     ReplicatorField,
     analytic_ess,
     delay_stability_bound,
-    delayed_replicator_rhs,
-    ess_jacobian_eigen,
-    replicator_rhs,
 )
 from eccsim.solver import _check_finite, _staged, solve_fixed
 
@@ -34,12 +34,12 @@ class TestRhs:
     def test_rejects_a_population_of_the_wrong_length(self, cfg):
         with pytest.raises(ValueError,
                            match="^shares: length inconsistent with n_ecps$"):
-            replicator_rhs(cfg, PopulationState([0.5, 0.5]),
-                           AllocationState([0.1, 0.2]))
+            ReplicatorField(cfg, AllocationState([0.1, 0.2])).rate(
+                np.array([0.5, 0.5]))
 
     def test_duopoly_oracle(self, cfg, x0):
         # pi = [2/9, 1/6, 1/4], mean = 13/60, rhs_s = x_s*(pi_s - mean).
-        rhs = replicator_rhs(cfg, PopulationState(x0), AllocationState([0.0, 0.0]))
+        rhs = ReplicatorField(cfg, AllocationState([0.0, 0.0])).rate(x0)
         expected = [1.0 / 600.0, -3.0 / 200.0, 1.0 / 75.0]
         np.testing.assert_allclose(rhs, expected, rtol=0, atol=1e-15)
 
@@ -53,34 +53,32 @@ class TestRhs:
             cloud_power=3.0,
             cloud_access_price=1.0,
         )
-        rhs = replicator_rhs(cfg, PopulationState([0.5, 0.5]),
-                             AllocationState([0.0]))
+        rhs = ReplicatorField(cfg, AllocationState([0.0])).rate(
+            np.array([0.5, 0.5]))
         np.testing.assert_allclose(rhs, [-1.0, 1.0], rtol=0, atol=1e-15)
 
     def test_scales_with_learning_rate(self, cfg, x0):
-        pop = PopulationState(x0)
         alloc = AllocationState([0.1, 0.2])
-        base = replicator_rhs(cfg, pop, alloc)
-        fast = replicator_rhs(make_config(learning_rate=3.0), pop, alloc)
+        base = ReplicatorField(cfg, alloc).rate(x0)
+        fast = ReplicatorField(make_config(learning_rate=3.0), alloc).rate(x0)
         np.testing.assert_allclose(fast, 3.0 * base, rtol=1e-15)
 
     def test_zero_share_with_supply_raises(self, cfg):
-        pop = PopulationState([0.6, 0.0, 0.4])
         with pytest.raises(ZeroShare, match="ecp 2"):
-            replicator_rhs(cfg, pop, AllocationState([0.0, 0.0]))
+            ReplicatorField(cfg, AllocationState([0.0, 0.0])).rate(
+                np.array([0.6, 0.0, 0.4]))
 
     def test_empty_cloud_without_supply_is_fine(self, cfg):
         # All compute moved to the ECPs: the empty cloud group is inert.
-        pop = PopulationState([0.6, 0.4, 0.0])
         alloc = AllocationState([0.55, 0.45])
-        rhs = replicator_rhs(cfg, pop, alloc)
+        rhs = ReplicatorField(cfg, alloc).rate(np.array([0.6, 0.4, 0.0]))
         assert rhs.shape == (3,)
         assert rhs[2] == 0.0
 
     def test_vanishes_at_ess(self, cfg):
         alloc = AllocationState([0.15, 0.1])
         ess = analytic_ess(cfg, alloc)
-        rhs = replicator_rhs(cfg, ess.shares, alloc)
+        rhs = ReplicatorField(cfg, alloc).rate(ess.shares.shares)
         assert np.max(np.abs(rhs)) < 1e-15
 
 
@@ -97,7 +95,7 @@ class TestLinearForm:
         pop = PopulationState(raw / raw.sum())
         r = rng.uniform(0.0, 0.45, size=2)
         alloc = AllocationState(r)
-        rhs = replicator_rhs(cfg, pop, alloc)
+        rhs = ReplicatorField(cfg, alloc).rate(pop.shares)
         c = (cfg.mapping_factor * provider_power(cfg, alloc)
              / (cfg.n_users * cfg.all_access_prices))
         affine = cfg.learning_rate * c - theta(cfg, alloc) * pop.shares
@@ -111,7 +109,7 @@ class TestLinearForm:
         raw = np.maximum(rng.dirichlet([1.5] * 3), 1e-3)
         pop = PopulationState(raw / raw.sum())
         alloc = AllocationState(rng.uniform(0.0, 0.45, size=2))
-        rhs = replicator_rhs(cfg, pop, alloc)
+        rhs = ReplicatorField(cfg, alloc).rate(pop.shares)
         assert abs(rhs.sum()) < 1e-15
 
 
@@ -128,8 +126,8 @@ class TestReplicatorField:
 
     @pytest.mark.parametrize("size", [2, 4])
     def test_rejects_a_state_of_the_wrong_length(self, cfg, x0, size):
-        # Named as replicator_rhs names it, not left to numpy's broadcast
-        # (or to zip, which cut a long current state short).
+        # Named, not left to numpy's broadcast (or to zip, which cut a
+        # long current state short).
         field = ReplicatorField(cfg, AllocationState([0.1, 0.2]))
         bad = np.full(size, 1.0 / size)
         for name, call in (("shares", lambda: field.rate(bad)),
@@ -141,10 +139,14 @@ class TestReplicatorField:
                 call()
 
     def test_matches_public_rhs(self, cfg, x0):
+        # The field is delta*x*(pi - x . pi) of the public per-snapshot
+        # formulas, user_utility and mean_utility, bit for bit.
         alloc = AllocationState([0.1, 0.3])
-        field = ReplicatorField(cfg, alloc)
-        got = field.rate(np.asarray(x0))
-        want = replicator_rhs(cfg, PopulationState(x0), alloc)
+        pop = PopulationState(x0)
+        utils = user_utility(cfg, MarketSnapshot(pop, alloc))
+        want = cfg.learning_rate * pop.shares * (
+            utils - mean_utility(pop, utils))
+        got = ReplicatorField(cfg, alloc).rate(np.asarray(x0))
         np.testing.assert_array_equal(got, want)
 
     def test_delayed_rate_degenerates(self, cfg, x0):
@@ -157,8 +159,10 @@ class TestReplicatorField:
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_public_rhs_bitwise(self, seed):
-        # The field reads its supply once; the public functions rebuild it
-        # from the requests on every call.  Both must agree to the bit.
+        # The field reads its supply once; the public per-snapshot formulas
+        # rebuild it from the requests on every call.  Both must agree to
+        # the bit: the delayed field takes the utilities of the delayed
+        # snapshot and their mean over the current shares.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 5))
         power = rng.uniform(0.5, 3.0, size=n)
@@ -170,11 +174,13 @@ class TestReplicatorField:
         now = PopulationState(rng.dirichlet(np.ones(n + 1)))
         delayed = PopulationState(rng.dirichlet(np.ones(n + 1)))
         field = ReplicatorField(cfg, alloc)
-        np.testing.assert_array_equal(
-            field.delayed_rate(now.shares, delayed.shares),
-            delayed_replicator_rhs(cfg, now, delayed, alloc))
-        np.testing.assert_array_equal(field.rate(now.shares),
-                                      replicator_rhs(cfg, now, alloc))
+        for pop, got in ((now, field.rate(now.shares)),
+                         (delayed, field.delayed_rate(now.shares,
+                                                      delayed.shares))):
+            utils = user_utility(cfg, MarketSnapshot(pop, alloc))
+            want = cfg.learning_rate * pop.shares * (
+                utils - mean_utility(now, utils))
+            np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(field.supply, provider_power(cfg, alloc))
         assert not field.supply.flags.writeable
 
@@ -187,9 +193,9 @@ class TestReplicatorField:
     @given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_float_kernel_matches_arrays_bitwise(self, n, seed):
-        # delayed_rate and delayed_replicator_rhs both match a plain Python
-        # reference that sums the population mean left to right, at every
-        # N: numpy would sum 8 or more entries pairwise.
+        # delayed_rate matches a plain Python reference that sums the
+        # population mean left to right, at every N: numpy would sum 8 or
+        # more entries pairwise.
         rng = np.random.default_rng(seed)
         power = rng.uniform(0.5, 3.0, size=n)
         cfg = make_config(n_ecps=n, n_users=int(rng.integers(1, 500)),
@@ -213,9 +219,6 @@ class TestReplicatorField:
         want = [(cfg.learning_rate * y) * (u - mean)
                 for y, u in zip(delayed.tolist(), utils)]
         assert field.delayed_rate(now, delayed).tolist() == want
-        assert delayed_replicator_rhs(
-            cfg, PopulationState(now), PopulationState(delayed),
-            field.alloc).tolist() == want
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_fused_stage_matches_built_stage_bitwise(self, n):
@@ -360,32 +363,25 @@ class TestReplicatorField:
 
 
 class TestDelayedRhs:
-    def test_degenerates_bitwise(self, cfg, x0):
-        pop = PopulationState(x0)
-        alloc = AllocationState([0.05, 0.15])
-        np.testing.assert_array_equal(
-            delayed_replicator_rhs(cfg, pop, pop, alloc),
-            replicator_rhs(cfg, pop, alloc))
-
     def test_stale_population_oracle(self, cfg):
         # Hand values at delayed=[0.2,0.3,0.5]: omega=[0.1, 1/30, 0.04],
         # pi=omega/p=[1/3, 1/6, 1/5].  The mean mixes these with the current
         # shares; the rate multiplies the delayed ones.
-        now = PopulationState([0.3, 0.3, 0.4])
-        delayed = PopulationState([0.2, 0.3, 0.5])
-        alloc = AllocationState([0.0, 0.0])
+        now = np.array([0.3, 0.3, 0.4])
+        delayed = np.array([0.2, 0.3, 0.5])
         utils = np.array([1.0 / 3.0, 1.0 / 6.0, 0.2])
-        mean = float(np.dot(now.shares, utils))
-        expected = delayed.shares * (utils - mean)
-        got = delayed_replicator_rhs(cfg, now, delayed, alloc)
+        mean = float(np.dot(now, utils))
+        expected = delayed * (utils - mean)
+        got = ReplicatorField(cfg, AllocationState([0.0, 0.0])).delayed_rate(
+            now, delayed)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-16)
 
     def test_zero_share_checks_delayed_state(self, cfg):
-        now = PopulationState([0.3, 0.3, 0.4])
-        dead_cloud = PopulationState([0.5, 0.5, 0.0])
+        # A live current state does not hide an empty delayed group.
+        field = ReplicatorField(cfg, AllocationState([0.0, 0.0]))
         with pytest.raises(ZeroShare, match="cloud"):
-            delayed_replicator_rhs(cfg, now, dead_cloud,
-                                   AllocationState([0.0, 0.0]))
+            field.delayed_rate(np.array([0.3, 0.3, 0.4]),
+                               np.array([0.5, 0.5, 0.0]))
 
 
 class TestAnalyticEss:
@@ -424,11 +420,18 @@ class TestAnalyticEss:
 
 
 class TestStability:
-    def test_spectrum_is_uniform(self, cfg):
+    def test_spectrum_is_uniform(self, cfg, x0):
+        # The field is delta*c - Theta*x off the simplex too, so its
+        # Jacobian is -Theta times the identity at any interior state;
+        # central differences of an affine map are exact up to rounding.
         alloc = AllocationState([0.0, 0.0])
-        eig = ess_jacobian_eigen(cfg, alloc)
-        assert eig.shape == (3,)
-        np.testing.assert_allclose(eig, -0.21666666666666667, rtol=1e-15)
+        assert theta(cfg, alloc) == pytest.approx(0.21666666666666667,
+                                                  rel=1e-15)
+        field, h = ReplicatorField(cfg, alloc), 1e-6
+        jac = np.column_stack([(field.rate(x0 + h * e) - field.rate(x0 - h * e))
+                               / (2.0 * h) for e in np.eye(3)])
+        np.testing.assert_allclose(jac, -theta(cfg, alloc) * np.eye(3),
+                                   rtol=0.0, atol=1e-9)
 
     def test_unit_case(self):
         # K=1, R=[1], p=[1], R_c=1, p_c=1: S=2, Theta=2.
@@ -441,7 +444,7 @@ class TestStability:
             cloud_access_price=1.0,
         )
         alloc = AllocationState([0.0])
-        np.testing.assert_allclose(ess_jacobian_eigen(cfg, alloc), [-2.0, -2.0])
+        assert theta(cfg, alloc) == 2.0
         assert delay_stability_bound(cfg, alloc) == pytest.approx(math.pi / 4.0)
 
     BOUNDS = [

@@ -1,13 +1,14 @@
 """Unit tests for the integrators and the equilibrium sweep."""
 
 import dataclasses
+import decimal
 import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (make_big_cloud_config, make_config, random_market,
@@ -15,8 +16,8 @@ from conftest import (make_big_cloud_config, make_config, random_market,
 
 import eccsim.solver
 from eccsim.cli import _delay_verdict, load_scenario
-from eccsim.model import (AllocationState, PopulationState, _uptake,
-                          ccp_instant_utility, ecp_instant_utility)
+from eccsim.model import (AllocationState, MarketSnapshot, PopulationState,
+                          _uptake, ccp_instant_utility, ecp_instant_utility)
 from eccsim.replicator import ReplicatorField, analytic_ess
 from eccsim.solver import (
     COSTATE_TOL,
@@ -56,9 +57,65 @@ E_INV = 0.36787944117144233
 # Where a share sinks to SHARE_FLOOR its per-user utility grows as 1/share,
 # and the gap reached 1.1e-12 on the other 3 510: those runs get
 # DDE_AT_FLOOR.  (When each step divided by its sum: 4.2e-15 and 4.4e-13.)
+# Rarer draws go further with every share above 1e-9: n = 8, seed = 8,
+# tau = 0.623046875 reaches 4.1e-14 in an under-resolved transient (at
+# dt = 0.05 its shares reach the floor by T = 2.5), where neither route is
+# the truth.  So the drawn test measures both against an exact replay of
+# the staged steps (staged_replay), with these bounds as floors.
 DDE_AGREEMENT = 1e-14
 DDE_AT_FLOOR = 1e-11
+# Above those floors, the most a delayed solve_fixed may stray from the
+# replay, as a multiple of integrate_dde's own distance from it.  Fixed
+# before the check first ran.
+REPLAY_RATIO = 4.0
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def staged_replay(field, x0, tau, dt, steps, digits=60):
+    """integrate_dde(field.delayed_rate, x0, tau, ..., simplex=True) over
+    `steps` steps, replayed in `digits`-digit decimal arithmetic.
+
+    The same RK4 stages, lag interpolation and projection (floor at
+    SHARE_FLOOR, renormalise), from what the staged and the rank-one route
+    read alike: the field's float supply and _method_of_steps' float lag
+    positions.  Returns the shares as floats, shape (steps + 1, N + 1).
+    """
+    cfg, num = field.cfg, decimal.Decimal
+    shift = min(tau / dt, steps + 1.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        mass = [num(cfg.mapping_factor) * num(w) / (num(cfg.n_users) * num(p))
+                for w, p in zip(field.supply.tolist(),
+                                cfg.all_access_prices.tolist())]
+        delta, h = num(cfg.learning_rate), num(dt)
+        rows = [[num(v) for v in np.asarray(x0).tolist()]]
+
+        def lag(pos):
+            pos = num(pos)
+            lo = max(math.floor(pos), 0)
+            a, b = rows[lo], rows[max(math.ceil(pos), 0)]
+            return [u + (pos - lo) * (v - u) for u, v in zip(a, b)]
+
+        def rate(now, lagged):
+            u = [m / y for m, y in zip(mass, lagged)]
+            mean = sum((x * v for x, v in zip(now, u)), num(0))
+            return [delta * y * (v - mean) for y, v in zip(lagged, u)]
+
+        def stage(y, k, w):
+            return [v + w * d for v, d in zip(y, k)]
+
+        for i in range(steps):
+            y = rows[-1]
+            first, mid, end = (lag((2 * i + j) * 0.5 - shift) for j in range(3))
+            k1 = rate(y, first)
+            k2 = rate(stage(y, k1, h / 2), mid)
+            k3 = rate(stage(y, k2, h / 2), mid)
+            k4 = rate(stage(y, k3, h), end)
+            nxt = [max(v + h / 6 * (a + 2 * b + 2 * c + d), num(SHARE_FLOOR))
+                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+            total = sum(nxt, num(0))
+            rows.append([v / total for v in nxt])
+    return np.array(rows, dtype=float)
 
 
 def decay(y):
@@ -445,14 +502,6 @@ class TestIntegrateDde:
 
 
 class TestTrajectory:
-    def test_accessors(self, cfg, x0):
-        traj = solve_fixed(dataclasses.replace(cfg, horizon=1.0), x0,
-                           [0.1, 0.2], 0.1)
-        assert isinstance(traj.state(0), PopulationState)
-        snap = traj.snapshot(3)
-        assert snap.price == 0.0
-        np.testing.assert_array_equal(snap.allocation.requests, [0.1, 0.2])
-
     def test_index_at_rounds_to_nearest(self):
         traj = integrate_ode(decay, [1.0], (0.0, 1.0), 0.1)
         assert traj.index_at(0.74) == 7
@@ -464,11 +513,6 @@ class TestTrajectory:
         head = traj.upto(0.5)
         assert head.times.shape == (6,)
         assert head.times[-1] == pytest.approx(0.5)
-
-    def test_allocation_requires_schedule(self):
-        traj = integrate_ode(decay, [1.0], (0.0, 1.0), 0.1)
-        with pytest.raises(ValueError, match="no control schedule"):
-            traj.allocation(0)
 
     def test_fields(self):
         # The payoff columns are derived, not stored.
@@ -848,7 +892,9 @@ class TestSweep:
         cfg, traj, _ = solved
         n = cfg.n_ecps
         for i in range(traj.times.shape[0]):
-            snap = traj.snapshot(i)
+            snap = MarketSnapshot(PopulationState(traj.shares[i]),
+                                  AllocationState(traj.requests[i]),
+                                  traj.prices[i])
             want = [ecp_instant_utility(cfg, snap, k) for k in range(1, n + 1)]
             want.append(ccp_instant_utility(cfg, snap))
             assert traj.utilities[i].tolist() == want
@@ -908,7 +954,7 @@ class TestSweep:
         lam_diag = cfg.ecp_weights[0] * cfg.ecp_access_price * cfg.n_users
         mu_scale = cfg.ccp_weights[0] * cfg.cloud_access_price * cfg.n_users
         for i in range(0, traj.times.shape[0], 25):
-            pop = traj.state(i)
+            pop = PopulationState(traj.shares[i])
             ecp = EcpCostate(np.diag(lam_diag * traj.g[i]))
             ccp = CcpCostate(np.full(n, mu_scale * traj.g[i]),
                              np.zeros((n, n)))
@@ -936,7 +982,7 @@ class TestSweep:
         mu_scale = cfg.ccp_weights[0] * cfg.cloud_access_price * cfg.n_users
         interior = 0
         for i in range(traj.times.shape[0]):
-            pop = traj.state(i)
+            pop = PopulationState(traj.shares[i])
             ecp = EcpCostate(np.diag(lam_diag * traj.g[i]))
             ccp = CcpCostate(np.full(n, mu_scale * traj.g[i]),
                              np.zeros((n, n)))
@@ -984,9 +1030,6 @@ class TestSweep:
                                        dt=0.05)
         assert report.converged
         m = traj.times.shape[0] - 1
-        # check_stability reads Theta at the n + 1 vertices of the requests
-        # before the first pass.
-        forward = forward[n + 1:]
         assert len(backward) == report.iterations
         assert len(forward) == report.iterations * m
         for k, thetas in enumerate(backward):
@@ -1130,8 +1173,9 @@ class TestSweep:
 
     def test_solve_binds_the_control_kernel_once(self, monkeypatch):
         # What depends on (cfg, grid) alone is bound once per solve, not
-        # once per forward pass: the control kernel by the forward map, the
-        # uptake kernel by check_stability and by the forward map.
+        # once per forward pass: the control and uptake kernels by the
+        # forward map.  (check_stability binds its own uptake kernel, in
+        # model._vertex_thetas.)
         binds = {"_stationary_controls": [], "_uptake": []}
 
         def spy(name):
@@ -1147,7 +1191,7 @@ class TestSweep:
         cfg = make_config(horizon=10.0)
         _, report = solve_open_loop(cfg, [0.3, 0.3, 0.4], dt=0.05)
         assert report.converged and report.iterations > 1
-        assert binds == {"_stationary_controls": [cfg], "_uptake": [cfg, cfg]}
+        assert binds == {"_stationary_controls": [cfg], "_uptake": [cfg]}
 
     @pytest.mark.parametrize("name,dt", [("scenario_n6.json", 0.1),
                                          ("scenario_a.json", 0.01)])
@@ -1307,12 +1351,16 @@ class TestMyopicAndFixed:
            st.one_of(st.floats(0.05, 1.5),
                      st.integers(1, 30).map(lambda k: 0.05 * k)))
     @settings(max_examples=60, deadline=None)
+    @example(n=8, seed=8, tau=0.623046875)
     def test_delayed_pass_matches_dde(self, n, seed, tau):
         # A delayed solve_fixed steps the rank-one RK4 map a block of lags
         # at a time; it must reproduce the staged RK4 steps of integrate_dde
-        # on the field, one lag row per call, to DDE_AGREEMENT (DDE_AT_FLOOR
-        # once a share sinks to the floor), whether or not tau is a multiple
-        # of dt.  Past the delay bound some runs blow up; then both must.
+        # on the field, one lag row per call, whether or not tau is a
+        # multiple of dt: it may stray from an exact replay of those steps
+        # by REPLAY_RATIO times integrate_dde's own distance from it, or by
+        # DDE_AGREEMENT (DDE_AT_FLOOR once a share sinks to the floor).
+        # The pinned draw: 2.6e-14 against 1.5e-14, on opposite sides.
+        # Past the delay bound some runs blow up; then both must.
         cfg, x0, r0 = random_market(seed, n, population_delay=tau,
                                     horizon=2.0)
         field = ReplicatorField(cfg, AllocationState(r0))
@@ -1329,9 +1377,10 @@ class TestMyopicAndFixed:
         assert (fast is None) == (staged is None)
         if fast is not None:
             floored = min(fast.min(), staged.min()) <= 1e-9
-            np.testing.assert_allclose(
-                fast, staged, rtol=0.0,
-                atol=DDE_AT_FLOOR if floored else DDE_AGREEMENT)
+            exact = staged_replay(field, x0, tau, 0.05, 40)
+            assert np.max(np.abs(fast - exact)) <= max(
+                REPLAY_RATIO * np.max(np.abs(staged - exact)),
+                DDE_AT_FLOOR if floored else DDE_AGREEMENT)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_delayed_pass_checks_last_component(self, x0, bad, monkeypatch):
@@ -1406,7 +1455,13 @@ class TestMyopicAndFixed:
         ("x0", lambda cfg, x0: integrate_ode(decay, "ab", (0.0, 1.0), 0.1)),
         ("target", lambda cfg, x0: convergence_time(
             integrate_ode(decay, [1.0, 2.0], (0.0, 1.0), 0.1), "ab", 0.1)),
-    ], ids=["open_loop", "ssec", "fixed", "ode", "convergence_time"])
+        ("eps", lambda cfg, x0: convergence_time(
+            integrate_ode(decay, [1.0, 2.0], (0.0, 1.0), 0.1), [1.0, 2.0],
+            "x")),
+        ("price", lambda cfg, x0: MarketSnapshot(
+            PopulationState(x0), AllocationState([0.1, 0.2]), price="x")),
+    ], ids=["open_loop", "ssec", "fixed", "ode", "convergence_time",
+            "convergence_time_eps", "snapshot_price"])
     def test_non_numeric_input_names_itself(self, cfg, x0, field, call):
         with pytest.raises(ValueError, match=f"^{field}: must be numeric$"):
             call(dataclasses.replace(cfg, horizon=1.0), x0)

@@ -1,15 +1,18 @@
 """Source guards: the summation rule, no private helper without a caller,
-the package exports declared once, in the modules' __all__ lists, and
-records that compare by identity.
+the package exports declared once, in the modules' __all__ lists, no
+public function that only forwards to another, and records that compare
+by identity.
 
 Every sum over providers runs left to right (model._left_sum over floats,
 model._running_total along an array's last axis), so identical inputs give
 byte-identical artifacts whatever BLAS kernel the CPU selects.  Every
 module-level private def or class is used by some other top-level
 statement of the package, so a helper whose callers are gone is noticed.
-Every dataclass passes eq=False: a generated __eq__ cannot compare the
-arrays a record holds, and a frozen one's generated __hash__ cannot hash
-them.
+No function of a module's __all__ is a second spelling of another public
+name: its body, after its docstring, is not one return of a call to a
+name of the package's __all__ lists.  Every dataclass passes eq=False: a
+generated __eq__ cannot compare the arrays a record holds, and a frozen
+one's generated __hash__ cannot hash them.
 """
 
 import ast
@@ -126,6 +129,69 @@ def test_package_exports_the_modules_lists():
     for name in ("provider_power", "grid_steps", "check_delay",
                  "check_stability"):
         assert name in eccsim.__all__
+
+
+def public_names(tree: ast.Module) -> list[str]:
+    """The strings of a module's top-level `__all__ = [...]`, or []."""
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in stmt.targets)
+                and isinstance(stmt.value, (ast.List, ast.Tuple))):
+            return [e.value for e in stmt.value.elts
+                    if isinstance(e, ast.Constant)]
+    return []
+
+
+def delegations(sources: dict[str, str]) -> list[str]:
+    """`module.name -> callee` of each function of a module's __all__ whose
+    body, after its docstring, is one return of a call to another name in
+    the __all__ lists of `sources` (module name -> code), called bare or
+    as an attribute (`module.name(...)`)."""
+    trees = {module: ast.parse(code) for module, code in sources.items()}
+    package = {name for tree in trees.values() for name in public_names(tree)}
+    found = []
+    for module, tree in trees.items():
+        own = set(public_names(tree))
+        for stmt in tree.body:
+            if not (isinstance(stmt, ast.FunctionDef) and stmt.name in own):
+                continue
+            body = stmt.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                body = body[1:]
+            if not (len(body) == 1 and isinstance(body[0], ast.Return)
+                    and isinstance(body[0].value, ast.Call)):
+                continue
+            func = body[0].value.func
+            callee = (func.id if isinstance(func, ast.Name) else
+                      func.attr if isinstance(func, ast.Attribute) else None)
+            if callee in package and callee != stmt.name:
+                found.append(f"{module}.{stmt.name} -> {callee}")
+    return found
+
+
+def test_no_public_function_only_forwards():
+    assert delegations({p.stem: p.read_text(encoding="utf-8")
+                        for p in SOURCES}) == []
+
+
+def test_forwarding_guard_sees_every_form():
+    sources = {
+        "a": ('__all__ = ["f", "g", "h", "k", "m", "n", "p", "q"]\n\n'
+              'def f(x):\n    """Docstring."""\n    return g(x, x)\n\n'
+              "def g(x, y):\n    return x\n\n"
+              "def h(x):\n    return b.r(x)\n\n"
+              "def k(x):\n    check(x)\n    return g(x, x)\n\n"
+              "def m(x):\n    return _private(x)\n\n"
+              "def n(x):\n    return g(x, x) + 1\n\n"
+              "def p(x):\n    return p(x - 1)\n\n"
+              "def q(x):\n    return Field(x).rate(x)\n\n"
+              "def unlisted(x):\n    return g(x, x)\n"),
+        "b": '__all__ = ("r",)\n\ndef r(x):\n    """Only a docstring."""\n',
+    }
+    assert delegations(sources) == ["a.f -> g", "a.h -> r"]
 
 
 def generated_equality(source: str) -> list[str]:

@@ -14,7 +14,7 @@ from eccsim.model import (
     ccp_instant_utility,
     ecp_instant_utility,
 )
-from eccsim.replicator import replicator_rhs
+from eccsim.replicator import ReplicatorField
 from eccsim.stackelberg import (
     CcpCostate,
     EcpCostate,
@@ -226,7 +226,7 @@ class TestHamiltonians:
     def test_flow_term_matches_replicator(self, cfg, x0):
         snap = snapshot(x0, [0.1, 0.2], price=0.5)
         lam = np.array([[2.0, -1.0], [4.0, 0.5]])
-        flow = replicator_rhs(cfg, snap.population, snap.allocation)[:2]
+        flow = ReplicatorField(cfg, snap.allocation).rate(x0)[:2]
         for n in (1, 2):
             got = ecp_hamiltonian(cfg, snap, EcpCostate(lam), n)
             want = (ecp_instant_utility(cfg, snap, n)
@@ -418,7 +418,7 @@ def test_general_costate_sums_run_left_to_right(n):
         assert (got_a.tolist(), got_b, got_price) == (a_vec, b_slope, price)
 
         snap = snapshot(x, r, price=abs(price))
-        x_dot = replicator_rhs(cfg, pop, snap.allocation)[:n].tolist()
+        x_dot = ReplicatorField(cfg, snap.allocation).rate(x)[:n].tolist()
         for k in range(1, n + 1):
             assert ecp_hamiltonian(cfg, snap, costate, k) == (
                 ecp_instant_utility(cfg, snap, k)
