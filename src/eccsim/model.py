@@ -159,11 +159,16 @@ class SystemConfig:
         if self.cloud_power < float(np.max(self.ecp_power)):
             raise ValueError("cloud_power: must be at least max(ecp_power)")
         # A Theta that under- or overflows leaves the rest point c/sum c
-        # at 0/0 and the delay bound pi/(2*Theta) infinite.
-        for th in _vertex_thetas(self):
+        # at 0/0 and the delay bound pi/(2*Theta) infinite; a subnormal
+        # uptake keeps a few bits of c, which a large delta can hide.
+        for c, th in _vertex_uptakes(self):
             if not sys.float_info.min <= th <= sys.float_info.max:
                 raise ValueError("learning_rate, mapping_factor: Theta must"
                                  f" be a positive normal float, got {th!r}")
+            if any(0.0 < v < sys.float_info.min for v in c):
+                raise ValueError("mapping_factor, n_users: each uptake"
+                                 " beta*w/(K*p) must be 0 or a positive"
+                                 f" normal float, got {c!r}")
 
     @cached_property
     def all_access_prices(self) -> np.ndarray:
@@ -311,11 +316,10 @@ def _uptake(cfg: SystemConfig) -> Callable:
     return uptake
 
 
-def _vertex_thetas(cfg: SystemConfig) -> list[float]:
-    """Theta at r = e_1..e_N, 0: linear in r, it is extreme there."""
+def _vertex_uptakes(cfg: SystemConfig) -> list[tuple[list[float], float]]:
+    """(c, Theta) at r = e_1..e_N, 0: linear in r, both are extreme there."""
     n, uptake = cfg.n_ecps, _uptake(cfg)
-    return [uptake([float(k == j) for k in range(n)])[1]
-            for j in range(n + 1)]
+    return [uptake([float(k == j) for k in range(n)]) for j in range(n + 1)]
 
 
 def provider_power(cfg: SystemConfig, alloc: AllocationState) -> np.ndarray:

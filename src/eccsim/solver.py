@@ -34,17 +34,18 @@ steps and returns the states to store and the state to hand on: _staged,
 the RK4 stages of integrate_ode's and integrate_dde's array field, each
 state settled by the pass the integrator chose, or _rank_one_rk4, one
 projected map per step of a delayed fixed-controls run (solve_fixed) over
-the lag terms of its one ReplicatorField, on a state carried unnormalised.
-At zero delay that run is _affine_rk4's map in closed form.  The sweep's
-fields are affine too, so its RK4 step is one _affine_rk4 map per
-interval, and its forward pass is bound to (cfg, grid) once per solve
-(_forward_map).  That map keeps the simplex by construction (S*Theta =
-1 - R, and R, S > 0 within check_stability's bound), so the sweep settles
-each step by the finite check alone; _project_simplex settles only
-integrate_ode and integrate_dde with simplex=True.  Step and field loops
-append instead of using comprehensions, which only Python 3.12 inlines
-(PEP 709).  Every sum over providers, the simplex sums of x0 and of each
-step included, runs left to right (model._left_sum).
+the lag terms of its one ReplicatorField, on a state carried unnormalised
+by straight-line code written out for the run's component count.  At zero
+delay that run is _affine_rk4's map in closed form.  The sweep's fields
+are affine too, so its RK4 step is one _affine_rk4 map per interval, and
+its forward pass is bound to (cfg, grid) once per solve (_forward_map).
+That map keeps the simplex by construction (S*Theta = 1 - R, and R, S > 0
+within check_stability's bound), so the sweep settles each step by the
+finite check alone; _project_simplex settles only integrate_ode and
+integrate_dde with simplex=True.  The other step and field loops append
+instead of using comprehensions, which only Python 3.12 inlines (PEP 709).
+Every sum over providers, the simplex sums of x0 and of each step
+included, runs left to right (model._left_sum).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -67,7 +68,7 @@ from .model import (
     _real_array,
     _real_number,
     _uptake,
-    _vertex_thetas,
+    _vertex_uptakes,
 )
 from .replicator import ReplicatorField
 from .stackelberg import _adjoint_scales, _price_gaps, _stationary_controls
@@ -234,9 +235,10 @@ def _check_undelayed(cfg: SystemConfig) -> None:
 
 def check_stability(cfg: SystemConfig, dt: float) -> None:
     """Reject a dt past RK4's real stability bound on rho + Theta_max, the
-    fastest rate a solver steps (model._vertex_thetas).  Names dt."""
+    fastest rate a solver steps (model._vertex_uptakes).  Names dt."""
     dt = _real_number(dt, "dt")
-    limit = RK4_REAL_BOUND / (cfg.discount_rate + max(_vertex_thetas(cfg)))
+    limit = RK4_REAL_BOUND / (cfg.discount_rate + max(
+        th for _, th in _vertex_uptakes(cfg)))
     if dt > limit:
         raise ValueError(f"dt: above {limit:.6g}, RK4's stability limit"
                          " for this configuration")
@@ -367,52 +369,82 @@ def _rank_one_rk4(terms: Callable, source: list[float], theta: float,
     scales y by the power of two that puts y's sum in [0.5, 1) (math.frexp):
     that is exact, and every operation is of degree one in (y, sigma), so no
     bit of a row depends on where blocks start, and sigma cannot under- or
-    overflow on a long run.  Each step takes its four sums and three dots in
-    one float loop and the new state and its sum in another, every sum from
-    0.0, left to right.  Delayed runs only, so the lag rows give the step
-    count; at zero delay the lag is the stage state.
+    overflow on a long run.  The block is written out for n = len(source)
+    components (_rank_one_source), each sum one chain from 0.0, left to
+    right.  Delayed runs only, so the lag rows give the step count; at zero
+    delay the lag is the stage state.
     """
-    half, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
-    h_source = [dt * v for v in source]
+    return partial(_rank_one_kernel(len(source)), terms=terms, source=source,
+                   theta=theta, dt=dt)
 
-    def block(steps, lags, y):
-        u, g = terms(lags)
-        u, g, flat, sigmas, sigma = u.tolist(), g.tolist(), [], [], 0.0
-        for v in y:
-            sigma += v
-        scale = math.ldexp(1.0, -math.frexp(sigma)[1])
-        y, sigma = [v * scale for v in y], sigma * scale
-        for u1, u2, u4, g1, g2, g4 in zip(
-                u[:-1:2], u[1::2], u[2::2], g[:-1:2], g[1::2], g[2::2]):
-            m1 = d2 = d4 = a2 = b12 = a4 = b24 = 0.0
-            for v, s, p, q, r, e1, e2 in zip(y, source, u1, u2, u4, g1, g2):
-                m1 += v * p
-                d2 += v * q
-                d4 += v * r
-                a2 += s * q
-                b12 += e1 * q
-                a4 += s * r
-                b24 += e2 * r
-            a2 *= sigma
-            m2 = d2 + half * (a2 - m1 * b12)
-            m3 = d2 + half * (a2 - m2 * theta)
-            m4 = d4 + dt * (sigma * a4 - m3 * b24)
-            w1, w2, w4 = sixth * m1, third * (m2 + m3), sixth * m4
-            top, low = sigma * MAGNITUDE_LIMIT, sigma * SHARE_FLOOR
-            nxt, total = [], 0.0
-            for v, hs, p, q, r in zip(y, h_source, g1, g2, g4):
-                v = v + sigma * hs - (w1 * p + w2 * q + w4 * r)
-                if not abs(v) <= top:  # _project_simplex's checks, times sigma
-                    raise BlowUp("state magnitude left the finite range")
-                v = v if v > low else low
-                nxt.append(v)
-                total += v
-            flat += nxt
-            sigmas.append(total)
-            y, sigma = nxt, total
-        rows = np.array(flat).reshape(len(sigmas), -1)
-        return rows / np.array(sigmas)[:, None], y
-    return block
+
+# Most terms per statement of a written-out sum: the compiler recurses on each.
+CHAIN_TERMS = 100
+_RANK_ONE_BLOCK = """\
+def block(steps, lags, y, *, terms, source, theta, dt):
+    half, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
+    u, g = terms(lags)
+    u, g, flat, sigmas = u.tolist(), g.tolist(), [], []
+    {s} = source
+    {hs} = [dt * v for v in source]
+    sigma = _left_sum(y)
+    scale = math.ldexp(1.0, -math.frexp(sigma)[1])
+    {y} = [v * scale for v in y]
+    sigma *= scale
+    for j in range(0, 2 * steps, 2):
+        ({u1}), ({u2}), ({u4}) = u[j], u[j + 1], u[j + 2]
+        ({g1}), ({g2}), ({g4}) = g[j], g[j + 1], g[j + 2]
+        {sums}
+        a2 *= sigma
+        m2 = d2 + half * (a2 - m1 * b12)
+        m3 = d2 + half * (a2 - m2 * theta)
+        m4 = d4 + dt * (sigma * a4 - m3 * b24)
+        w1, w2, w4 = sixth * m1, third * (m2 + m3), sixth * m4
+        top, low = sigma * MAGNITUDE_LIMIT, sigma * SHARE_FLOOR
+        {update}
+        {total}
+        flat += {y}
+        sigmas.append(total)
+        sigma = total
+    rows = np.array(flat).reshape(len(sigmas), -1)
+    return rows / np.array(sigmas)[:, None], [{y}]
+"""
+_RANK_ONE_COMPONENT = """\
+y_{i} = y_{i} + sigma * hs_{i} - (w1 * g1_{i} + w2 * g2_{i} + w4 * g4_{i})
+if not abs(y_{i}) <= top:  # _project_simplex's checks, times sigma
+    raise BlowUp("state magnitude left the finite range")
+y_{i} = y_{i} if y_{i} > low else low"""
+
+
+def _rank_one_source(n: int) -> str:
+    """_RANK_ONE_BLOCK written out for n components; it reads nothing but n."""
+    def chain(name, *factors):
+        """name = 0.0 + a_0 * b_0 + ..., at most CHAIN_TERMS per statement."""
+        terms = [" * ".join(f"{f}_{i}" for f in factors) for i in range(n)]
+        return [f"{name} = {name if k else '0.0'} + "
+                + " + ".join(terms[k:k + CHAIN_TERMS])
+                for k in range(0, n, CHAIN_TERMS)]
+
+    body = "\n        ".join
+    return _RANK_ONE_BLOCK.format(
+        total=body(chain("total", "y")),
+        sums=body(line for spec in ("m1 y u1", "d2 y u2", "d4 y u4", "a2 s u2",
+                                    "b12 g1 u2", "a4 s u4", "b24 g2 u4")
+                  for line in chain(*spec.split())),
+        update=body(line for i in range(n) for line
+                    in _RANK_ONE_COMPONENT.format(i=i).splitlines()),
+        **{stem: ", ".join(f"{stem}_{i}" for i in range(n)) + ","
+           for stem in ("s", "hs", "y", "u1", "u2", "u4", "g1", "g2", "g4")})
+
+
+@lru_cache(maxsize=16)
+def _rank_one_kernel(n: int) -> Callable:
+    """_rank_one_source(n) compiled, reading this module's names: once per n
+    in a process (1 ms at n = 3, 0.5 s at n = 3000), for the last 16 n."""
+    namespace = {}
+    exec(compile(_rank_one_source(n), f"<rank-one block, n={n}>", "exec"),
+         globals(), namespace)
+    return namespace["block"]
 
 
 def _method_of_steps(block: Callable, x0, tau: float, times: np.ndarray,

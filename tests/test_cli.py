@@ -204,6 +204,26 @@ class TestLoadScenario:
             assert field in captured.err and not captured.out
         assert not out.exists()
 
+    def test_subnormal_uptake_names_the_fields(self, tmp_path, capsys):
+        # Theta = 2.1e-221 is a normal float, but beta/K = 1e-322 is not and
+        # keeps a few bits of each uptake: `ess` printed the rest point
+        # 0.30716/0.23095/0.46189, not 0.30769/0.23077/0.46154.  At
+        # beta = 1e-300 every uptake is normal and the file loads.
+        load_scenario(write_scenario(tmp_path, learning_rate=1e100,
+                                     mapping_factor=1e-300))
+        path = write_scenario(tmp_path, learning_rate=1e100,
+                              mapping_factor=1e-320)
+        message = "mapping_factor, n_users: each uptake"
+        with pytest.raises(InvalidScenario, match=f"^{message}"):
+            load_scenario(path)
+        out = tmp_path / "x"
+        for command in (["ess", path], ["simulate", path, "--out", str(out)]):
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {message}")
+            assert not captured.out
+        assert not out.exists()
+
     def test_grid_size_cap(self, tmp_path):
         # 5e8 steps; rejected before anything is allocated.
         path = write_scenario(tmp_path, dt=1e-8)

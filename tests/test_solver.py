@@ -776,7 +776,7 @@ def left_total(values):
     return out
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", [*range(1, 11), 3000])
 def test_rank_one_map_follows_its_formula(n):
     # The block's four steps, each row against the docstring's formula on
     # the carried state: y scaled by the power of two that puts its sum
@@ -785,7 +785,8 @@ def test_rank_one_map_follows_its_formula(n):
     # y/sigma.  In Python floats with every sum over components left to
     # right from 0.0, bit for bit: numpy would add 8 or more entries
     # pairwise.  The block takes source and theta as given, so made-up
-    # ones check the formula.
+    # ones check the formula.  At n = 3000 each sum of the written-out
+    # block spans several statements (solver.CHAIN_TERMS).
     rng = np.random.default_rng(40 + n)
     dt = 0.01
     lags = rng.uniform(0.1, 1.0, size=(9, n))
@@ -1175,7 +1176,7 @@ class TestSweep:
         # What depends on (cfg, grid) alone is bound once per solve, not
         # once per forward pass: the control and uptake kernels by the
         # forward map.  (check_stability binds its own uptake kernel, in
-        # model._vertex_thetas.)
+        # model._vertex_uptakes.)
         binds = {"_stationary_controls": [], "_uptake": []}
 
         def spy(name):

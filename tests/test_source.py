@@ -5,24 +5,28 @@ by identity.
 
 Every sum over providers runs left to right (model._left_sum over floats,
 model._running_total along an array's last axis), so identical inputs give
-byte-identical artifacts whatever BLAS kernel the CPU selects.  Every
-module-level private def or class is used by some other top-level
-statement of the package, so a helper whose callers are gone is noticed.
-No function of a module's __all__ is a second spelling of another public
-name: its body, after its docstring, is not one return of a call to a
-name of the package's __all__ lists.  Every dataclass passes eq=False: a
-generated __eq__ cannot compare the arrays a record holds, and a frozen
-one's generated __hash__ cannot hash them.
+byte-identical artifacts whatever BLAS kernel the CPU selects.  The
+rank-one block that solver writes out per component count is source too:
+it passes the same guard, and each of its sums is one left-nested chain
+in component order.  Every module-level private def or class is used by
+some other top-level statement of the package, so a helper whose callers
+are gone is noticed.  No function of a module's __all__ is a second
+spelling of another public name: its body, after its docstring, is not
+one return of a call to a name of the package's __all__ lists.  Every
+dataclass passes eq=False: a generated __eq__ cannot compare the arrays
+a record holds, and a frozen one's generated __hash__ cannot hash them.
 """
 
 import ast
 import io
 import pathlib
+import re
 import tokenize
 
 import pytest
 
 import eccsim
+from eccsim.solver import CHAIN_TERMS, _rank_one_source
 
 SOURCES = sorted(pathlib.Path(eccsim.__file__).parent.glob("*.py"))
 # Names that sum in another order or through BLAS.
@@ -74,6 +78,67 @@ def test_guard_skips_strings_comments_and_decorators():
             "        return _left_sum(v)  # not x.sum() nor np.dot\n"
             "s = 'x.sum(1)'\n")
     assert offences(code) == []
+
+
+def unchained_sums(source: str) -> list[int]:
+    """Line of each sum over components in `source` that is not one
+    left-nested chain, in component order, from 0.0 or from where its own
+    target's last statement stopped.
+
+    A sum over components is an assignment to a name whose value adds terms
+    that name a component, `<stem>_<index>`; no term may add or subtract.
+    """
+    found, ends = [], {}
+    assigns = [node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Assign)
+               and isinstance(node.targets[0], ast.Name)]
+    for node in sorted(assigns, key=lambda node: node.lineno):
+        target, head, terms = node.targets[0].id, node.value, []
+        while isinstance(head, ast.BinOp) and isinstance(head.op, ast.Add):
+            terms.insert(0, head.right)
+            head = head.left
+        leaves = [list(ast.walk(term)) for term in terms]
+        indices = [{int(m.group(1)) for leaf in term
+                    if isinstance(leaf, ast.Name)
+                    and (m := re.search(r"_(\d+)$", leaf.id))}
+                   for term in leaves]
+        if not any(indices):
+            continue
+        first = (0 if isinstance(head, ast.Constant) and head.value == 0.0
+                 else ends.get(target) if isinstance(head, ast.Name)
+                 and head.id == target else None)
+        nested = any(isinstance(leaf, ast.BinOp)
+                     and isinstance(leaf.op, (ast.Add, ast.Sub))
+                     for term in leaves for leaf in term)
+        if first is None or nested or indices != [
+                {first + k} for k in range(len(terms))]:
+            found.append(node.lineno)
+        ends[target] = (first or 0) + len(terms)
+    return found
+
+
+@pytest.mark.parametrize("n", [*range(1, 11), 2 * CHAIN_TERMS + 1])
+def test_generated_block_keeps_the_summation_rule(n):
+    # The block's eight sums, the step's seven and its new total: each
+    # started from 1.0 instead, the guard flags all eight.
+    source = _rank_one_source(n)
+    assert offences(source) == []
+    assert unchained_sums(source) == []
+    assert len(unchained_sums(source.replace(" = 0.0 + ", " = 1.0 + "))) == 8
+
+
+def test_chain_guard_sees_every_form():
+    code = ("a = 0.0 + x_0 * y_0 + x_1 * y_1\n"
+            "b = 0.0 + x_0\nb = b + x_1 + x_2\n"
+            "c = 0.0 + (x_0 + x_1)\n"          # 4: nested
+            "d = x_0 + x_1\n"                  # 5: not from 0.0
+            "e = 0.0 + x_1 + x_0\n"            # 6: out of order
+            "f = 0.0 + x_0\nf = a + x_1\n"    # 8: continues another name
+            "g = 0.0 + x_0\ng = g + x_0\n"    # 10: repeats a component
+            "h = 0.0 + x_0 * (y_0 - z_0)\n"    # 11: a term subtracts
+            "k = 0.0 + x_0 - x_1\n"            # not a sum
+            "m = a + half * (b - c)\n")        # not over components
+    assert unchained_sums(code) == [4, 5, 6, 8, 10, 11]
 
 
 def uncalled(sources: dict[str, str]) -> list[str]:
